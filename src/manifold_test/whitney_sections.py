@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -458,13 +458,23 @@ def separation_oracle(constraints: ConstraintSet, y: np.ndarray) -> Cut | None:
 # ---- projections (Dykstra) ----
 
 def _project_constraints(constraints: ConstraintSet, y0: np.ndarray,
-                         sweeps: int = 400, move_tol: float = 1e-13) -> np.ndarray:
+                         sweeps: int = 400, move_tol: float = 1e-13,
+                         good_enough: Callable[[np.ndarray], bool] | None = None
+                         ) -> tuple[np.ndarray, str]:
     """Dykstra's cyclic projections onto the admissible set.
 
     The cycle visits the site balls (disjoint blocks, vectorized), then the
     pair slabs in fixed batches of disjoint support so each batch projects
-    with one matrix product. Stops when a full cycle moves less than
-    move_tol and the iterate is feasible, or after `sweeps` cycles.
+    with one matrix product. After each cycle the iterate is returned if it
+    is feasible and either the cycle moved less than move_tol or the
+    caller's target `good_enough(y)` holds; a caller that needs any feasible
+    point meeting its own test, not the projection itself, passes that test
+    as the target. Otherwise the loop stops after `sweeps` cycles.
+
+    Returns the iterate and why the loop stopped: "move_tol" (converged to
+    the projection), "target" (feasible and good enough for the caller, but
+    not the projection), or "cap" (the sweep cap came first; the iterate may
+    be infeasible).
     """
     m, q = constraints.m, constraints.q
     y = y0.copy()
@@ -499,9 +509,15 @@ def _project_constraints(constraints: ConstraintSet, y0: np.ndarray,
                 y = y + rows.T @ delta
                 moved = max(moved, float(np.max(np.abs(delta) * absmax)))
             pair_corr[g] = shift
-        if moved < move_tol and constraints.is_feasible(y):
-            break
-    return y
+        if moved < move_tol:
+            stop = "move_tol"
+        elif good_enough is not None and good_enough(y):
+            stop = "target"
+        else:
+            continue
+        if constraints.is_feasible(y):
+            return y, stop
+    return y, "cap"
 
 
 # ---- analytic-center cutting-plane solver ----
@@ -642,7 +658,11 @@ def minimize_section(data: SketchedData, constraints: ConstraintSet,
         if val <= eps_bar:
             return SectionFitResult(y=y0, value=val, iterations=0,
                                     certified=True, solver="warm-start")
-    y0 = _project_constraints(constraints, y0)
+
+    def meets_target(y):
+        return section_objective(data, constraints, y) <= eps_bar
+
+    y0, _ = _project_constraints(constraints, y0, good_enough=meets_target)
     start = y0 if constraints.is_feasible(y0) else None
     if start is not None:
         val = section_objective(data, constraints, start)
@@ -651,11 +671,12 @@ def minimize_section(data: SketchedData, constraints: ConstraintSet,
                                     certified=True, solver="warm-start-projected")
     if solver == "projected-gradient":
         return _solve_projected_gradient(data, constraints, eps_bar, budget, y0)
-    return _solve_cutting_plane(data, constraints, eps_bar, budget, start)
+    return _solve_cutting_plane(data, constraints, eps_bar, budget, start,
+                                meets_target)
 
 
 def _solve_projected_gradient(data, constraints, eps_bar, budget, y0):
-    y = _project_constraints(constraints, y0)
+    y, _ = _project_constraints(constraints, y0)
     eta = 0.9 / (2.0 * float(np.max(data.weights)))
     diam = 2.0 * constraints.M * math.sqrt(constraints.dim)
     best_y = None
@@ -675,11 +696,12 @@ def _solve_projected_gradient(data, constraints, eps_bar, budget, y0):
                 return SectionFitResult(y=y, value=val, iterations=done,
                                         certified=True, solver="projected-gradient")
         grad = section_objective_gradient(data, constraints, y)
-        y_next = _project_constraints(constraints, y - eta * grad, sweeps=120)
+        y_next, stop = _project_constraints(constraints, y - eta * grad, sweeps=120)
         gmap = float(np.linalg.norm(y - y_next)) / eta
         y = y_next
-        # convex objective: suboptimality <= |G| (diam + eta |G|)
-        if gmap * (diam + eta * gmap) <= eps_bar and constraints.is_feasible(y):
+        # convex objective: suboptimality <= |G| (diam + eta |G|), a bound
+        # that holds only for an exact projection, not one cut off by the cap
+        if stop == "move_tol" and gmap * (diam + eta * gmap) <= eps_bar:
             val = section_objective(data, constraints, y)
             if val < best_val:
                 best_val = val
@@ -697,7 +719,8 @@ def _solve_projected_gradient(data, constraints, eps_bar, budget, y0):
         f"(best objective {best_val:.6g}, target {eps_bar:.6g})", best=best)
 
 
-def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start=None):
+def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start=None,
+                         meets_target=None):
     dim = constraints.dim
     box = constraints.M
     cut_g = np.zeros((0, dim))
@@ -747,7 +770,8 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start=None
             if done % harvest_every == 0:
                 # feasibility cuts can dominate for a long stretch; project
                 # the current center so best-so-far still makes progress
-                proj = _project_constraints(constraints, y)
+                proj, _ = _project_constraints(constraints, y,
+                                               good_enough=meets_target)
                 if constraints.is_feasible(proj):
                     val = section_objective(data, constraints, proj)
                     if val < best_val - improve_tol():
@@ -807,7 +831,6 @@ class LocalSection:
     sites: np.ndarray                  # (m, d), rescaled
     fields: tuple[WhitneyField, ...]   # one per normal component
     fit_values: tuple[float, ...]
-    certified: tuple[bool, ...]
     shepard_radius: float
     is_empty: bool = False
 
@@ -868,7 +891,7 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
     if not np.any(inside):
         return LocalSection(cylinder_index=cylinder_index,
                             sites=np.zeros((0, d)), fields=(),
-                            fit_values=(), certified=(),
+                            fit_values=(),
                             shepard_radius=0.0, is_empty=True)
     u = local[inside, :d] / tb
     vals = local[inside, d:] / tb
@@ -876,13 +899,11 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
     constraints = build_constraints(data_all.sites, M, c_w)
     fields = []
     fit_values = []
-    certified = []
     for c in range(vals.shape[1]):
         comp = data_all.component(c) if data_all.targets.ndim == 2 else data_all
         res = minimize_section(comp, constraints, eps_bar, solver, budget)
         fields.append(WhitneyField.from_coefficient_vector(data_all.sites, res.y))
         fit_values.append(res.value)
-        certified.append(res.certified)
     if data_all.size > 1:
         diff = data_all.sites[:, None, :] - data_all.sites[None, :, :]
         seps = np.linalg.norm(diff, axis=2)
@@ -892,7 +913,7 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
         radius = 0.0
     return LocalSection(cylinder_index=cylinder_index, sites=data_all.sites,
                         fields=tuple(fields), fit_values=tuple(fit_values),
-                        certified=tuple(certified), shepard_radius=radius)
+                        shepard_radius=radius)
 
 
 # ---- partition of unity and the global section ----

@@ -20,6 +20,7 @@ from manifold_test.errors import (
     SiteMismatchError,
     UncoveredPointError,
 )
+import manifold_test.whitney_sections as ws
 from manifold_test.whitney_sections import (
     Jet2,
     SectionModel,
@@ -321,6 +322,91 @@ def test_unknown_solver_rejected():
     data, cons = line_fixture(sigma=0.2)
     with pytest.raises(InvalidParameterError):
         minimize_section(data, cons, eps_bar=0.1, solver="simplex")
+
+
+# ---- the Dykstra projection and its stops ----
+
+def test_projection_reports_why_it_stopped():
+    data, cons = line_fixture(sigma=0.01, seed=1)
+    # the constraints depend only on the sites, which the noise leaves alone
+    feasible = ws._warm_start(*line_fixture())
+    y, stop = ws._project_constraints(cons, feasible)
+    assert stop == "move_tol"
+    np.testing.assert_array_equal(y, feasible)
+    y0 = ws._warm_start(data, cons)
+    assert not cons.is_feasible(y0)
+    _, stop = ws._project_constraints(cons, y0, sweeps=1)
+    assert stop == "cap"
+
+
+def test_warm_start_projection_stops_at_the_callers_target():
+    data, cons = line_fixture(sigma=0.01, seed=1)
+    y0 = ws._warm_start(data, cons)
+    assert not cons.is_feasible(y0)
+    # without a target the projection runs to its sweep cap here
+    _, stop = ws._project_constraints(cons, y0)
+    assert stop == "cap"
+    y_target, stop = ws._project_constraints(
+        cons, y0, good_enough=lambda y: section_objective(data, cons, y) <= 0.01)
+    assert stop == "target"
+    res = minimize_section(data, cons, eps_bar=0.01)
+    assert res.solver == "warm-start-projected"
+    np.testing.assert_array_equal(res.y, y_target)
+    assert cons.is_feasible(res.y)
+    assert res.value <= 0.01
+    assert res.value == section_objective(data, cons, res.y)
+
+
+def test_unreachable_target_leaves_the_projection_unchanged():
+    data, cons = line_fixture(sigma=0.01, seed=1)
+    y0 = ws._warm_start(data, cons)
+    calls = []
+
+    def never(y):
+        calls.append(section_objective(data, cons, y))
+        return calls[-1] <= 1e-12
+
+    y_plain, stop_plain = ws._project_constraints(cons, y0)
+    y_target, stop_target = ws._project_constraints(cons, y0, good_enough=never)
+    assert len(calls) == 400
+    assert stop_plain == stop_target == "cap"
+    np.testing.assert_array_equal(y_target, y_plain)
+
+
+def _five_site_fixture(seed: int):
+    sites = np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
+    targets = np.random.default_rng(seed).uniform(-0.4, 0.4, 5)
+    data = sketch(sites, targets, 0.0)
+    return data, build_constraints(data.sites, M=0.5, c_w=3.0)
+
+
+def test_gradient_mapping_certifies_only_after_a_converged_projection(monkeypatch):
+    real = ws._project_constraints
+    stops = []
+
+    def spy(*args, **kwargs):
+        y, stop = real(*args, **kwargs)
+        stops.append(stop)
+        return y, stop
+
+    monkeypatch.setattr(ws, "_project_constraints", spy)
+    # seed 1: the bound is met right after a projection that converged, and
+    # certifies a value above eps_bar as optimal to within eps_bar
+    data, cons = _five_site_fixture(1)
+    res = minimize_section(data, cons, eps_bar=1e-3, solver="projected-gradient")
+    assert res.solver == "projected-gradient"
+    assert res.value > 1e-3
+    assert stops[-1] == "move_tol"
+    # seed 4: the bound is first met after a projection cut off at its
+    # sweep cap, which proves nothing; the solver runs on and stalls
+    stops.clear()
+    data, cons = _five_site_fixture(4)
+    with pytest.raises(BudgetExceededError) as excinfo:
+        minimize_section(data, cons, eps_bar=1e-3, solver="projected-gradient")
+    assert "cap" in stops
+    best = excinfo.value.best
+    assert cons.is_feasible(best.y)
+    assert not best.certified
 
 
 # ---- local sections and patching ----
