@@ -22,6 +22,7 @@ from .core_geometry import (
     _sign_fix_rows,
     frame_from_tangent,
     greedy_net,
+    lexsort_dedup,
 )
 from .errors import (
     DegenerateCoverError,
@@ -669,19 +670,8 @@ def extract_putative_manifold(packet: CylinderPacket, seeds,
         raise EmptyMeshError(
             f"no seed converged ({len(failures)} failures, "
             f"first: {failures[0][1] if failures else 'none'})")
-    pts = np.stack([c.base_point for c in charts])
-    order = np.lexsort(pts.T[::-1])
-    merge_radius = packet.tau_bar * dedup_fraction
-    kept: list[int] = []
-    kept_pts: list[np.ndarray] = []
-    for pos in order:
-        p = pts[pos]
-        if kept_pts:
-            dmin = float(np.min(np.linalg.norm(np.stack(kept_pts) - p, axis=1)))
-            if dmin < merge_radius:
-                continue
-        kept.append(int(pos))
-        kept_pts.append(p)
+    kept = lexsort_dedup(np.stack([c.base_point for c in charts]),
+                         packet.tau_bar * dedup_fraction)
     return PutativeMesh(charts=tuple(charts[i] for i in kept),
                         tolerance=newton_tol, packet=packet,
                         failures=tuple(failures))

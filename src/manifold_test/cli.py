@@ -15,10 +15,10 @@ import numpy as np
 
 from .complexity_bounds import BoundParams, covering_bound, sample_complexity
 from .core_geometry import PointCloud, load_csv, save_csv
-from .errors import ManifoldTestError, OutOfTubeError
+from .errors import ManifoldTestError
 from .kplanes import fit_kplanes, kplanes_loss, model_to_json
-from .pipeline import TestConfig, budget_estimate, generate_synthetic, run_test
-from .whitney_sections import mfin_distance
+from .pipeline import (TestConfig, budget_estimate, generate_synthetic,
+                       point_residuals, run_test)
 
 EXIT_CASE_ONE = 0
 EXIT_CASE_TWO = 10
@@ -26,7 +26,7 @@ EXIT_ERROR = 2
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """key=value lines; blank lines and # comments are skipped."""
+    """key=value lines; blank lines and # comments skipped, unknown keys rejected."""
     values: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -37,6 +37,9 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
+    unknown = sorted(set(values) - set(_RUN_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: unknown key(s): {', '.join(unknown)}")
     return values
 
 
@@ -44,8 +47,10 @@ _RUN_KEYS = {
     "dim": int, "volume": float, "tau": float, "eps": float, "delta": float,
     "constant": float, "cbar12": float, "packet_budget": int, "seed": int,
     "eps_bar": float, "extra_dim": int, "max_cylinders": int,
-    "solver": str, "solver_budget": int,
+    "solver_budget": int,
 }
+# keys that name a TestConfig field differently; the others are the field name
+_CONFIG_FIELDS = {"dim": "d", "volume": "V", "constant": "C"}
 
 
 def _resolve(args: argparse.Namespace, file_values: dict[str, str]):
@@ -65,16 +70,7 @@ def _build_config(merged: dict) -> TestConfig:
     missing = [k for k in required if k not in merged]
     if missing:
         raise ValueError(f"missing required settings: {', '.join(missing)}")
-    kwargs = dict(d=merged["dim"], V=merged["volume"], tau=merged["tau"],
-                  eps=merged["eps"], delta=merged["delta"])
-    for src, dst in (("constant", "C"), ("cbar12", "cbar12"),
-                     ("packet_budget", "packet_budget"), ("seed", "seed"),
-                     ("eps_bar", "eps_bar"), ("extra_dim", "extra_dim"),
-                     ("max_cylinders", "max_cylinders"), ("solver", "solver"),
-                     ("solver_budget", "solver_budget")):
-        if src in merged:
-            kwargs[dst] = merged[src]
-    return TestConfig(**kwargs)
+    return TestConfig(**{_CONFIG_FIELDS.get(k, k): v for k, v in merged.items()})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -96,18 +92,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if verdict.model is None:
             print("no model available; residuals not written", file=sys.stderr)
         else:
-            reduced = verdict.reduction
-            rows = []
-            for i in range(reduced.cloud.size):
-                z = reduced.cloud.points[i]
-                try:
-                    dist = mfin_distance(verdict.model, z)
-                except OutOfTubeError:
-                    mesh = verdict.model.mesh.base_points
-                    dist = config.out_of_tube_factor * float(
-                        np.min(np.linalg.norm(mesh - z, axis=1)))
-                rows.append((i, math.sqrt(dist * dist + reduced.perp_sq[i])))
-            arr = np.array(rows, dtype=np.float64)
+            sq, _ = point_residuals(verdict.model, verdict.reduction,
+                                    config.out_of_tube_factor)
+            arr = np.column_stack([np.arange(sq.size), np.sqrt(sq)])
             np.savetxt(args.residuals, arr, delimiter=",", fmt=["%d", "%.17g"],
                        header="index,distance", comments="")
     return EXIT_CASE_ONE if verdict.case == "one" else EXIT_CASE_TWO
@@ -182,7 +169,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--extra-dim", dest="extra_dim", type=int,
                        help="extra principal directions kept by reduction")
     p_run.add_argument("--max-cylinders", dest="max_cylinders", type=int)
-    p_run.add_argument("--solver", choices=("cutting-plane", "projected-gradient"))
     p_run.add_argument("--solver-budget", dest="solver_budget", type=int)
     p_run.add_argument("--report", help="write the JSON certificate here")
     p_run.add_argument("--residuals", help="write per-point distances as CSV")

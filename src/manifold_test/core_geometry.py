@@ -206,6 +206,26 @@ def greedy_net(cloud: PointCloud, r: float) -> list[int]:
     return selected
 
 
+def lexsort_dedup(points, radius: float) -> list[int]:
+    """Indices kept by a sequential merge, in lexicographic visiting order.
+
+    Points are visited sorted by their coordinates, the first most
+    significant; a point is kept when it lies at least radius from every
+    point kept before it.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    kept: list[int] = []
+    kept_pts = np.empty_like(points)
+    for pos in np.lexsort(points.T[::-1]):
+        p = points[pos]
+        if kept and float(np.min(np.linalg.norm(kept_pts[:len(kept)] - p,
+                                                axis=1))) < radius:
+            continue
+        kept_pts[len(kept)] = p
+        kept.append(int(pos))
+    return kept
+
+
 def _sign_fix_rows(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Flip each row so its first entry of magnitude > tol is positive."""
     out = rows.copy()

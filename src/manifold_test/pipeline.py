@@ -28,6 +28,7 @@ from .core_geometry import (
     estimate_tangent,
     federer_reach,
     greedy_net,
+    lexsort_dedup,
 )
 from .errors import (
     EmptyInputError,
@@ -64,7 +65,6 @@ class TestConfig:
     out_of_tube_factor: float = 1.5
     c_rec: float = 0.5
     max_cylinders: int | None = None
-    solver: str = "cutting-plane"
     solver_budget: int | None = None
     newton_tol: float = 1e-10
 
@@ -344,23 +344,41 @@ class TestVerdict:
     config: TestConfig
 
 
-def _packet_loss(model: SectionModel, reduced: ReducedCloud,
-                 config: TestConfig) -> tuple[float, int]:
-    """Weighted squared-distance loss of the data to the patched manifold."""
+def point_residuals(model: SectionModel, reduced: ReducedCloud,
+                    out_of_tube_factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Squared ambient distance of every sample point to the patched manifold.
+
+    Within the reduced span the distance is mfin_distance; a point outside
+    the bundle's tube is charged out_of_tube_factor times its distance to
+    the nearest mesh point instead. The squared distance off the span is
+    added. Returns the squared distances and the out-of-tube mask.
+    """
     cloud = reduced.cloud
     mesh_pts = model.mesh.base_points
-    out_count = 0
-    total = 0.0
+    sq = np.empty(cloud.size)
+    out = np.zeros(cloud.size, dtype=bool)
     for i in range(cloud.size):
         z = cloud.points[i]
         try:
             dist = mfin_distance(model, z)
         except OutOfTubeError:
-            out_count += 1
+            out[i] = True
             gap = float(np.min(np.linalg.norm(mesh_pts - z, axis=1)))
-            dist = config.out_of_tube_factor * gap
-        total += cloud.weights[i] * (dist * dist + reduced.perp_sq[i])
-    return total, out_count
+            dist = out_of_tube_factor * gap
+        sq[i] = dist * dist + reduced.perp_sq[i]
+    return sq, out
+
+
+def _packet_loss(model: SectionModel, reduced: ReducedCloud,
+                 config: TestConfig) -> tuple[float, int]:
+    """Weighted squared-distance loss of the data to the patched manifold."""
+    sq, out = point_residuals(model, reduced, config.out_of_tube_factor)
+    total = 0.0
+    # a sequential sum in sample order; np.sum's pairwise order would move
+    # the last bits of every reported loss
+    for w, r in zip(reduced.cloud.weights, sq):
+        total += w * r
+    return total, int(out.sum())
 
 
 def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
@@ -400,7 +418,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             seeds = np.vstack([packet.centers, rcloud.points])
             mesh = extract_putative_manifold(packet, seeds, config.newton_tol)
             model = fit_sections(packet, mesh, config.eps_bar,
-                                 solver=config.solver, budget=config.solver_budget,
+                                 budget=config.solver_budget,
                                  newton_tol=config.newton_tol)
             loss, out_count = _packet_loss(model, reduced, config)
             candidates.append(PacketCandidate(
@@ -521,19 +539,8 @@ def _dense_manifold_sample(model: SectionModel, per_axis: int = 5,
             points.append(p)
             tangents.append(AffineSubspace(base=p, basis=q.T[:d]))
     pts = np.stack(points)
-    order = np.lexsort(pts.T[::-1])
-    merge = merge_fraction * tb
-    kept_pts: list[np.ndarray] = []
-    kept_tan: list[AffineSubspace] = []
-    for pos in order:
-        p = pts[pos]
-        if kept_pts:
-            dmin = float(np.min(np.linalg.norm(np.stack(kept_pts) - p, axis=1)))
-            if dmin < merge:
-                continue
-        kept_pts.append(p)
-        kept_tan.append(tangents[pos])
-    return np.stack(kept_pts), kept_tan
+    kept = lexsort_dedup(pts, merge_fraction * tb)
+    return pts[kept], [tangents[i] for i in kept]
 
 
 def verify_output(verdict: TestVerdict, cloud: PointCloud,

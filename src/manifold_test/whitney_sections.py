@@ -4,7 +4,9 @@ Each cylinder carries a graph section over its tangential disc, encoded as a
 degree-2 Whitney field: one jet (value, gradient, Hessian) per site. The
 admissible fields form a convex set cut out by coefficient bounds and pairwise
 Taylor-compatibility constraints; fitting minimizes a weighted least-squares
-objective over that set, by a cutting-plane method or projected gradient.
+objective over that set: a local least-squares warm start, its Dykstra
+projection, and an analytic-center cutting-plane method when neither reaches
+the target.
 Local sections are blended into a global section over the extracted mesh.
 """
 from __future__ import annotations
@@ -227,7 +229,7 @@ class ConstraintSet:
     pair_betas: np.ndarray   # (K,)
     pair_labels: tuple[str, ...]
     # row-index batches of disjoint support; a fixed cyclic projection order
-    pair_groups: tuple = ()
+    pair_groups: tuple
 
     @property
     def m(self) -> int:
@@ -479,14 +481,10 @@ def _project_constraints(constraints: ConstraintSet, y0: np.ndarray,
     m, q = constraints.m, constraints.q
     y = y0.copy()
     site_corr = np.zeros((m, q))
-    k_pairs = constraints.pair_rows.shape[0]
     groups = constraints.pair_groups
-    if k_pairs and not groups:
-        groups = tuple(np.array([k]) for k in range(k_pairs))
-    pair_corr = np.zeros(k_pairs)
-    pair_sq = np.sum(constraints.pair_rows * constraints.pair_rows, axis=1) \
-        if k_pairs else np.zeros(0)
-    roots = np.sqrt(constraints.pair_betas) if k_pairs else np.zeros(0)
+    pair_corr = np.zeros(constraints.pair_rows.shape[0])
+    pair_sq = np.sum(constraints.pair_rows * constraints.pair_rows, axis=1)
+    roots = np.sqrt(constraints.pair_betas)
     batch_rows = [constraints.pair_rows[g] for g in groups]
     batch_absmax = [np.max(np.abs(rows), axis=1) for rows in batch_rows]
     for _ in range(sweeps):
@@ -591,7 +589,12 @@ def _step_to_interior(y, direction, box, cut_g, cut_c):
 
 @dataclass(frozen=True, eq=False)
 class SectionFitResult:
-    """Outcome of one convex section fit."""
+    """Outcome of one convex section fit.
+
+    certified means y is feasible with value <= eps_bar. solver names the
+    path that produced y: "warm-start", "warm-start-projected" or
+    "cutting-plane".
+    """
 
     y: np.ndarray
     value: float
@@ -625,27 +628,21 @@ def _warm_start(data: SketchedData, constraints: ConstraintSet) -> np.ndarray:
 
 
 def minimize_section(data: SketchedData, constraints: ConstraintSet,
-                     eps_bar: float, solver: str = "cutting-plane",
-                     budget: int | None = None) -> SectionFitResult:
+                     eps_bar: float, budget: int | None = None) -> SectionFitResult:
     """Minimize the section objective over the admissible set.
 
-    Returns as soon as a feasible field with objective <= eps_bar is found
-    (the objective is nonnegative, so such a field certifies the minimum up
-    to eps_bar). Raises BudgetExceededError carrying the best feasible
-    iterate when the budget or a stall is hit first.
+    Tries the warm start, then its projection, then the cutting-plane
+    solver with `budget` cuts. Returns as soon as a feasible field with
+    objective <= eps_bar is found (the objective is nonnegative, so such a
+    field certifies the minimum up to eps_bar). Raises BudgetExceededError
+    carrying the best feasible iterate when the budget or a stall is hit
+    first.
     """
     if not (eps_bar > 0):
         raise InvalidParameterError("eps_bar must be positive")
-    if solver not in ("cutting-plane", "projected-gradient"):
-        raise InvalidParameterError(f"unknown solver {solver!r}")
-    dim = constraints.dim
     if budget is None:
-        # analytic centers grow quadratically with the cut count, so the
-        # oracle-driven solver gets a tighter default than the cheap one
-        if solver == "cutting-plane":
-            budget = min(120 + 4 * dim, 700)
-        else:
-            budget = min(300 + 8 * dim, 2000)
+        # analytic centers grow quadratically with the cut count
+        budget = min(120 + 4 * constraints.dim, 700)
 
     if np.asarray(data.targets).ndim != 1:
         raise InvalidParameterError(
@@ -669,58 +666,12 @@ def minimize_section(data: SketchedData, constraints: ConstraintSet,
         if val <= eps_bar:
             return SectionFitResult(y=start, value=val, iterations=0,
                                     certified=True, solver="warm-start-projected")
-    if solver == "projected-gradient":
-        return _solve_projected_gradient(data, constraints, eps_bar, budget, y0)
     return _solve_cutting_plane(data, constraints, eps_bar, budget, start,
                                 meets_target)
 
 
-def _solve_projected_gradient(data, constraints, eps_bar, budget, y0):
-    y, _ = _project_constraints(constraints, y0)
-    eta = 0.9 / (2.0 * float(np.max(data.weights)))
-    diam = 2.0 * constraints.M * math.sqrt(constraints.dim)
-    best_y = None
-    best_val = math.inf
-    last_improve = 0
-    done = 0
-    for it in range(budget):
-        done = it + 1
-        if constraints.is_feasible(y):
-            val = section_objective(data, constraints, y)
-            if val < best_val - max(1e-12, 1e-4 * abs(val)):
-                last_improve = it
-            if val < best_val:
-                best_val = val
-                best_y = y.copy()
-            if val <= eps_bar:
-                return SectionFitResult(y=y, value=val, iterations=done,
-                                        certified=True, solver="projected-gradient")
-        grad = section_objective_gradient(data, constraints, y)
-        y_next, stop = _project_constraints(constraints, y - eta * grad, sweeps=120)
-        gmap = float(np.linalg.norm(y - y_next)) / eta
-        y = y_next
-        # convex objective: suboptimality <= |G| (diam + eta |G|), a bound
-        # that holds only for an exact projection, not one cut off by the cap
-        if stop == "move_tol" and gmap * (diam + eta * gmap) <= eps_bar:
-            val = section_objective(data, constraints, y)
-            if val < best_val:
-                best_val = val
-                best_y = y.copy()
-            return SectionFitResult(y=best_y, value=best_val, iterations=done,
-                                    certified=True, solver="projected-gradient")
-        if best_y is not None and it - last_improve > 60:
-            break
-    best = None
-    if best_y is not None:
-        best = SectionFitResult(y=best_y, value=best_val, iterations=done,
-                                certified=False, solver="projected-gradient")
-    raise BudgetExceededError(
-        f"projected gradient stopped after {done} iterations "
-        f"(best objective {best_val:.6g}, target {eps_bar:.6g})", best=best)
-
-
-def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start=None,
-                         meets_target=None):
+def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start,
+                         meets_target):
     dim = constraints.dim
     box = constraints.M
     cut_g = np.zeros((0, dim))
@@ -868,7 +819,7 @@ class LocalSection:
 def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
                       cylinder_index: int, eps_bar: float = 0.5,
                       M: float | None = None, c_w: float = C_W_DEFAULT,
-                      solver: str = "cutting-plane", budget: int | None = None,
+                      budget: int | None = None,
                       sketch_radius: float = 0.02) -> LocalSection:
     """Fit the graph section of one cylinder from the mesh points inside it.
 
@@ -901,7 +852,7 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
     fit_values = []
     for c in range(vals.shape[1]):
         comp = data_all.component(c) if data_all.targets.ndim == 2 else data_all
-        res = minimize_section(comp, constraints, eps_bar, solver, budget)
+        res = minimize_section(comp, constraints, eps_bar, budget)
         fields.append(WhitneyField.from_coefficient_vector(data_all.sites, res.y))
         fit_values.append(res.value)
     if data_all.size > 1:
@@ -955,21 +906,15 @@ class SectionModel:
         if len(self.sections) != self.packet.size:
             raise InvalidParameterError("need one section per cylinder")
 
-    @property
-    def empty_fraction(self) -> float:
-        empties = sum(1 for s in self.sections if s.is_empty)
-        return empties / len(self.sections)
-
 
 def fit_sections(packet: CylinderPacket, mesh: PutativeMesh,
                  eps_bar: float = 0.5, M: float | None = None,
-                 c_w: float = C_W_DEFAULT, solver: str = "cutting-plane",
-                 budget: int | None = None, sketch_radius: float = 0.02,
+                 c_w: float = C_W_DEFAULT, budget: int | None = None,
+                 sketch_radius: float = 0.02,
                  newton_tol: float = 1e-10) -> SectionModel:
     """Fit every cylinder's local section and assemble the model."""
     sections = tuple(
-        fit_local_section(packet, mesh, j, eps_bar, M, c_w, solver, budget,
-                          sketch_radius)
+        fit_local_section(packet, mesh, j, eps_bar, M, c_w, budget, sketch_radius)
         for j in range(packet.size))
     return SectionModel(packet=packet, mesh=mesh, sections=sections,
                         eps_bar=eps_bar, newton_tol=newton_tol)

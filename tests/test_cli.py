@@ -79,6 +79,10 @@ def test_run_circle_case_one(circle_csv, tmp_path, capsys):
     assert arr.shape == (150, 2)
     np.testing.assert_array_equal(arr[:, 0], np.arange(150))
     assert float(arr[:, 1].max()) < 0.01
+    # the residuals are the per-point terms of the reported loss
+    weights = load_csv(str(circle_csv)).weights
+    assert float(np.sum(weights * arr[:, 1] ** 2)) == \
+        pytest.approx(cert["best_loss"], rel=1e-12)
 
 
 def test_run_quiet_silences_stdout(circle_csv, capsys):
@@ -137,6 +141,22 @@ def test_config_file_rejects_garbage(circle_csv, tmp_path, capsys):
     code = entrypoint(["run", "--input", str(circle_csv), "--config", str(cfg)])
     assert code == 2
     assert "expected key=value" in capsys.readouterr().err
+
+
+def test_config_file_rejects_unknown_keys(circle_csv, tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("dim=1\npacket_budegt=5\nsolver=projected-gradient\n")
+    code = entrypoint(["run", "--input", str(circle_csv), *CIRCLE_ARGS,
+                       "--config", str(cfg)])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == \
+        f"error: {cfg}: unknown key(s): packet_budegt, solver"
+
+
+def test_run_has_no_solver_flag(circle_csv):
+    with pytest.raises(SystemExit):
+        entrypoint(["run", "--input", str(circle_csv), *CIRCLE_ARGS,
+                    "--solver", "cutting-plane"])
 
 
 def test_run_missing_input_is_an_error(tmp_path, capsys):

@@ -13,6 +13,7 @@ from manifold_test.core_geometry import (
     frame_from_tangent,
     greedy_net,
     hausdorff_distance,
+    lexsort_dedup,
     load_csv,
     load_mnfd,
     orthonormal_completion,
@@ -149,6 +150,27 @@ def test_greedy_net_rejects_bad_radius():
     cloud = PointCloud.from_points(np.zeros((2, 2)))
     with pytest.raises(InvalidParameterError):
         greedy_net(cloud, 0.0)
+
+
+def test_lexsort_dedup_keeps_points_in_sorted_order():
+    pts = np.array([[2.0, 0.0], [0.0, 1.5], [0.0, 0.0], [0.25, 0.0]])
+    # visited as 2, 1, 3, 0; point 3 lies 0.25 from point 2
+    assert lexsort_dedup(pts, 0.5) == [2, 1, 0]
+    assert lexsort_dedup(pts, 0.25) == [2, 1, 3, 0]
+    assert lexsort_dedup(pts, 0.0) == [2, 1, 3, 0]
+    assert lexsort_dedup(np.zeros((3, 2)), 1e-9) == [0]
+
+
+def test_lexsort_dedup_matches_the_plain_merge_loop():
+    rng = np.random.default_rng(3)
+    pts = np.round(rng.uniform(-1.0, 1.0, (300, 3)), 1)  # ties in every column
+    for radius in (0.05, 0.2, 0.5):
+        kept: list[int] = []
+        for pos in np.lexsort(pts.T[::-1]):
+            if kept and np.min(np.linalg.norm(pts[kept] - pts[pos], axis=1)) < radius:
+                continue
+            kept.append(int(pos))
+        assert lexsort_dedup(pts, radius) == kept
 
 
 # ---- tangent estimation ----
