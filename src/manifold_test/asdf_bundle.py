@@ -43,6 +43,10 @@ MEMBERSHIP_SLACK = 1e-12
 BUMP_INNER = 0.25   # theta == 1 inside this radius
 BUMP_OUTER = 1.0    # theta == 0 from this radius on
 
+# Base-point solver failures that reject one seed or point, not the input.
+BASE_POINT_ERRORS = (OutOfDomainError, DegenerateCoverError, InsufficientGapError,
+                     EscapedDomainError, NoConvergenceError)
+
 
 @dataclass(frozen=True)
 class BundleConstants:
@@ -64,59 +68,29 @@ DEFAULT_CONSTANTS = BundleConstants()
 
 # ---- bump function ----
 
-def _ramp_profile(t: float) -> tuple[float, float, float]:
-    """exp(1 - 1/(1 - t^2)) and its first two derivatives on [0, 1)."""
-    if t >= 1.0 - 1e-9:
-        return 0.0, 0.0, 0.0
-    one_m = 1.0 - t * t
-    g = math.exp(1.0 - 1.0 / one_m)
-    phi1 = -2.0 * t / one_m ** 2
-    phi2 = -2.0 / one_m ** 2 - 8.0 * t * t / one_m ** 3
-    return g, g * phi1, g * (phi2 + phi1 * phi1)
+def bump_profile(radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radial bump h(r) and its radial derivatives h'(r), h''(r), elementwise.
 
-
-def _radial_profile(rr: float) -> tuple[float, float, float]:
-    """Bump profile h(|x|) with radial derivatives h', h''."""
-    if rr <= BUMP_INNER:
-        return 1.0, 0.0, 0.0
-    if rr >= BUMP_OUTER:
-        return 0.0, 0.0, 0.0
-    width = BUMP_OUTER - BUMP_INNER
-    t = (rr - BUMP_INNER) / width
-    g, g1, g2 = _ramp_profile(t)
-    return g, g1 / width, g2 / width ** 2
-
-
-def bump_radial_values(radii: np.ndarray) -> np.ndarray:
-    """Vectorized bump values h(r) for an array of radii."""
-    r = np.asarray(radii, dtype=np.float64)
-    out = np.zeros_like(r)
-    out[r <= BUMP_INNER] = 1.0
-    mid = (r > BUMP_INNER) & (r < BUMP_OUTER)
-    if np.any(mid):
-        t = (r[mid] - BUMP_INNER) / (BUMP_OUTER - BUMP_INNER)
-        t = np.minimum(t, 1.0 - 1e-9)
-        out[mid] = np.exp(1.0 - 1.0 / (1.0 - t * t))
-    return out
-
-
-def bump_theta(x) -> tuple[float, np.ndarray, np.ndarray]:
-    """Radial bump value, gradient and Hessian at a point of R^d.
-
-    Identically 1 for |x| < 1/4 and 0 (with vanishing derivatives) for
-    |x| >= 1; in between exp(1 - 1/(1 - t^2)) on the affine ramp
-    t = (|x| - 1/4)/(3/4).
+    Identically 1 for r <= 1/4 and 0 (with vanishing derivatives) for
+    r >= 1; in between exp(1 - 1/(1 - t^2)) on the affine ramp
+    t = (r - 1/4)/(3/4), with t clamped below 1 - 1e-9.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    d = x.shape[0]
-    rr = float(np.linalg.norm(x))
-    h, h1, h2 = _radial_profile(rr)
-    if rr <= BUMP_INNER or rr >= BUMP_OUTER:
-        return h, np.zeros(d), np.zeros((d, d))
-    unit = x / rr
-    grad = h1 * unit
-    hess = h2 * np.outer(unit, unit) + (h1 / rr) * (np.eye(d) - np.outer(unit, unit))
-    return h, grad, hess
+    r = np.asarray(radii, dtype=np.float64)
+    h = (r <= BUMP_INNER).astype(np.float64)
+    h1 = np.zeros_like(r)
+    h2 = np.zeros_like(r)
+    ramp = (r > BUMP_INNER) & (r < BUMP_OUTER)
+    if np.any(ramp):
+        width = BUMP_OUTER - BUMP_INNER
+        t = np.minimum((r[ramp] - BUMP_INNER) / width, 1.0 - 1e-9)
+        one_m = 1.0 - t * t
+        g = np.exp(1.0 - 1.0 / one_m)
+        phi1 = -2.0 * t / one_m ** 2
+        phi2 = -2.0 / one_m ** 2 - 8.0 * t * t / one_m ** 3
+        h[ramp] = g
+        h1[ramp] = g * phi1 / width
+        h2[ramp] = g * (phi2 + phi1 * phi1) / width ** 2
+    return h, h1, h2
 
 
 # ---- cylinders and packets ----
@@ -212,14 +186,16 @@ class CylinderPacket:
         return np.einsum("kji,kj->ki", self.rotations, diff)
 
     def members(self, z: np.ndarray, factor: float = 2.0,
-                slack: float = MEMBERSHIP_SLACK) -> np.ndarray:
-        """Indices of cylinders containing z at the given dilation factor."""
+                slack: float = MEMBERSHIP_SLACK) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the cylinders containing z at the given dilation factor,
+        and the local coordinates of z in each of them, shape (members, n)."""
         w = self.local_coordinates(z)
         d = self.d
         lim = factor * self.tau_bar + slack
         tan = np.linalg.norm(w[:, :d], axis=1)
         nor = np.linalg.norm(w[:, d:], axis=1)
-        return np.nonzero((tan <= lim) & (nor <= lim))[0]
+        idx = np.nonzero((tan <= lim) & (nor <= lim))[0]
+        return idx, w[idx]
 
 
 def packet_to_json(packet: CylinderPacket) -> str:
@@ -416,54 +392,48 @@ def ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace],
 # ---- the approximate squared-distance field ----
 
 def _asdf_terms(packet: CylinderPacket, z: np.ndarray, order: int):
-    """Shared evaluation core; order is 0 (value) or 2 (with derivatives)."""
+    """Shared evaluation core; order is 0 (value) or 2 (with derivatives).
+
+    F = sum_k theta_k phi_k / sum_k theta_k over all member cylinders k at once.
+    """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (packet.n,):
         raise InvalidParameterError(
             f"point of shape {z.shape} does not match ambient dim {packet.n}")
-    idx = packet.members(z, factor=2.0)
+    idx, w = packet.members(z, factor=2.0)
     if idx.size == 0:
         raise OutOfDomainError("point lies outside every squared cylinder")
     d = packet.d
-    n = packet.n
     two_tb = 2.0 * packet.tau_bar
-
-    a_val = 0.0
-    b_val = 0.0
-    if order >= 2:
-        a_grad = np.zeros(n)
-        b_grad = np.zeros(n)
-        a_hess = np.zeros((n, n))
-        b_hess = np.zeros((n, n))
-    for k in idx:
-        rot = packet.rotations[k]
-        w = rot.T @ (z - packet.centers[k])
-        tan, nor = w[:d], w[d:]
-        phi = float(nor @ nor)
-        if order < 2:
-            theta = float(bump_radial_values(np.array([np.linalg.norm(tan) / two_tb]))[0])
-            a_val += phi * theta
-            b_val += theta
-            continue
-        theta, tgrad_u, thess_u = bump_theta(tan / two_tb)
-        t_frame = rot[:, :d]
-        n_frame = rot[:, d:]
-        theta_grad = t_frame @ (tgrad_u / two_tb)
-        theta_hess = t_frame @ (thess_u / two_tb ** 2) @ t_frame.T
-        phi_grad = 2.0 * (n_frame @ nor)
-        phi_hess = 2.0 * (n_frame @ n_frame.T)
-        a_val += phi * theta
-        b_val += theta
-        a_grad += phi * theta_grad + theta * phi_grad
-        b_grad += theta_grad
-        a_hess += (phi * theta_hess + np.outer(phi_grad, theta_grad)
-                   + np.outer(theta_grad, phi_grad) + theta * phi_hess)
-        b_hess += theta_hess
+    tan, nor = w[:, :d], w[:, d:]
+    tan_norm = np.linalg.norm(tan, axis=1)
+    theta, h1, h2 = bump_profile(tan_norm / two_tb)
+    phi = np.sum(nor * nor, axis=1)
+    b_val = float(theta.sum())
     if b_val <= 0.0:
         raise DegenerateCoverError("all bump weights vanish at the query point")
-    value = a_val / b_val
+    value = float(phi @ theta) / b_val
     if order < 2:
         return value, None, None
+
+    rot = packet.rotations[idx]
+    t_frame, n_frame = rot[:, :, :d], rot[:, :, d:]
+    # ambient unit tangential directions; h' vanishes wherever tan_norm does
+    safe_norm = np.where(tan_norm > 0.0, tan_norm, 1.0)
+    unit = np.einsum("mnd,md->mn", t_frame, tan / safe_norm[:, None])
+    outer_unit = np.einsum("mi,mj->mij", unit, unit)
+    tan_proj = np.einsum("mid,mjd->mij", t_frame, t_frame)
+    theta_grad = (h1 / two_tb)[:, None] * unit
+    theta_hess = ((h2 / two_tb ** 2)[:, None, None] * outer_unit
+                  + (h1 / (two_tb * safe_norm))[:, None, None] * (tan_proj - outer_unit))
+    phi_grad = 2.0 * np.einsum("mnc,mc->mn", n_frame, nor)
+
+    a_grad = phi @ theta_grad + theta @ phi_grad
+    b_grad = theta_grad.sum(axis=0)
+    cross = np.einsum("mi,mj->ij", phi_grad, theta_grad)
+    a_hess = (np.einsum("m,mij->ij", phi, theta_hess) + cross + cross.T
+              + 2.0 * np.einsum("m,mic,mjc->ij", theta, n_frame, n_frame))
+    b_hess = theta_hess.sum(axis=0)
     grad = (a_grad - value * b_grad) / b_val
     hess = (a_hess - value * b_hess - np.outer(grad, b_grad)
             - np.outer(b_grad, grad)) / b_val
@@ -480,16 +450,6 @@ def asdf_grad_hess(packet: CylinderPacket, z) -> tuple[float, np.ndarray, np.nda
     """Value, gradient and Hessian of the field, all analytic."""
     value, grad, hess = _asdf_terms(packet, np.asarray(z, dtype=np.float64), order=2)
     return value, grad, hess
-
-
-def _member_weights(packet: CylinderPacket, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Member indices and their (unnormalized) bump weights at z."""
-    idx = packet.members(z, factor=2.0)
-    if idx.size == 0:
-        raise OutOfDomainError("point lies outside every squared cylinder")
-    w = packet.local_coordinates(z)[idx]
-    radii = np.linalg.norm(w[:, :packet.d], axis=1) / (2.0 * packet.tau_bar)
-    return idx, bump_radial_values(radii)
 
 
 # ---- fiber projector and base-point extraction ----
@@ -613,8 +573,9 @@ def _build_chart(packet: CylinderPacket, z: np.ndarray, grad: np.ndarray,
                  hess: np.ndarray, constants: BundleConstants) -> BundleChart:
     codim = packet.n - packet.d
     res = pi_hi(hess, codim, constants.gap_tol, constants)
-    idx, weights = _member_weights(packet, z)
-    owner = int(idx[int(np.argmax(weights))])
+    idx, w = packet.members(z, factor=2.0)   # nonempty: the field was evaluated at z
+    radii = np.linalg.norm(w[:, :packet.d], axis=1) / (2.0 * packet.tau_bar)
+    owner = int(idx[int(np.argmax(bump_profile(radii)[0]))])
     residual = float(np.linalg.norm(res.fiber_basis @ grad))
     return BundleChart(
         base_point=z.copy(), projector_hi=res.projector, fiber_basis=res.fiber_basis,
@@ -663,8 +624,7 @@ def extract_putative_manifold(packet: CylinderPacket, seeds,
         try:
             charts.append(solve_base_point(packet, seeds[s], newton_tol,
                                            constants=constants))
-        except (OutOfDomainError, DegenerateCoverError, InsufficientGapError,
-                EscapedDomainError, NoConvergenceError) as exc:
+        except BASE_POINT_ERRORS as exc:
             failures.append((s, f"{type(exc).__name__}: {exc}"))
     if not charts:
         raise EmptyMeshError(
@@ -725,8 +685,7 @@ def bundle_coordinates(packet: CylinderPacket, context, z,
         try:
             chart = solve_base_point(packet, chart.base_point + t, newton_tol,
                                      constants=constants)
-        except (OutOfDomainError, DegenerateCoverError, InsufficientGapError,
-                EscapedDomainError, NoConvergenceError) as exc:
+        except BASE_POINT_ERRORS as exc:
             raise DecompositionFailedError(
                 f"base-point update failed: {type(exc).__name__}: {exc}")
     raise DecompositionFailedError(f"no convergence in {max_iters} alternations")

@@ -152,7 +152,8 @@ def _make_parser() -> argparse.ArgumentParser:
                     "bounded-reach manifold.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the manifold test on a CSV sample")
+    p_run = sub.add_parser("run", allow_abbrev=False,
+                           help="run the manifold test on a CSV sample")
     p_run.add_argument("--input", required=True, help="CSV of points (weights optional)")
     p_run.add_argument("--config", help="key=value file; explicit flags win")
     p_run.add_argument("--dim", type=int, help="manifold dimension d")
@@ -175,7 +176,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--quiet", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
-    p_gen = sub.add_parser("gen", help="generate a synthetic sample")
+    p_gen = sub.add_parser("gen", allow_abbrev=False,
+                           help="generate a synthetic sample")
     p_gen.add_argument("--kind", required=True,
                        choices=("sphere", "torus", "kplanes", "uniform_ball"))
     p_gen.add_argument("--ambient-dim", dest="ambient_dim", type=int, required=True)
@@ -194,7 +196,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--quiet", action="store_true")
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_bounds = sub.add_parser("bounds", help="sample-size and budget calculators")
+    p_bounds = sub.add_parser("bounds", allow_abbrev=False,
+                              help="sample-size and budget calculators")
     p_bounds.add_argument("--dim", type=int, required=True)
     p_bounds.add_argument("--volume", type=float, required=True)
     p_bounds.add_argument("--tau", type=float, required=True)
@@ -207,7 +210,8 @@ def _make_parser() -> argparse.ArgumentParser:
                           help="also print the packet-search exponent")
     p_bounds.set_defaults(func=_cmd_bounds)
 
-    p_kp = sub.add_parser("kplanes", help="fit the k-planes baseline")
+    p_kp = sub.add_parser("kplanes", allow_abbrev=False,
+                          help="fit the k-planes baseline")
     p_kp.add_argument("--input", required=True)
     p_kp.add_argument("--k", type=int, required=True)
     p_kp.add_argument("--dim", type=int, required=True)

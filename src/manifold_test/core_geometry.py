@@ -185,6 +185,23 @@ def dist_to_affine(x, sub: AffineSubspace) -> float:
     return float(np.linalg.norm(res[0]))
 
 
+def greedy_merge(points, r: float) -> list[int]:
+    """Indices kept by a greedy r-merge of the rows of points, in row order.
+
+    The first point is kept; a later point is kept exactly when it lies at
+    distance >= r from every point kept before it. r may be 0, which keeps
+    every point.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    kept = [0]
+    dmin = np.linalg.norm(points - points[0], axis=1)
+    for i in range(1, points.shape[0]):
+        if dmin[i] >= r:
+            kept.append(i)
+            np.minimum(dmin, np.linalg.norm(points - points[i], axis=1), out=dmin)
+    return kept
+
+
 def greedy_net(cloud: PointCloud, r: float) -> list[int]:
     """Greedy r-net indices in scan order.
 
@@ -196,34 +213,19 @@ def greedy_net(cloud: PointCloud, r: float) -> list[int]:
         raise EmptyInputError("cannot build a net of an empty cloud")
     if not (r > 0):
         raise InvalidParameterError(f"net radius must be positive, got {r!r}")
-    pts = cloud.points
-    selected = [0]
-    dmin = np.linalg.norm(pts - pts[0], axis=1)
-    for i in range(1, cloud.size):
-        if dmin[i] >= r:
-            selected.append(i)
-            np.minimum(dmin, np.linalg.norm(pts - pts[i], axis=1), out=dmin)
-    return selected
+    return greedy_merge(cloud.points, r)
 
 
 def lexsort_dedup(points, radius: float) -> list[int]:
-    """Indices kept by a sequential merge, in lexicographic visiting order.
+    """Indices kept by a greedy merge, in lexicographic visiting order.
 
     Points are visited sorted by their coordinates, the first most
     significant; a point is kept when it lies at least radius from every
     point kept before it.
     """
     points = np.asarray(points, dtype=np.float64)
-    kept: list[int] = []
-    kept_pts = np.empty_like(points)
-    for pos in np.lexsort(points.T[::-1]):
-        p = points[pos]
-        if kept and float(np.min(np.linalg.norm(kept_pts[:len(kept)] - p,
-                                                axis=1))) < radius:
-            continue
-        kept_pts[len(kept)] = p
-        kept.append(int(pos))
-    return kept
+    order = np.lexsort(points.T[::-1])
+    return [int(order[k]) for k in greedy_merge(points[order], radius)]
 
 
 def _sign_fix_rows(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -18,23 +18,20 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .asdf_bundle import (
+    BASE_POINT_ERRORS,
     CylinderPacket,
     PutativeMesh,
-    bump_radial_values,
+    bump_profile,
     bundle_coordinates,
     solve_base_point,
 )
+from .core_geometry import greedy_merge
 from .errors import (
     BudgetExceededError,
     DecompositionFailedError,
-    DegenerateCoverError,
     DuplicateSiteError,
     EmptyInputError,
-    EscapedDomainError,
-    InsufficientGapError,
     InvalidParameterError,
-    NoConvergenceError,
-    OutOfDomainError,
     OutOfTubeError,
     SiteMismatchError,
     UncoveredPointError,
@@ -170,11 +167,12 @@ class SketchedData:
 
 
 def sketch(sites, values, radius: float) -> SketchedData:
-    """Sequential merge of sites closer than radius.
+    """Greedy merge of sites closer than radius.
 
-    Each input site joins the lowest-index representative within radius, or
-    becomes a new representative; representatives keep their original
-    location and average the joined values.
+    The representatives are the sites kept by greedy_merge(sites, radius).
+    Every other site joins the lowest-index representative within radius;
+    representatives keep their original location and average the joined
+    values.
     """
     sites = np.asarray(sites, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -184,19 +182,12 @@ def sketch(sites, values, radius: float) -> SketchedData:
         raise InvalidParameterError("values and sites must align")
     if not (radius >= 0):
         raise InvalidParameterError("sketch radius must be nonnegative")
-    reps: list[int] = []
-    members: list[list[int]] = []
-    for i in range(sites.shape[0]):
-        joined = False
-        for r, rep in enumerate(reps):
-            if float(np.linalg.norm(sites[i] - sites[rep])) < radius:
-                members[r].append(i)
-                joined = True
-                break
-        if not joined:
-            reps.append(i)
-            members.append([i])
+    reps = greedy_merge(sites, radius)
     rep_sites = sites[reps]
+    dist = np.linalg.norm(sites[:, None, :] - rep_sites[None, :, :], axis=2)
+    owner = np.argmax(dist < radius, axis=1)
+    owner[reps] = np.arange(len(reps))
+    members = [np.nonzero(owner == r)[0].tolist() for r in range(len(reps))]
     targets = np.stack([values[m].mean(axis=0) for m in members])
     mult = np.array([len(m) for m in members], dtype=np.int64)
     return SketchedData(sites=rep_sites, targets=targets,
@@ -798,7 +789,7 @@ class LocalSection:
         offs = u[None, :] - self.sites
         dist = np.linalg.norm(offs, axis=1)
         if self.shepard_radius > 0:
-            wts = bump_radial_values(dist / self.shepard_radius)
+            wts = bump_profile(dist / self.shepard_radius)[0]
             total = float(wts.sum())
         else:
             wts = None
@@ -878,14 +869,14 @@ def partition_weights(packet: CylinderPacket, x,
     cylinders with empty sections are dropped when sections are supplied.
     """
     x = np.asarray(x, dtype=np.float64)
-    idx = packet.members(x, factor=1.0)
+    idx, w = packet.members(x, factor=1.0)
     if sections is not None:
-        idx = np.array([j for j in idx if not sections[j].is_empty], dtype=np.int64)
+        keep = np.array([not sections[j].is_empty for j in idx], dtype=bool)
+        idx, w = idx[keep], w[keep]
     if idx.size == 0:
         raise UncoveredPointError("no full cylinder with a section contains the point")
-    w = packet.local_coordinates(x)[idx]
     radii = np.linalg.norm(w[:, :packet.d], axis=1) / packet.tau_bar
-    wts = bump_radial_values(radii)
+    wts = bump_profile(radii)[0]
     total = float(wts.sum())
     if total <= 0.0:
         raise UncoveredPointError("all partition weights vanish at the point")
@@ -1018,8 +1009,6 @@ def mfin_distance(model: SectionModel, z) -> float:
         decomp = bundle_coordinates(model.packet, model.mesh, z,
                                     newton_tol=model.newton_tol)
         gs = global_section(model, decomp.base_point)
-    except (OutOfDomainError, DegenerateCoverError, InsufficientGapError,
-            EscapedDomainError, NoConvergenceError, DecompositionFailedError,
-            UncoveredPointError) as exc:
+    except (*BASE_POINT_ERRORS, DecompositionFailedError, UncoveredPointError) as exc:
         raise OutOfTubeError(f"{type(exc).__name__}: {exc}")
     return float(np.linalg.norm(z - gs.point))

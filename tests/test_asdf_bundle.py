@@ -11,8 +11,7 @@ from manifold_test.asdf_bundle import (
     PutativeMesh,
     asdf_eval,
     asdf_grad_hess,
-    bump_radial_values,
-    bump_theta,
+    bump_profile,
     bundle_coordinates,
     check_asdf_conditions,
     extract_putative_manifold,
@@ -115,10 +114,9 @@ def interior_probes(packet, count: int, seed: int, normal_scale: float = 0.3):
         u[:d] *= tb
         u[d:] *= normal_scale * tb
         z = packet.cylinders[j].to_ambient(u)
-        idx = packet.members(z, factor=2.0)
+        idx, w = packet.members(z, factor=2.0)
         if idx.size == 0:
             continue
-        w = packet.local_coordinates(z)[idx]
         tan = np.linalg.norm(w[:, :d], axis=1)
         if np.all(np.abs(tan - 0.5 * tb) > guard):
             probes.append(z)
@@ -148,35 +146,32 @@ def fd_errors(packet, z):
 
 def test_bump_plateau_and_support():
     r = np.array([0.0, 0.1, 0.25, 0.5, 0.99, 1.0, 3.0])
-    vals = bump_radial_values(r)
+    vals = bump_profile(r)[0]
     assert vals[0] == 1.0 and vals[1] == 1.0 and vals[2] == 1.0
     assert 0.0 < vals[3] < 1.0
     assert vals[5] == 0.0 and vals[6] == 0.0
-    grid = bump_radial_values(np.linspace(0.0, 1.0, 101))
+    grid = bump_profile(np.linspace(0.0, 1.0, 101))[0]
     assert np.all(np.diff(grid) <= 1e-15)
 
 
-def test_bump_theta_derivatives_match_fd():
-    x = np.array([0.5, 0.33])
-    val, grad, hess = bump_theta(x)
-    h = 1e-5
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = h
-        fd = (bump_theta(x + e)[0] - bump_theta(x - e)[0]) / (2 * h)
-        assert grad[i] == pytest.approx(fd, abs=1e-6)
-        fd_row = (bump_theta(x + e)[1] - bump_theta(x - e)[1]) / (2 * h)
-        np.testing.assert_allclose(hess[i], fd_row, atol=1e-5)
+def test_bump_profile_derivatives_match_fd():
+    # h'' jumps at the plateau edge r = 1/4, so the radii stay clear of it
+    r = np.linspace(0.27, 0.97, 36)
+    step = 1e-6
+    h, h1, h2 = bump_profile(r)
+    hp, h1p, _ = bump_profile(r + step)
+    hm, h1m, _ = bump_profile(r - step)
+    assert np.all(h1 < 0.0)
+    np.testing.assert_allclose(h1, (hp - hm) / (2 * step), rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(h2, (h1p - h1m) / (2 * step), rtol=1e-6, atol=1e-8)
 
 
-def test_bump_theta_flat_regions():
-    val, grad, hess = bump_theta(np.array([0.1, 0.0]))
-    assert val == 1.0
-    np.testing.assert_array_equal(grad, 0.0)
-    np.testing.assert_array_equal(hess, 0.0)
-    val, grad, _ = bump_theta(np.array([1.2, 0.0]))
-    assert val == 0.0
-    np.testing.assert_array_equal(grad, 0.0)
+def test_bump_profile_flat_regions():
+    r = np.array([0.0, 0.1, 0.25, 1.0, 1.2, 3.0])
+    h, h1, h2 = bump_profile(r)
+    np.testing.assert_array_equal(h, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(h1, 0.0)
+    np.testing.assert_array_equal(h2, 0.0)
 
 
 # ---- cylinders and packets ----
@@ -226,10 +221,13 @@ def test_packet_members_matches_contains():
     rng = np.random.default_rng(8)
     for _ in range(50):
         z = rng.uniform(-0.4, 0.4, 2)
-        idx = set(packet.members(z, factor=2.0).tolist())
+        idx, w = packet.members(z, factor=2.0)
         direct = {j for j, c in enumerate(packet.cylinders)
                   if c.contains(z, factor=2.0)}
-        assert idx == direct
+        assert set(idx.tolist()) == direct
+        for j, local in zip(idx, w):
+            np.testing.assert_allclose(local, packet.cylinders[j].to_local(z),
+                                       atol=1e-15)
 
 
 def test_packet_json_round_trip():
@@ -286,6 +284,71 @@ def test_circle_field_derivatives_match_fd(circle_packet):
         ge, he = fd_errors(packet, z)
         assert ge < 1e-5
         assert he < 1e-5
+
+
+def member_loop_field(packet, z):
+    """Field value, gradient and Hessian summed one member cylinder at a time.
+
+    Reference for the array kernel: the bump's tangential Hessian is built in
+    local coordinates from the radial profile, then rotated to ambient.
+    """
+    d, n = packet.d, packet.n
+    two_tb = 2.0 * packet.tau_bar
+    a_val = b_val = 0.0
+    a_grad, b_grad = np.zeros(n), np.zeros(n)
+    a_hess, b_hess = np.zeros((n, n)), np.zeros((n, n))
+    for k in packet.members(z, factor=2.0)[0]:
+        rot = packet.rotations[k]
+        w = rot.T @ (z - packet.centers[k])
+        tan, nor = w[:d], w[d:]
+        x = tan / two_tb
+        rr = float(np.linalg.norm(x))
+        h, h1, h2 = (float(v[0]) for v in bump_profile(np.array([rr])))
+        if h1 == 0.0:
+            tgrad_u, thess_u = np.zeros(d), np.zeros((d, d))
+        else:
+            unit = x / rr
+            tgrad_u = h1 * unit
+            thess_u = (h2 * np.outer(unit, unit)
+                       + (h1 / rr) * (np.eye(d) - np.outer(unit, unit)))
+        t_frame, n_frame = rot[:, :d], rot[:, d:]
+        theta_grad = t_frame @ (tgrad_u / two_tb)
+        theta_hess = t_frame @ (thess_u / two_tb ** 2) @ t_frame.T
+        phi = float(nor @ nor)
+        phi_grad = 2.0 * (n_frame @ nor)
+        phi_hess = 2.0 * (n_frame @ n_frame.T)
+        a_val += phi * h
+        b_val += h
+        a_grad += phi * theta_grad + h * phi_grad
+        b_grad += theta_grad
+        a_hess += (phi * theta_hess + np.outer(phi_grad, theta_grad)
+                   + np.outer(theta_grad, phi_grad) + h * phi_hess)
+        b_hess += theta_hess
+    value = a_val / b_val
+    grad = (a_grad - value * b_grad) / b_val
+    hess = (a_hess - value * b_hess - np.outer(grad, b_grad)
+            - np.outer(b_grad, grad)) / b_val
+    return value, grad, hess
+
+
+@pytest.fixture(scope="module")
+def kernel_probes(circle_packet):
+    packets = [flat_packet(), circle_packet[0], torus_patch_packet()]
+    return [(packet, z) for seed, packet in enumerate(packets)
+            for z in interior_probes(packet, 20, 30 + seed)]
+
+
+def test_field_kernel_matches_member_loop(kernel_probes):
+    for packet, z in kernel_probes:
+        ref = member_loop_field(packet, z)
+        for got, want in zip(asdf_grad_hess(packet, z), ref):
+            scale = float(np.max(np.abs(want)))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_field_value_is_the_same_for_both_orders(kernel_probes):
+    for packet, z in kernel_probes:
+        assert asdf_eval(packet, z) == asdf_grad_hess(packet, z)[0]
 
 
 # ---- fiber projectors ----

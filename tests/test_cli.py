@@ -153,10 +153,14 @@ def test_config_file_rejects_unknown_keys(circle_csv, tmp_path, capsys):
         f"error: {cfg}: unknown key(s): packet_budegt, solver"
 
 
-def test_run_has_no_solver_flag(circle_csv):
-    with pytest.raises(SystemExit):
-        entrypoint(["run", "--input", str(circle_csv), *CIRCLE_ARGS,
-                    "--solver", "cutting-plane"])
+def test_run_has_no_solver_flag(circle_csv, capsys):
+    # no prefix matching either: --solver must not read as --solver-budget
+    for value in ("cutting-plane", "50"):
+        with pytest.raises(SystemExit) as exc:
+            entrypoint(["run", "--input", str(circle_csv), *CIRCLE_ARGS,
+                        "--solver", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --solver" in capsys.readouterr().err
 
 
 def test_run_missing_input_is_an_error(tmp_path, capsys):

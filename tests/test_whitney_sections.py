@@ -150,6 +150,38 @@ def test_sketch_contracts_on_random_sites():
     assert int(sk.multiplicities.sum()) == 120
 
 
+def sketch_loop(sites, radius):
+    """Reference sketch, a double loop over sites x representatives."""
+    reps, members = [], []
+    for i in range(sites.shape[0]):
+        for r, rep in enumerate(reps):
+            if float(np.linalg.norm(sites[i] - sites[rep])) < radius:
+                members[r].append(i)
+                break
+        else:
+            reps.append(i)
+            members.append([i])
+    return reps, tuple(tuple(m) for m in members)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sketch_matches_the_sequential_loop(d):
+    rng = np.random.default_rng(40 + d)
+    for trial in range(20):
+        if d == 1:
+            # grid-rounded sites: exact ties at the radius and duplicates
+            sites = rng.integers(0, 12, (40, 1)) * 0.1
+        else:
+            # continuous sites: the loop's 1-D norm and the array norm may
+            # round an exact tie at the radius differently
+            sites = rng.uniform(-1.0, 1.0, (40, d))
+        for radius in (0.0, 0.1, 0.2, 0.5):
+            reps, members = sketch_loop(sites, radius)
+            sk = sketch(sites, np.arange(40.0), radius)
+            np.testing.assert_array_equal(sk.sites, sites[reps])
+            assert sk.members == members
+
+
 # ---- constraints ----
 
 def test_constraint_rows_match_hand_taylor():
