@@ -9,6 +9,7 @@ putative manifold mesh.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -600,9 +601,12 @@ class PutativeMesh:
                 raise InvalidParameterError(
                     f"chart residual {chart.residual:.3g} exceeds tolerance")
 
-    @property
+    @functools.cached_property
     def base_points(self) -> np.ndarray:
-        return np.stack([c.base_point for c in self.charts])
+        """(k, n) chart base points, stacked once and read-only."""
+        points = np.stack([c.base_point for c in self.charts])
+        points.flags.writeable = False
+        return points
 
 
 def extract_putative_manifold(packet: CylinderPacket, seeds,

@@ -418,8 +418,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             seeds = np.vstack([packet.centers, rcloud.points])
             mesh = extract_putative_manifold(packet, seeds, config.newton_tol)
             model = fit_sections(packet, mesh, config.eps_bar,
-                                 budget=config.solver_budget,
-                                 newton_tol=config.newton_tol)
+                                 budget=config.solver_budget)
             loss, out_count = _packet_loss(model, reduced, config)
             candidates.append(PacketCandidate(
                 index=index, kind=kind, loss=loss, reason=None,
@@ -574,15 +573,9 @@ def verify_output(verdict: TestVerdict, cloud: PointCloud,
     if not loss_ok:
         flags.append(f"loss recheck {loss:.4g} vs reported {reported:.4g}")
 
-    coeff_ok = True
     bound = 2.0 * model.packet.tau_bar / model.packet.tau
-    for section in model.sections:
-        if section.is_empty:
-            continue
-        for fld in section.fields:
-            for jet in fld.jets:
-                if float(np.linalg.norm(jet.coefficients())) > bound + 1e-9:
-                    coeff_ok = False
+    coeff_ok = all(bool(np.all(np.linalg.norm(s.coefficients, axis=2) <= bound + 1e-9))
+                   for s in model.sections)
     if not coeff_ok:
         flags.append("a jet block exceeds its coefficient bound")
 

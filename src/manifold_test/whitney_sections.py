@@ -1,8 +1,9 @@
 """Jet-constrained section fitting over cylinder packets.
 
 Each cylinder carries a graph section over its tangential disc, encoded as a
-degree-2 Whitney field: one jet (value, gradient, Hessian) per site. The
-admissible fields form a convex set cut out by coefficient bounds and pairwise
+degree-2 Whitney field: one jet (value, gradient, Hessian) per site, stored
+as a coefficient block in the layout of _monomials. The admissible fields
+form a convex set cut out by coefficient bounds and pairwise
 Taylor-compatibility constraints; fitting minimizes a weighted least-squares
 objective over that set: a local least-squares warm start, its Dykstra
 projection, and an analytic-center cutting-plane method when neither reaches
@@ -11,6 +12,7 @@ Local sections are blended into a global section over the extracted mesh.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -46,98 +48,56 @@ FEASIBILITY_REL = 2e-6
 FEASIBILITY_ABS = 1e-12
 
 
-def _upper_pairs(d: int) -> list[tuple[int, int]]:
-    """Row-major upper-triangular index pairs (a, b) with a <= b."""
-    return [(a, b) for a in range(d) for b in range(a, d)]
-
-
 def jet_size(d: int) -> int:
     """Coefficients per jet: value, gradient, upper-triangular Hessian."""
     return 1 + d + d * (d + 1) // 2
 
 
-@dataclass(frozen=True, eq=False)
-class Jet2:
-    """A second-order jet at a site: value, gradient, symmetric Hessian."""
-
-    value: float
-    gradient: np.ndarray   # (d,)
-    hessian: np.ndarray    # (d, d)
-
-    def __post_init__(self):
-        g = np.asarray(self.gradient, dtype=np.float64)
-        h = np.asarray(self.hessian, dtype=np.float64)
-        if g.ndim != 1 or h.shape != (g.shape[0], g.shape[0]):
-            raise InvalidParameterError("jet gradient/hessian shapes disagree")
-        if h.size and float(np.max(np.abs(h - h.T))) > 1e-9:
-            raise InvalidParameterError("jet hessian is not symmetric to 1e-9")
-        object.__setattr__(self, "gradient", g)
-        object.__setattr__(self, "hessian", 0.5 * (h + h.T))
-
-    @property
-    def dim(self) -> int:
-        return self.gradient.shape[0]
-
-    def taylor_value(self, h) -> float:
-        h = np.asarray(h, dtype=np.float64)
-        return float(self.value + self.gradient @ h + 0.5 * h @ self.hessian @ h)
-
-    def taylor_gradient(self, h) -> np.ndarray:
-        h = np.asarray(h, dtype=np.float64)
-        return self.gradient + self.hessian @ h
-
-    def coefficients(self) -> np.ndarray:
-        parts = [np.array([self.value]), self.gradient,
-                 np.array([self.hessian[a, b] for a, b in _upper_pairs(self.dim)])]
-        return np.concatenate(parts)
+@functools.lru_cache(maxsize=None)
+def _layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs (a, b), a <= b, of the extended offset [1, h] in row-major
+    order, their flat index a (d + 1) + b, and each monomial's factor (1/2
+    on the squares h_a^2). Cached, so read-only."""
+    a, b = np.triu_indices(d + 1)
+    layout = (a, b, a * (d + 1) + b, np.where((a == b) & (a > 0), 0.5, 1.0))
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
 
 
-def jet_from_coefficients(coeffs, d: int) -> Jet2:
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (jet_size(d),):
-        raise InvalidParameterError(
-            f"expected {jet_size(d)} coefficients for dimension {d}")
-    value = float(coeffs[0])
-    grad = coeffs[1:1 + d].copy()
-    hess = np.zeros((d, d))
-    for pos, (a, b) in enumerate(_upper_pairs(d)):
-        hess[a, b] = hess[b, a] = coeffs[1 + d + pos]
-    return Jet2(value=value, gradient=grad, hessian=hess)
+def _extended(h) -> np.ndarray:
+    """The extended offsets [1, h] (k, d + 1) of k offsets h (k, d)."""
+    ext = np.empty((h.shape[0], h.shape[1] + 1))
+    ext[:, 0] = 1.0
+    ext[:, 1:] = h
+    return ext
 
 
-@dataclass(frozen=True, eq=False)
-class WhitneyField:
-    """One jet per site; the discrete precursor of a C^2 function."""
+def _monomials(h) -> np.ndarray:
+    """Taylor monomials (k, q) of k offsets h (k, d): [1, h, 1/2 h_a^2, h_a h_b].
 
-    sites: np.ndarray        # (m, d)
-    jets: tuple[Jet2, ...]
+    This is the one jet layout: a jet's coefficient block holds the value,
+    the gradient and the upper-triangular Hessian (pairs a <= b in
+    row-major order), and its Taylor value at offset h is the block dotted
+    with the monomial row of h. The row is the upper triangle of the outer
+    product of [1, h] with itself, the squares halved.
+    """
+    k, d = h.shape
+    _, _, flat, factor = _layout(d)
+    ext = _extended(h)
+    outer = (ext[:, :, None] * ext[:, None, :]).reshape(k, (d + 1) ** 2)
+    return outer.take(flat, axis=1) * factor
 
-    def __post_init__(self):
-        s = np.asarray(self.sites, dtype=np.float64)
-        if s.ndim != 2 or s.shape[0] != len(self.jets):
-            raise InvalidParameterError("sites and jets must align")
-        for jet in self.jets:
-            if jet.dim != s.shape[1]:
-                raise InvalidParameterError("jet dimension does not match sites")
-        object.__setattr__(self, "sites", s)
 
-    @property
-    def size(self) -> int:
-        return self.sites.shape[0]
-
-    def coefficient_vector(self) -> np.ndarray:
-        return np.concatenate([jet.coefficients() for jet in self.jets])
-
-    @classmethod
-    def from_coefficient_vector(cls, sites, y) -> "WhitneyField":
-        sites = np.asarray(sites, dtype=np.float64)
-        m, d = sites.shape
-        q = jet_size(d)
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (m * q,):
-            raise InvalidParameterError(f"expected coefficient vector of length {m * q}")
-        jets = tuple(jet_from_coefficients(y[i * q:(i + 1) * q], d) for i in range(m))
-        return cls(sites=sites, jets=jets)
+def _monomial_gradients(h) -> np.ndarray:
+    """Derivatives (k, d, q) of the monomial rows of k offsets h (k, d) in
+    each h_axis: d(e_a e_b)/dh_axis of the extended offset e = [1, h] is
+    e_b where a is the axis plus e_a where b is."""
+    a, b, _, factor = _layout(h.shape[1])
+    ext = _extended(h)[:, None, :]
+    axis = np.arange(1, h.shape[1] + 1)[:, None]
+    return factor * (np.where(a == axis, ext[:, :, b], 0.0)
+                     + np.where(b == axis, ext[:, :, a], 0.0))
 
 
 # ---- sketching ----
@@ -266,35 +226,6 @@ class ConstraintSet:
         return bool(np.all(self.violations(y) <= self.feasibility_tol()))
 
 
-def _taylor_value_row(d: int, q: int, m: int, s: int, t: int, h: np.ndarray) -> np.ndarray:
-    """Functional y -> P_s(x_t) - value_t in flattened coordinates."""
-    row = np.zeros(m * q)
-    base = s * q
-    row[base] = 1.0
-    row[base + 1:base + 1 + d] = h
-    for pos, (a, b) in enumerate(_upper_pairs(d)):
-        row[base + 1 + d + pos] = 0.5 * h[a] * h[a] if a == b else h[a] * h[b]
-    row[t * q] = -1.0
-    return row
-
-
-def _taylor_grad_row(d: int, q: int, m: int, s: int, t: int, h: np.ndarray,
-                     axis: int) -> np.ndarray:
-    """Functional y -> d_axis P_s(x_t) - grad_t[axis]."""
-    row = np.zeros(m * q)
-    base = s * q
-    row[base + 1 + axis] = 1.0
-    for pos, (a, b) in enumerate(_upper_pairs(d)):
-        if a == axis and b == axis:
-            row[base + 1 + d + pos] += h[axis]
-        elif a == axis:
-            row[base + 1 + d + pos] += h[b]
-        elif b == axis:
-            row[base + 1 + d + pos] += h[a]
-    row[t * q + 1 + axis] = -1.0
-    return row
-
-
 def build_constraints(sites, M: float, c_w: float = C_W_DEFAULT,
                       pair_radius: float | None = None) -> ConstraintSet:
     """Admissible set for degree-2 Whitney fields on the given sites.
@@ -327,31 +258,28 @@ def build_constraints(sites, M: float, c_w: float = C_W_DEFAULT,
         if pair_radius is None:
             pair_radius = 0.0
 
-    rows = []
-    betas = []
-    labels = []
-    row_sites = []
-    for s in range(m):
-        for t in range(m):
-            if s == t or dist[s, t] > pair_radius:
-                continue
-            h = sites[t] - sites[s]
-            hn = float(np.linalg.norm(h))
-            rows.append(_taylor_value_row(d, q, m, s, t, h))
-            betas.append((c_w * M * hn * hn) ** 2)
-            labels.append(f"value {s}->{t}")
-            row_sites.append((s, t))
-            for axis in range(d):
-                rows.append(_taylor_grad_row(d, q, m, s, t, h, axis))
-                betas.append((c_w * M * hn) ** 2)
-                labels.append(f"grad[{axis}] {s}->{t}")
-                row_sites.append((s, t))
-    pair_rows = np.stack(rows) if rows else np.zeros((0, m * q))
-    pair_betas = np.asarray(betas, dtype=np.float64)
+    s_idx, t_idx = np.nonzero((dist <= pair_radius) & ~np.eye(m, dtype=bool))
+    k = s_idx.size
+    h = sites[t_idx] - sites[s_idx]
+    hn = dist[s_idx, t_idx]
+    # per pair (s, t): the value row, then one gradient row per axis; each
+    # holds the Taylor functional of jet s at x_t minus jet t's own entry
+    rows = np.zeros((k, 1 + d, m, q))
+    each = np.arange(k)
+    rows[each, :, s_idx] = np.concatenate(
+        [_monomials(h)[:, None, :], _monomial_gradients(h)], axis=1)
+    rows[each, :, t_idx, :1 + d] = -np.eye(1 + d)
+    pair_rows = rows.reshape(k * (1 + d), m * q)
+    pair_betas = np.stack([(c_w * M * hn * hn) ** 2] + d * [(c_w * M * hn) ** 2],
+                          axis=1).reshape(-1)
+    kinds = ["value"] + [f"grad[{axis}]" for axis in range(d)]
+    pairs = list(zip(s_idx.tolist(), t_idx.tolist()))
+    labels = tuple(f"{kind} {s}->{t}" for s, t in pairs for kind in kinds)
+    row_sites = [st for st in pairs for _ in kinds]
     return ConstraintSet(sites=sites, M=float(M), c_w=float(c_w),
                          kappa=whitney_kappa(d, c_w), pair_radius=float(pair_radius),
                          pair_rows=pair_rows, pair_betas=pair_betas,
-                         pair_labels=tuple(labels),
+                         pair_labels=labels,
                          pair_groups=_disjoint_row_groups(row_sites))
 
 
@@ -596,18 +524,12 @@ class SectionFitResult:
 
 def _warm_start(data: SketchedData, constraints: ConstraintSet) -> np.ndarray:
     """Local least-squares jets: target values, quadratic fits for derivatives."""
-    m, d, q = constraints.m, constraints.d, constraints.q
+    m, q = constraints.m, constraints.q
     sites = constraints.sites
     targets = np.asarray(data.targets, dtype=np.float64)
     y = np.zeros(m * q)
-    pairs = _upper_pairs(d)
     for i in range(m):
-        h = sites - sites[i]
-        cols = [np.ones(m)]
-        cols.extend(h[:, a] for a in range(d))
-        for a, b in pairs:
-            cols.append(0.5 * h[:, a] ** 2 if a == b else h[:, a] * h[:, b])
-        design = np.stack(cols, axis=1)
+        design = _monomials(sites - sites[i])
         coeff, *_ = np.linalg.lstsq(design, targets, rcond=None)
         coeff[0] = targets[i]
         block = coeff
@@ -763,48 +685,39 @@ class LocalSection:
     """Fitted graph section of one cylinder, in rescaled coordinates.
 
     Sites and values are tangential/normal local coordinates divided by
-    tau_bar. Evaluation blends the per-site Taylor polynomials with a
-    compactly supported Shepard weight whose radius is just below the
+    tau_bar. coefficients[c, i] is the jet block (see _monomials) of normal
+    component c at site i. Evaluation blends the per-site Taylor polynomials
+    with a compactly supported Shepard weight whose radius is just below the
     smallest site separation, so the jet values are reproduced exactly at
     the sites; away from all supports the nearest site's polynomial is used.
     """
 
     cylinder_index: int
-    sites: np.ndarray                  # (m, d), rescaled
-    fields: tuple[WhitneyField, ...]   # one per normal component
+    sites: np.ndarray          # (m, d), rescaled
+    coefficients: np.ndarray   # (codim, m, q)
     fit_values: tuple[float, ...]
     shepard_radius: float
     is_empty: bool = False
 
     @property
     def codim(self) -> int:
-        return len(self.fields)
+        return self.coefficients.shape[0]
 
     def evaluate(self, u) -> np.ndarray:
         """Section values (codim,) at rescaled tangential coordinates u."""
         if self.is_empty:
             raise UncoveredPointError(
                 f"cylinder {self.cylinder_index} has an empty section")
-        u = np.asarray(u, dtype=np.float64)
-        offs = u[None, :] - self.sites
+        offs = np.asarray(u, dtype=np.float64)[None, :] - self.sites
         dist = np.linalg.norm(offs, axis=1)
+        mono = _monomials(offs)
         if self.shepard_radius > 0:
             wts = bump_profile(dist / self.shepard_radius)[0]
             total = float(wts.sum())
-        else:
-            wts = None
-            total = 0.0
-        out = np.zeros(self.codim)
-        if total > 0:
-            active = np.nonzero(wts)[0]
-            for c, fld in enumerate(self.fields):
-                out[c] = sum(wts[i] * fld.jets[i].taylor_value(offs[i])
-                             for i in active) / total
-            return out
+            if total > 0:
+                return np.einsum("i,cij,ij->c", wts, self.coefficients, mono) / total
         near = int(np.argmin(dist))
-        for c, fld in enumerate(self.fields):
-            out[c] = fld.jets[near].taylor_value(offs[near])
-        return out
+        return self.coefficients[:, near] @ mono[near]
 
 
 def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
@@ -832,19 +745,20 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
     inside = (tan <= tb + 1e-12) & (nor <= tb + 1e-12)
     if not np.any(inside):
         return LocalSection(cylinder_index=cylinder_index,
-                            sites=np.zeros((0, d)), fields=(),
+                            sites=np.zeros((0, d)),
+                            coefficients=np.zeros((0, 0, jet_size(d))),
                             fit_values=(),
                             shepard_radius=0.0, is_empty=True)
     u = local[inside, :d] / tb
     vals = local[inside, d:] / tb
     data_all = sketch(u, vals, sketch_radius)
     constraints = build_constraints(data_all.sites, M, c_w)
-    fields = []
+    coefficients = []
     fit_values = []
     for c in range(vals.shape[1]):
         comp = data_all.component(c) if data_all.targets.ndim == 2 else data_all
         res = minimize_section(comp, constraints, eps_bar, budget)
-        fields.append(WhitneyField.from_coefficient_vector(data_all.sites, res.y))
+        coefficients.append(res.y.reshape(data_all.size, constraints.q))
         fit_values.append(res.value)
     if data_all.size > 1:
         diff = data_all.sites[:, None, :] - data_all.sites[None, :, :]
@@ -854,7 +768,8 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
     else:
         radius = 0.0
     return LocalSection(cylinder_index=cylinder_index, sites=data_all.sites,
-                        fields=tuple(fields), fit_values=tuple(fit_values),
+                        coefficients=np.stack(coefficients),
+                        fit_values=tuple(fit_values),
                         shepard_radius=radius)
 
 
@@ -891,7 +806,6 @@ class SectionModel:
     mesh: PutativeMesh
     sections: tuple[LocalSection, ...]
     eps_bar: float
-    newton_tol: float = 1e-10
 
     def __post_init__(self):
         if len(self.sections) != self.packet.size:
@@ -901,14 +815,13 @@ class SectionModel:
 def fit_sections(packet: CylinderPacket, mesh: PutativeMesh,
                  eps_bar: float = 0.5, M: float | None = None,
                  c_w: float = C_W_DEFAULT, budget: int | None = None,
-                 sketch_radius: float = 0.02,
-                 newton_tol: float = 1e-10) -> SectionModel:
+                 sketch_radius: float = 0.02) -> SectionModel:
     """Fit every cylinder's local section and assemble the model."""
     sections = tuple(
         fit_local_section(packet, mesh, j, eps_bar, M, c_w, budget, sketch_radius)
         for j in range(packet.size))
     return SectionModel(packet=packet, mesh=mesh, sections=sections,
-                        eps_bar=eps_bar, newton_tol=newton_tol)
+                        eps_bar=eps_bar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -976,7 +889,7 @@ def global_section(model: SectionModel, x) -> GlobalSectionValue:
     the base, blended by the partition weights.
     """
     x = np.asarray(x, dtype=np.float64)
-    chart = solve_base_point(model.packet, x, model.newton_tol)
+    chart = solve_base_point(model.packet, x, model.mesh.tolerance)
     base = chart.base_point
     tangent_rows = chart.tangent_basis
     idx, wts = partition_weights(model.packet, x, model.sections)
@@ -1007,7 +920,7 @@ def mfin_distance(model: SectionModel, z) -> float:
     z = np.asarray(z, dtype=np.float64)
     try:
         decomp = bundle_coordinates(model.packet, model.mesh, z,
-                                    newton_tol=model.newton_tol)
+                                    newton_tol=model.mesh.tolerance)
         gs = global_section(model, decomp.base_point)
     except (*BASE_POINT_ERRORS, DecompositionFailedError, UncoveredPointError) as exc:
         raise OutOfTubeError(f"{type(exc).__name__}: {exc}")

@@ -1,6 +1,7 @@
 """End-to-end decision pipeline: data generation, reduction, search, verdicts."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,26 @@ def test_circle_verdict_verifies(circle_verdict):
     assert report.reach_value >= 0.9
     assert report.flags == ()
     assert report.dense_points > 0
+
+
+def test_verify_flags_a_jet_block_over_its_bound(circle_verdict):
+    cloud, verdict = circle_verdict
+    model = verdict.model
+    bound = 2.0 * model.packet.tau_bar / model.packet.tau
+    section = model.sections[0]
+    # one block of norm 1.05 bound spread evenly over its q entries, the
+    # section's other blocks zero: no single coefficient, and no coefficient's
+    # norm across sites or components, exceeds the bound; only the block does
+    coefficients = np.zeros_like(section.coefficients)
+    q = coefficients.shape[2]
+    coefficients[0, 0] = 1.05 * bound / math.sqrt(q)
+    assert np.linalg.norm(coefficients[0, 0]) > bound
+    sections = (replace(section, coefficients=coefficients),) + model.sections[1:]
+    report = verify_output(replace(verdict, model=replace(model, sections=sections)),
+                           cloud)
+    assert not report.coefficients_ok
+    assert not report.passed
+    assert "a jet block exceeds its coefficient bound" in report.flags
 
 
 def test_run_test_is_deterministic(circle_verdict):

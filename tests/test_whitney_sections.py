@@ -1,4 +1,4 @@
-"""Jets, sketching, the convex section solver, and partition-of-unity patching."""
+"""The jet layout, sketching, the convex section solver, and partition-of-unity patching."""
 import math
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 from manifold_test.asdf_bundle import (
     Cylinder,
     CylinderPacket,
+    bump_profile,
     extract_putative_manifold,
     ideal_packet,
 )
@@ -20,16 +21,14 @@ from manifold_test.errors import (
     SiteMismatchError,
     UncoveredPointError,
 )
+from manifold_test.pipeline import generate_synthetic
 import manifold_test.whitney_sections as ws
 from manifold_test.whitney_sections import (
-    Jet2,
     SectionModel,
-    WhitneyField,
     build_constraints,
     fit_local_section,
     fit_sections,
     global_section,
-    jet_from_coefficients,
     jet_size,
     mfin_distance,
     minimize_section,
@@ -66,35 +65,42 @@ def test_jet_size_values():
     assert jet_size(3) == 10
 
 
-def test_jet_taylor_values():
-    jet = Jet2(value=2.0, gradient=np.array([1.0, -1.0]),
-               hessian=np.array([[2.0, 1.0], [1.0, 0.0]]))
-    h = np.array([0.5, 1.0])
-    assert jet.taylor_value(h) == pytest.approx(2.25)
-    np.testing.assert_allclose(jet.taylor_gradient(h), [3.0, -0.5])
+def upper_pairs(d: int):
+    """Row-major upper-triangular Hessian index pairs (a, b), a <= b."""
+    return [(a, b) for a in range(d) for b in range(a, d)]
 
 
-def test_jet_requires_symmetric_hessian():
-    with pytest.raises(InvalidParameterError):
-        Jet2(value=0.0, gradient=np.zeros(2),
-             hessian=np.array([[0.0, 1.0], [0.0, 0.0]]))
+def hessian_of(block, d: int) -> np.ndarray:
+    """The symmetric Hessian whose upper triangle a jet block stores."""
+    hess = np.zeros((d, d))
+    for pos, (a, b) in enumerate(upper_pairs(d)):
+        hess[a, b] = hess[b, a] = block[1 + d + pos]
+    return hess
 
 
-def test_jet_coefficient_round_trip():
-    coeffs = np.array([0.3, 1.0, -2.0, 0.5, 0.25, -0.75])
-    jet = jet_from_coefficients(coeffs, d=2)
-    assert jet.value == 0.3
-    np.testing.assert_allclose(jet.gradient, [1.0, -2.0])
-    np.testing.assert_allclose(jet.hessian, [[0.5, 0.25], [0.25, -0.75]])
-    np.testing.assert_allclose(jet.coefficients(), coeffs)
+def taylor_value(block, h) -> float:
+    d = h.shape[0]
+    return float(block[0] + block[1:1 + d] @ h + 0.5 * h @ hessian_of(block, d) @ h)
 
 
-def test_whitney_field_vector_round_trip():
-    rng = np.random.default_rng(2)
-    sites = rng.uniform(-1.0, 1.0, (4, 2))
-    y = rng.standard_normal(4 * jet_size(2))
-    fld = WhitneyField.from_coefficient_vector(sites, y)
-    np.testing.assert_allclose(fld.coefficient_vector(), y)
+def test_monomials_hand_value():
+    block = np.array([2.0, 1.0, -1.0, 2.0, 1.0, 0.0])
+    mono = ws._monomials(np.array([[0.5, 1.0]]))
+    np.testing.assert_array_equal(mono, [[1.0, 0.5, 1.0, 0.125, 0.5, 0.5]])
+    assert float(mono[0] @ block) == 2.25
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_monomials_give_the_taylor_value(d):
+    rng = np.random.default_rng(30 + d)
+    blocks = rng.standard_normal((20, jet_size(d)))
+    offsets = rng.uniform(-1.5, 1.5, (20, d))
+    mono = ws._monomials(offsets)
+    assert mono.shape == (20, jet_size(d))
+    for block, h, row in zip(blocks, offsets, mono):
+        grad, hess = block[1:1 + d], hessian_of(block, d)
+        terms = np.array([block[0], grad @ h, 0.5 * h @ hess @ h])
+        assert abs(float(block @ row) - terms.sum()) <= 1e-14 * np.abs(terms).sum()
 
 
 # ---- sketching ----
@@ -389,6 +395,86 @@ def test_unreachable_target_leaves_the_projection_unchanged():
     np.testing.assert_array_equal(y_target, y_plain)
 
 
+def old_pair_rows(sites, M, c_w, pair_radius):
+    """The per-pair, per-entry loops that built the pair rows and their
+    bounds before _monomials."""
+    m, d = sites.shape
+    q = jet_size(d)
+    rows = []
+    betas = []
+    for s in range(m):
+        for t in range(m):
+            if s == t or np.linalg.norm(sites[t] - sites[s]) > pair_radius:
+                continue
+            h = sites[t] - sites[s]
+            hn = float(np.linalg.norm(h))
+            betas.extend([(c_w * M * hn * hn) ** 2] + d * [(c_w * M * hn) ** 2])
+            row = np.zeros(m * q)
+            row[s * q] = 1.0
+            row[s * q + 1:s * q + 1 + d] = h
+            for pos, (a, b) in enumerate(upper_pairs(d)):
+                row[s * q + 1 + d + pos] = 0.5 * h[a] * h[a] if a == b else h[a] * h[b]
+            row[t * q] = -1.0
+            rows.append(row)
+            for axis in range(d):
+                row = np.zeros(m * q)
+                row[s * q + 1 + axis] = 1.0
+                for pos, (a, b) in enumerate(upper_pairs(d)):
+                    if a == axis and b == axis:
+                        row[s * q + 1 + d + pos] += h[axis]
+                    elif a == axis:
+                        row[s * q + 1 + d + pos] += h[b]
+                    elif b == axis:
+                        row[s * q + 1 + d + pos] += h[a]
+                row[t * q + 1 + axis] = -1.0
+                rows.append(row)
+    return np.stack(rows), np.array(betas)
+
+
+def old_warm_start(data, cons):
+    """The column-by-column warm start that preceded _monomials."""
+    m, d, q = cons.m, cons.d, cons.q
+    y = np.zeros(m * q)
+    for i in range(m):
+        h = cons.sites - cons.sites[i]
+        cols = [np.ones(m)]
+        cols.extend(h[:, a] for a in range(d))
+        for a, b in upper_pairs(d):
+            cols.append(0.5 * h[:, a] ** 2 if a == b else h[:, a] * h[:, b])
+        coeff, *_ = np.linalg.lstsq(np.stack(cols, axis=1), data.targets, rcond=None)
+        coeff[0] = data.targets[i]
+        norm = float(np.linalg.norm(coeff))
+        if norm > cons.M:
+            coeff = coeff * (cons.M / norm)
+        y[i * q:(i + 1) * q] = coeff
+    return y
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_rows_and_warm_start_match_the_old_loops(d):
+    rng = np.random.default_rng(40 + d)
+    sites = rng.uniform(-1.0, 1.0, (9, d))
+    targets = 0.3 * np.sin(2.0 * sites.sum(axis=1)) + 0.01 * rng.standard_normal(9)
+    data = sketch(sites, targets, 0.0)
+    # M at the median unscaled block norm, so the warm start takes both branches
+    loose = ws._warm_start(data, build_constraints(data.sites, M=1e9))
+    cons = build_constraints(data.sites, M=float(np.median(
+        np.linalg.norm(loose.reshape(9, -1), axis=1))), c_w=3.0)
+    assert cons.pair_rows.shape[0] > 0
+    rows, betas = old_pair_rows(data.sites, cons.M, cons.c_w, cons.pair_radius)
+    np.testing.assert_array_equal(cons.pair_rows, rows)
+    # |h| comes from the pairwise distance matrix, which can round the last
+    # bit differently from the norm of one offset when d >= 2; the value
+    # bound holds |h|^4
+    np.testing.assert_allclose(cons.pair_betas, betas, rtol=2e-15, atol=0.0)
+    if d == 1:
+        np.testing.assert_array_equal(cons.pair_betas, betas)
+    y = ws._warm_start(data, cons)
+    np.testing.assert_array_equal(y, old_warm_start(data, cons))
+    norms = np.linalg.norm(y.reshape(cons.m, cons.q), axis=1)
+    assert np.any(np.isclose(norms, cons.M)) and np.any(norms < 0.99 * cons.M)
+
+
 def _five_site_fixture(seed: int):
     sites = np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
     targets = np.random.default_rng(seed).uniform(-0.4, 0.4, 5)
@@ -427,6 +513,19 @@ def circle_model():
     return packet, mesh, model
 
 
+@pytest.fixture(scope="module")
+def sphere_model():
+    """A d = 2 model: ideal packet and sections of a 2-sphere in R^3."""
+    cloud, _ = generate_synthetic("sphere", n=3, size=150, seed=7, dim=2, radius=0.5)
+    tangents = {}
+    for i, p in enumerate(cloud.points):
+        frame = np.linalg.svd(np.outer(p, p))[0]   # normal first
+        tangents[i] = AffineSubspace(base=p, basis=frame[:, 1:].T)
+    packet = ideal_packet(cloud, tangents, tau=0.4, cbar12=0.25)
+    mesh = extract_putative_manifold(packet, np.vstack([packet.centers, cloud.points]))
+    return packet, mesh, fit_sections(packet, mesh)
+
+
 def single_cylinder_model():
     tb = 0.05
     cyl = Cylinder(rotation=np.eye(2), center=np.zeros(2), scale=tb,
@@ -454,6 +553,50 @@ def test_fit_local_section_empty_when_unpopulated():
     populated = fit_local_section(packet, mesh, 0)
     assert not populated.is_empty
     assert populated.codim == 1
+
+
+def jet_loop_evaluate(section, u):
+    """The per-jet loop that LocalSection.evaluate replaced."""
+    offs = u[None, :] - section.sites
+    dist = np.linalg.norm(offs, axis=1)
+    total = 0.0
+    if section.shepard_radius > 0:
+        wts = bump_profile(dist / section.shepard_radius)[0]
+        total = float(wts.sum())
+    if total > 0:
+        active = np.nonzero(wts)[0]
+        return np.array([sum(wts[i] * taylor_value(blocks[i], offs[i]) for i in active)
+                         / total for blocks in section.coefficients])
+    near = int(np.argmin(dist))
+    return np.array([taylor_value(blocks[near], offs[near])
+                     for blocks in section.coefficients])
+
+
+@pytest.mark.parametrize("model_fixture", ["circle_model", "sphere_model"])
+def test_evaluate_matches_the_jet_loop(model_fixture, request):
+    _, _, model = request.getfixturevalue(model_fixture)
+    rng = np.random.default_rng(8)
+    blended = nearest = 0
+    for section in model.sections:
+        m, d = section.sites.shape
+        assert section.coefficients.shape == (1, m, jet_size(d))
+        for i in range(m):
+            np.testing.assert_array_equal(section.evaluate(section.sites[i]),
+                                          section.coefficients[:, i, 0])
+        scale = float(np.max(np.abs(section.coefficients)))
+        for u in rng.uniform(-1.0, 1.0, (8, d)):
+            expected = jet_loop_evaluate(section, u)
+            np.testing.assert_allclose(section.evaluate(u), expected,
+                                       rtol=1e-12, atol=1e-12 * scale)
+            near = np.linalg.norm(u - section.sites, axis=1).min()
+            if near < section.shepard_radius:
+                blended += 1
+            else:
+                nearest += 1
+    assert blended > 100
+    if model_fixture == "sphere_model":
+        # the circle's sites are dense; only the sphere's reach the fallback
+        assert nearest > 100
 
 
 def test_partition_weights_sum_to_one(circle_model):
