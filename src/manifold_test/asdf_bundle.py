@@ -20,10 +20,12 @@ import numpy as np
 from .core_geometry import (
     AffineSubspace,
     PointCloud,
+    _ball_grid,
     _sign_fix_rows,
     frame_from_tangent,
     greedy_net,
     lexsort_dedup,
+    orthonormal_completion,
 )
 from .errors import (
     DegenerateCoverError,
@@ -279,16 +281,6 @@ class PacketValidation:
                 and self.condition3_ok and self.condition4_ok)
 
 
-def _coverage_grid(d: int, tau_bar: float, spacing_fraction: float) -> np.ndarray:
-    h = tau_bar * spacing_fraction
-    axis = np.arange(-3.0 * tau_bar, 3.0 * tau_bar + h / 2.0, h)
-    if d == 1:
-        return axis[:, None]
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return pts[np.linalg.norm(pts, axis=1) <= 3.0 * tau_bar + 1e-12]
-
-
 def validate_packet(packet: CylinderPacket,
                     spacing_fraction: float = 0.05,
                     angle_limit: float = 1.0) -> PacketValidation:
@@ -304,7 +296,8 @@ def validate_packet(packet: CylinderPacket,
     tb = packet.tau_bar
     bound2 = packet.c12 * tb
     bound3 = packet.C_align * tb * tb / packet.tau
-    grid = _coverage_grid(packet.d, tb, spacing_fraction)
+    h = tb * spacing_fraction
+    grid = _ball_grid(np.arange(-3.0 * tb, 3.0 * tb + h / 2.0, h), packet.d, 3.0 * tb)
 
     worst_angle = 0.0
     worst_op = 0.0
@@ -520,7 +513,6 @@ class BundleChart:
     @property
     def tangent_basis(self) -> np.ndarray:
         """Orthonormal rows spanning the kernel of the fiber projector."""
-        from .core_geometry import orthonormal_completion
         return orthonormal_completion(self.fiber_basis, self.fiber_basis.shape[1])
 
 

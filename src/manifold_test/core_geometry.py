@@ -228,6 +228,15 @@ def lexsort_dedup(points, radius: float) -> list[int]:
     return [int(order[k]) for k in greedy_merge(points[order], radius)]
 
 
+def _ball_grid(axis: np.ndarray, d: int, radius: float) -> np.ndarray:
+    """The grid axis^d (k, d), cut to the ball of the given radius if d > 1."""
+    if d == 1:
+        return axis[:, None]
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    return pts[np.linalg.norm(pts, axis=1) <= radius + 1e-12]
+
+
 def _sign_fix_rows(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Flip each row so its first entry of magnitude > tol is positive."""
     out = rows.copy()

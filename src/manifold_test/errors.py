@@ -28,7 +28,7 @@ class DegenerateNeighborhoodError(ManifoldTestError):
 
 
 class InsufficientDataError(ManifoldTestError):
-    """Reach estimation needs at least two points."""
+    """Reach estimation needs two points; the test, a span above d dimensions."""
 
 
 class PlaneOutsideBallError(ManifoldTestError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .asdf_bundle import (
 from .core_geometry import (
     AffineSubspace,
     PointCloud,
+    _ball_grid,
     estimate_tangent,
     federer_reach,
     greedy_net,
@@ -32,6 +34,7 @@ from .core_geometry import (
 )
 from .errors import (
     EmptyInputError,
+    InsufficientDataError,
     InvalidParameterError,
     ManifoldTestError,
     NoValidPacketError,
@@ -322,6 +325,7 @@ class PacketCandidate:
     mesh_size: int
     empty_sections: int
     out_of_tube: int
+    seed_failures: dict[str, int]   # failed mesh seeds by error kind
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,6 +397,10 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
     tb = config.tau_bar
     net = greedy_net(cloud, tb / 2.0)
     reduced = reduce_dimension(cloud, net, config.extra_dim)
+    if reduced.reduced_dim <= config.d:   # no closed d-manifold fits in d dimensions
+        raise InsufficientDataError(
+            f"the sample spans {reduced.reduced_dim} dimension(s); testing "
+            f"for d = {config.d} needs at least {config.d + 1}")
     rcloud = reduced.cloud
     rnet = greedy_net(rcloud, tb / 2.0)
     rnet = rnet[:config.cylinder_cap]
@@ -404,6 +412,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
     base_packet: CylinderPacket | None = None
     for index in range(config.packet_budget):
         kind = "ideal" if index == 0 else "perturbed"
+        seed_failures: dict[str, int] = {}
         try:
             if index == 0:
                 packet = ideal_packet(rcloud, tangents, config.tau, config.cbar12,
@@ -417,6 +426,8 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             validation = validate_packet(packet)
             seeds = np.vstack([packet.centers, rcloud.points])
             mesh = extract_putative_manifold(packet, seeds, config.newton_tol)
+            kinds = Counter(text.split(":", 1)[0] for _, text in mesh.failures)
+            seed_failures = dict(sorted(kinds.items()))
             model = fit_sections(packet, mesh, config.eps_bar,
                                  budget=config.solver_budget)
             loss, out_count = _packet_loss(model, reduced, config)
@@ -424,7 +435,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 index=index, kind=kind, loss=loss, reason=None,
                 validation=validation, mesh_size=len(mesh.charts),
                 empty_sections=sum(1 for s in model.sections if s.is_empty),
-                out_of_tube=out_count))
+                out_of_tube=out_count, seed_failures=seed_failures))
             if best is None or (loss, index) < best:
                 best = (loss, index)
                 best_model = model
@@ -432,7 +443,8 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             candidates.append(PacketCandidate(
                 index=index, kind=kind, loss=math.inf,
                 reason=f"{type(exc).__name__}: {exc}", validation=None,
-                mesh_size=0, empty_sections=0, out_of_tube=0))
+                mesh_size=0, empty_sections=0, out_of_tube=0,
+                seed_failures=seed_failures))
     best_loss = best[0] if best is not None else math.inf
     case = "one" if best_loss <= config.threshold else "two"
     estimate = budget_estimate(config, cloud.ambient_dim)
@@ -451,6 +463,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 "mesh_size": c.mesh_size,
                 "empty_sections": c.empty_sections,
                 "out_of_tube": c.out_of_tube,
+                "seed_failures": c.seed_failures,
             }
             for c in candidates
         ],
@@ -510,33 +523,19 @@ def _dense_manifold_sample(model: SectionModel, per_axis: int = 5,
     packet = model.packet
     d = packet.d
     tb = packet.tau_bar
-    axis = np.linspace(-extent, extent, per_axis)
-    if d == 1:
-        grid = axis[:, None]
-    else:
-        mesh = np.meshgrid(*([axis] * d), indexing="ij")
-        grid = np.stack([g.ravel() for g in mesh], axis=1)
-        grid = grid[np.linalg.norm(grid, axis=1) <= extent + 1e-12]
+    grid = _ball_grid(np.linspace(-extent, extent, per_axis), d, extent)
     points = []
     tangents = []
-    h = 1e-6
     for j, section in enumerate(model.sections):
         if section.is_empty:
             continue
         cyl = packet.cylinders[j]
         for u in grid:
-            vals = section.evaluate(u)
+            vals, jac = section.evaluate(u)
             p = cyl.to_ambient(np.concatenate([tb * u, tb * vals]))
-            cols = []
-            for k in range(d):
-                up = u.copy()
-                up[k] += h
-                vp = section.evaluate(up)
-                cols.append(np.concatenate([(up - u) * tb, tb * (vp - vals)]) / (h * tb))
-            frame = np.stack([cyl.rotation @ c for c in cols])
-            q, _ = np.linalg.qr(frame.T)
+            q, _ = np.linalg.qr(cyl.rotation @ np.vstack([np.eye(d), jac]))
             points.append(p)
-            tangents.append(AffineSubspace(base=p, basis=q.T[:d]))
+            tangents.append(AffineSubspace(base=p, basis=q.T))
     pts = np.stack(points)
     kept = lexsort_dedup(pts, merge_fraction * tb)
     return pts[kept], [tangents[i] for i in kept]

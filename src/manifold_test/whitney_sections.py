@@ -703,21 +703,29 @@ class LocalSection:
     def codim(self) -> int:
         return self.coefficients.shape[0]
 
-    def evaluate(self, u) -> np.ndarray:
-        """Section values (codim,) at rescaled tangential coordinates u."""
+    def evaluate(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """Section values (codim,) and Jacobian (codim, d) at rescaled
+        tangential coordinates u. The blend s = sum w_i P_i / sum w_i of the site
+        polynomials P_i has Jacobian (sum w_i dP_i + sum (P_i - s) dw_i) / sum w_i."""
         if self.is_empty:
             raise UncoveredPointError(
                 f"cylinder {self.cylinder_index} has an empty section")
         offs = np.asarray(u, dtype=np.float64)[None, :] - self.sites
         dist = np.linalg.norm(offs, axis=1)
-        mono = _monomials(offs)
+        polys = np.einsum("cij,ikj->cik", self.coefficients, np.concatenate(
+            [_monomials(offs)[:, None, :], _monomial_gradients(offs)], axis=1))
         if self.shepard_radius > 0:
-            wts = bump_profile(dist / self.shepard_radius)[0]
+            wts, slope, _ = bump_profile(dist / self.shepard_radius)
             total = float(wts.sum())
             if total > 0:
-                return np.einsum("i,cij,ij->c", wts, self.coefficients, mono) / total
+                # slope is 0 for r <= 1/4, so a zero offset needs only a safe divisor
+                dwts = offs * (slope / (self.shepard_radius
+                                        * np.maximum(dist, 1e-300)))[:, None]
+                values = polys[:, :, 0] @ wts / total
+                return values, (np.einsum("i,cia->ca", wts, polys[:, :, 1:])
+                                + (polys[:, :, 0] - values[:, None]) @ dwts) / total
         near = int(np.argmin(dist))
-        return self.coefficients[:, near] @ mono[near]
+        return polys[:, near, 0], polys[:, near, 1:]
 
 
 def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
@@ -835,50 +843,39 @@ class GlobalSectionValue:
     weights: np.ndarray
 
 
-def _graph_point(packet: CylinderPacket, section: LocalSection, j: int,
-                 u_amb: np.ndarray) -> np.ndarray:
-    tb = packet.tau_bar
-    vals = section.evaluate(u_amb / tb) * tb
-    return packet.cylinders[j].to_ambient(np.concatenate([u_amb, vals]))
-
-
 def _fiber_intersection(packet: CylinderPacket, section: LocalSection, j: int,
                         tangent_rows: np.ndarray, base: np.ndarray,
                         max_iters: int = 30) -> np.ndarray | None:
     """Solve for the graph point of cylinder j on the fiber through base.
 
     Newton in the tangential coordinates u of the cylinder: the residual is
-    the tangential part (at the base chart) of graph(u) - base. Returns the
+    the tangential part (at the base chart) of graph(u) - base, and its
+    Jacobian is tangent_rows @ rotation @ [I; section Jacobian]. Returns the
     graph point or None when Newton fails or leaves the cylinder.
     """
     tb = packet.tau_bar
     d = packet.d
-    u = packet.cylinders[j].to_local(base)[:d].copy()
-    h = 1e-6 * tb
+    cyl = packet.cylinders[j]
+    u = cyl.to_local(base)[:d].copy()
     tol = 1e-12 * max(tb, 1.0) + 1e-15
     for _ in range(max_iters):
         try:
-            g0 = tangent_rows @ (_graph_point(packet, section, j, u) - base)
+            vals, jac = section.evaluate(u / tb)
         except UncoveredPointError:
             return None
+        point = cyl.to_ambient(np.concatenate([u, vals * tb]))
+        g0 = tangent_rows @ (point - base)
         if float(np.linalg.norm(g0)) <= tol:
-            break
-        jac = np.zeros((d, d))
-        for k in range(d):
-            up = u.copy()
-            up[k] += h
-            jac[:, k] = (tangent_rows @ (_graph_point(packet, section, j, up) - base)
-                         - g0) / h
+            return point
         try:
-            step = np.linalg.solve(jac, -g0)
+            step = np.linalg.solve(tangent_rows @ cyl.rotation
+                                   @ np.vstack([np.eye(d), jac]), -g0)
         except np.linalg.LinAlgError:
             return None
         u = u + step
         if float(np.linalg.norm(u)) > 2.0 * tb:
             return None
-    else:
-        return None
-    return _graph_point(packet, section, j, u)
+    return None
 
 
 def global_section(model: SectionModel, x) -> GlobalSectionValue:

@@ -186,6 +186,16 @@ def test_run_invalid_tau_is_an_error(circle_csv, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+def test_run_degenerate_sample_is_an_error(tmp_path, capsys):
+    path = tmp_path / "duplicates.csv"
+    np.savetxt(path, np.tile([[0.3, -0.2]], (50, 1)), delimiter=",")
+    code = entrypoint(["run", "--input", str(path), *CIRCLE_ARGS])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "needs at least 2" in err
+
+
 def test_bounds_match_direct_evaluation(capsys):
     code = entrypoint(["bounds", "--dim", "1", "--volume", "7.0",
                        "--tau", "0.5", "--eps", "0.01", "--delta", "0.05",

@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import manifold_test.pipeline as pipeline
 from manifold_test.core_geometry import PointCloud, greedy_net
 from manifold_test.errors import (
     EmptyInputError,
+    InsufficientDataError,
     InvalidParameterError,
     NoValidPacketError,
 )
@@ -234,7 +236,7 @@ def test_circle_certificate_contents(circle_verdict):
     assert cert["search"] == "searched 1 of ~2^28.0 admissible packets"
     entry = cert["candidates"][0]
     for key in ("index", "kind", "loss", "reason", "packet_conditions_ok",
-                "mesh_size", "empty_sections", "out_of_tube"):
+                "mesh_size", "empty_sections", "out_of_tube", "seed_failures"):
         assert key in entry
     assert entry["packet_conditions_ok"] is True
     assert entry["mesh_size"] == cert["mesh_points"]
@@ -302,6 +304,41 @@ def test_run_test_rejects_empty_cloud():
     empty = PointCloud(points=np.zeros((0, 2)), weights=np.zeros(0))
     with pytest.raises(EmptyInputError):
         run_test(empty, CIRCLE_CONFIG)
+
+
+@pytest.mark.parametrize("points", [
+    np.array([[0.1, 0.2]]),
+    np.tile([[0.3, -0.2]], (50, 1)),
+    np.linspace(-0.9, 0.9, 40)[:, None],
+    np.array([[0.1, 0.2, 0.3], [0.2, 0.4, 0.6]]),
+], ids=["one-point", "duplicates", "one-dimensional", "collinear-in-R3"])
+def test_run_test_rejects_a_sample_spanning_at_most_d_dimensions(points):
+    with pytest.raises(InsufficientDataError,
+                       match=r"spans 1 dimension\(s\); testing for d = 1 needs at least 2"):
+        run_test(PointCloud.from_points(points), CIRCLE_CONFIG)
+
+
+def test_certificate_counts_seed_failures_by_kind(monkeypatch):
+    meshes = []
+    extract = pipeline.extract_putative_manifold
+
+    def recording_extract(*args, **kwargs):
+        meshes.append(extract(*args, **kwargs))
+        return meshes[-1]
+
+    monkeypatch.setattr(pipeline, "extract_putative_manifold", recording_extract)
+    cloud, _ = generate_synthetic("uniform_ball", n=2, size=200, seed=5)
+    config = TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1,
+                        packet_budget=1, seed=0)
+    entry = run_test(cloud, config).certificate["candidates"][0]
+    (mesh,) = meshes
+    counts = entry["seed_failures"]
+    assert len(counts) >= 2
+    assert list(counts) == sorted(counts)
+    assert sum(counts.values()) == len(mesh.failures) > 0
+    for kind, count in counts.items():
+        assert count == sum(1 for _, text in mesh.failures
+                            if text.startswith(kind + ":"))
 
 
 # ---- search budget ----

@@ -572,31 +572,105 @@ def jet_loop_evaluate(section, u):
                      for blocks in section.coefficients])
 
 
+def probe_points(model):
+    """Eight uniform points of [-1, 1]^d per section, each with whether it
+    lies in a Shepard support (blended) or not (nearest-site fallback)."""
+    rng = np.random.default_rng(8)
+    for section in model.sections:
+        for u in rng.uniform(-1.0, 1.0, (8, section.sites.shape[1])):
+            near = np.linalg.norm(u - section.sites, axis=1).min()
+            yield section, u, bool(near < section.shepard_radius)
+
+
 @pytest.mark.parametrize("model_fixture", ["circle_model", "sphere_model"])
 def test_evaluate_matches_the_jet_loop(model_fixture, request):
     _, _, model = request.getfixturevalue(model_fixture)
-    rng = np.random.default_rng(8)
-    blended = nearest = 0
     for section in model.sections:
         m, d = section.sites.shape
         assert section.coefficients.shape == (1, m, jet_size(d))
         for i in range(m):
-            np.testing.assert_array_equal(section.evaluate(section.sites[i]),
+            np.testing.assert_array_equal(section.evaluate(section.sites[i])[0],
                                           section.coefficients[:, i, 0])
+    blended = nearest = 0
+    for section, u, in_support in probe_points(model):
         scale = float(np.max(np.abs(section.coefficients)))
-        for u in rng.uniform(-1.0, 1.0, (8, d)):
-            expected = jet_loop_evaluate(section, u)
-            np.testing.assert_allclose(section.evaluate(u), expected,
-                                       rtol=1e-12, atol=1e-12 * scale)
-            near = np.linalg.norm(u - section.sites, axis=1).min()
-            if near < section.shepard_radius:
-                blended += 1
-            else:
-                nearest += 1
+        expected = jet_loop_evaluate(section, u)
+        np.testing.assert_allclose(section.evaluate(u)[0], expected,
+                                   rtol=1e-12, atol=1e-12 * scale)
+        blended += in_support
+        nearest += not in_support
     assert blended > 100
     if model_fixture == "sphere_model":
         # the circle's sites are dense; only the sphere's reach the fallback
         assert nearest > 100
+
+
+@pytest.mark.parametrize("model_fixture", ["circle_model", "sphere_model"])
+def test_evaluate_jacobian_matches_central_differences(model_fixture, request):
+    _, _, model = request.getfixturevalue(model_fixture)
+    step = 1e-6
+    blended = nearest = 0
+    for section, u, in_support in probe_points(model):
+        values, jac = section.evaluate(u)
+        assert jac.shape == (section.codim, u.size)
+        central = np.stack([(section.evaluate(u + step * e)[0]
+                             - section.evaluate(u - step * e)[0]) / (2.0 * step)
+                            for e in np.eye(u.size)], axis=1)
+        np.testing.assert_allclose(jac, central, rtol=1e-7, atol=1e-9)
+        blended += in_support
+        nearest += not in_support
+    assert blended > 100
+    if model_fixture == "sphere_model":
+        # the circle's sites are dense; only the sphere's reach the fallback
+        assert nearest > 100
+
+
+def forward_difference_fiber_intersection(packet, section, j, tangent_rows, base,
+                                          max_iters=30):
+    """The forward-difference Newton that _fiber_intersection replaced."""
+    tb = packet.tau_bar
+    d = packet.d
+
+    def graph_point(u_amb):
+        vals = section.evaluate(u_amb / tb)[0] * tb
+        return packet.cylinders[j].to_ambient(np.concatenate([u_amb, vals]))
+
+    u = packet.cylinders[j].to_local(base)[:d].copy()
+    h = 1e-6 * tb
+    tol = 1e-12 * max(tb, 1.0) + 1e-15
+    for _ in range(max_iters):
+        g0 = tangent_rows @ (graph_point(u) - base)
+        if float(np.linalg.norm(g0)) <= tol:
+            return graph_point(u)
+        jac = np.zeros((d, d))
+        for k in range(d):
+            up = u.copy()
+            up[k] += h
+            jac[:, k] = (tangent_rows @ (graph_point(up) - base) - g0) / h
+        u = u + np.linalg.solve(jac, -g0)
+        if float(np.linalg.norm(u)) > 2.0 * tb:
+            return None
+    return None
+
+
+def test_fiber_intersection_matches_the_forward_difference_newton(circle_model):
+    packet, mesh, model = circle_model
+    solved = 0
+    for chart in mesh.charts:
+        base = chart.base_point
+        rows = chart.tangent_basis
+        idx, _ = partition_weights(packet, base, model.sections)
+        for j in idx:
+            section = model.sections[j]
+            expected = forward_difference_fiber_intersection(packet, section, int(j),
+                                                             rows, base)
+            point = ws._fiber_intersection(packet, section, int(j), rows, base)
+            if expected is None:
+                assert point is None
+                continue
+            np.testing.assert_allclose(point, expected, rtol=0.0, atol=1e-10)
+            solved += 1
+    assert solved > 300
 
 
 def test_partition_weights_sum_to_one(circle_model):
