@@ -79,20 +79,18 @@ def bump_profile(radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t = (r - 1/4)/(3/4), with t clamped below 1 - 1e-9.
     """
     r = np.asarray(radii, dtype=np.float64)
-    h = (r <= BUMP_INNER).astype(np.float64)
-    h1 = np.zeros_like(r)
-    h2 = np.zeros_like(r)
     ramp = (r > BUMP_INNER) & (r < BUMP_OUTER)
-    if np.any(ramp):
-        width = BUMP_OUTER - BUMP_INNER
-        t = np.minimum((r[ramp] - BUMP_INNER) / width, 1.0 - 1e-9)
-        one_m = 1.0 - t * t
-        g = np.exp(1.0 - 1.0 / one_m)
-        phi1 = -2.0 * t / one_m ** 2
-        phi2 = -2.0 / one_m ** 2 - 8.0 * t * t / one_m ** 3
-        h[ramp] = g
-        h1[ramp] = g * phi1 / width
-        h2[ramp] = g * (phi2 + phi1 * phi1) / width ** 2
+    width = BUMP_OUTER - BUMP_INNER
+    # off the ramp t is clamped into [0, 1) so that the discarded values stay finite
+    t = np.minimum(np.maximum((r - BUMP_INNER) / width, 0.0), 1.0 - 1e-9)
+    one_m = 1.0 - t * t
+    sq = one_m ** 2
+    g = np.exp(1.0 - 1.0 / one_m)
+    phi1 = -2.0 * t / sq
+    phi2 = -2.0 / sq - 8.0 * t * t / one_m ** 3
+    h = np.where(ramp, g, r <= BUMP_INNER)
+    h1 = np.where(ramp, g * phi1 / width, 0.0)
+    h2 = np.where(ramp, g * (phi2 + phi1 * phi1) / width ** 2, 0.0)
     return h, h1, h2
 
 
@@ -195,9 +193,9 @@ class CylinderPacket:
         w = self.local_coordinates(z)
         d = self.d
         lim = factor * self.tau_bar + slack
-        tan = np.linalg.norm(w[:, :d], axis=1)
-        nor = np.linalg.norm(w[:, d:], axis=1)
-        idx = np.nonzero((tan <= lim) & (nor <= lim))[0]
+        tan, nor = w[:, :d], w[:, d:]
+        inside = (np.sqrt((tan * tan).sum(1)) <= lim) & (np.sqrt((nor * nor).sum(1)) <= lim)
+        idx = np.nonzero(inside)[0]
         return idx, w[idx]
 
 
@@ -389,6 +387,8 @@ def _asdf_terms(packet: CylinderPacket, z: np.ndarray, order: int):
     """Shared evaluation core; order is 0 (value) or 2 (with derivatives).
 
     F = sum_k theta_k phi_k / sum_k theta_k over all member cylinders k at once.
+    Returns (value, grad, hess, owner); owner is the member cylinder with the
+    largest bump weight theta_k (the first of equals).
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (packet.n,):
@@ -400,15 +400,16 @@ def _asdf_terms(packet: CylinderPacket, z: np.ndarray, order: int):
     d = packet.d
     two_tb = 2.0 * packet.tau_bar
     tan, nor = w[:, :d], w[:, d:]
-    tan_norm = np.linalg.norm(tan, axis=1)
+    tan_norm = np.sqrt((tan * tan).sum(1))
     theta, h1, h2 = bump_profile(tan_norm / two_tb)
     phi = np.sum(nor * nor, axis=1)
     b_val = float(theta.sum())
     if b_val <= 0.0:
         raise DegenerateCoverError("all bump weights vanish at the query point")
     value = float(phi @ theta) / b_val
+    owner = int(idx[int(np.argmax(theta))])
     if order < 2:
-        return value, None, None
+        return value, None, None, owner
 
     rot = packet.rotations[idx]
     t_frame, n_frame = rot[:, :, :d], rot[:, :, d:]
@@ -431,19 +432,17 @@ def _asdf_terms(packet: CylinderPacket, z: np.ndarray, order: int):
     grad = (a_grad - value * b_grad) / b_val
     hess = (a_hess - value * b_hess - np.outer(grad, b_grad)
             - np.outer(b_grad, grad)) / b_val
-    return value, grad, hess
+    return value, grad, hess, owner
 
 
 def asdf_eval(packet: CylinderPacket, z) -> float:
     """Value of the packet's approximate squared-distance field at z."""
-    value, _, _ = _asdf_terms(packet, np.asarray(z, dtype=np.float64), order=0)
-    return value
+    return _asdf_terms(packet, np.asarray(z, dtype=np.float64), order=0)[0]
 
 
 def asdf_grad_hess(packet: CylinderPacket, z) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient and Hessian of the field, all analytic."""
-    value, grad, hess = _asdf_terms(packet, np.asarray(z, dtype=np.float64), order=2)
-    return value, grad, hess
+    return _asdf_terms(packet, np.asarray(z, dtype=np.float64), order=2)[:3]
 
 
 # ---- fiber projector and base-point extraction ----
@@ -526,31 +525,34 @@ def solve_base_point(packet: CylinderPacket, z0, newton_tol: float = 1e-10,
     """
     z = np.asarray(z0, dtype=np.float64).copy()
     codim = packet.n - packet.d
-    _, grad, hess = _asdf_terms(packet, z, order=2)  # raises OutOfDomainError if outside
+    _, grad, hess, owner = _asdf_terms(packet, z, order=2)  # raises OutOfDomainError if outside
     for _ in range(max_steps):
-        fiber = pi_hi(hess, codim, constants.gap_tol, constants).fiber_basis
+        res = pi_hi(hess, codim, constants.gap_tol, constants)
+        fiber = res.fiber_basis
         resid = fiber @ grad
-        rnorm = float(np.linalg.norm(resid))
+        rnorm = math.sqrt(resid @ resid)
         if rnorm <= newton_tol:
-            return _build_chart(packet, z, grad, hess, constants)
+            return _build_chart(z, res, rnorm, owner)
         hf = fiber @ hess @ fiber.T
         try:
             delta = np.linalg.solve(hf, -resid)
         except np.linalg.LinAlgError:
             raise NoConvergenceError("singular fiber Hessian in the Newton step")
+        step = fiber.T @ delta
         lam = 1.0
         accepted = False
         domain_exits = 0
         for _halving in range(21):
-            cand = z + lam * (fiber.T @ delta)
+            cand = z + lam * step
             try:
-                _, g2, h2 = _asdf_terms(packet, cand, order=2)
+                _, g2, h2, o2 = _asdf_terms(packet, cand, order=2)
             except (OutOfDomainError, DegenerateCoverError):
                 domain_exits += 1
                 lam *= 0.5
                 continue
-            if float(np.linalg.norm(fiber @ g2)) < rnorm:
-                z, grad, hess = cand, g2, h2
+            r2 = fiber @ g2
+            if math.sqrt(r2 @ r2) < rnorm:
+                z, grad, hess, owner = cand, g2, h2, o2
                 accepted = True
                 break
             lam *= 0.5
@@ -562,18 +564,13 @@ def solve_base_point(packet: CylinderPacket, z0, newton_tol: float = 1e-10,
     raise NoConvergenceError(f"no convergence in {max_steps} Newton steps")
 
 
-def _build_chart(packet: CylinderPacket, z: np.ndarray, grad: np.ndarray,
-                 hess: np.ndarray, constants: BundleConstants) -> BundleChart:
-    codim = packet.n - packet.d
-    res = pi_hi(hess, codim, constants.gap_tol, constants)
-    idx, w = packet.members(z, factor=2.0)   # nonempty: the field was evaluated at z
-    radii = np.linalg.norm(w[:, :packet.d], axis=1) / (2.0 * packet.tau_bar)
-    owner = int(idx[int(np.argmax(bump_profile(radii)[0]))])
-    residual = float(np.linalg.norm(res.fiber_basis @ grad))
+def _build_chart(z: np.ndarray, res: PiHiResult, residual: float,
+                 owner: int) -> BundleChart:
+    """Chart at z from the Newton loop's projector, residual and owner there."""
     return BundleChart(
         base_point=z.copy(), projector_hi=res.projector, fiber_basis=res.fiber_basis,
         owning_cylinder=owner, residual=residual,
-        eigenvalues=tuple(float(v) for v in res.eigenvalues))
+        eigenvalues=tuple(res.eigenvalues.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -608,20 +605,30 @@ def extract_putative_manifold(packet: CylinderPacket, seeds,
     """Run the base-point solver from every seed and deduplicate the results.
 
     Seeds that fail (domain exit, spectral gap, no convergence) are recorded
-    with the error kind. Base points closer than tau_bar * dedup_fraction are
-    merged by a sequential pass over the lexicographically sorted points.
+    with the error kind. Equal seed rows share one solve, and each of them
+    gets its chart or failure in seed order. Base points closer than
+    tau_bar * dedup_fraction are merged by a sequential pass over the
+    lexicographically sorted points.
     """
     seeds = np.asarray(seeds, dtype=np.float64)
     if seeds.ndim != 2 or seeds.shape[0] == 0:
         raise EmptyInputError("need a nonempty (m, n) array of seeds")
+    solved: dict[bytes, BundleChart | str] = {}
     charts = []
     failures = []
-    for s in range(seeds.shape[0]):
-        try:
-            charts.append(solve_base_point(packet, seeds[s], newton_tol,
-                                           constants=constants))
-        except BASE_POINT_ERRORS as exc:
-            failures.append((s, f"{type(exc).__name__}: {exc}"))
+    for s, seed in enumerate(seeds):
+        key = seed.tobytes()
+        if key not in solved:
+            try:
+                solved[key] = solve_base_point(packet, seed, newton_tol,
+                                               constants=constants)
+            except BASE_POINT_ERRORS as exc:
+                solved[key] = f"{type(exc).__name__}: {exc}"
+        out = solved[key]
+        if isinstance(out, str):
+            failures.append((s, out))
+        else:
+            charts.append(out)
     if not charts:
         raise EmptyMeshError(
             f"no seed converged ({len(failures)} failures, "
@@ -669,11 +676,12 @@ def bundle_coordinates(packet: CylinderPacket, context, z,
         p = chart.projector_hi
         v = p @ (z - chart.base_point)
         t = (z - chart.base_point) - v
-        if float(np.linalg.norm(t)) <= shift_tol:
+        if math.sqrt(t @ t) <= shift_tol:
             vmax = constants.cbar10 * packet.tau_bar / 2.0
-            if float(np.linalg.norm(v)) > vmax + 1e-12:
+            vnorm = math.sqrt(v @ v)
+            if vnorm > vmax + 1e-12:
                 raise DecompositionFailedError(
-                    f"fiber offset {np.linalg.norm(v):.4g} exceeds {vmax:.4g}")
+                    f"fiber offset {vnorm:.4g} exceeds {vmax:.4g}")
             owner = packet.cylinders[chart.owning_cylinder]
             x = owner.to_local(chart.base_point)[:packet.d]
             return FiberDecomposition(x=x, v=v, base_point=chart.base_point.copy(),
@@ -818,8 +826,10 @@ def load_mesh(packet: CylinderPacket, csv_path: str, sidecar_path: str,
     tolerance = float(payload["tolerance"])
     charts = []
     for row, stored in zip(pts, payload["charts"]):
-        _, grad, hess = _asdf_terms(packet, row, order=2)
-        chart = _build_chart(packet, row, grad, hess, constants)
+        _, grad, hess, owner = _asdf_terms(packet, row, order=2)
+        res = pi_hi(hess, packet.n - packet.d, constants.gap_tol, constants)
+        resid = res.fiber_basis @ grad
+        chart = _build_chart(row, res, math.sqrt(resid @ resid), owner)
         saved = np.asarray(stored["projector"], dtype=np.float64).reshape(packet.n, packet.n)
         if float(np.max(np.abs(chart.projector_hi - saved))) > 1e-8:
             raise InvalidParameterError("stored projector disagrees with the packet")

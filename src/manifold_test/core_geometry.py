@@ -238,14 +238,11 @@ def _ball_grid(axis: np.ndarray, d: int, radius: float) -> np.ndarray:
 
 
 def _sign_fix_rows(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Flip each row so its first entry of magnitude > tol is positive."""
-    out = rows.copy()
-    for k in range(out.shape[0]):
-        row = out[k]
-        nz = np.nonzero(np.abs(row) > tol)[0]
-        if nz.size and row[nz[0]] < 0:
-            out[k] = -row
-    return out
+    """Flip each row so its first entry of magnitude > tol (>= 0) is positive."""
+    # a row with no such entry leads with |entry| <= tol, which is never < -tol
+    lead = rows[np.arange(rows.shape[0]), (np.abs(rows) > tol).argmax(1)]
+    out = rows.copy()   # C order whatever the layout of rows: later products depend on it
+    return np.negative(out, out=out, where=(lead < -tol)[:, None])
 
 
 def estimate_tangent(cloud: PointCloud, center_index: int, radius: float, d: int) -> AffineSubspace:

@@ -326,6 +326,7 @@ class PacketCandidate:
     empty_sections: int
     out_of_tube: int
     seed_failures: dict[str, int]   # failed mesh seeds by error kind
+    section_paths: dict[str, int]   # section fits by solver path
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,8 +403,8 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             f"the sample spans {reduced.reduced_dim} dimension(s); testing "
             f"for d = {config.d} needs at least {config.d + 1}")
     rcloud = reduced.cloud
-    rnet = greedy_net(rcloud, tb / 2.0)
-    rnet = rnet[:config.cylinder_cap]
+    full_net = greedy_net(rcloud, tb / 2.0)
+    rnet = full_net[:config.cylinder_cap]
     tangents = _net_tangents(rcloud, rnet, config.d, tb)
 
     candidates: list[PacketCandidate] = []
@@ -431,11 +432,13 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             model = fit_sections(packet, mesh, config.eps_bar,
                                  budget=config.solver_budget)
             loss, out_count = _packet_loss(model, reduced, config)
+            paths = Counter(p for s in model.sections for p in s.solver_paths)
             candidates.append(PacketCandidate(
                 index=index, kind=kind, loss=loss, reason=None,
                 validation=validation, mesh_size=len(mesh.charts),
                 empty_sections=sum(1 for s in model.sections if s.is_empty),
-                out_of_tube=out_count, seed_failures=seed_failures))
+                out_of_tube=out_count, seed_failures=seed_failures,
+                section_paths=dict(sorted(paths.items()))))
             if best is None or (loss, index) < best:
                 best = (loss, index)
                 best_model = model
@@ -444,7 +447,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 index=index, kind=kind, loss=math.inf,
                 reason=f"{type(exc).__name__}: {exc}", validation=None,
                 mesh_size=0, empty_sections=0, out_of_tube=0,
-                seed_failures=seed_failures))
+                seed_failures=seed_failures, section_paths={}))
     best_loss = best[0] if best is not None else math.inf
     case = "one" if best_loss <= config.threshold else "two"
     estimate = budget_estimate(config, cloud.ambient_dim)
@@ -464,12 +467,14 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 "empty_sections": c.empty_sections,
                 "out_of_tube": c.out_of_tube,
                 "seed_failures": c.seed_failures,
+                "section_paths": c.section_paths,
             }
             for c in candidates
         ],
         "reduced_dim": reduced.reduced_dim,
         "span_rank": reduced.span_rank,
         "net_size": len(rnet),
+        "net_size_before_cap": len(full_net),
         "tau_bar": tb,
         "search": estimate.describe(config.packet_budget),
     }

@@ -698,6 +698,7 @@ class LocalSection:
     fit_values: tuple[float, ...]
     shepard_radius: float
     is_empty: bool = False
+    solver_paths: tuple[str, ...] = ()   # SectionFitResult.solver per normal component
 
     @property
     def codim(self) -> int:
@@ -763,11 +764,13 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
     constraints = build_constraints(data_all.sites, M, c_w)
     coefficients = []
     fit_values = []
+    solver_paths = []
     for c in range(vals.shape[1]):
         comp = data_all.component(c) if data_all.targets.ndim == 2 else data_all
         res = minimize_section(comp, constraints, eps_bar, budget)
         coefficients.append(res.y.reshape(data_all.size, constraints.q))
         fit_values.append(res.value)
+        solver_paths.append(res.solver)
     if data_all.size > 1:
         diff = data_all.sites[:, None, :] - data_all.sites[None, :, :]
         seps = np.linalg.norm(diff, axis=2)
@@ -778,7 +781,7 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
     return LocalSection(cylinder_index=cylinder_index, sites=data_all.sites,
                         coefficients=np.stack(coefficients),
                         fit_values=tuple(fit_values),
-                        shepard_radius=radius)
+                        shepard_radius=radius, solver_paths=tuple(solver_paths))
 
 
 # ---- partition of unity and the global section ----
@@ -865,7 +868,7 @@ def _fiber_intersection(packet: CylinderPacket, section: LocalSection, j: int,
             return None
         point = cyl.to_ambient(np.concatenate([u, vals * tb]))
         g0 = tangent_rows @ (point - base)
-        if float(np.linalg.norm(g0)) <= tol:
+        if math.sqrt(g0 @ g0) <= tol:
             return point
         try:
             step = np.linalg.solve(tangent_rows @ cyl.rotation
@@ -873,7 +876,7 @@ def _fiber_intersection(packet: CylinderPacket, section: LocalSection, j: int,
         except np.linalg.LinAlgError:
             return None
         u = u + step
-        if float(np.linalg.norm(u)) > 2.0 * tb:
+        if math.sqrt(u @ u) > 2.0 * tb:
             return None
     return None
 

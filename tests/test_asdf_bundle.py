@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import manifold_test.asdf_bundle as asdf_bundle
 from manifold_test.asdf_bundle import (
+    BASE_POINT_ERRORS,
+    DEFAULT_CONSTANTS,
+    BundleChart,
     Cylinder,
     CylinderPacket,
     PutativeMesh,
@@ -28,6 +32,7 @@ from manifold_test.core_geometry import (
     AffineSubspace,
     PointCloud,
     federer_reach,
+    lexsort_dedup,
 )
 from manifold_test.errors import (
     DecompositionFailedError,
@@ -36,6 +41,7 @@ from manifold_test.errors import (
     InvalidParameterError,
     OutOfDomainError,
 )
+from manifold_test.pipeline import _perturb_packet
 
 FD_STEP = 4e-6
 
@@ -172,6 +178,38 @@ def test_bump_profile_flat_regions():
     np.testing.assert_array_equal(h, [1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(h1, 0.0)
     np.testing.assert_array_equal(h2, 0.0)
+
+
+def masked_bump_profile(radii):
+    """Reference: the bump evaluated on the ramp entries only, then scattered."""
+    r = np.asarray(radii, dtype=np.float64)
+    h = (r <= 0.25).astype(np.float64)
+    h1 = np.zeros_like(r)
+    h2 = np.zeros_like(r)
+    ramp = (r > 0.25) & (r < 1.0)
+    if np.any(ramp):
+        width = 0.75
+        t = np.minimum((r[ramp] - 0.25) / width, 1.0 - 1e-9)
+        one_m = 1.0 - t * t
+        g = np.exp(1.0 - 1.0 / one_m)
+        phi1 = -2.0 * t / one_m ** 2
+        phi2 = -2.0 / one_m ** 2 - 8.0 * t * t / one_m ** 3
+        h[ramp] = g
+        h1[ramp] = g * phi1 / width
+        h2[ramp] = g * (phi2 + phi1 * phi1) / width ** 2
+    return h, h1, h2
+
+
+@pytest.mark.parametrize("radii", [
+    np.array([0.0, 0.25, np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0),
+              np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.0, 2.0]),
+    np.linspace(0.0, 1.2, 97),
+    np.zeros(0),
+], ids=["edges", "grid", "empty"])
+def test_bump_profile_matches_the_masked_version(radii):
+    for got, want in zip(bump_profile(radii), masked_bump_profile(radii)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # ---- cylinders and packets ----
@@ -419,6 +457,98 @@ def test_mesh_deduplicates_identical_seeds():
     seeds = np.tile(np.array([[0.02, 0.01]]), (5, 1))
     mesh = extract_putative_manifold(packet, seeds)
     assert len(mesh.charts) == 1
+
+
+def assert_same_chart(a: BundleChart, b: BundleChart):
+    for name in ("base_point", "projector_hi", "fiber_basis"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.eigenvalues == b.eigenvalues
+    assert a.owning_cylinder == b.owning_cylinder
+    assert a.residual == b.residual
+
+
+def one_solve_per_seed(packet, seeds):
+    """Reference: a solve for every seed index, then the mesh's dedup."""
+    charts, failures = [], []
+    for s, seed in enumerate(seeds):
+        try:
+            charts.append(solve_base_point(packet, seed))
+        except BASE_POINT_ERRORS as exc:
+            failures.append((s, f"{type(exc).__name__}: {exc}"))
+    kept = lexsort_dedup(np.stack([c.base_point for c in charts]),
+                         packet.tau_bar * 0.01)
+    return [charts[i] for i in kept], failures
+
+
+def test_equal_seeds_share_one_solve(circle_packet, monkeypatch):
+    packet, cloud, _ = circle_packet
+    outside = np.array([[0.5, 0.5]])
+    seeds = np.vstack([cloud.points[:20], outside, cloud.points[5:15], outside,
+                       cloud.points[:3], np.array([[0.9, 0.05]])])
+    want_charts, want_failures = one_solve_per_seed(packet, seeds)
+
+    calls = []
+    solve = asdf_bundle.solve_base_point
+
+    def spy(packet, z0, *args, **kwargs):
+        calls.append(np.array(z0))
+        return solve(packet, z0, *args, **kwargs)
+
+    monkeypatch.setattr(asdf_bundle, "solve_base_point", spy)
+    mesh = extract_putative_manifold(packet, seeds)
+    assert len(calls) == len(np.unique(seeds, axis=0)) == 22
+    assert mesh.failures == tuple(want_failures)
+    assert [s for s, _ in mesh.failures] == [20, 31]
+    assert mesh.failures[0][1].startswith("OutOfDomainError:")
+    assert len(mesh.charts) == len(want_charts)
+    for got, want in zip(mesh.charts, want_charts):
+        assert_same_chart(got, want)
+
+
+def owner_at(packet, z):
+    """The member cylinder with the largest bump weight at z."""
+    idx, w = packet.members(z, factor=2.0)
+    radii = np.linalg.norm(w[:, :packet.d], axis=1) / (2.0 * packet.tau_bar)
+    return int(idx[int(np.argmax(bump_profile(radii)[0]))])
+
+
+def chart_from_scratch(packet, z, constants=DEFAULT_CONSTANTS):
+    """Reference: every piece of a chart derived again at its base point."""
+    codim = packet.n - packet.d
+    _, grad, hess = asdf_grad_hess(packet, z)
+    res = pi_hi(hess, codim, constants.gap_tol, constants)
+    residual = float(np.linalg.norm(res.fiber_basis @ grad))
+    return BundleChart(
+        base_point=z.copy(), projector_hi=res.projector, fiber_basis=res.fiber_basis,
+        owning_cylinder=owner_at(packet, z), residual=residual,
+        eigenvalues=tuple(float(v) for v in res.eigenvalues))
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["ideal", "perturbed"])
+def test_mesh_charts_equal_charts_built_from_scratch(circle_packet, circle_mesh,
+                                                     perturbed):
+    packet, cloud, _ = circle_packet
+    mesh = circle_mesh
+    if perturbed:
+        packet = _perturb_packet(packet, np.random.default_rng(1))
+        mesh = extract_putative_manifold(packet, np.vstack([packet.centers,
+                                                            cloud.points]))
+    assert len(mesh.charts) >= 150
+    for chart in mesh.charts:
+        assert_same_chart(chart, chart_from_scratch(packet, chart.base_point))
+
+
+def test_chart_owner_is_read_at_the_base_point_not_at_the_seed(circle_packet):
+    packet, _, _ = circle_packet
+    rng = np.random.default_rng(4)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 60)
+    rad = rng.uniform(0.93, 1.07, 60)
+    moved = 0
+    for seed in np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1):
+        chart = solve_base_point(packet, seed)
+        assert_same_chart(chart, chart_from_scratch(packet, chart.base_point))
+        moved += chart.owning_cylinder != owner_at(packet, seed)
+    assert moved > 0
 
 
 def test_mesh_rejects_overtolerance_chart():

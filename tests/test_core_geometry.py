@@ -7,6 +7,7 @@ import pytest
 from manifold_test.core_geometry import (
     AffineSubspace,
     PointCloud,
+    _sign_fix_rows,
     dist_to_affine,
     estimate_tangent,
     federer_reach,
@@ -325,6 +326,34 @@ def test_mnfd_round_trip_is_exact(tmp_path):
 
 
 # ---- frames ----
+
+def sign_fix_loop(rows, tol=1e-12):
+    """Reference: the row-by-row sign fix."""
+    out = rows.copy()
+    for k in range(out.shape[0]):
+        row = out[k]
+        nz = np.nonzero(np.abs(row) > tol)[0]
+        if nz.size and row[nz[0]] < 0:
+            out[k] = -row
+    return out
+
+
+def test_sign_fix_rows_matches_the_row_loop():
+    rng = np.random.default_rng(11)
+    small = np.array([[1e-13, -0.5, 0.2], [-1e-13, 0.5, -0.2], [-1e-12, 1e-12, -3.0],
+                      [-1e-13, 0.0, 1e-14]])
+    cases = [rng.standard_normal((6, 4)), rng.standard_normal((1, 7)), np.zeros((3, 5)),
+             -np.zeros((2, 3)), small, np.vstack([small, rng.standard_normal((2, 3))]),
+             np.zeros((0, 3)),
+             # the reversed, transposed eigenvector view that pi_hi passes
+             np.linalg.eigh(np.cov(rng.standard_normal((3, 9))))[1][:, ::-1][:, :2].T]
+    for rows in cases:
+        want = sign_fix_loop(rows)
+        got = _sign_fix_rows(rows)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
+        assert sign_fix_loop(rows, tol=0.3).tobytes() == _sign_fix_rows(rows, tol=0.3).tobytes()
+
 
 def test_orthonormal_completion_spans_the_complement():
     basis = np.array([[0.6, 0.8, 0.0]])

@@ -226,7 +226,7 @@ def test_circle_certificate_contents(circle_verdict):
     json.loads(json.dumps(cert))
     for key in ("case", "best_loss", "threshold", "best_candidate",
                 "candidates", "reduced_dim", "span_rank", "net_size",
-                "tau_bar", "search", "cylinders", "mesh_points"):
+                "net_size_before_cap", "tau_bar", "search", "cylinders", "mesh_points"):
         assert key in cert
     assert cert["case"] == "one"
     assert cert["best_candidate"] == 0
@@ -236,7 +236,8 @@ def test_circle_certificate_contents(circle_verdict):
     assert cert["search"] == "searched 1 of ~2^28.0 admissible packets"
     entry = cert["candidates"][0]
     for key in ("index", "kind", "loss", "reason", "packet_conditions_ok",
-                "mesh_size", "empty_sections", "out_of_tube", "seed_failures"):
+                "mesh_size", "empty_sections", "out_of_tube", "seed_failures",
+                "section_paths"):
         assert key in entry
     assert entry["packet_conditions_ok"] is True
     assert entry["mesh_size"] == cert["mesh_points"]
@@ -339,6 +340,25 @@ def test_certificate_counts_seed_failures_by_kind(monkeypatch):
     for kind, count in counts.items():
         assert count == sum(1 for _, text in mesh.failures
                             if text.startswith(kind + ":"))
+
+
+def test_certificate_counts_section_fits_by_solver_path(circle_verdict, ball_verdict):
+    _, verdict = circle_verdict
+    paths = verdict.certificate["candidates"][0]["section_paths"]
+    assert list(paths) == sorted(paths)
+    assert set(paths) <= {"warm-start", "warm-start-projected", "cutting-plane"}
+    fits = sum(s.codim for s in verdict.model.sections if not s.is_empty)
+    assert sum(paths.values()) == fits > 0
+    _, failed = ball_verdict
+    assert [c["section_paths"] for c in failed.certificate["candidates"]] == [{}, {}]
+
+
+def test_certificate_reports_the_net_size_before_the_cap(circle_verdict):
+    cloud, verdict = circle_verdict
+    assert verdict.certificate["net_size_before_cap"] == verdict.certificate["net_size"]
+    capped = run_test(cloud, replace(CIRCLE_CONFIG, max_cylinders=10)).certificate
+    assert capped["net_size"] == 10
+    assert capped["net_size_before_cap"] == verdict.certificate["net_size"] == 150
 
 
 # ---- search budget ----
