@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -176,27 +176,37 @@ class CylinderPacket:
         self.n = first.ambient_dim
         self.centers = np.stack([c.center for c in cylinders])
         self.rotations = np.stack([c.rotation for c in cylinders])
+        self.center_sq = np.sum(self.centers * self.centers, axis=1)
 
     @property
     def size(self) -> int:
         return len(self.cylinders)
 
-    def local_coordinates(self, z: np.ndarray) -> np.ndarray:
-        """Local coordinates of z in every cylinder frame, shape (N, n)."""
-        diff = np.asarray(z, dtype=np.float64)[None, :] - self.centers
-        return np.einsum("kji,kj->ki", self.rotations, diff)
-
     def members(self, z: np.ndarray, factor: float = 2.0,
                 slack: float = MEMBERSHIP_SLACK) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the cylinders containing z at the given dilation factor,
         and the local coordinates of z in each of them, shape (members, n)."""
-        w = self.local_coordinates(z)
-        d = self.d
-        lim = factor * self.tau_bar + slack
-        tan, nor = w[:, :d], w[:, d:]
-        inside = (np.sqrt((tan * tan).sum(1)) <= lim) & (np.sqrt((nor * nor).sum(1)) <= lim)
-        idx = np.nonzero(inside)[0]
-        return idx, w[idx]
+        _, idx, w = _member_pairs(self, np.asarray(z, dtype=np.float64)[None, :],
+                                  factor, slack)
+        return idx, w
+
+
+def _member_pairs(packet: CylinderPacket, points: np.ndarray, factor: float = 2.0,
+                  slack: float = MEMBERSHIP_SLACK):
+    """(point row, cylinder, local coordinates) of each pair whose dilated
+    cylinder holds the point, by row, then cylinder. A member is within lim
+    tangentially and normally, so within 2 lim^2 squared of its center."""
+    lim = factor * packet.tau_bar + slack
+    sq = points @ packet.centers.T   # one (P, K) array, updated in place
+    sq *= -2.0
+    sq += (points * points).sum(1)[:, None]
+    sq += packet.center_sq
+    pi, ki = np.nonzero(sq <= 2.0 * lim * lim * (1.0 + 1e-6) + 1e-12)
+    w = np.einsum("kji,kj->ki", packet.rotations[ki], points[pi] - packet.centers[ki])
+    tan, nor = w[:, :packet.d], w[:, packet.d:]
+    inside = np.nonzero((np.sqrt((tan * tan).sum(1)) <= lim)
+                        & (np.sqrt((nor * nor).sum(1)) <= lim))[0]
+    return pi[inside], ki[inside], w[inside]
 
 
 def packet_to_json(packet: CylinderPacket) -> str:
@@ -383,35 +393,46 @@ def ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace],
 
 # ---- the approximate squared-distance field ----
 
-def _asdf_terms(packet: CylinderPacket, z: np.ndarray, order: int):
-    """Shared evaluation core; order is 0 (value) or 2 (with derivatives).
+def _field_error(status: int) -> Exception:
+    """The error a nonzero `_asdf_terms` status stands for."""
+    if status == 1:
+        return OutOfDomainError("point lies outside every squared cylinder")
+    return DegenerateCoverError("all bump weights vanish at the query point")
 
-    F = sum_k theta_k phi_k / sum_k theta_k over all member cylinders k at once.
-    Returns (value, grad, hess, owner); owner is the member cylinder with the
-    largest bump weight theta_k (the first of equals).
+
+def _asdf_terms(packet: CylinderPacket, points: np.ndarray, order: int):
+    """Field at the rows of points (P, n); order is 0 (value) or 2 (with derivatives).
+
+    F = sum_k theta_k phi_k / sum_k theta_k over each point's member cylinders
+    k at factor 2 (_member_pairs). Sums run over each point's own member
+    run, so no row depends on another. Returns value, grad, hess (None for
+    order 0), owner (the member of largest bump weight, the first of equals)
+    and status (0, or the _field_error code of the row).
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (packet.n,):
-        raise InvalidParameterError(
-            f"point of shape {z.shape} does not match ambient dim {packet.n}")
-    idx, w = packet.members(z, factor=2.0)
-    if idx.size == 0:
-        raise OutOfDomainError("point lies outside every squared cylinder")
     d = packet.d
     two_tb = 2.0 * packet.tau_bar
+    pi, ki, w = _member_pairs(packet, points)
     tan, nor = w[:, :d], w[:, d:]
     tan_norm = np.sqrt((tan * tan).sum(1))
+    P, n = points.shape
+    value, owner, status = np.full(P, np.nan), np.full(P, -1), np.ones(P, dtype=np.int8)
+    grad, hess = (np.zeros((P, n)), np.zeros((P, n, n))) if order == 2 else (None, None)
+    count = np.bincount(pi, minlength=P)
+    rows = np.nonzero(count)[0]
+    if not rows.size:
+        return value, grad, hess, owner, status
+    starts = np.cumsum(count[rows]) - count[rows]
     theta, h1, h2 = bump_profile(tan_norm / two_tb)
     phi = np.sum(nor * nor, axis=1)
-    b_val = float(theta.sum())
-    if b_val <= 0.0:
-        raise DegenerateCoverError("all bump weights vanish at the query point")
-    value = float(phi @ theta) / b_val
-    owner = int(idx[int(np.argmax(theta))])
+    b_val = np.add.reduceat(theta, starts)
+    status[rows] = np.where(b_val > 0.0, 0, 2)
+    b_val = np.where(b_val > 0.0, b_val, 1.0)   # the rows of status 2 are discarded
+    value[rows] = np.add.reduceat(phi * theta, starts) / b_val
+    owner[rows] = ki[np.lexsort((-theta, pi))[starts]]   # stable: the first of equals
     if order < 2:
-        return value, None, None, owner
+        return value, grad, hess, owner, status
 
-    rot = packet.rotations[idx]
+    rot = packet.rotations[ki]
     t_frame, n_frame = rot[:, :, :d], rot[:, :, d:]
     # ambient unit tangential directions; h' vanishes wherever tan_norm does
     safe_norm = np.where(tan_norm > 0.0, tan_norm, 1.0)
@@ -422,27 +443,42 @@ def _asdf_terms(packet: CylinderPacket, z: np.ndarray, order: int):
     theta_hess = ((h2 / two_tb ** 2)[:, None, None] * outer_unit
                   + (h1 / (two_tb * safe_norm))[:, None, None] * (tan_proj - outer_unit))
     phi_grad = 2.0 * np.einsum("mnc,mc->mn", n_frame, nor)
+    cross = np.einsum("mi,mj->mij", phi_grad, theta_grad)
 
-    a_grad = phi @ theta_grad + theta @ phi_grad
-    b_grad = theta_grad.sum(axis=0)
-    cross = np.einsum("mi,mj->ij", phi_grad, theta_grad)
-    a_hess = (np.einsum("m,mij->ij", phi, theta_hess) + cross + cross.T
-              + 2.0 * np.einsum("m,mic,mjc->ij", theta, n_frame, n_frame))
-    b_hess = theta_hess.sum(axis=0)
-    grad = (a_grad - value * b_grad) / b_val
-    hess = (a_hess - value * b_hess - np.outer(grad, b_grad)
-            - np.outer(b_grad, grad)) / b_val
-    return value, grad, hess, owner
+    a_grad = np.add.reduceat(phi[:, None] * theta_grad + theta[:, None] * phi_grad, starts)
+    b_grad = np.add.reduceat(theta_grad, starts)
+    a_hess = np.add.reduceat(
+        phi[:, None, None] * theta_hess + cross + cross.transpose(0, 2, 1)
+        + 2.0 * theta[:, None, None] * np.einsum("mic,mjc->mij", n_frame, n_frame), starts)
+    b_hess = np.add.reduceat(theta_hess, starts)
+    val = value[rows]
+    g = (a_grad - val[:, None] * b_grad) / b_val[:, None]
+    grad[rows] = g
+    hess[rows] = (a_hess - val[:, None, None] * b_hess - g[:, :, None] * b_grad[:, None, :]
+                  - b_grad[:, :, None] * g[:, None, :]) / b_val[:, None, None]
+    return value, grad, hess, owner, status
+
+
+def _one_point(packet: CylinderPacket, z, order: int):
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (packet.n,):
+        raise InvalidParameterError(
+            f"point of shape {z.shape} does not match ambient dim {packet.n}")
+    value, grad, hess, _, status = _asdf_terms(packet, z[None, :], order)
+    if status[0]:
+        raise _field_error(status[0])
+    return float(value[0]), grad, hess
 
 
 def asdf_eval(packet: CylinderPacket, z) -> float:
     """Value of the packet's approximate squared-distance field at z."""
-    return _asdf_terms(packet, np.asarray(z, dtype=np.float64), order=0)[0]
+    return _one_point(packet, z, order=0)[0]
 
 
 def asdf_grad_hess(packet: CylinderPacket, z) -> tuple[float, np.ndarray, np.ndarray]:
     """Value, gradient and Hessian of the field, all analytic."""
-    return _asdf_terms(packet, np.asarray(z, dtype=np.float64), order=2)[:3]
+    value, grad, hess = _one_point(packet, z, order=2)
+    return value, grad[0], hess[0]
 
 
 # ---- fiber projector and base-point extraction ----
@@ -458,6 +494,20 @@ class PiHiResult:
     interval_ok: bool           # all top eigenvalues inside [cbar2, Cbar3]
 
 
+def _top_eigenspaces(hess: np.ndarray, codim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stacked spectra of (m, n, n) Hessians: ascending eigenvalues (m, n),
+    sign-fixed top `codim` eigenvector rows (m, codim, n), top first, and the
+    gap (m,) between positions n-codim-1 and n-codim."""
+    if float(np.max(np.abs(hess - hess.transpose(0, 2, 1)))) > PROJECTOR_TOL:
+        raise InvalidParameterError("hessian is not symmetric to 1e-9")
+    m, n, _ = hess.shape
+    evals, evecs = np.linalg.eigh(hess)
+    low = n - codim
+    gap = np.full(m, math.inf) if low == 0 else evals[:, low] - evals[:, low - 1]
+    top = evecs[:, :, ::-1][:, :, :codim].transpose(0, 2, 1).reshape(m * codim, n)
+    return evals, _sign_fix_rows(top).reshape(m, codim, n), gap
+
+
 def pi_hi(hessian, codim: int, gap_tol: float = DEFAULT_CONSTANTS.gap_tol,
           constants: BundleConstants = DEFAULT_CONSTANTS) -> PiHiResult:
     """Projector onto the span of the top `codim` Hessian eigenvectors.
@@ -471,20 +521,14 @@ def pi_hi(hessian, codim: int, gap_tol: float = DEFAULT_CONSTANTS.gap_tol,
     n = h.shape[0]
     if not (1 <= codim <= n):
         raise InvalidParameterError(f"codim {codim} invalid for dimension {n}")
-    if float(np.max(np.abs(h - h.T))) > PROJECTOR_TOL:
-        raise InvalidParameterError("hessian is not symmetric to 1e-9")
-    evals, evecs = np.linalg.eigh(h)
-    low = n - codim
-    gap = math.inf if low == 0 else float(evals[low] - evals[low - 1])
+    evals, top, gap = _top_eigenspaces(h[None], codim)
+    evals, top, gap = evals[0], top[0], float(gap[0])
     if gap < gap_tol:
-        raise InsufficientGapError(
-            f"spectral gap {gap:.6g} below tolerance {gap_tol:.6g}")
-    top = _sign_fix_rows(evecs[:, ::-1][:, :codim].T)
-    projector = top.T @ top
-    top_vals = evals[low:]
+        raise InsufficientGapError(f"spectral gap {gap:.6g} below tolerance {gap_tol:.6g}")
+    top_vals = evals[n - codim:]
     interval_ok = bool(np.all(top_vals >= constants.cbar2)
                        and np.all(top_vals <= constants.Cbar3))
-    return PiHiResult(projector=projector, fiber_basis=top,
+    return PiHiResult(projector=top.T @ top, fiber_basis=top,
                       eigenvalues=evals, gap=gap, interval_ok=interval_ok)
 
 
@@ -515,62 +559,109 @@ class BundleChart:
         return orthonormal_completion(self.fiber_basis, self.fiber_basis.shape[1])
 
 
+class BaseSolutions(tuple):
+    """Per-row outcomes of a batched base-point solve, in row order: each a
+    BundleChart or the BASE_POINT_ERRORS instance that ended the row's solve.
+    `evaluations` counts the rows the field kernel evaluated."""
+
+    def __new__(cls, outcomes, evaluations: int):
+        self = super().__new__(cls, outcomes)
+        self.evaluations = evaluations
+        return self
+
+
 def solve_base_point(packet: CylinderPacket, z0, newton_tol: float = 1e-10,
                      max_steps: int = 60,
-                     constants: BundleConstants = DEFAULT_CONSTANTS) -> BundleChart:
+                     constants: BundleConstants = DEFAULT_CONSTANTS):
     """Damped Newton for a zero of Pi_hi grad F along the current fiber.
 
     Steps move only inside the span of the top Hessian eigenvectors; a step
     is halved (up to 20 times) until the fixed-frame residual decreases.
+    z0 of shape (n,) returns its BundleChart or raises. z0 of shape (m, n)
+    returns a BaseSolutions tuple of m outcomes; its rows are solved in one
+    masked loop (each row keeps its own iterate, step count and halving),
+    and a row's outcome does not depend on the other rows.
     """
-    z = np.asarray(z0, dtype=np.float64).copy()
+    z0 = np.asarray(z0, dtype=np.float64)
+    if z0.shape[-1:] != (packet.n,) or z0.ndim not in (1, 2):
+        raise InvalidParameterError(
+            f"point of shape {z0.shape} does not match ambient dim {packet.n}")
+    if z0.ndim == 1:
+        out = _newton(packet, z0[None, :], newton_tol, max_steps, constants)[0]
+        if isinstance(out, Exception):
+            raise out
+        return out
+    return _newton(packet, z0, newton_tol, max_steps, constants)
+
+
+def _newton(packet, z0, newton_tol, max_steps, constants) -> BaseSolutions:
     codim = packet.n - packet.d
-    _, grad, hess, owner = _asdf_terms(packet, z, order=2)  # raises OutOfDomainError if outside
+    z = z0.copy()
+    _, grad, hess, owner, status = _asdf_terms(packet, z, order=2)
+    evaluations = z.shape[0]
+    outcomes = [_field_error(s) if s else None for s in status]
+    active = np.nonzero(status == 0)[0]
     for _ in range(max_steps):
-        res = pi_hi(hess, codim, constants.gap_tol, constants)
-        fiber = res.fiber_basis
-        resid = fiber @ grad
-        rnorm = math.sqrt(resid @ resid)
-        if rnorm <= newton_tol:
-            return _build_chart(z, res, rnorm, owner)
-        hf = fiber @ hess @ fiber.T
+        if not active.size:
+            break
+        h = hess[active]
+        evals, fiber, gap = _top_eigenspaces(h, codim)
+        resid = np.matmul(fiber, grad[active][:, :, None])
+        rnorm = np.sqrt((resid * resid).sum((1, 2)))
+        narrow = gap < constants.gap_tol
+        for i in np.nonzero(narrow)[0]:
+            outcomes[active[i]] = InsufficientGapError(
+                f"spectral gap {gap[i]:.6g} below tolerance {constants.gap_tol:.6g}")
+        for i in np.nonzero(~narrow & (rnorm <= newton_tol))[0]:
+            r, fib = active[i], fiber[i].copy()
+            outcomes[r] = BundleChart(
+                base_point=z[r].copy(), projector_hi=fib.T @ fib, fiber_basis=fib,
+                owning_cylinder=int(owner[r]), residual=float(rnorm[i]),
+                eigenvalues=tuple(evals[i].tolist()))
+        going = ~narrow & (rnorm > newton_tol)
+        active, h, fiber, resid, rnorm = (a[going] for a in (active, h, fiber, resid, rnorm))
+        if not active.size:
+            break
+        hf = np.matmul(np.matmul(fiber, h), fiber.transpose(0, 2, 1))
         try:
             delta = np.linalg.solve(hf, -resid)
-        except np.linalg.LinAlgError:
-            raise NoConvergenceError("singular fiber Hessian in the Newton step")
-        step = fiber.T @ delta
-        lam = 1.0
-        accepted = False
-        domain_exits = 0
+        except np.linalg.LinAlgError:   # solve row by row: only a singular row fails
+            delta = np.zeros_like(resid)
+            for i, r in enumerate(active):
+                try:
+                    delta[i] = np.linalg.solve(hf[i], -resid[i])
+                except np.linalg.LinAlgError:
+                    outcomes[r] = NoConvergenceError("singular fiber Hessian in the Newton step")
+            going = np.array([outcomes[r] is None for r in active], dtype=bool)
+            active, fiber, rnorm, delta = (a[going] for a in (active, fiber, rnorm, delta))
+        step = np.matmul(fiber.transpose(0, 2, 1), delta)[:, :, 0]
+        lam = np.ones(active.size)
+        exits = np.zeros(active.size, dtype=np.int64)
+        pending = np.arange(active.size)
         for _halving in range(21):
-            cand = z + lam * step
-            try:
-                _, g2, h2, o2 = _asdf_terms(packet, cand, order=2)
-            except (OutOfDomainError, DegenerateCoverError):
-                domain_exits += 1
-                lam *= 0.5
-                continue
-            r2 = fiber @ g2
-            if math.sqrt(r2 @ r2) < rnorm:
-                z, grad, hess, owner = cand, g2, h2, o2
-                accepted = True
+            rows = active[pending]
+            cand = z[rows] + lam[pending, None] * step[pending]
+            _, g2, h2, o2, s2 = _asdf_terms(packet, cand, order=2)
+            evaluations += rows.size
+            exits[pending] += s2 != 0
+            r2 = np.matmul(fiber[pending], g2[:, :, None])
+            taken = (s2 == 0) & (np.sqrt((r2 * r2).sum((1, 2))) < rnorm[pending])
+            won = rows[taken]
+            z[won], grad[won], hess[won], owner[won] = cand[taken], g2[taken], h2[taken], o2[taken]
+            pending = pending[~taken]
+            if not pending.size:
                 break
-            lam *= 0.5
-        if not accepted:
-            if domain_exits == 21:
-                raise EscapedDomainError("every damped step left the packet domain")
-            raise NoConvergenceError(
-                f"residual {rnorm:.3g} would not decrease after 20 halvings")
-    raise NoConvergenceError(f"no convergence in {max_steps} Newton steps")
-
-
-def _build_chart(z: np.ndarray, res: PiHiResult, residual: float,
-                 owner: int) -> BundleChart:
-    """Chart at z from the Newton loop's projector, residual and owner there."""
-    return BundleChart(
-        base_point=z.copy(), projector_hi=res.projector, fiber_basis=res.fiber_basis,
-        owning_cylinder=owner, residual=residual,
-        eigenvalues=tuple(res.eigenvalues.tolist()))
+            lam[pending] *= 0.5
+        for i in pending:
+            outcomes[active[i]] = (
+                EscapedDomainError("every damped step left the packet domain")
+                if exits[i] == 21 else NoConvergenceError(
+                    f"residual {rnorm[i]:.3g} would not decrease after 20 halvings"))
+        if pending.size:
+            active = np.delete(active, pending)
+    for r in active:
+        outcomes[r] = NoConvergenceError(f"no convergence in {max_steps} Newton steps")
+    return BaseSolutions(outcomes, evaluations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,6 +672,7 @@ class PutativeMesh:
     tolerance: float
     packet: CylinderPacket
     failures: tuple[tuple[int, str], ...] = ()
+    newton: Mapping[str, int] = field(default_factory=dict)   # seeds, solved, evaluations
 
     def __post_init__(self):
         if not self.charts:
@@ -604,31 +696,28 @@ def extract_putative_manifold(packet: CylinderPacket, seeds,
                               constants: BundleConstants = DEFAULT_CONSTANTS) -> PutativeMesh:
     """Run the base-point solver from every seed and deduplicate the results.
 
-    Seeds that fail (domain exit, spectral gap, no convergence) are recorded
-    with the error kind. Equal seed rows share one solve, and each of them
-    gets its chart or failure in seed order. Base points closer than
+    The distinct seed rows, in order of first appearance, are solved in one
+    batched call; every seed gets its row's chart or failure (the error
+    kind and text) in seed order. Base points closer than
     tau_bar * dedup_fraction are merged by a sequential pass over the
-    lexicographically sorted points.
+    lexicographically sorted points. mesh.newton counts the seeds, the
+    distinct rows solved and the field-kernel rows evaluated.
     """
     seeds = np.asarray(seeds, dtype=np.float64)
     if seeds.ndim != 2 or seeds.shape[0] == 0:
         raise EmptyInputError("need a nonempty (m, n) array of seeds")
-    solved: dict[bytes, BundleChart | str] = {}
+    slots: dict[bytes, int] = {}
+    slot = np.array([slots.setdefault(seed.tobytes(), len(slots)) for seed in seeds])
+    rows = seeds[np.unique(slot, return_index=True)[1]]
+    solved = solve_base_point(packet, rows, newton_tol, constants=constants)
     charts = []
     failures = []
-    for s, seed in enumerate(seeds):
-        key = seed.tobytes()
-        if key not in solved:
-            try:
-                solved[key] = solve_base_point(packet, seed, newton_tol,
-                                               constants=constants)
-            except BASE_POINT_ERRORS as exc:
-                solved[key] = f"{type(exc).__name__}: {exc}"
-        out = solved[key]
-        if isinstance(out, str):
-            failures.append((s, out))
-        else:
+    for s, j in enumerate(slot):
+        out = solved[j]
+        if isinstance(out, BundleChart):
             charts.append(out)
+        else:
+            failures.append((s, f"{type(out).__name__}: {out}"))
     if not charts:
         raise EmptyMeshError(
             f"no seed converged ({len(failures)} failures, "
@@ -637,7 +726,9 @@ def extract_putative_manifold(packet: CylinderPacket, seeds,
                          packet.tau_bar * dedup_fraction)
     return PutativeMesh(charts=tuple(charts[i] for i in kept),
                         tolerance=newton_tol, packet=packet,
-                        failures=tuple(failures))
+                        failures=tuple(failures),
+                        newton={"seeds": len(seeds), "solved": len(rows),
+                                "evaluations": solved.evaluations})
 
 
 # ---- bundle coordinates ----
@@ -717,17 +808,13 @@ class AsdfConditionsReport:
 def _unit_cylinder_grid(d: int, codim: int) -> np.ndarray:
     """Deterministic probe points in the unit cylinder B_d x B_codim."""
     levels = np.array([-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9])
-    points = []
+    a, b = (g.ravel() for g in np.meshgrid(levels, levels, indexing="ij"))
+    points = np.zeros((d, codim, a.size, d + codim))
     for i in range(d):
+        points[i, :, :, i] = a
         for j in range(codim):
-            for a in levels:
-                for b in levels:
-                    w = np.zeros(d + codim)
-                    w[i] = a
-                    w[d + j] = b
-                    points.append(w)
-    uniq = np.unique(np.round(np.stack(points), 12), axis=0)
-    return uniq
+            points[i, j, :, d + j] = b
+    return np.unique(np.round(points.reshape(-1, d + codim), 12), axis=0)
 
 
 def check_asdf_conditions(packet: CylinderPacket, sample: PointCloud,
@@ -747,36 +834,22 @@ def check_asdf_conditions(packet: CylinderPacket, sample: PointCloud,
     if rho is None:
         rho = tb / packet.tau
     grid = _unit_cylinder_grid(packet.d, packet.n - packet.d)
-    c1 = math.inf
-    c_up = 0.0
-    max_grad = 0.0
-    max_hess = 0.0
-    evaluated = 0
-    skipped = 0
+    denom = np.sum(grid[:, packet.d:] ** 2, axis=1) + rho ** 2
+    c1, c_up, max_grad, max_hess, evaluated = math.inf, 0.0, 0.0, 0.0, 0
     for i in range(sample.size):
         if i not in tangents:
             raise InvalidParameterError(f"no tangent supplied for sample index {i}")
-        theta_frame = frame_from_tangent(tangents[i])
-        z = sample.points[i]
-        for w in grid:
-            point = z + tb * (theta_frame @ w)
-            try:
-                value, grad, hess = asdf_grad_hess(packet, point)
-            except (OutOfDomainError, DegenerateCoverError):
-                skipped += 1
-                continue
-            evaluated += 1
-            fhat = value / tb ** 2
-            y2 = float(w[packet.d:] @ w[packet.d:])
-            denom = y2 + rho ** 2
-            if denom > 1e-15:
-                ratio = (fhat + rho ** 2) / denom
-                c1 = min(c1, ratio)
-                c_up = max(c_up, ratio)
-            ghat = theta_frame.T @ grad / tb
-            hhat = theta_frame.T @ hess @ theta_frame
-            max_grad = max(max_grad, float(np.max(np.abs(ghat))))
-            max_hess = max(max_hess, float(np.max(np.abs(hhat))))
+        frame = frame_from_tangent(tangents[i])
+        value, grad, hess, _, status = _asdf_terms(
+            packet, sample.points[i] + tb * grid @ frame.T, order=2)
+        ok = status == 0
+        evaluated += int(ok.sum())
+        ratio = ((value[ok] / tb ** 2 + rho ** 2) / denom[ok])[denom[ok] > 1e-15]
+        c1 = min(c1, float(ratio.min(initial=math.inf)))
+        c_up = max(c_up, float(ratio.max(initial=0.0)))
+        max_grad = max(max_grad, float(np.abs(grad[ok] @ frame / tb).max(initial=0.0)))
+        max_hess = max(max_hess, float(np.abs(frame.T @ hess[ok] @ frame).max(initial=0.0)))
+    skipped = sample.size * grid.shape[0] - evaluated
     violations = []
     if evaluated == 0:
         violations.append("no probe point landed inside the packet domain")
@@ -823,15 +896,13 @@ def load_mesh(packet: CylinderPacket, csv_path: str, sidecar_path: str,
     pts = np.loadtxt(csv_path, delimiter=",", ndmin=2)
     with open(sidecar_path) as fh:
         payload = json.load(fh)
-    tolerance = float(payload["tolerance"])
-    charts = []
-    for row, stored in zip(pts, payload["charts"]):
-        _, grad, hess, owner = _asdf_terms(packet, row, order=2)
-        res = pi_hi(hess, packet.n - packet.d, constants.gap_tol, constants)
-        resid = res.fiber_basis @ grad
-        chart = _build_chart(row, res, math.sqrt(resid @ resid), owner)
+    # an infinite tolerance stops every row's Newton at its stored point
+    charts = solve_base_point(packet, pts, math.inf, constants=constants)
+    for chart, stored in zip(charts, payload["charts"]):
+        if not isinstance(chart, BundleChart):
+            raise chart
         saved = np.asarray(stored["projector"], dtype=np.float64).reshape(packet.n, packet.n)
         if float(np.max(np.abs(chart.projector_hi - saved))) > 1e-8:
             raise InvalidParameterError("stored projector disagrees with the packet")
-        charts.append(chart)
-    return PutativeMesh(charts=tuple(charts), tolerance=tolerance, packet=packet)
+    return PutativeMesh(charts=tuple(charts), tolerance=float(payload["tolerance"]),
+                        packet=packet)

@@ -29,8 +29,8 @@ from .core_geometry import (
     _ball_grid,
     estimate_tangent,
     federer_reach,
+    greedy_merge,
     greedy_net,
-    lexsort_dedup,
 )
 from .errors import (
     EmptyInputError,
@@ -327,6 +327,8 @@ class PacketCandidate:
     out_of_tube: int
     seed_failures: dict[str, int]   # failed mesh seeds by error kind
     section_paths: dict[str, int]   # section fits by solver path
+    mesh_newton: dict[str, int]     # seeds, distinct rows solved, field rows evaluated
+    projection_stops: dict[str, int]   # section-fit Dykstra projections by stop reason
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,7 +415,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
     base_packet: CylinderPacket | None = None
     for index in range(config.packet_budget):
         kind = "ideal" if index == 0 else "perturbed"
-        seed_failures: dict[str, int] = {}
+        seed_failures, mesh_newton = {}, {}   # set once the mesh exists
         try:
             if index == 0:
                 packet = ideal_packet(rcloud, tangents, config.tau, config.cbar12,
@@ -429,16 +431,19 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             mesh = extract_putative_manifold(packet, seeds, config.newton_tol)
             kinds = Counter(text.split(":", 1)[0] for _, text in mesh.failures)
             seed_failures = dict(sorted(kinds.items()))
+            mesh_newton = dict(mesh.newton)
             model = fit_sections(packet, mesh, config.eps_bar,
                                  budget=config.solver_budget)
             loss, out_count = _packet_loss(model, reduced, config)
             paths = Counter(p for s in model.sections for p in s.solver_paths)
+            stops = Counter(p for s in model.sections for p in s.projection_stops)
             candidates.append(PacketCandidate(
                 index=index, kind=kind, loss=loss, reason=None,
                 validation=validation, mesh_size=len(mesh.charts),
                 empty_sections=sum(1 for s in model.sections if s.is_empty),
                 out_of_tube=out_count, seed_failures=seed_failures,
-                section_paths=dict(sorted(paths.items()))))
+                section_paths=dict(sorted(paths.items())), mesh_newton=mesh_newton,
+                projection_stops=dict(sorted(stops.items()))))
             if best is None or (loss, index) < best:
                 best = (loss, index)
                 best_model = model
@@ -447,7 +452,8 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 index=index, kind=kind, loss=math.inf,
                 reason=f"{type(exc).__name__}: {exc}", validation=None,
                 mesh_size=0, empty_sections=0, out_of_tube=0,
-                seed_failures=seed_failures, section_paths={}))
+                seed_failures=seed_failures, section_paths={},
+                mesh_newton=mesh_newton, projection_stops={}))
     best_loss = best[0] if best is not None else math.inf
     case = "one" if best_loss <= config.threshold else "two"
     estimate = budget_estimate(config, cloud.ambient_dim)
@@ -468,6 +474,8 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 "out_of_tube": c.out_of_tube,
                 "seed_failures": c.seed_failures,
                 "section_paths": c.section_paths,
+                "mesh_newton": c.mesh_newton,
+                "projection_stops": c.projection_stops,
             }
             for c in candidates
         ],
@@ -523,7 +531,9 @@ def _dense_manifold_sample(model: SectionModel, per_axis: int = 5,
 
     Overlapping cylinders trace the same stretch of manifold with slightly
     different graphs; points closer than merge_fraction * tau_bar are
-    dropped so near-duplicates cannot dominate a reach estimate.
+    dropped so near-duplicates cannot dominate a reach estimate. The merge
+    visits points in generation order (section, then grid point), so a
+    rigid motion of the model keeps the same points.
     """
     packet = model.packet
     d = packet.d
@@ -542,7 +552,7 @@ def _dense_manifold_sample(model: SectionModel, per_axis: int = 5,
             points.append(p)
             tangents.append(AffineSubspace(base=p, basis=q.T))
     pts = np.stack(points)
-    kept = lexsort_dedup(pts, merge_fraction * tb)
+    kept = greedy_merge(pts, merge_fraction * tb)
     return pts[kept], [tangents[i] for i in kept]
 
 

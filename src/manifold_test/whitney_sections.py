@@ -512,7 +512,8 @@ class SectionFitResult:
 
     certified means y is feasible with value <= eps_bar. solver names the
     path that produced y: "warm-start", "warm-start-projected" or
-    "cutting-plane".
+    "cutting-plane". projection_stops holds the stop reason of each Dykstra
+    projection the fit made (see _project_constraints), in call order.
     """
 
     y: np.ndarray
@@ -520,6 +521,7 @@ class SectionFitResult:
     iterations: int
     certified: bool
     solver: str
+    projection_stops: tuple[str, ...] = ()
 
 
 def _warm_start(data: SketchedData, constraints: ConstraintSet) -> np.ndarray:
@@ -572,19 +574,20 @@ def minimize_section(data: SketchedData, constraints: ConstraintSet,
     def meets_target(y):
         return section_objective(data, constraints, y) <= eps_bar
 
-    y0, _ = _project_constraints(constraints, y0, good_enough=meets_target)
+    y0, stop = _project_constraints(constraints, y0, good_enough=meets_target)
     start = y0 if constraints.is_feasible(y0) else None
     if start is not None:
         val = section_objective(data, constraints, start)
         if val <= eps_bar:
             return SectionFitResult(y=start, value=val, iterations=0,
-                                    certified=True, solver="warm-start-projected")
+                                    certified=True, solver="warm-start-projected",
+                                    projection_stops=(stop,))
     return _solve_cutting_plane(data, constraints, eps_bar, budget, start,
-                                meets_target)
+                                meets_target, [stop])
 
 
 def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start,
-                         meets_target):
+                         meets_target, stops):
     dim = constraints.dim
     box = constraints.M
     cut_g = np.zeros((0, dim))
@@ -596,32 +599,35 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start,
         best_y = feasible_start.copy()
         best_val = section_objective(data, constraints, feasible_start)
 
-    def improve_tol() -> float:
-        if not math.isfinite(best_val):
-            return 0.0
-        return max(1e-12, 1e-4 * abs(best_val))
-
     stall = 0          # feasible evaluations without progress on best
     patience = 40
     harvest_every = 20
     done = 0
+
+    def offer(candidate) -> bool:
+        """Score a feasible candidate; True once the best meets eps_bar."""
+        nonlocal best_val, best_y, stall
+        val = section_objective(data, constraints, candidate)
+        tol = max(1e-12, 1e-4 * abs(best_val)) if math.isfinite(best_val) else 0.0
+        if val < best_val - tol:
+            best_val, best_y, stall = val, candidate, 0
+        else:
+            stall += 1
+            if best_y is None:
+                best_val, best_y = val, candidate
+        return best_val <= eps_bar
+
+    def result(certified: bool) -> SectionFitResult:
+        return SectionFitResult(y=best_y, value=best_val, iterations=done,
+                                certified=certified, solver="cutting-plane",
+                                projection_stops=tuple(stops))
+
     for it in range(budget):
         done = it + 1
         cut = separation_oracle(constraints, y)
         if cut is None:
-            val = section_objective(data, constraints, y)
-            if val < best_val - improve_tol():
-                best_val = val
-                best_y = y.copy()
-                stall = 0
-            else:
-                stall += 1
-                if best_y is None:
-                    best_val = val
-                    best_y = y.copy()
-            if best_val <= eps_bar:
-                return SectionFitResult(y=best_y, value=best_val, iterations=done,
-                                        certified=True, solver="cutting-plane")
+            if offer(y.copy()):
+                return result(certified=True)
             grad = section_objective_gradient(data, constraints, y)
             gn = float(np.linalg.norm(grad))
             if gn < 1e-14:
@@ -634,23 +640,11 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start,
             if done % harvest_every == 0:
                 # feasibility cuts can dominate for a long stretch; project
                 # the current center so best-so-far still makes progress
-                proj, _ = _project_constraints(constraints, y,
-                                               good_enough=meets_target)
-                if constraints.is_feasible(proj):
-                    val = section_objective(data, constraints, proj)
-                    if val < best_val - improve_tol():
-                        best_val = val
-                        best_y = proj
-                        stall = 0
-                    else:
-                        stall += 1
-                        if best_y is None:
-                            best_val = val
-                            best_y = proj
-                    if best_val <= eps_bar:
-                        return SectionFitResult(y=best_y, value=best_val,
-                                                iterations=done, certified=True,
-                                                solver="cutting-plane")
+                proj, stop = _project_constraints(constraints, y,
+                                                  good_enough=meets_target)
+                stops.append(stop)
+                if constraints.is_feasible(proj) and offer(proj):
+                    return result(certified=True)
         if stall > patience:
             break
         cut_g = np.vstack([cut_g, normal])
@@ -669,13 +663,10 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start,
                     break  # center pinned against the older cuts
             y = y - (t_req + 0.5 * min(t_max - t_req, box)) * normal
         y = _analytic_center(box, cut_g, cut_c, y)
-    best = None
-    if best_y is not None:
-        best = SectionFitResult(y=best_y, value=best_val, iterations=done,
-                                certified=False, solver="cutting-plane")
     raise BudgetExceededError(
         f"cutting-plane search stopped after {done} cuts "
-        f"(best objective {best_val:.6g}, target {eps_bar:.6g})", best=best)
+        f"(best objective {best_val:.6g}, target {eps_bar:.6g})",
+        best=None if best_y is None else result(certified=False))
 
 
 # ---- local sections over cylinders ----
@@ -699,6 +690,7 @@ class LocalSection:
     shepard_radius: float
     is_empty: bool = False
     solver_paths: tuple[str, ...] = ()   # SectionFitResult.solver per normal component
+    projection_stops: tuple[str, ...] = ()   # every component's projection stops, in order
 
     @property
     def codim(self) -> int:
@@ -762,15 +754,9 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
     vals = local[inside, d:] / tb
     data_all = sketch(u, vals, sketch_radius)
     constraints = build_constraints(data_all.sites, M, c_w)
-    coefficients = []
-    fit_values = []
-    solver_paths = []
-    for c in range(vals.shape[1]):
-        comp = data_all.component(c) if data_all.targets.ndim == 2 else data_all
-        res = minimize_section(comp, constraints, eps_bar, budget)
-        coefficients.append(res.y.reshape(data_all.size, constraints.q))
-        fit_values.append(res.value)
-        solver_paths.append(res.solver)
+    fits = [minimize_section(data_all.component(c) if data_all.targets.ndim == 2
+                             else data_all, constraints, eps_bar, budget)
+            for c in range(vals.shape[1])]
     if data_all.size > 1:
         diff = data_all.sites[:, None, :] - data_all.sites[None, :, :]
         seps = np.linalg.norm(diff, axis=2)
@@ -778,10 +764,12 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
         radius = 0.999 * float(seps.min())
     else:
         radius = 0.0
-    return LocalSection(cylinder_index=cylinder_index, sites=data_all.sites,
-                        coefficients=np.stack(coefficients),
-                        fit_values=tuple(fit_values),
-                        shepard_radius=radius, solver_paths=tuple(solver_paths))
+    return LocalSection(
+        cylinder_index=cylinder_index, sites=data_all.sites,
+        coefficients=np.stack([f.y.reshape(data_all.size, constraints.q) for f in fits]),
+        fit_values=tuple(f.value for f in fits), shepard_radius=radius,
+        solver_paths=tuple(f.solver for f in fits),
+        projection_stops=tuple(stop for f in fits for stop in f.projection_stops))
 
 
 # ---- partition of unity and the global section ----

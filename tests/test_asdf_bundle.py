@@ -32,16 +32,19 @@ from manifold_test.core_geometry import (
     AffineSubspace,
     PointCloud,
     federer_reach,
+    greedy_net,
     lexsort_dedup,
 )
 from manifold_test.errors import (
     DecompositionFailedError,
     DegenerateCoverError,
+    EscapedDomainError,
     InsufficientGapError,
     InvalidParameterError,
+    NoConvergenceError,
     OutOfDomainError,
 )
-from manifold_test.pipeline import _perturb_packet
+from manifold_test.pipeline import _net_tangents, _perturb_packet, generate_synthetic
 
 FD_STEP = 4e-6
 
@@ -496,7 +499,10 @@ def test_equal_seeds_share_one_solve(circle_packet, monkeypatch):
 
     monkeypatch.setattr(asdf_bundle, "solve_base_point", spy)
     mesh = extract_putative_manifold(packet, seeds)
-    assert len(calls) == len(np.unique(seeds, axis=0)) == 22
+    (rows,) = calls
+    first_seen = np.vstack([cloud.points[:20], outside, np.array([[0.9, 0.05]])])
+    assert rows.shape == (22, 2) and rows.tobytes() == first_seen.tobytes()
+    assert mesh.newton["seeds"] == len(seeds) and mesh.newton["solved"] == 22
     assert mesh.failures == tuple(want_failures)
     assert [s for s, _ in mesh.failures] == [20, 31]
     assert mesh.failures[0][1].startswith("OutOfDomainError:")
@@ -557,6 +563,238 @@ def test_mesh_rejects_overtolerance_chart():
     object.__setattr__(chart, "residual", 1e-3)
     with pytest.raises(InvalidParameterError):
         PutativeMesh(charts=(chart,), tolerance=1e-10, packet=packet)
+
+
+# ---- the batched field kernel and Newton against the per-point references ----
+
+def reference_asdf_terms(packet, z, order, counter=None):
+    """Reference: the per-point field kernel, every member cylinder at once."""
+    if counter is not None:
+        counter[0] += 1
+    idx, w = packet.members(z, factor=2.0)
+    if idx.size == 0:
+        raise OutOfDomainError("point lies outside every squared cylinder")
+    d = packet.d
+    two_tb = 2.0 * packet.tau_bar
+    tan, nor = w[:, :d], w[:, d:]
+    tan_norm = np.sqrt((tan * tan).sum(1))
+    theta, h1, h2 = bump_profile(tan_norm / two_tb)
+    phi = np.sum(nor * nor, axis=1)
+    b_val = float(theta.sum())
+    if b_val <= 0.0:
+        raise DegenerateCoverError("all bump weights vanish at the query point")
+    value = float(phi @ theta) / b_val
+    owner = int(idx[int(np.argmax(theta))])
+    if order < 2:
+        return value, None, None, owner
+    rot = packet.rotations[idx]
+    t_frame, n_frame = rot[:, :, :d], rot[:, :, d:]
+    safe_norm = np.where(tan_norm > 0.0, tan_norm, 1.0)
+    unit = np.einsum("mnd,md->mn", t_frame, tan / safe_norm[:, None])
+    outer_unit = np.einsum("mi,mj->mij", unit, unit)
+    tan_proj = np.einsum("mid,mjd->mij", t_frame, t_frame)
+    theta_grad = (h1 / two_tb)[:, None] * unit
+    theta_hess = ((h2 / two_tb ** 2)[:, None, None] * outer_unit
+                  + (h1 / (two_tb * safe_norm))[:, None, None] * (tan_proj - outer_unit))
+    phi_grad = 2.0 * np.einsum("mnc,mc->mn", n_frame, nor)
+    a_grad = phi @ theta_grad + theta @ phi_grad
+    b_grad = theta_grad.sum(axis=0)
+    cross = np.einsum("mi,mj->ij", phi_grad, theta_grad)
+    a_hess = (np.einsum("m,mij->ij", phi, theta_hess) + cross + cross.T
+              + 2.0 * np.einsum("m,mic,mjc->ij", theta, n_frame, n_frame))
+    b_hess = theta_hess.sum(axis=0)
+    grad = (a_grad - value * b_grad) / b_val
+    hess = (a_hess - value * b_hess - np.outer(grad, b_grad)
+            - np.outer(b_grad, grad)) / b_val
+    return value, grad, hess, owner
+
+
+def reference_solve(packet, z0, newton_tol=1e-10, max_steps=60,
+                    constants=DEFAULT_CONSTANTS, counter=None):
+    """Reference: the per-point damped Newton; counter[0] counts kernel calls."""
+    z = np.asarray(z0, dtype=np.float64).copy()
+    codim = packet.n - packet.d
+    _, grad, hess, owner = reference_asdf_terms(packet, z, 2, counter)
+    for _ in range(max_steps):
+        res = pi_hi(hess, codim, constants.gap_tol, constants)
+        fiber = res.fiber_basis
+        resid = fiber @ grad
+        rnorm = math.sqrt(resid @ resid)
+        if rnorm <= newton_tol:
+            return BundleChart(
+                base_point=z.copy(), projector_hi=res.projector,
+                fiber_basis=res.fiber_basis, owning_cylinder=owner, residual=rnorm,
+                eigenvalues=tuple(res.eigenvalues.tolist()))
+        hf = fiber @ hess @ fiber.T
+        try:
+            delta = np.linalg.solve(hf, -resid)
+        except np.linalg.LinAlgError:
+            raise NoConvergenceError("singular fiber Hessian in the Newton step")
+        step = fiber.T @ delta
+        lam = 1.0
+        accepted = False
+        domain_exits = 0
+        for _halving in range(21):
+            cand = z + lam * step
+            try:
+                _, g2, h2, o2 = reference_asdf_terms(packet, cand, 2, counter)
+            except (OutOfDomainError, DegenerateCoverError):
+                domain_exits += 1
+                lam *= 0.5
+                continue
+            r2 = fiber @ g2
+            if math.sqrt(r2 @ r2) < rnorm:
+                z, grad, hess, owner = cand, g2, h2, o2
+                accepted = True
+                break
+            lam *= 0.5
+        if not accepted:
+            if domain_exits == 21:
+                raise EscapedDomainError("every damped step left the packet domain")
+            raise NoConvergenceError(
+                f"residual {rnorm:.3g} would not decrease after 20 halvings")
+    raise NoConvergenceError(f"no convergence in {max_steps} Newton steps")
+
+
+def reference_outcome(packet, z0, counter=None):
+    try:
+        return reference_solve(packet, z0, counter=counter)
+    except BASE_POINT_ERRORS as exc:
+        return exc
+
+
+def distinct_rows(seeds):
+    return seeds[np.sort(np.unique(seeds, axis=0, return_index=True)[1])]
+
+
+@pytest.fixture(scope="module")
+def newton_cases(circle_packet):
+    """(name, packet, distinct seed rows): the ideal and a perturbed packet of
+    the circle fixture and of a 200-point disc, seeded as run_test seeds them;
+    the circle's seeds also hold off-circle and out-of-domain points."""
+    packet, cloud, _ = circle_packet
+    rng = np.random.default_rng(8)
+    ang, rad = rng.uniform(0.0, 2.0 * np.pi, 40), rng.uniform(0.9, 1.1, 40)
+    extra = np.vstack([np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1),
+                       [[0.5, 0.5], [0.0, 0.0]]])
+    disc, _ = generate_synthetic("uniform_ball", n=2, size=200, seed=5)
+    tb = 0.1 * 0.3
+    net = greedy_net(disc, tb / 2.0)
+    disc_packet = ideal_packet(disc, _net_tangents(disc, net, 1, tb), tau=0.3, cbar12=0.1)
+    cases = []
+    for name, ideal, points in (("circle", packet, np.vstack([cloud.points, extra])),
+                                ("disc", disc_packet, disc.points)):
+        for kind, pk in (("ideal", ideal),
+                         ("perturbed", _perturb_packet(ideal, np.random.default_rng(1)))):
+            cases.append((f"{name}-{kind}", pk, distinct_rows(np.vstack([pk.centers, points]))))
+    return cases
+
+
+def corner_probes(packet, seed):
+    """Points near the corner of each squared cylinder, where both the
+    tangential and the normal part are close to their limit 2 tau_bar."""
+    rng = np.random.default_rng(seed)
+    d, n = packet.d, packet.n
+    probes = []
+    for k in range(0, packet.size, 3):
+        w = rng.standard_normal(n)
+        w[:d] *= 0.97 * 2.0 * packet.tau_bar / np.linalg.norm(w[:d])
+        w[d:] *= 0.97 * 2.0 * packet.tau_bar / np.linalg.norm(w[d:])
+        probes.append(packet.cylinders[k].to_ambient(w))
+    return np.stack(probes)
+
+
+def test_batched_field_kernel_matches_the_per_point_kernel(newton_cases):
+    for name, packet, rows in newton_cases:
+        points = np.vstack([rows, corner_probes(packet, 5)])
+        value, grad, hess, owner, status = asdf_bundle._asdf_terms(packet, points, 2)
+        assert value[status == 0].tobytes() == asdf_bundle._asdf_terms(
+            packet, points, 0)[0][status == 0].tobytes()
+        kinds = set()
+        for i, z in enumerate(points):
+            try:
+                want = reference_asdf_terms(packet, z, 2)
+            except (OutOfDomainError, DegenerateCoverError) as exc:
+                got = asdf_bundle._field_error(int(status[i]))
+                assert (type(got), str(got)) == (type(exc), str(exc)), (name, i)
+                kinds.add(type(exc))
+                continue
+            assert status[i] == 0 and owner[i] == want[3], (name, i)
+            for got, ref in zip((value[i], grad[i], hess[i]), want[:3]):
+                np.testing.assert_allclose(got, ref, rtol=0.0,
+                                           atol=1e-12 * float(np.max(np.abs(ref))))
+        assert name.startswith("disc") or OutOfDomainError in kinds
+
+
+def assert_same_outcome(got, want, exact: bool):
+    assert type(got) is type(want)
+    if not isinstance(want, BundleChart):
+        assert str(got) == str(want)
+    elif exact:
+        assert_same_chart(got, want)
+    else:
+        np.testing.assert_allclose(got.base_point, want.base_point, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(got.projector_hi, want.projector_hi, rtol=0.0, atol=1e-12)
+        assert abs(got.residual - want.residual) <= 1e-12
+        assert got.owning_cylinder == want.owning_cylinder
+
+
+def test_batched_newton_matches_the_per_point_newton(newton_cases):
+    kinds = set()
+    for name, packet, rows in newton_cases:
+        outcomes = solve_base_point(packet, rows)
+        assert isinstance(outcomes, tuple) and len(outcomes) == len(rows)
+        for z, got in zip(rows, outcomes):
+            want = reference_outcome(packet, z)
+            assert_same_outcome(got, want, exact=False)
+            kinds.add(type(want).__name__)
+    assert {"BundleChart", "OutOfDomainError", "InsufficientGapError",
+            "NoConvergenceError"} <= kinds
+
+
+@pytest.mark.parametrize("case", [0, 3], ids=["circle-ideal", "disc-perturbed"])
+def test_a_row_solves_alike_in_any_batch(newton_cases, case):
+    _name, packet, rows = newton_cases[case]
+    rows = rows[np.random.default_rng(2).permutation(len(rows))][:150]
+    for z, got in zip(rows, solve_base_point(packet, rows)):
+        try:
+            alone = solve_base_point(packet, z)
+        except BASE_POINT_ERRORS as exc:
+            alone = exc
+        assert_same_outcome(got, alone, exact=True)
+
+
+def test_a_singular_row_fails_alone(circle_packet, monkeypatch):
+    packet, cloud, _ = circle_packet
+    singular = np.array([0.0, 1.05])
+    rows = np.vstack([cloud.points[:8], singular, cloud.points[100:104] * 1.02])
+    want = [solve_base_point(packet, z) for z in np.delete(rows, 8, axis=0)]
+    terms = asdf_bundle._asdf_terms
+
+    def with_a_singular_fiber(packet, points, order):
+        out = terms(packet, points, order)
+        # eigenvalues -1 and 0 keep the gap, but the fiber Hessian is 0
+        out[2][(points == singular).all(1)] = np.diag([-1.0, 0.0])
+        return out
+
+    monkeypatch.setattr(asdf_bundle, "_asdf_terms", with_a_singular_fiber)
+    outcomes = solve_base_point(packet, rows)
+    assert type(outcomes[8]) is NoConvergenceError
+    assert str(outcomes[8]) == "singular fiber Hessian in the Newton step"
+    for got, alone in zip(outcomes[:8] + outcomes[9:], want):
+        assert_same_chart(got, alone)
+
+
+def test_mesh_counts_the_newton_work_of_the_reference_loop(newton_cases):
+    _name, packet, rows = newton_cases[2]
+    seeds = np.vstack([rows, rows[:30]])
+    counter = [0]
+    for z in rows:
+        reference_outcome(packet, z, counter)
+    mesh = extract_putative_manifold(packet, seeds)
+    assert mesh.newton == {"seeds": len(seeds), "solved": len(rows),
+                           "evaluations": counter[0]}
+    assert counter[0] > 3 * len(rows)
 
 
 def test_circle_mesh_stays_on_the_circle(circle_mesh):

@@ -1,13 +1,16 @@
 """End-to-end decision pipeline: data generation, reduction, search, verdicts."""
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import manifold_test.pipeline as pipeline
-from manifold_test.core_geometry import PointCloud, greedy_net
+import manifold_test.whitney_sections as whitney_sections
+from manifold_test.asdf_bundle import Cylinder, CylinderPacket
+from manifold_test.core_geometry import PointCloud, federer_reach, greedy_net
 from manifold_test.errors import (
     EmptyInputError,
     InsufficientDataError,
@@ -16,6 +19,7 @@ from manifold_test.errors import (
 )
 from manifold_test.pipeline import (
     BudgetEstimate,
+    _dense_manifold_sample,
     TestConfig,
     TestVerdict,
     best_section_model,
@@ -237,7 +241,7 @@ def test_circle_certificate_contents(circle_verdict):
     entry = cert["candidates"][0]
     for key in ("index", "kind", "loss", "reason", "packet_conditions_ok",
                 "mesh_size", "empty_sections", "out_of_tube", "seed_failures",
-                "section_paths"):
+                "section_paths", "mesh_newton", "projection_stops"):
         assert key in entry
     assert entry["packet_conditions_ok"] is True
     assert entry["mesh_size"] == cert["mesh_points"]
@@ -333,6 +337,8 @@ def test_certificate_counts_seed_failures_by_kind(monkeypatch):
                         packet_budget=1, seed=0)
     entry = run_test(cloud, config).certificate["candidates"][0]
     (mesh,) = meshes
+    assert entry["mesh_newton"] == mesh.newton
+    assert mesh.newton["seeds"] == mesh.packet.size + cloud.size
     counts = entry["seed_failures"]
     assert len(counts) >= 2
     assert list(counts) == sorted(counts)
@@ -351,6 +357,71 @@ def test_certificate_counts_section_fits_by_solver_path(circle_verdict, ball_ver
     assert sum(paths.values()) == fits > 0
     _, failed = ball_verdict
     assert [c["section_paths"] for c in failed.certificate["candidates"]] == [{}, {}]
+
+
+def test_certificate_counts_projection_stops_by_reason(circle_verdict, ball_verdict,
+                                                       monkeypatch):
+    cloud, verdict = circle_verdict
+    seen = []
+    project = whitney_sections._project_constraints
+
+    def spy(*args, **kwargs):
+        out = project(*args, **kwargs)
+        seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(whitney_sections, "_project_constraints", spy)
+    # the ideal packet's sections all certify from the warm start; the
+    # perturbed packet's need projections
+    ideal, perturbed = run_test(cloud, replace(CIRCLE_CONFIG, packet_budget=2)
+                                ).certificate["candidates"]
+    assert ideal == verdict.certificate["candidates"][0]
+    assert ideal["projection_stops"] == {}
+    stops = perturbed["projection_stops"]
+    assert list(stops) == sorted(stops) and set(stops) <= {"cap", "move_tol", "target"}
+    assert stops == dict(Counter(seen)) and sum(stops.values()) == len(seen) > 0
+    _, failed = ball_verdict
+    assert [c["projection_stops"] for c in failed.certificate["candidates"]] == [{}, {}]
+
+
+def test_a_candidate_that_fails_before_extraction_has_no_counts(circle_verdict,
+                                                                monkeypatch):
+    cloud, _ = circle_verdict
+
+    def failing_validation(packet):
+        raise InvalidParameterError("packet rejected")
+
+    monkeypatch.setattr(pipeline, "validate_packet", failing_validation)
+    (entry,) = run_test(cloud, CIRCLE_CONFIG).certificate["candidates"]
+    assert entry["reason"] == "InvalidParameterError: packet rejected"
+    for key in ("seed_failures", "section_paths", "mesh_newton", "projection_stops"):
+        assert entry[key] == {}
+
+
+@pytest.mark.parametrize("angle", [0.3, 2.0])
+def test_dense_sample_keeps_its_points_under_a_rigid_motion(angle):
+    # a small noisy circle: merging in coordinate order kept 48 or 49 points
+    # here, and the reach read 0.104, 0.130 or 0.083 across these rotations
+    cloud, _ = generate_synthetic("sphere", n=2, size=120, seed=3, noise=0.003,
+                                  radius=0.5, even=True)
+    model = run_test(cloud, TestConfig(d=1, V=7.0, tau=0.3, eps=3.6e-5, delta=0.1,
+                                       packet_budget=1, seed=0)).model
+    q = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    packet = model.packet
+    moved = CylinderPacket(
+        [Cylinder(rotation=q @ c.rotation, center=q @ c.center, scale=c.scale,
+                  tangent_dim=c.tangent_dim) for c in packet.cylinders],
+        tau=packet.tau, c12=packet.c12, C_align=packet.C_align)
+    reach = []
+    samples = []
+    for m in (model, replace(model, packet=moved)):
+        points, tangents = _dense_manifold_sample(m, merge_fraction=2.0)
+        samples.append(points)
+        dense = PointCloud.from_points(points, require_unit_ball=False)
+        reach.append(federer_reach(dense, dict(enumerate(tangents))).value)
+    assert samples[1].shape == samples[0].shape
+    np.testing.assert_allclose(samples[1], samples[0] @ q.T, rtol=0.0, atol=1e-12)
+    assert reach[1] == pytest.approx(reach[0], rel=1e-9)
 
 
 def test_certificate_reports_the_net_size_before_the_cap(circle_verdict):

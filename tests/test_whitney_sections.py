@@ -379,6 +379,24 @@ def test_warm_start_projection_stops_at_the_callers_target():
     assert res.value == section_objective(data, cons, res.y)
 
 
+def test_a_fit_reports_the_stop_of_every_projection(monkeypatch):
+    seen = []
+    project = ws._project_constraints
+
+    def spy(*args, **kwargs):
+        seen.append(project(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(ws, "_project_constraints", spy)
+    assert minimize_section(*line_fixture(), eps_bar=1e-3).projection_stops == ()
+    assert not seen
+    # the Dykstra cap bites here although the objective meets the target
+    res = minimize_section(*line_fixture(sigma=0.02, seed=0), eps_bar=0.01)
+    assert res.solver == "cutting-plane"
+    assert res.projection_stops[0] == "cap"
+    assert res.projection_stops == tuple(stop for _, stop in seen)
+
+
 def test_unreachable_target_leaves_the_projection_unchanged():
     data, cons = line_fixture(sigma=0.01, seed=1)
     y0 = ws._warm_start(data, cons)
