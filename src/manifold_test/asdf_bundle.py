@@ -9,10 +9,9 @@ putative manifold mesh.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -96,7 +95,7 @@ def bump_profile(radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # ---- cylinders and packets ----
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Cylinder:
     """Rigid placement of tau_bar * (B_d x B_{n-d}) in R^n.
 
@@ -124,7 +123,7 @@ class Cylinder:
         if not (1 <= self.tangent_dim < n):
             raise InvalidParameterError(
                 f"tangent dimension {self.tangent_dim} invalid for ambient {n}")
-        object.__setattr__(self, "rotation", rot)
+        object.__setattr__(self, "rotation", np.ascontiguousarray(rot))
         object.__setattr__(self, "center", cen)
 
     @property
@@ -559,15 +558,38 @@ class BundleChart:
         return orthonormal_completion(self.fiber_basis, self.fiber_basis.shape[1])
 
 
-class BaseSolutions(tuple):
-    """Per-row outcomes of a batched base-point solve, in row order: each a
-    BundleChart or the BASE_POINT_ERRORS instance that ended the row's solve.
-    `evaluations` counts the rows the field kernel evaluated."""
+class RowOutcomes(tuple):
+    """Per-row outcomes of a stacked call, in row order: each a result or the
+    error that ended the row. `counts` holds the call's work counts."""
 
-    def __new__(cls, outcomes, evaluations: int):
+    def __new__(cls, outcomes, **counts):
         self = super().__new__(cls, outcomes)
-        self.evaluations = evaluations
+        self.counts = counts
         return self
+
+
+def first_or_raise(outcomes: RowOutcomes):
+    """The one outcome of a batch of one, raised when it is an error."""
+    out = outcomes[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions (m, k) of the stacked systems a (m, k, k) x = b (m, k), and
+    which rows were singular (their solution is left zero)."""
+    singular = np.zeros(a.shape[0], dtype=bool)
+    try:
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:   # solve row by row: only a singular row fails
+        x = np.zeros_like(b)
+        for i in range(a.shape[0]):
+            try:
+                x[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return x, singular
 
 
 def solve_base_point(packet: CylinderPacket, z0, newton_tol: float = 1e-10,
@@ -578,23 +600,22 @@ def solve_base_point(packet: CylinderPacket, z0, newton_tol: float = 1e-10,
     Steps move only inside the span of the top Hessian eigenvectors; a step
     is halved (up to 20 times) until the fixed-frame residual decreases.
     z0 of shape (n,) returns its BundleChart or raises. z0 of shape (m, n)
-    returns a BaseSolutions tuple of m outcomes; its rows are solved in one
-    masked loop (each row keeps its own iterate, step count and halving),
-    and a row's outcome does not depend on the other rows.
+    returns a RowOutcomes tuple of m outcomes, each a BundleChart or the
+    BASE_POINT_ERRORS instance that ended the row, with counts["evaluations"]
+    the rows the field kernel evaluated. The rows are solved in one masked
+    loop (each row keeps its own iterate, step count and halving), and a
+    row's outcome does not depend on the other rows.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape[-1:] != (packet.n,) or z0.ndim not in (1, 2):
         raise InvalidParameterError(
             f"point of shape {z0.shape} does not match ambient dim {packet.n}")
     if z0.ndim == 1:
-        out = _newton(packet, z0[None, :], newton_tol, max_steps, constants)[0]
-        if isinstance(out, Exception):
-            raise out
-        return out
+        return first_or_raise(_newton(packet, z0[None, :], newton_tol, max_steps, constants))
     return _newton(packet, z0, newton_tol, max_steps, constants)
 
 
-def _newton(packet, z0, newton_tol, max_steps, constants) -> BaseSolutions:
+def _newton(packet, z0, newton_tol, max_steps, constants) -> RowOutcomes:
     codim = packet.n - packet.d
     z = z0.copy()
     _, grad, hess, owner, status = _asdf_terms(packet, z, order=2)
@@ -623,18 +644,12 @@ def _newton(packet, z0, newton_tol, max_steps, constants) -> BaseSolutions:
         if not active.size:
             break
         hf = np.matmul(np.matmul(fiber, h), fiber.transpose(0, 2, 1))
-        try:
-            delta = np.linalg.solve(hf, -resid)
-        except np.linalg.LinAlgError:   # solve row by row: only a singular row fails
-            delta = np.zeros_like(resid)
-            for i, r in enumerate(active):
-                try:
-                    delta[i] = np.linalg.solve(hf[i], -resid[i])
-                except np.linalg.LinAlgError:
-                    outcomes[r] = NoConvergenceError("singular fiber Hessian in the Newton step")
-            going = np.array([outcomes[r] is None for r in active], dtype=bool)
-            active, fiber, rnorm, delta = (a[going] for a in (active, fiber, rnorm, delta))
-        step = np.matmul(fiber.transpose(0, 2, 1), delta)[:, :, 0]
+        delta, singular = _solve_rows(hf, -resid[:, :, 0])
+        if singular.any():
+            for r in active[singular]:
+                outcomes[r] = NoConvergenceError("singular fiber Hessian in the Newton step")
+            active, fiber, rnorm, delta = (a[~singular] for a in (active, fiber, rnorm, delta))
+        step = np.matmul(fiber.transpose(0, 2, 1), delta[:, :, None])[:, :, 0]
         lam = np.ones(active.size)
         exits = np.zeros(active.size, dtype=np.int64)
         pending = np.arange(active.size)
@@ -661,33 +676,56 @@ def _newton(packet, z0, newton_tol, max_steps, constants) -> BaseSolutions:
             active = np.delete(active, pending)
     for r in active:
         outcomes[r] = NoConvergenceError(f"no convergence in {max_steps} Newton steps")
-    return BaseSolutions(outcomes, evaluations)
+    return RowOutcomes(outcomes, evaluations=evaluations)
 
 
-@dataclass(frozen=True, eq=False)
 class PutativeMesh:
-    """Deduplicated charts extracted from a packet."""
+    """Deduplicated charts extracted from a packet.
 
-    charts: tuple[BundleChart, ...]
-    tolerance: float
-    packet: CylinderPacket
-    failures: tuple[tuple[int, str], ...] = ()
-    newton: Mapping[str, int] = field(default_factory=dict)   # seeds, solved, evaluations
+    The charts are kept as stacked read-only arrays, one per chart field,
+    not as one object per chart: a verdict keeps its model's mesh, and
+    per-chart objects were the largest part of a kept verdict. `chart(i)`
+    and `charts` rebuild BundleChart objects from the arrays.
+    """
 
-    def __post_init__(self):
-        if not self.charts:
+    def __init__(self, charts, tolerance: float, packet: CylinderPacket,
+                 failures: tuple[tuple[int, str], ...] = (),
+                 newton: Mapping[str, int] | None = None):
+        charts = tuple(charts)
+        if not charts:
             raise EmptyMeshError("a putative mesh needs at least one chart")
-        for chart in self.charts:
-            if chart.residual > self.tolerance * (1.0 + 1e-9) + 1e-15:
+        for chart in charts:
+            if chart.residual > tolerance * (1.0 + 1e-9) + 1e-15:
                 raise InvalidParameterError(
                     f"chart residual {chart.residual:.3g} exceeds tolerance")
+        self.tolerance = tolerance
+        self.packet = packet
+        self.failures = tuple(failures)
+        self.newton = dict(newton or {})   # seeds, solved, evaluations
+        self.base_points = np.stack([c.base_point for c in charts])   # (k, n)
+        self.projectors = np.stack([c.projector_hi for c in charts])   # (k, n, n)
+        self._fibers = np.stack([c.fiber_basis for c in charts])
+        self._owners = np.array([c.owning_cylinder for c in charts])
+        self._residuals = np.array([c.residual for c in charts])
+        self._eigenvalues = np.array([c.eigenvalues for c in charts])
+        for arr in (self.base_points, self.projectors, self._fibers, self._owners,
+                    self._residuals, self._eigenvalues):
+            arr.flags.writeable = False
 
-    @functools.cached_property
-    def base_points(self) -> np.ndarray:
-        """(k, n) chart base points, stacked once and read-only."""
-        points = np.stack([c.base_point for c in self.charts])
-        points.flags.writeable = False
-        return points
+    @property
+    def size(self) -> int:
+        return self.base_points.shape[0]
+
+    def chart(self, i: int) -> BundleChart:
+        return BundleChart(base_point=self.base_points[i], projector_hi=self.projectors[i],
+                           fiber_basis=self._fibers[i],
+                           owning_cylinder=int(self._owners[i]),
+                           residual=float(self._residuals[i]),
+                           eigenvalues=tuple(self._eigenvalues[i].tolist()))
+
+    @property
+    def charts(self) -> tuple[BundleChart, ...]:
+        return tuple(self.chart(i) for i in range(self.size))
 
 
 def extract_putative_manifold(packet: CylinderPacket, seeds,
@@ -728,7 +766,7 @@ def extract_putative_manifold(packet: CylinderPacket, seeds,
                         tolerance=newton_tol, packet=packet,
                         failures=tuple(failures),
                         newton={"seeds": len(seeds), "solved": len(rows),
-                                "evaluations": solved.evaluations})
+                                "evaluations": solved.counts["evaluations"]})
 
 
 # ---- bundle coordinates ----
@@ -746,44 +784,78 @@ class FiberDecomposition:
 def bundle_coordinates(packet: CylinderPacket, context, z,
                        tol: float = 1e-11, max_iters: int = 60,
                        newton_tol: float = 1e-10,
-                       constants: BundleConstants = DEFAULT_CONSTANTS) -> FiberDecomposition:
+                       constants: BundleConstants = DEFAULT_CONSTANTS):
     """Alternating projection of z onto (base point, fiber offset).
 
-    context is a BundleChart or a PutativeMesh (the nearest chart is used
-    as the starting base). The fiber offset must stay within
-    cbar10 * tau_bar / 2.
+    context is a BundleChart or a PutativeMesh (each row starts at its
+    nearest chart). The fiber offset must stay within cbar10 * tau_bar / 2.
+    z of shape (n,) returns its FiberDecomposition or raises
+    DecompositionFailedError. z of shape (m, n) returns a RowOutcomes tuple
+    of m outcomes, each a FiberDecomposition or the DecompositionFailedError
+    of the row, with counts "rounds" (stacked base-point solves), "solved"
+    (rows they solved) and "evaluations" (field-kernel rows). Each round
+    solves every row still moving as one stack, and a row leaves once it
+    converges or fails, so no row depends on the other rows.
     """
     z = np.asarray(z, dtype=np.float64)
-    if isinstance(context, PutativeMesh):
-        dists = np.linalg.norm(context.base_points - z, axis=1)
-        chart = context.charts[int(np.argmin(dists))]
-    elif isinstance(context, BundleChart):
-        chart = context
-    else:
+    if z.shape[-1:] != (packet.n,) or z.ndim not in (1, 2):
+        raise InvalidParameterError(
+            f"point of shape {z.shape} does not match ambient dim {packet.n}")
+    if not isinstance(context, (PutativeMesh, BundleChart)):
         raise InvalidParameterError("context must be a BundleChart or PutativeMesh")
-
+    if z.ndim == 1:
+        return first_or_raise(bundle_coordinates(packet, context, z[None, :], tol,
+                                                 max_iters, newton_tol, constants))
+    m = z.shape[0]
+    if isinstance(context, PutativeMesh):
+        sq = np.zeros((m, context.size))
+        for axis in range(packet.n):   # one (m, k) array, not an (m, k, n) one
+            sq += (z[:, axis, None] - context.base_points[:, axis]) ** 2
+        start = np.argmin(sq, axis=1)
+        base, proj = context.base_points[start], context.projectors[start]
+        charts: list = [None] * m   # a row's start chart is built only if it ends there
+    else:
+        base = np.tile(context.base_point, (m, 1))
+        proj = np.tile(context.projector_hi, (m, 1, 1))
+        charts = [context] * m
+    outcomes: list = [None] * m
     shift_tol = max(tol, 1e-13) * max(1.0, packet.tau_bar)
+    vmax = constants.cbar10 * packet.tau_bar / 2.0
+    counts = {"rounds": 0, "solved": 0, "evaluations": 0}
+    active = np.arange(m)
     for _ in range(max_iters):
-        p = chart.projector_hi
-        v = p @ (z - chart.base_point)
-        t = (z - chart.base_point) - v
-        if math.sqrt(t @ t) <= shift_tol:
-            vmax = constants.cbar10 * packet.tau_bar / 2.0
-            vnorm = math.sqrt(v @ v)
+        r = z[active] - base[active]
+        v = np.matmul(proj[active], r[:, :, None])[:, :, 0]
+        t = r - v
+        done = np.sqrt((t * t).sum(1)) <= shift_tol
+        for i in np.nonzero(done)[0]:
+            row, vnorm = active[i], math.sqrt(v[i] @ v[i])
+            chart = charts[row] or context.chart(int(start[row]))
             if vnorm > vmax + 1e-12:
-                raise DecompositionFailedError(
+                outcomes[row] = DecompositionFailedError(
                     f"fiber offset {vnorm:.4g} exceeds {vmax:.4g}")
+                continue
             owner = packet.cylinders[chart.owning_cylinder]
-            x = owner.to_local(chart.base_point)[:packet.d]
-            return FiberDecomposition(x=x, v=v, base_point=chart.base_point.copy(),
-                                      chart=chart)
-        try:
-            chart = solve_base_point(packet, chart.base_point + t, newton_tol,
-                                     constants=constants)
-        except BASE_POINT_ERRORS as exc:
-            raise DecompositionFailedError(
-                f"base-point update failed: {type(exc).__name__}: {exc}")
-    raise DecompositionFailedError(f"no convergence in {max_iters} alternations")
+            outcomes[row] = FiberDecomposition(
+                x=owner.to_local(chart.base_point)[:packet.d], v=v[i].copy(),
+                base_point=chart.base_point.copy(), chart=chart)
+        active, t = active[~done], t[~done]
+        if not active.size:
+            break
+        solved = solve_base_point(packet, base[active] + t, newton_tol, constants=constants)
+        counts["rounds"] += 1
+        counts["solved"] += active.size
+        counts["evaluations"] += solved.counts["evaluations"]
+        for row, out in zip(active, solved):
+            if isinstance(out, BundleChart):
+                charts[row], base[row], proj[row] = out, out.base_point, out.projector_hi
+            else:
+                outcomes[row] = DecompositionFailedError(
+                    f"base-point update failed: {type(out).__name__}: {out}")
+        active = np.array([row for row in active if outcomes[row] is None], dtype=np.int64)
+    for row in active:
+        outcomes[row] = DecompositionFailedError(f"no convergence in {max_iters} alternations")
+    return RowOutcomes(outcomes, **counts)
 
 
 # ---- ASDF condition checking ----

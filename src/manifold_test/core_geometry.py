@@ -391,16 +391,16 @@ def load_mnfd(path: str, require_unit_ball: bool = False) -> PointCloud:
 def orthonormal_completion(basis: np.ndarray, n: int) -> np.ndarray:
     """Rows spanning the orthogonal complement of the given orthonormal rows.
 
+    basis is (k, n), or a stack (m, k, n) completed slice by slice.
     Deterministic: built from the SVD of the input and sign-fixed.
     """
-    d = basis.shape[0]
-    if d == 0:
-        return np.eye(n)
-    if d == n:
-        return np.zeros((0, n))
-    _, _, vt = np.linalg.svd(basis, full_matrices=True)
-    comp = vt[d:]
-    return _sign_fix_rows(comp)
+    k = basis.shape[-2]
+    if k == 0:
+        return np.broadcast_to(np.eye(n), basis.shape[:-2] + (n, n)).copy()
+    if k == n:
+        return np.zeros(basis.shape[:-2] + (0, n))
+    comp = np.linalg.svd(basis, full_matrices=True)[2][..., k:, :]
+    return _sign_fix_rows(comp.reshape(-1, n)).reshape(comp.shape)
 
 
 def frame_from_tangent(sub: AffineSubspace) -> np.ndarray:

@@ -329,6 +329,7 @@ class PacketCandidate:
     section_paths: dict[str, int]   # section fits by solver path
     mesh_newton: dict[str, int]     # seeds, distinct rows solved, field rows evaluated
     projection_stops: dict[str, int]   # section-fit Dykstra projections by stop reason
+    loss_newton: dict[str, int]     # points, alternation rounds, rows solved, field rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,40 +353,36 @@ class TestVerdict:
 
 
 def point_residuals(model: SectionModel, reduced: ReducedCloud,
-                    out_of_tube_factor: float) -> tuple[np.ndarray, np.ndarray]:
+                    out_of_tube_factor: float) -> tuple[np.ndarray, np.ndarray, dict]:
     """Squared ambient distance of every sample point to the patched manifold.
 
-    Within the reduced span the distance is mfin_distance; a point outside
-    the bundle's tube is charged out_of_tube_factor times its distance to
-    the nearest mesh point instead. The squared distance off the span is
-    added. Returns the squared distances and the out-of-tube mask.
+    Within the reduced span the distance is mfin_distance, one stacked pass
+    over the sample; a point outside the bundle's tube is charged
+    out_of_tube_factor times its distance to the nearest mesh point instead.
+    The squared distance off the span is added. Returns the squared
+    distances, the out-of-tube mask and the pass's Newton counts.
     """
-    cloud = reduced.cloud
-    mesh_pts = model.mesh.base_points
-    sq = np.empty(cloud.size)
-    out = np.zeros(cloud.size, dtype=bool)
-    for i in range(cloud.size):
-        z = cloud.points[i]
-        try:
-            dist = mfin_distance(model, z)
-        except OutOfTubeError:
-            out[i] = True
-            gap = float(np.min(np.linalg.norm(mesh_pts - z, axis=1)))
-            dist = out_of_tube_factor * gap
-        sq[i] = dist * dist + reduced.perp_sq[i]
-    return sq, out
+    points = reduced.cloud.points
+    found = mfin_distance(model, points)
+    out = np.array([isinstance(r, OutOfTubeError) for r in found], dtype=bool)
+    dist = np.array([0.0 if o else r for r, o in zip(found, out)])
+    if out.any():
+        gaps = np.linalg.norm(points[out][:, None, :] - model.mesh.base_points, axis=2)
+        dist[out] = out_of_tube_factor * gaps.min(axis=1)
+    return dist * dist + reduced.perp_sq, out, dict(found.counts)
 
 
 def _packet_loss(model: SectionModel, reduced: ReducedCloud,
-                 config: TestConfig) -> tuple[float, int]:
-    """Weighted squared-distance loss of the data to the patched manifold."""
-    sq, out = point_residuals(model, reduced, config.out_of_tube_factor)
+                 config: TestConfig) -> tuple[float, int, dict]:
+    """Weighted squared-distance loss of the data to the patched manifold,
+    the out-of-tube count and the loss pass's Newton counts."""
+    sq, out, newton = point_residuals(model, reduced, config.out_of_tube_factor)
     total = 0.0
     # a sequential sum in sample order; np.sum's pairwise order would move
     # the last bits of every reported loss
     for w, r in zip(reduced.cloud.weights, sq):
         total += w * r
-    return total, int(out.sum())
+    return total, int(out.sum()), newton
 
 
 def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
@@ -434,16 +431,16 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             mesh_newton = dict(mesh.newton)
             model = fit_sections(packet, mesh, config.eps_bar,
                                  budget=config.solver_budget)
-            loss, out_count = _packet_loss(model, reduced, config)
+            loss, out_count, loss_newton = _packet_loss(model, reduced, config)
             paths = Counter(p for s in model.sections for p in s.solver_paths)
             stops = Counter(p for s in model.sections for p in s.projection_stops)
             candidates.append(PacketCandidate(
                 index=index, kind=kind, loss=loss, reason=None,
-                validation=validation, mesh_size=len(mesh.charts),
+                validation=validation, mesh_size=mesh.size,
                 empty_sections=sum(1 for s in model.sections if s.is_empty),
                 out_of_tube=out_count, seed_failures=seed_failures,
                 section_paths=dict(sorted(paths.items())), mesh_newton=mesh_newton,
-                projection_stops=dict(sorted(stops.items()))))
+                projection_stops=dict(sorted(stops.items())), loss_newton=loss_newton))
             if best is None or (loss, index) < best:
                 best = (loss, index)
                 best_model = model
@@ -453,7 +450,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 reason=f"{type(exc).__name__}: {exc}", validation=None,
                 mesh_size=0, empty_sections=0, out_of_tube=0,
                 seed_failures=seed_failures, section_paths={},
-                mesh_newton=mesh_newton, projection_stops={}))
+                mesh_newton=mesh_newton, projection_stops={}, loss_newton={}))
     best_loss = best[0] if best is not None else math.inf
     case = "one" if best_loss <= config.threshold else "two"
     estimate = budget_estimate(config, cloud.ambient_dim)
@@ -476,6 +473,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 "section_paths": c.section_paths,
                 "mesh_newton": c.mesh_newton,
                 "projection_stops": c.projection_stops,
+                "loss_newton": c.loss_newton,
             }
             for c in candidates
         ],
@@ -488,7 +486,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
     }
     if best_model is not None and case == "one":
         certificate["cylinders"] = best_model.packet.size
-        certificate["mesh_points"] = len(best_model.mesh.charts)
+        certificate["mesh_points"] = best_model.mesh.size
     return TestVerdict(case=case, best_loss=best_loss, threshold=config.threshold,
                        samples_used=cloud.size, candidates=tuple(candidates),
                        certificate=certificate, model=best_model,
@@ -539,21 +537,20 @@ def _dense_manifold_sample(model: SectionModel, per_axis: int = 5,
     d = packet.d
     tb = packet.tau_bar
     grid = _ball_grid(np.linspace(-extent, extent, per_axis), d, extent)
+    eye = np.broadcast_to(np.eye(d), (grid.shape[0], d, d))
     points = []
-    tangents = []
+    frames = []
     for j, section in enumerate(model.sections):
         if section.is_empty:
             continue
         cyl = packet.cylinders[j]
-        for u in grid:
-            vals, jac = section.evaluate(u)
-            p = cyl.to_ambient(np.concatenate([tb * u, tb * vals]))
-            q, _ = np.linalg.qr(cyl.rotation @ np.vstack([np.eye(d), jac]))
-            points.append(p)
-            tangents.append(AffineSubspace(base=p, basis=q.T))
-    pts = np.stack(points)
+        vals, jac = section.evaluate(grid)
+        local = np.concatenate([tb * grid, tb * vals], axis=1)
+        points.append(np.matmul(cyl.rotation, local[:, :, None])[:, :, 0] + cyl.center)
+        frames.append(np.linalg.qr(np.matmul(cyl.rotation, np.concatenate([eye, jac], axis=1)))[0])
+    pts, frames = np.concatenate(points), np.concatenate(frames)
     kept = greedy_merge(pts, merge_fraction * tb)
-    return pts[kept], [tangents[i] for i in kept]
+    return pts[kept], [AffineSubspace(base=pts[i], basis=frames[i].T) for i in kept]
 
 
 def verify_output(verdict: TestVerdict, cloud: PointCloud,
@@ -581,7 +578,7 @@ def verify_output(verdict: TestVerdict, cloud: PointCloud,
         flags.append(f"reach {reach.value:.4g} below {reach_floor:.4g}")
 
     reduced = verdict.reduction
-    loss, _ = _packet_loss(model, reduced, config)
+    loss = _packet_loss(model, reduced, config)[0]
     reported = verdict.best_loss
     loss_ok = abs(loss - reported) <= 0.1 * max(reported, config.eps)
     if not loss_ok:

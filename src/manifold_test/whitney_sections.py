@@ -14,23 +14,25 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .asdf_bundle import (
-    BASE_POINT_ERRORS,
     CylinderPacket,
     PutativeMesh,
+    RowOutcomes,
+    _member_pairs,
+    _solve_rows,
     bump_profile,
     bundle_coordinates,
+    first_or_raise,
     solve_base_point,
 )
-from .core_geometry import greedy_merge
+from .core_geometry import greedy_merge, orthonormal_completion
 from .errors import (
     BudgetExceededError,
-    DecompositionFailedError,
     DuplicateSiteError,
     EmptyInputError,
     InvalidParameterError,
@@ -671,7 +673,7 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start,
 
 # ---- local sections over cylinders ----
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LocalSection:
     """Fitted graph section of one cylinder, in rescaled coordinates.
 
@@ -698,27 +700,53 @@ class LocalSection:
 
     def evaluate(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Section values (codim,) and Jacobian (codim, d) at rescaled
-        tangential coordinates u. The blend s = sum w_i P_i / sum w_i of the site
-        polynomials P_i has Jacobian (sum w_i dP_i + sum (P_i - s) dw_i) / sum w_i."""
+        tangential coordinates u of shape (d,); for a stack u of shape (P, d),
+        values (P, codim) and Jacobians (P, codim, d). See _shepard_blend."""
         if self.is_empty:
             raise UncoveredPointError(
                 f"cylinder {self.cylinder_index} has an empty section")
-        offs = np.asarray(u, dtype=np.float64)[None, :] - self.sites
-        dist = np.linalg.norm(offs, axis=1)
-        polys = np.einsum("cij,ikj->cik", self.coefficients, np.concatenate(
-            [_monomials(offs)[:, None, :], _monomial_gradients(offs)], axis=1))
-        if self.shepard_radius > 0:
-            wts, slope, _ = bump_profile(dist / self.shepard_radius)
-            total = float(wts.sum())
-            if total > 0:
-                # slope is 0 for r <= 1/4, so a zero offset needs only a safe divisor
-                dwts = offs * (slope / (self.shepard_radius
-                                        * np.maximum(dist, 1e-300)))[:, None]
-                values = polys[:, :, 0] @ wts / total
-                return values, (np.einsum("i,cia->ca", wts, polys[:, :, 1:])
-                                + (polys[:, :, 0] - values[:, None]) @ dwts) / total
-        near = int(np.argmin(dist))
-        return polys[:, near, 0], polys[:, near, 1:]
+        u = np.asarray(u, dtype=np.float64)
+        stack = u.reshape(-1, self.sites.shape[1])
+        values, jac = _shepard_blend(
+            stack[:, None, :] - self.sites,
+            np.broadcast_to(self.coefficients, (stack.shape[0],) + self.coefficients.shape),
+            np.full(stack.shape[0], self.shepard_radius))
+        return (values[0], jac[0]) if u.ndim == 1 else (values, jac)
+
+
+def _shepard_blend(offs, coefficients, radius, valid=None) -> tuple[np.ndarray, np.ndarray]:
+    """Values (P, codim) and Jacobians (P, codim, d) of P section queries.
+
+    offs (P, S, d) is each query minus the sites of its section,
+    coefficients (P, codim, S, q) their jet blocks, radius (P,) the Shepard
+    radii, and valid (P, S) marks real sites in a padded table (None: all).
+    The blend s = sum w_i P_i / sum w_i of the site polynomials P_i has
+    Jacobian (sum w_i dP_i + sum (P_i - s) dw_i) / sum w_i; a query outside
+    every support, or with radius 0, takes its nearest site's polynomial.
+    """
+    P, S, d = offs.shape
+    flat = offs.reshape(P * S, d)
+    mono = np.concatenate([_monomials(flat)[:, None, :], _monomial_gradients(flat)], axis=1)
+    polys = np.einsum("pcsq,psjq->pcsj", coefficients, mono.reshape(P, S, 1 + d, jet_size(d)))
+    dist = np.sqrt((offs * offs).sum(2))
+    if valid is not None:
+        dist = np.where(valid, dist, np.inf)
+    scale = np.where(radius > 0, radius, 1.0)[:, None]
+    wts, slope, _ = bump_profile(dist / scale)
+    wts *= (radius > 0)[:, None]
+    total = wts.sum(1)
+    blended = total > 0
+    total = np.where(blended, total, 1.0)
+    # slope is 0 for r <= 1/4 and at padded sites, so a zero offset needs only a safe divisor
+    dwts = offs * (slope / (scale * np.maximum(dist, 1e-300)))[:, :, None]
+    values = np.einsum("pcs,ps->pc", polys[..., 0], wts) / total[:, None]
+    jac = (np.einsum("ps,pcsa->pca", wts, polys[..., 1:])
+           + np.einsum("pcs,psa->pca", polys[..., 0] - values[..., None], dwts)) / total[:, None, None]
+    near = np.nonzero(~blended)[0]
+    if near.size:
+        site = np.argmin(dist[near], axis=1)
+        values[near], jac[near] = polys[near, :, site, 0], polys[near, :, site, 1:]
+    return values, jac
 
 
 def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
@@ -781,34 +809,141 @@ def partition_weights(packet: CylinderPacket, x,
 
     Weight of cylinder j is the radial bump of |tangential local| / tau_bar;
     cylinders with empty sections are dropped when sections are supplied.
+    A batch of one of _partition.
     """
     x = np.asarray(x, dtype=np.float64)
-    idx, w = packet.members(x, factor=1.0)
-    if sections is not None:
-        keep = np.array([not sections[j].is_empty for j in idx], dtype=bool)
-        idx, w = idx[keep], w[keep]
-    if idx.size == 0:
-        raise UncoveredPointError("no full cylinder with a section contains the point")
-    radii = np.linalg.norm(w[:, :packet.d], axis=1) / packet.tau_bar
-    wts = bump_profile(radii)[0]
-    total = float(wts.sum())
-    if total <= 0.0:
-        raise UncoveredPointError("all partition weights vanish at the point")
-    return idx, wts / total
+    empty = None if sections is None else np.array([s.is_empty for s in sections])
+    _, idx, wts, status = _partition(packet, x[None, :], empty)
+    if status[0]:
+        raise _uncovered(status[0])
+    return idx, wts
+
+
+def _uncovered(status: int) -> UncoveredPointError:
+    """The error a nonzero _partition status stands for."""
+    if status == 1:
+        return UncoveredPointError("no full cylinder with a section contains the point")
+    return UncoveredPointError("all partition weights vanish at the point")
+
+
+def _partition(packet: CylinderPacket, x: np.ndarray, empty: np.ndarray | None = None):
+    """Partition weights of a stack x (m, n): the (row, cylinder, weight)
+    of each pair whose full cylinder holds the row and whose section is not
+    empty (empty (K,) flags, None: keep all), by row, weights normalized
+    over each row's run; and a status per row: 0, or 1 when no cylinder
+    holds it, 2 when all its weights vanish."""
+    pi, ki, w = _member_pairs(packet, x, factor=1.0)
+    if empty is not None:
+        keep = ~empty[ki]
+        pi, ki, w = pi[keep], ki[keep], w[keep]
+    wts = bump_profile(np.linalg.norm(w[:, :packet.d], axis=1) / packet.tau_bar)[0]
+    count = np.bincount(pi, minlength=x.shape[0])
+    total = np.zeros(x.shape[0])
+    rows = np.nonzero(count)[0]
+    if rows.size:
+        total[rows] = np.add.reduceat(wts, np.cumsum(count[rows]) - count[rows])
+    status = np.where(count == 0, 1, np.where(total > 0.0, 0, 2))
+    return pi, ki, wts / np.where(total > 0.0, total, 1.0)[pi], status
 
 
 @dataclass(frozen=True, eq=False)
 class SectionModel:
-    """A packet, its extracted mesh, and one fitted section per cylinder."""
+    """A packet, its extracted mesh, and one fitted section per cylinder.
+
+    The sections are stored once, in the padded layout of `section_table`;
+    `sections` rebuilds LocalSection objects from it on access. A verdict
+    keeps its model, and one object per section was a large part of it.
+    """
 
     packet: CylinderPacket
     mesh: PutativeMesh
-    sections: tuple[LocalSection, ...]
+    sections: Sequence[LocalSection]
     eps_bar: float
+    section_table: SectionTable = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.sections) != self.packet.size:
+        sections = tuple(self.sections)
+        if len(sections) != self.packet.size:
             raise InvalidParameterError("need one section per cylinder")
+        table = SectionTable.build(self.packet, sections)
+        object.__setattr__(self, "section_table", table)
+        object.__setattr__(self, "sections", _StoredSections(table))
+
+
+@dataclass(frozen=True, eq=False)
+class SectionTable:
+    """The sections of a model in one padded layout, for stacked evaluation:
+    sites (K, S, d), coefficients (K, codim, S, q), valid (K, S) marking
+    real sites, and per cylinder its Shepard radius, empty flag, section
+    index, fit values (K, codim), solver paths and projection stops."""
+
+    sites: np.ndarray
+    coefficients: np.ndarray
+    valid: np.ndarray
+    radius: np.ndarray
+    empty: np.ndarray
+    index: np.ndarray
+    fit_values: np.ndarray
+    solver_paths: tuple
+    projection_stops: tuple
+
+    @staticmethod
+    def build(packet: CylinderPacket, sections: Sequence[LocalSection]) -> SectionTable:
+        d, codim, q = packet.d, packet.n - packet.d, jet_size(packet.d)
+        size = max(s.sites.shape[0] for s in sections)
+        sites = np.zeros((len(sections), size, d))
+        coefficients = np.zeros((len(sections), codim, size, q))
+        valid = np.zeros((len(sections), size), dtype=bool)
+        fit_values = np.full((len(sections), codim), np.nan)
+        for j, section in enumerate(sections):
+            if section.is_empty:
+                continue
+            m = section.sites.shape[0]
+            sites[j, :m], valid[j, :m] = section.sites, True
+            coefficients[j, :, :m] = section.coefficients
+            fit_values[j] = section.fit_values
+        shared: dict = {}   # one object per distinct tuple of labels
+        table = SectionTable(
+            sites=sites, coefficients=coefficients, valid=valid,
+            radius=np.array([s.shepard_radius for s in sections]),
+            empty=np.array([s.is_empty for s in sections]),
+            index=np.array([s.cylinder_index for s in sections]), fit_values=fit_values,
+            solver_paths=tuple(shared.setdefault(s.solver_paths, s.solver_paths)
+                               for s in sections),
+            projection_stops=tuple(shared.setdefault(s.projection_stops, s.projection_stops)
+                                   for s in sections))
+        for arr in vars(table).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        return table
+
+    def section(self, j: int) -> LocalSection:
+        """The LocalSection stored at position j."""
+        labels = dict(cylinder_index=int(self.index[j]), solver_paths=self.solver_paths[j],
+                      projection_stops=self.projection_stops[j])
+        if self.empty[j]:
+            return LocalSection(sites=np.zeros((0, self.sites.shape[2])),
+                                coefficients=np.zeros((0, 0, self.coefficients.shape[3])),
+                                fit_values=(), shepard_radius=0.0, is_empty=True, **labels)
+        m = int(np.count_nonzero(self.valid[j]))
+        return LocalSection(sites=self.sites[j, :m], coefficients=self.coefficients[j, :, :m],
+                            fit_values=tuple(self.fit_values[j].tolist()),
+                            shepard_radius=float(self.radius[j]), **labels)
+
+
+class _StoredSections(Sequence):
+    """A model's sections, rebuilt from its SectionTable on access."""
+
+    def __init__(self, table: SectionTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return self._table.radius.shape[0]
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[i] for i in range(len(self))[j])
+        return self._table.section(range(len(self))[j])
 
 
 def fit_sections(packet: CylinderPacket, mesh: PutativeMesh,
@@ -834,82 +969,126 @@ class GlobalSectionValue:
     weights: np.ndarray
 
 
-def _fiber_intersection(packet: CylinderPacket, section: LocalSection, j: int,
-                        tangent_rows: np.ndarray, base: np.ndarray,
-                        max_iters: int = 30) -> np.ndarray | None:
-    """Solve for the graph point of cylinder j on the fiber through base.
+def _fiber_intersection(model: SectionModel, ki: np.ndarray, tangent_rows: np.ndarray,
+                        base: np.ndarray, max_iters: int = 30) -> tuple[np.ndarray, np.ndarray]:
+    """Graph points (P, n) of cylinders ki (P,) on the fibers through base
+    (P, n), and which pairs converged.
 
-    Newton in the tangential coordinates u of the cylinder: the residual is
-    the tangential part (at the base chart) of graph(u) - base, and its
-    Jacobian is tangent_rows @ rotation @ [I; section Jacobian]. Returns the
-    graph point or None when Newton fails or leaves the cylinder.
+    Newton in each pair's tangential coordinates u of its cylinder: the
+    residual is the tangential part (rows tangent_rows (P, d, n) of the base
+    chart) of graph(u) - base, and its Jacobian is
+    tangent_rows @ rotation @ [I; section Jacobian]. A pair fails when its
+    step is singular, when u leaves the ball of radius 2 tau_bar, or after
+    max_iters steps. All pairs run in one masked loop over the model's
+    section table; no pair depends on another.
     """
-    tb = packet.tau_bar
-    d = packet.d
-    cyl = packet.cylinders[j]
-    u = cyl.to_local(base)[:d].copy()
+    packet, table = model.packet, model.section_table
+    tb, d = packet.tau_bar, packet.d
+    rot, center = packet.rotations[ki], packet.centers[ki]
+    lift = np.matmul(tangent_rows, rot)
+    u = np.matmul(rot.transpose(0, 2, 1), (base - center)[:, :, None])[:, :d, 0]
+    points = np.zeros(base.shape)
+    hit = np.zeros(ki.size, dtype=bool)
     tol = 1e-12 * max(tb, 1.0) + 1e-15
+    active = np.arange(ki.size)
     for _ in range(max_iters):
-        try:
-            vals, jac = section.evaluate(u / tb)
-        except UncoveredPointError:
-            return None
-        point = cyl.to_ambient(np.concatenate([u, vals * tb]))
-        g0 = tangent_rows @ (point - base)
-        if math.sqrt(g0 @ g0) <= tol:
-            return point
-        try:
-            step = np.linalg.solve(tangent_rows @ cyl.rotation
-                                   @ np.vstack([np.eye(d), jac]), -g0)
-        except np.linalg.LinAlgError:
-            return None
-        u = u + step
-        if math.sqrt(u @ u) > 2.0 * tb:
-            return None
-    return None
+        if not active.size:
+            break
+        k = ki[active]
+        vals, jac = _shepard_blend(u[active, None, :] / tb - table.sites[k],
+                                   table.coefficients[k], table.radius[k], table.valid[k])
+        local = np.concatenate([u[active], vals * tb], axis=1)
+        point = np.matmul(rot[active], local[:, :, None])[:, :, 0] + center[active]
+        g0 = np.matmul(tangent_rows[active], (point - base[active])[:, :, None])[:, :, 0]
+        conv = np.sqrt((g0 * g0).sum(1)) <= tol
+        points[active[conv]], hit[active[conv]] = point[conv], True
+        active, g0, jac = active[~conv], g0[~conv], jac[~conv]
+        graph = np.concatenate([np.broadcast_to(np.eye(d), (active.size, d, d)), jac], axis=1)
+        step, singular = _solve_rows(np.matmul(lift[active], graph), -g0)
+        u[active] += step
+        inside = np.sqrt((u[active] ** 2).sum(1)) <= 2.0 * tb
+        active = active[~singular & inside]
+    return points, hit
 
 
-def global_section(model: SectionModel, x) -> GlobalSectionValue:
+def global_section(model: SectionModel, x):
     """Evaluate the patched section over the base point nearest to x.
 
     The base chart comes from the Newton base-point solver; each full
     cylinder containing x contributes its graph point on the fiber through
-    the base, blended by the partition weights.
+    the base, blended by the partition weights. x of shape (n,) returns its
+    GlobalSectionValue or raises. x of shape (m, n) returns a RowOutcomes
+    tuple of m outcomes, each a GlobalSectionValue or the BASE_POINT_ERRORS
+    or UncoveredPointError instance of the row, with counts "solved" and
+    "evaluations" of its one stacked base-point solve.
     """
     x = np.asarray(x, dtype=np.float64)
-    chart = solve_base_point(model.packet, x, model.mesh.tolerance)
-    base = chart.base_point
-    tangent_rows = chart.tangent_basis
-    idx, wts = partition_weights(model.packet, x, model.sections)
-    points = []
-    kept = []
-    for pos, j in enumerate(idx):
-        p = _fiber_intersection(model.packet, model.sections[j], int(j),
-                                tangent_rows, base)
-        if p is not None:
-            points.append(p)
-            kept.append(pos)
-    if not points:
-        raise UncoveredPointError("every member cylinder failed the fiber solve")
-    wts = wts[kept]
-    wts = wts / wts.sum()
-    blended = np.einsum("k,kn->n", wts, np.stack(points))
-    return GlobalSectionValue(point=blended, base=base, offset=blended - base,
-                              indices=idx[kept], weights=wts)
+    if x.ndim == 1:
+        return first_or_raise(global_section(model, x[None, :]))
+    packet = model.packet
+    solved = solve_base_point(packet, x, model.mesh.tolerance)
+    outcomes = [out if isinstance(out, Exception) else None for out in solved]
+    pi, ki, wts, status = _partition(packet, x, model.section_table.empty)
+    for row in np.nonzero(status)[0]:
+        if outcomes[row] is None:
+            outcomes[row] = _uncovered(status[row])
+    live = np.array([out is None for out in outcomes], dtype=bool)
+    pairs = live[pi]
+    pi, ki, wts = pi[pairs], ki[pairs], wts[pairs]
+    rows = np.nonzero(live)[0]
+    base = np.zeros(x.shape)
+    fiber = np.zeros((x.shape[0], packet.n - packet.d, packet.n))
+    for row in rows:
+        base[row], fiber[row] = solved[row].base_point, solved[row].fiber_basis
+    tangent_rows = np.zeros((x.shape[0], packet.d, packet.n))
+    tangent_rows[rows] = orthonormal_completion(fiber[rows], packet.n)
+    points, hit = _fiber_intersection(model, ki, tangent_rows[pi], base[pi])
+    pi, ki, wts, points = pi[hit], ki[hit], wts[hit], points[hit]
+    count = np.bincount(pi, minlength=x.shape[0])
+    ends = np.cumsum(count)
+    for row in rows:
+        run = slice(ends[row] - count[row], ends[row])
+        if not count[row]:
+            outcomes[row] = UncoveredPointError("every member cylinder failed the fiber solve")
+            continue
+        w = wts[run] / wts[run].sum()
+        blended = np.einsum("k,kn->n", w, points[run])
+        outcomes[row] = GlobalSectionValue(point=blended, base=base[row].copy(),
+                                           offset=blended - base[row],
+                                           indices=ki[run], weights=w)
+    return RowOutcomes(outcomes, solved=x.shape[0], evaluations=solved.counts["evaluations"])
 
 
-def mfin_distance(model: SectionModel, z) -> float:
+def mfin_distance(model: SectionModel, z):
     """Distance from z to the patched manifold through the bundle.
 
     z is decomposed as base + fiber offset, the global section is evaluated
-    over the base, and the distance is to the blended point. Points the
-    bundle machinery cannot handle raise OutOfTubeError.
+    over the base, and the distance is to the blended point. z of shape
+    (n,) returns the distance, or raises OutOfTubeError where the bundle
+    machinery cannot handle it. z of shape (m, n) is one pass: one stacked
+    bundle_coordinates and one stacked global_section call, returning a
+    RowOutcomes tuple of m outcomes (a float or the row's OutOfTubeError)
+    with counts "points", "rounds" (alternation rounds), "solved" (rows of
+    base-point solves) and "evaluations" (field-kernel rows).
     """
     z = np.asarray(z, dtype=np.float64)
-    try:
-        decomp = bundle_coordinates(model.packet, model.mesh, z,
-                                    newton_tol=model.mesh.tolerance)
-        gs = global_section(model, decomp.base_point)
-    except (*BASE_POINT_ERRORS, DecompositionFailedError, UncoveredPointError) as exc:
-        raise OutOfTubeError(f"{type(exc).__name__}: {exc}")
-    return float(np.linalg.norm(z - gs.point))
+    if z.ndim == 1:
+        return first_or_raise(mfin_distance(model, z[None, :]))
+    decomps = bundle_coordinates(model.packet, model.mesh, z,
+                                 newton_tol=model.mesh.tolerance)
+    counts = {"points": z.shape[0], **decomps.counts}
+    outcomes: list = list(decomps)
+    rows = [i for i, out in enumerate(decomps) if not isinstance(out, Exception)]
+    if rows:
+        values = global_section(model, np.stack([decomps[i].base_point for i in rows]))
+        counts["solved"] += values.counts["solved"]
+        counts["evaluations"] += values.counts["evaluations"]
+        for i, out in zip(rows, values):
+            outcomes[i] = out
+    for i, out in enumerate(outcomes):
+        if isinstance(out, Exception):
+            outcomes[i] = OutOfTubeError(f"{type(out).__name__}: {out}")
+        else:
+            diff = z[i] - out.point
+            outcomes[i] = math.sqrt(diff @ diff)
+    return RowOutcomes(outcomes, **counts)

@@ -241,7 +241,7 @@ def test_circle_certificate_contents(circle_verdict):
     entry = cert["candidates"][0]
     for key in ("index", "kind", "loss", "reason", "packet_conditions_ok",
                 "mesh_size", "empty_sections", "out_of_tube", "seed_failures",
-                "section_paths", "mesh_newton", "projection_stops"):
+                "section_paths", "mesh_newton", "projection_stops", "loss_newton"):
         assert key in entry
     assert entry["packet_conditions_ok"] is True
     assert entry["mesh_size"] == cert["mesh_points"]
@@ -384,6 +384,34 @@ def test_certificate_counts_projection_stops_by_reason(circle_verdict, ball_verd
     assert [c["projection_stops"] for c in failed.certificate["candidates"]] == [{}, {}]
 
 
+def test_certificate_counts_the_loss_pass_newton_work(circle_verdict, ball_verdict,
+                                                     monkeypatch):
+    cloud, verdict = circle_verdict
+    passes = []
+    distance = pipeline.mfin_distance
+
+    def recording_distance(*args, **kwargs):
+        passes.append(distance(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(pipeline, "mfin_distance", recording_distance)
+    again = run_test(cloud, CIRCLE_CONFIG)
+    (entry,) = verdict.certificate["candidates"]
+    counts = entry["loss_newton"]
+    # deterministic: a second run repeats every count exactly
+    assert again.certificate["candidates"][0]["loss_newton"] == counts
+    (found,) = passes
+    assert counts == found.counts
+    assert list(counts) == ["points", "rounds", "solved", "evaluations"]
+    assert counts["points"] == len(found) == cloud.size
+    # every in-tube point's base is solved again by global_section; on this
+    # clean circle each point starts at its own chart, so no round is needed
+    assert counts["solved"] >= counts["points"] - entry["out_of_tube"]
+    assert counts["evaluations"] >= counts["solved"] and 0 <= counts["rounds"] <= 60
+    _, failed = ball_verdict
+    assert [c["loss_newton"] for c in failed.certificate["candidates"]] == [{}, {}]
+
+
 def test_a_candidate_that_fails_before_extraction_has_no_counts(circle_verdict,
                                                                 monkeypatch):
     cloud, _ = circle_verdict
@@ -394,7 +422,8 @@ def test_a_candidate_that_fails_before_extraction_has_no_counts(circle_verdict,
     monkeypatch.setattr(pipeline, "validate_packet", failing_validation)
     (entry,) = run_test(cloud, CIRCLE_CONFIG).certificate["candidates"]
     assert entry["reason"] == "InvalidParameterError: packet rejected"
-    for key in ("seed_failures", "section_paths", "mesh_newton", "projection_stops"):
+    for key in ("seed_failures", "section_paths", "mesh_newton", "projection_stops",
+                "loss_newton"):
         assert entry[key] == {}
 
 

@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 
 from manifold_test.asdf_bundle import (
+    BASE_POINT_ERRORS,
     Cylinder,
     CylinderPacket,
+    FiberDecomposition,
     bump_profile,
+    bundle_coordinates,
     extract_putative_manifold,
     ideal_packet,
+    solve_base_point,
 )
 from manifold_test.core_geometry import AffineSubspace, PointCloud
 from manifold_test.errors import (
     BudgetExceededError,
+    DecompositionFailedError,
     DuplicateSiteError,
     EmptyInputError,
     InvalidParameterError,
@@ -24,6 +29,7 @@ from manifold_test.errors import (
 from manifold_test.pipeline import generate_synthetic
 import manifold_test.whitney_sections as ws
 from manifold_test.whitney_sections import (
+    GlobalSectionValue,
     SectionModel,
     build_constraints,
     fit_local_section,
@@ -673,21 +679,24 @@ def forward_difference_fiber_intersection(packet, section, j, tangent_rows, base
 
 def test_fiber_intersection_matches_the_forward_difference_newton(circle_model):
     packet, mesh, model = circle_model
+    pairs = [(chart, int(j)) for chart in mesh.charts
+             for j in partition_weights(packet, chart.base_point, model.sections)[0]]
+    # every (chart, member cylinder) pair in one stacked call
+    points, hit = ws._fiber_intersection(
+        model, np.array([j for _, j in pairs]),
+        np.stack([chart.tangent_basis for chart, _ in pairs]),
+        np.stack([chart.base_point for chart, _ in pairs]))
     solved = 0
-    for chart in mesh.charts:
-        base = chart.base_point
-        rows = chart.tangent_basis
-        idx, _ = partition_weights(packet, base, model.sections)
-        for j in idx:
-            section = model.sections[j]
-            expected = forward_difference_fiber_intersection(packet, section, int(j),
-                                                             rows, base)
-            point = ws._fiber_intersection(packet, section, int(j), rows, base)
-            if expected is None:
-                assert point is None
-                continue
-            np.testing.assert_allclose(point, expected, rtol=0.0, atol=1e-10)
-            solved += 1
+    for (chart, j), point, ok in zip(pairs, points, hit):
+        expected = forward_difference_fiber_intersection(packet, model.sections[j], j,
+                                                         chart.tangent_basis,
+                                                         chart.base_point)
+        if expected is None:
+            assert not ok
+            continue
+        assert ok
+        np.testing.assert_allclose(point, expected, rtol=0.0, atol=1e-10)
+        solved += 1
     assert solved > 300
 
 
@@ -757,3 +766,259 @@ def test_section_model_reports(circle_model):
     assert len(model.sections) == packet.size
     empties = sum(1 for s in model.sections if s.is_empty)
     assert empties == 0
+
+
+# ---- the stacked loss pass against the per-point bodies it replaced ----
+
+def reference_bundle_coordinates(packet, mesh, z, tol=1e-11, max_iters=60):
+    """The per-point alternation that the stacked bundle_coordinates replaced."""
+    chart = mesh.charts[int(np.argmin(np.linalg.norm(mesh.base_points - z, axis=1)))]
+    shift_tol = max(tol, 1e-13) * max(1.0, packet.tau_bar)
+    for _ in range(max_iters):
+        v = chart.projector_hi @ (z - chart.base_point)
+        t = (z - chart.base_point) - v
+        if math.sqrt(t @ t) <= shift_tol:
+            vmax = 4.0 * packet.tau_bar / 2.0
+            vnorm = math.sqrt(v @ v)
+            if vnorm > vmax + 1e-12:
+                raise DecompositionFailedError(f"fiber offset {vnorm:.4g} exceeds {vmax:.4g}")
+            owner = packet.cylinders[chart.owning_cylinder]
+            return FiberDecomposition(x=owner.to_local(chart.base_point)[:packet.d], v=v,
+                                      base_point=chart.base_point.copy(), chart=chart)
+        try:
+            chart = solve_base_point(packet, chart.base_point + t, mesh.tolerance)
+        except BASE_POINT_ERRORS as exc:
+            raise DecompositionFailedError(
+                f"base-point update failed: {type(exc).__name__}: {exc}")
+    raise DecompositionFailedError(f"no convergence in {max_iters} alternations")
+
+
+def reference_partition_weights(packet, x, sections):
+    """The per-point partition weights that _partition replaced."""
+    idx, w = packet.members(x, factor=1.0)
+    keep = np.array([not sections[j].is_empty for j in idx], dtype=bool)
+    idx, w = idx[keep], w[keep]
+    if idx.size == 0:
+        raise UncoveredPointError("no full cylinder with a section contains the point")
+    wts = bump_profile(np.linalg.norm(w[:, :packet.d], axis=1) / packet.tau_bar)[0]
+    if float(wts.sum()) <= 0.0:
+        raise UncoveredPointError("all partition weights vanish at the point")
+    return idx, wts / float(wts.sum())
+
+
+def reference_fiber_intersection(packet, section, j, tangent_rows, base, max_iters=30):
+    """The per-pair Newton that the stacked _fiber_intersection replaced."""
+    tb, d = packet.tau_bar, packet.d
+    cyl = packet.cylinders[j]
+    u = cyl.to_local(base)[:d].copy()
+    tol = 1e-12 * max(tb, 1.0) + 1e-15
+    for _ in range(max_iters):
+        vals, jac = section.evaluate(u / tb)
+        point = cyl.to_ambient(np.concatenate([u, vals * tb]))
+        g0 = tangent_rows @ (point - base)
+        if math.sqrt(g0 @ g0) <= tol:
+            return point
+        try:
+            step = np.linalg.solve(tangent_rows @ cyl.rotation
+                                   @ np.vstack([np.eye(d), jac]), -g0)
+        except np.linalg.LinAlgError:
+            return None
+        u = u + step
+        if math.sqrt(u @ u) > 2.0 * tb:
+            return None
+    return None
+
+
+def reference_global_section(model, x):
+    """The per-point global_section body."""
+    chart = solve_base_point(model.packet, x, model.mesh.tolerance)
+    idx, wts = reference_partition_weights(model.packet, x, model.sections)
+    found = [(pos, reference_fiber_intersection(model.packet, model.sections[j], int(j),
+                                                chart.tangent_basis, chart.base_point))
+             for pos, j in enumerate(idx)]
+    kept = [pos for pos, p in found if p is not None]
+    if not kept:
+        raise UncoveredPointError("every member cylinder failed the fiber solve")
+    wts = wts[kept] / wts[kept].sum()
+    point = np.einsum("k,kn->n", wts, np.stack([p for _, p in found if p is not None]))
+    return GlobalSectionValue(point=point, base=chart.base_point,
+                              offset=point - chart.base_point, indices=idx[kept],
+                              weights=wts)
+
+
+def reference_mfin_distance(model, z):
+    """The per-point mfin_distance body."""
+    try:
+        decomp = reference_bundle_coordinates(model.packet, model.mesh, z)
+        gs = reference_global_section(model, decomp.base_point)
+    except (*BASE_POINT_ERRORS, DecompositionFailedError, UncoveredPointError) as exc:
+        raise OutOfTubeError(f"{type(exc).__name__}: {exc}")
+    return float(np.linalg.norm(z - gs.point))
+
+
+def reference_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:   # the per-point bodies raise what a stack returns
+        return exc
+
+
+@pytest.fixture(scope="module")
+def mixed_stack(circle_model):
+    """Points in the circle's tube, one off it ([0.2, 0.2]) and one past the
+    fiber-offset bound ([1.15, 0.0])."""
+    packet = circle_model[0]
+    rng = np.random.default_rng(23)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 40)
+    radial = 1.0 + rng.uniform(-0.8, 0.8, 40) * packet.tau_bar
+    tube = radial[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return np.vstack([tube[:20], [[0.2, 0.2]], tube[20:], [[1.15, 0.0]]])
+
+
+def assert_same_kind(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+
+
+def test_stacked_bundle_coordinates_match_the_per_point_alternation(circle_model,
+                                                                    mixed_stack):
+    packet, mesh, _ = circle_model
+    found = bundle_coordinates(packet, mesh, mixed_stack)
+    assert len(found) == len(mixed_stack)
+    assert found.counts["rounds"] > 0 and found.counts["solved"] >= len(mixed_stack) - 2
+    for z, got in zip(mixed_stack, found):
+        want = reference_outcome(reference_bundle_coordinates, packet, mesh, z)
+        assert_same_kind(got, want)
+        if isinstance(want, FiberDecomposition):
+            np.testing.assert_allclose(got.base_point, want.base_point, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.v, want.v, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.x, want.x, rtol=0, atol=1e-12)
+    assert isinstance(found[-1], DecompositionFailedError)
+    assert str(found[-1]).startswith("fiber offset")
+
+
+def test_stacked_global_section_matches_the_per_point_body(circle_model, mixed_stack):
+    _, _, model = circle_model
+    found = global_section(model, mixed_stack)
+    assert found.counts["solved"] == len(mixed_stack)
+    kinds = set()
+    for x, got in zip(mixed_stack, found):
+        want = reference_outcome(reference_global_section, model, x)
+        assert_same_kind(got, want)
+        kinds.add(type(want))
+        if isinstance(want, GlobalSectionValue):
+            np.testing.assert_allclose(got.point, want.point, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.base, want.base, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-12)
+    assert GlobalSectionValue in kinds and len(kinds) > 1
+
+
+def test_stacked_mfin_distance_matches_the_per_point_body(circle_model, mixed_stack):
+    _, _, model = circle_model
+    found = mfin_distance(model, mixed_stack)
+    assert found.counts["points"] == len(mixed_stack)
+    for z, got in zip(mixed_stack, found):
+        want = reference_outcome(reference_mfin_distance, model, z)
+        assert_same_kind(got, want)
+        if isinstance(want, float):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert isinstance(found[20], OutOfTubeError)
+    assert str(found[-1]).startswith("DecompositionFailedError: fiber offset")
+    assert sum(isinstance(out, float) for out in found) == 40
+
+
+def test_stacked_mfin_distance_on_padded_sections(sphere_model):
+    # the sphere's sections hold 1 to 6 sites, so the table pads, and the
+    # one-site sections (Shepard radius 0) take the nearest-site branch
+    packet, _, model = sphere_model
+    sizes = {s.sites.shape[0] for s in model.sections}
+    assert 1 in sizes and len(sizes) > 3
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(40, 3))
+    z = (g / np.linalg.norm(g, axis=1, keepdims=True)
+         * (0.5 + rng.uniform(-0.5, 0.5, (40, 1)) * packet.tau_bar))
+    found = mfin_distance(model, z)
+    for zi, got in zip(z, found):
+        want = reference_outcome(reference_mfin_distance, model, zi)
+        assert_same_kind(got, want)
+        if isinstance(want, float):
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert sum(isinstance(out, float) for out in found) > 20
+
+
+def test_stacked_global_section_drops_empty_sections():
+    tb = 0.05
+    cyls = [Cylinder(rotation=np.eye(2), center=np.array([c, 0.0]), scale=tb,
+                     tangent_dim=1) for c in (0.0, 0.9)]
+    packet = CylinderPacket(cyls, tau=0.5, c12=1.0, C_align=10.0)
+    xs = np.linspace(-0.03, 0.03, 9)
+    mesh = extract_putative_manifold(packet, np.stack([xs, np.zeros(9)], axis=1))
+    model = fit_sections(packet, mesh)
+    assert model.sections[1].is_empty
+    stack = np.array([[0.01, 0.001], [0.9, 0.001]])
+    found = global_section(model, stack)
+    for x, got in zip(stack, found):
+        assert_same_kind(got, reference_outcome(reference_global_section, model, x))
+    assert str(found[1]) == "no full cylinder with a section contains the point"
+
+
+def test_singular_fiber_steps_fail_their_pairs_only(circle_model, mixed_stack, monkeypatch):
+    a = np.array([np.eye(2), np.zeros((2, 2)), [[2.0, 1.0], [0.0, 3.0]]])
+    b = np.array([[1.0, 2.0], [1.0, 1.0], [1.0, 3.0]])
+    x, singular = ws._solve_rows(a, b)
+    np.testing.assert_array_equal(singular, [False, True, False])
+    np.testing.assert_array_equal(x[0], np.linalg.solve(a[0], b[0]))
+    np.testing.assert_array_equal(x[2], np.linalg.solve(a[2], b[2]))
+
+    def all_singular(a, b):
+        return np.zeros_like(b), np.ones(a.shape[0], dtype=bool)
+
+    _, _, model = circle_model
+    monkeypatch.setattr(ws, "_solve_rows", all_singular)
+    tube = np.delete(mixed_stack, [20, len(mixed_stack) - 1], axis=0)
+    for out in global_section(model, tube):
+        assert type(out) is UncoveredPointError
+        assert str(out) == "every member cylinder failed the fiber solve"
+
+
+def same_outcome(a, b) -> bool:
+    """Bit-for-bit equality of two stacked outcomes."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Exception):
+        return str(a) == str(b)
+    if isinstance(a, float):
+        return a == b
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in vars(a) if isinstance(getattr(a, name), np.ndarray))
+
+
+def test_permuting_a_stack_permutes_its_outcomes_bit_for_bit(circle_model, mixed_stack):
+    packet, mesh, model = circle_model
+    perm = np.random.default_rng(5).permutation(len(mixed_stack))
+    for stacked in (lambda z: bundle_coordinates(packet, mesh, z),
+                    lambda z: global_section(model, z),
+                    lambda z: mfin_distance(model, z)):
+        found, permuted = stacked(mixed_stack), stacked(mixed_stack[perm])
+        assert all(same_outcome(permuted[i], found[p]) for i, p in enumerate(perm))
+    # a single point is a batch of one
+    distances = mfin_distance(model, mixed_stack)
+    for i in (0, 7, 33):
+        assert mfin_distance(model, mixed_stack[i]) == distances[i]
+    with pytest.raises(OutOfTubeError):
+        mfin_distance(model, mixed_stack[20])
+
+
+def test_stacked_evaluate_matches_single_points(sphere_model):
+    _, _, model = sphere_model
+    rng = np.random.default_rng(9)
+    for section in model.sections[:20]:
+        u = rng.uniform(-1.0, 1.0, (6, section.sites.shape[1]))
+        values, jac = section.evaluate(u)
+        assert values.shape == (6, section.codim) and jac.shape == (6, section.codim, 2)
+        for i in range(6):
+            one = section.evaluate(u[i])
+            np.testing.assert_array_equal(values[i], one[0])
+            np.testing.assert_array_equal(jac[i], one[1])
