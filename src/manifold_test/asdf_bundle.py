@@ -244,28 +244,31 @@ def packet_from_json(text: str) -> CylinderPacket:
 
 # ---- packet construction and validation ----
 
-def _neighbor_indices(packet: CylinderPacket, i: int) -> np.ndarray:
-    """Cylinders whose squared dilation could intersect cylinder i's.
-
-    Ball proxy: each cyl^2 sits inside a ball of radius 2 sqrt(2) tau_bar.
-    """
+def _packet_pairs(packet: CylinderPacket):
+    """Neighbour pairs (i, j), by i then j: each cyl^2 sits inside a ball of
+    radius 2 sqrt(2) tau_bar, so centers within 4 sqrt(2) tau_bar (candidates
+    from one Gram-based squared-distance array with slack, then the exact
+    distance). Returns (i, j, opnorm, normal, tangential): ||Id - U|| =
+    2 sin(theta / 2) at the largest principal angle theta between the
+    tangent spans, and the normal norm and tangential part of
+    R_i^T (c_j - c_i)."""
+    d, c, rot = packet.d, packet.centers, packet.rotations
     lim = 4.0 * math.sqrt(2.0) * packet.tau_bar
-    dist = np.linalg.norm(packet.centers - packet.centers[i], axis=1)
-    nbrs = np.nonzero(dist <= lim)[0]
-    return nbrs[nbrs != i]
-
-
-def _alignment_stats(packet: CylinderPacket, i: int, j: int) -> tuple[float, float, np.ndarray]:
-    """(op norm of Id - U, normal offset, tangential offset) for neighbor j of i."""
-    d = packet.d
-    rot_i, rot_j = packet.rotations[i], packet.rotations[j]
-    q = rot_i.T @ rot_j
-    sig = np.linalg.svd(q[:d, :d], compute_uv=False)
-    cos_min = float(np.clip(sig.min() if sig.size else 1.0, -1.0, 1.0))
-    theta = math.acos(min(cos_min, 1.0))
-    opnorm = 2.0 * math.sin(theta / 2.0)
-    p = rot_i.T @ (packet.centers[j] - packet.centers[i])
-    return opnorm, float(np.linalg.norm(p[d:])), p[:d]
+    sq = packet.center_sq[:, None] + packet.center_sq - 2.0 * (c @ c.T)
+    np.fill_diagonal(sq, np.inf)
+    i, j = np.nonzero(sq <= lim * lim * (1.0 + 1e-6) + 1e-12)
+    keep = np.linalg.norm(c[j] - c[i], axis=1) <= lim
+    i, j = i[keep], j[keep]
+    rot_t = rot[i].transpose(0, 2, 1)
+    sig = np.linalg.svd((rot_t @ rot[j])[:, :d, :d], compute_uv=False)
+    # math's acos and sin: numpy's may differ in the last bit, and the
+    # measured constants set every later step of a run
+    opnorm = np.array([2.0 * math.sin(math.acos(x) / 2.0)
+                       for x in np.clip(sig.min(axis=1), -1.0, 1.0).tolist()])
+    p = (rot_t @ (c[j] - c[i])[:, :, None])[:, :, 0]
+    nor = p[:, d:]   # each row's dot with itself, as np.linalg.norm takes it
+    normal = np.sqrt(np.matmul(nor[:, None, :], nor[:, :, None])[:, 0, 0])
+    return i, j, opnorm, normal, p[:, :d]
 
 
 @dataclass(frozen=True)
@@ -281,6 +284,7 @@ class PacketValidation:
     worst_normal_offset: float   # largest |Tr(0)|
     worst_coverage_gap: float    # largest distance from a grid point to the covers
     failures: tuple[str, ...]
+    failure_counts: dict[str, int]   # pairs failing 1-3, cylinders failing 4
 
     @property
     def all_ok(self) -> bool:
@@ -293,60 +297,58 @@ def validate_packet(packet: CylinderPacket,
                     angle_limit: float = 1.0) -> PacketValidation:
     """Check the four packet conditions against the stored constants.
 
-    Condition 1: tangent spans of neighbors can be aligned (largest principal
-    angle below angle_limit). Condition 2: the aligning rotation satisfies
-    ||Id - U|| <= c12 tau_bar. Condition 3: the residual translation has
-    norm <= C tau_bar^2 / tau. Condition 4: the aligned tangential translates
-    of the neighbors cover B_d(0, 3 tau_bar), checked on a grid of spacing
-    tau_bar / 20 by default.
+    Neighbours are the cylinders whose centers lie within 4 sqrt(2) tau_bar
+    of each other (see _packet_pairs). Condition 1: tangent spans of
+    neighbors can be aligned (largest principal angle below angle_limit).
+    Condition 2: the aligning rotation satisfies ||Id - U|| <= c12 tau_bar.
+    Condition 3: the residual translation has norm <= C tau_bar^2 / tau.
+    Condition 4: the aligned tangential translates of the neighbors cover
+    B_d(0, 3 tau_bar), checked on a grid of spacing tau_bar / 20 by default.
+    Failures are listed by cylinder, then neighbour, conditions 1 to 3 for
+    each pair, and a cylinder's coverage failure after its pairs.
     """
-    tb = packet.tau_bar
+    tb, d = packet.tau_bar, packet.d
     bound2 = packet.c12 * tb
     bound3 = packet.C_align * tb * tb / packet.tau
     h = tb * spacing_fraction
-    grid = _ball_grid(np.arange(-3.0 * tb, 3.0 * tb + h / 2.0, h), packet.d, 3.0 * tb)
+    grid = _ball_grid(np.arange(-3.0 * tb, 3.0 * tb + h / 2.0, h), d, 3.0 * tb)
+    grid_sq = np.sum(grid * grid, axis=1)[:, None]
+    grid2 = 2.0 * grid
 
-    worst_angle = 0.0
-    worst_op = 0.0
-    worst_tr = 0.0
-    worst_gap = 0.0
+    i, j, opnorm, normal, tangential = _packet_pairs(packet)
+    theta = 2.0 * np.array([math.asin(x) for x in np.minimum(opnorm / 2.0, 1.0).tolist()])
+    bad1, bad2, bad3 = theta > angle_limit, opnorm > bound2, normal > bound3
+    bad = bad1 | bad2 | bad3
+    cut = np.searchsorted(i, np.arange(packet.size + 1))
+    gaps = np.empty(packet.size)
     failures: list[str] = []
-    ok1 = ok2 = ok3 = ok4 = True
-    for i in range(packet.size):
-        nbrs = _neighbor_indices(packet, i)
-        offsets = [np.zeros(packet.d)]
-        for j in nbrs:
-            opnorm, tr_norm, tan_off = _alignment_stats(packet, i, int(j))
-            theta = 2.0 * math.asin(min(opnorm / 2.0, 1.0))
-            worst_angle = max(worst_angle, theta)
-            worst_op = max(worst_op, opnorm)
-            worst_tr = max(worst_tr, tr_norm)
-            if theta > angle_limit:
-                ok1 = False
-                failures.append(f"cyl {i} nbr {j}: principal angle {theta:.4f}")
-            if opnorm > bound2:
-                ok2 = False
-                failures.append(f"cyl {i} nbr {j}: ||Id-U|| {opnorm:.4g} > {bound2:.4g}")
-            if tr_norm > bound3:
-                ok3 = False
-                failures.append(f"cyl {i} nbr {j}: |Tr(0)| {tr_norm:.4g} > {bound3:.4g}")
-            offsets.append(tan_off)
-        centers = np.stack(offsets)
-        d2 = (
-            np.sum(grid * grid, axis=1)[:, None]
-            - 2.0 * grid @ centers.T
-            + np.sum(centers * centers, axis=1)[None, :]
-        )
+    for k in range(packet.size):
+        lo, hi = cut[k], cut[k + 1]
+        for p in (lo + np.flatnonzero(bad[lo:hi])).tolist():
+            if bad1[p]:
+                failures.append(f"cyl {k} nbr {j[p]}: principal angle {float(theta[p]):.4f}")
+            if bad2[p]:
+                failures.append(
+                    f"cyl {k} nbr {j[p]}: ||Id-U|| {float(opnorm[p]):.4g} > {bound2:.4g}")
+            if bad3[p]:
+                failures.append(
+                    f"cyl {k} nbr {j[p]}: |Tr(0)| {float(normal[p]):.4g} > {bound3:.4g}")
+        centers = np.concatenate([np.zeros((1, d)), tangential[lo:hi]])
+        d2 = grid_sq - grid2 @ centers.T + np.sum(centers * centers, axis=1)[None, :]
         np.maximum(d2, 0.0, out=d2)
-        gap = float(np.sqrt(d2.min(axis=1)).max())
-        worst_gap = max(worst_gap, gap)
-        if gap > tb + 1e-12:
-            ok4 = False
-            failures.append(f"cyl {i}: coverage gap {gap:.4g} > tau_bar {tb:.4g}")
+        gaps[k] = np.sqrt(d2.min(axis=1)).max()
+        if gaps[k] > tb + 1e-12:
+            failures.append(f"cyl {k}: coverage gap {float(gaps[k]):.4g} > tau_bar {tb:.4g}")
+    uncovered = gaps > tb + 1e-12
     return PacketValidation(
-        condition1_ok=ok1, condition2_ok=ok2, condition3_ok=ok3, condition4_ok=ok4,
-        worst_angle=worst_angle, worst_opnorm=worst_op, worst_normal_offset=worst_tr,
-        worst_coverage_gap=worst_gap, failures=tuple(failures))
+        condition1_ok=not bad1.any(), condition2_ok=not bad2.any(),
+        condition3_ok=not bad3.any(), condition4_ok=not uncovered.any(),
+        worst_angle=float(theta.max(initial=0.0)),
+        worst_opnorm=float(opnorm.max(initial=0.0)),
+        worst_normal_offset=float(normal.max(initial=0.0)),
+        worst_coverage_gap=float(gaps.max()), failures=tuple(failures),
+        failure_counts={"angle": int(bad1.sum()), "rotation": int(bad2.sum()),
+                        "offset": int(bad3.sum()), "coverage": int(uncovered.sum())})
 
 
 def ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace],
@@ -376,17 +378,11 @@ def ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace],
                                   scale=tau_bar, tangent_dim=tangents[idx].dim))
     packet = CylinderPacket(cylinders, tau=tau, c12=1.0, C_align=10.0)
     if c12 is None or C_align is None:
-        worst_op = 0.0
-        worst_tr = 0.0
-        for i in range(packet.size):
-            for j in _neighbor_indices(packet, i):
-                opnorm, tr_norm, _ = _alignment_stats(packet, i, int(j))
-                worst_op = max(worst_op, opnorm)
-                worst_tr = max(worst_tr, tr_norm)
+        _, _, opnorm, normal, _ = _packet_pairs(packet)
         if c12 is None:
-            c12 = max(worst_op * 1.25 / tau_bar, 1.0)
+            c12 = max(float(opnorm.max(initial=0.0)) * 1.25 / tau_bar, 1.0)
         if C_align is None:
-            C_align = max(worst_tr * 1.25 * tau / tau_bar ** 2, 10.0)
+            C_align = max(float(normal.max(initial=0.0)) * 1.25 * tau / tau_bar ** 2, 10.0)
     return CylinderPacket(packet.cylinders, tau=tau, c12=c12, C_align=C_align)
 
 

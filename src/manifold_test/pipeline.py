@@ -18,7 +18,6 @@ import numpy as np
 from .asdf_bundle import (
     Cylinder,
     CylinderPacket,
-    PacketValidation,
     extract_putative_manifold,
     ideal_packet,
     validate_packet,
@@ -262,33 +261,31 @@ def _packet_seed(seed: int, index: int) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
-def _small_rotation(rng: np.random.Generator, n: int, opnorm: float) -> np.ndarray:
-    """Proper rotation near the identity via the Cayley transform."""
-    a = rng.normal(size=(n, n))
-    s = a - a.T
-    norm = float(np.linalg.norm(s, 2))
-    if norm < 1e-300 or opnorm <= 0:
-        return np.eye(n)
-    s *= opnorm / norm
-    eye = np.eye(n)
-    return np.linalg.solve(eye - 0.5 * s, eye + 0.5 * s)
-
-
 def _perturb_packet(packet: CylinderPacket, rng: np.random.Generator) -> CylinderPacket:
-    """An admissible perturbation: jittered centers, near-identity twists."""
-    tb = packet.tau_bar
+    """Jittered centers and near-identity twists, drawn at the scales of the
+    packet conditions (shifts up to 0.1 C tau_bar^2 / tau, Cayley twists of
+    2-norm 0.3 c12 tau_bar) but not checked against them: a pair of
+    perturbed neighbours can exceed its bounds. Each cylinder draws its shift
+    and twist generator in turn; the twists are solved as one stack."""
+    tb, n = packet.tau_bar, packet.n
     center_scale = min(0.1 * packet.C_align * tb * tb / packet.tau, 0.25 * tb)
-    rot_scale = 0.3 * packet.c12 * tb
-    cyls = []
-    for cyl in packet.cylinders:
-        shift = rng.normal(size=packet.n)
+    shifts, gens = [], []
+    for _ in range(packet.size):
+        shift = rng.normal(size=n)
         nrm = float(np.linalg.norm(shift))
         if nrm > 0:
             shift = shift / nrm * center_scale * rng.uniform(0.0, 1.0)
-        twist = _small_rotation(rng, packet.n, rot_scale)
-        cyls.append(Cylinder(rotation=twist @ cyl.rotation,
-                             center=cyl.center + shift,
-                             scale=cyl.scale, tangent_dim=cyl.tangent_dim))
+        shifts.append(shift)
+        gens.append(rng.normal(size=(n, n)))
+    gens = np.stack(gens)
+    s = gens - gens.transpose(0, 2, 1)
+    norms = np.linalg.norm(s, 2, axis=(1, 2))   # a vanishing generator: no twist
+    s *= (0.3 * packet.c12 * tb / np.where(norms < 1e-300, np.inf, norms))[:, None, None]
+    eye = np.eye(n)
+    rotations = np.linalg.solve(eye - 0.5 * s, eye + 0.5 * s) @ packet.rotations
+    centers = packet.centers + np.stack(shifts)
+    cyls = [Cylinder(rotation=rot, center=cen, scale=cyl.scale, tangent_dim=cyl.tangent_dim)
+            for cyl, rot, cen in zip(packet.cylinders, rotations, centers)]
     return CylinderPacket(cyls, tau=packet.tau, c12=packet.c12,
                           C_align=packet.C_align)
 
@@ -321,7 +318,7 @@ class PacketCandidate:
     kind: str                 # "ideal" or "perturbed"
     loss: float               # +inf when the packet failed
     reason: str | None
-    validation: PacketValidation | None
+    packet_failures: dict[str, int] | None   # failures by condition, once validated
     mesh_size: int
     empty_sections: int
     out_of_tube: int
@@ -413,6 +410,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
     for index in range(config.packet_budget):
         kind = "ideal" if index == 0 else "perturbed"
         seed_failures, mesh_newton = {}, {}   # set once the mesh exists
+        packet_failures = None                 # set once the packet is validated
         try:
             if index == 0:
                 packet = ideal_packet(rcloud, tangents, config.tau, config.cbar12,
@@ -423,7 +421,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                     raise NoValidPacketError("no base packet to perturb")
                 rng = np.random.default_rng(_packet_seed(config.seed, index))
                 packet = _perturb_packet(base_packet, rng)
-            validation = validate_packet(packet)
+            packet_failures = validate_packet(packet).failure_counts
             seeds = np.vstack([packet.centers, rcloud.points])
             mesh = extract_putative_manifold(packet, seeds, config.newton_tol)
             kinds = Counter(text.split(":", 1)[0] for _, text in mesh.failures)
@@ -436,7 +434,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             stops = Counter(p for s in model.sections for p in s.projection_stops)
             candidates.append(PacketCandidate(
                 index=index, kind=kind, loss=loss, reason=None,
-                validation=validation, mesh_size=mesh.size,
+                packet_failures=packet_failures, mesh_size=mesh.size,
                 empty_sections=sum(1 for s in model.sections if s.is_empty),
                 out_of_tube=out_count, seed_failures=seed_failures,
                 section_paths=dict(sorted(paths.items())), mesh_newton=mesh_newton,
@@ -447,7 +445,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
         except ManifoldTestError as exc:
             candidates.append(PacketCandidate(
                 index=index, kind=kind, loss=math.inf,
-                reason=f"{type(exc).__name__}: {exc}", validation=None,
+                reason=f"{type(exc).__name__}: {exc}", packet_failures=packet_failures,
                 mesh_size=0, empty_sections=0, out_of_tube=0,
                 seed_failures=seed_failures, section_paths={},
                 mesh_newton=mesh_newton, projection_stops={}, loss_newton={}))
@@ -465,7 +463,9 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 "kind": c.kind,
                 "loss": c.loss if math.isfinite(c.loss) else None,
                 "reason": c.reason,
-                "packet_conditions_ok": c.validation.all_ok if c.validation else None,
+                "packet_conditions_ok": (None if c.packet_failures is None
+                                         else not any(c.packet_failures.values())),
+                "packet_failures": c.packet_failures,
                 "mesh_size": c.mesh_size,
                 "empty_sections": c.empty_sections,
                 "out_of_tube": c.out_of_tube,

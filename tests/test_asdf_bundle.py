@@ -12,6 +12,7 @@ from manifold_test.asdf_bundle import (
     BundleChart,
     Cylinder,
     CylinderPacket,
+    PacketValidation,
     PutativeMesh,
     asdf_eval,
     asdf_grad_hess,
@@ -31,6 +32,7 @@ from manifold_test.asdf_bundle import (
 from manifold_test.core_geometry import (
     AffineSubspace,
     PointCloud,
+    _ball_grid,
     federer_reach,
     greedy_net,
     lexsort_dedup,
@@ -853,18 +855,190 @@ def test_ideal_circle_packet_satisfies_conditions(circle_packet):
     assert report.worst_coverage_gap <= packet.tau_bar
 
 
-def test_validate_packet_flags_misalignment():
+def misaligned_packet():
+    """Two neighbouring cylinders whose tangents differ by 60 degrees."""
     tb = 0.05
     theta = math.pi / 3.0
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
     a = Cylinder(rotation=np.eye(2), center=np.zeros(2), scale=tb, tangent_dim=1)
     b = Cylinder(rotation=rot, center=np.array([tb, 0.0]), scale=tb, tangent_dim=1)
-    packet = CylinderPacket([a, b], tau=0.5, c12=1.0, C_align=10.0)
-    report = validate_packet(packet)
+    return CylinderPacket([a, b], tau=0.5, c12=1.0, C_align=10.0)
+
+
+def test_validate_packet_flags_misalignment():
+    report = validate_packet(misaligned_packet())
     assert not report.all_ok
     assert not report.condition2_ok
     assert report.failures
+
+
+# ---- the pair kernel against the per-pair loops it replaced ----
+
+def reference_neighbor_indices(packet, i):
+    lim = 4.0 * math.sqrt(2.0) * packet.tau_bar
+    dist = np.linalg.norm(packet.centers - packet.centers[i], axis=1)
+    nbrs = np.nonzero(dist <= lim)[0]
+    return nbrs[nbrs != i]
+
+
+def reference_alignment_stats(packet, i, j):
+    """(op norm of Id - U, normal offset, tangential offset) for neighbor j of i."""
+    d = packet.d
+    rot_i, rot_j = packet.rotations[i], packet.rotations[j]
+    q = rot_i.T @ rot_j
+    sig = np.linalg.svd(q[:d, :d], compute_uv=False)
+    cos_min = float(np.clip(sig.min() if sig.size else 1.0, -1.0, 1.0))
+    theta = math.acos(min(cos_min, 1.0))
+    opnorm = 2.0 * math.sin(theta / 2.0)
+    p = rot_i.T @ (packet.centers[j] - packet.centers[i])
+    return opnorm, float(np.linalg.norm(p[d:])), p[:d]
+
+
+def reference_validate_packet(packet, spacing_fraction=0.05, angle_limit=1.0):
+    tb = packet.tau_bar
+    bound2 = packet.c12 * tb
+    bound3 = packet.C_align * tb * tb / packet.tau
+    h = tb * spacing_fraction
+    grid = _ball_grid(np.arange(-3.0 * tb, 3.0 * tb + h / 2.0, h), packet.d, 3.0 * tb)
+    worst_angle = worst_op = worst_tr = worst_gap = 0.0
+    failures = []
+    counts = dict.fromkeys(("angle", "rotation", "offset", "coverage"), 0)
+    for i in range(packet.size):
+        offsets = [np.zeros(packet.d)]
+        for j in reference_neighbor_indices(packet, i):
+            opnorm, tr_norm, tan_off = reference_alignment_stats(packet, i, int(j))
+            theta = 2.0 * math.asin(min(opnorm / 2.0, 1.0))
+            worst_angle = max(worst_angle, theta)
+            worst_op = max(worst_op, opnorm)
+            worst_tr = max(worst_tr, tr_norm)
+            if theta > angle_limit:
+                counts["angle"] += 1
+                failures.append(f"cyl {i} nbr {j}: principal angle {theta:.4f}")
+            if opnorm > bound2:
+                counts["rotation"] += 1
+                failures.append(f"cyl {i} nbr {j}: ||Id-U|| {opnorm:.4g} > {bound2:.4g}")
+            if tr_norm > bound3:
+                counts["offset"] += 1
+                failures.append(f"cyl {i} nbr {j}: |Tr(0)| {tr_norm:.4g} > {bound3:.4g}")
+            offsets.append(tan_off)
+        centers = np.stack(offsets)
+        d2 = (np.sum(grid * grid, axis=1)[:, None] - 2.0 * grid @ centers.T
+              + np.sum(centers * centers, axis=1)[None, :])
+        np.maximum(d2, 0.0, out=d2)
+        gap = float(np.sqrt(d2.min(axis=1)).max())
+        worst_gap = max(worst_gap, gap)
+        if gap > tb + 1e-12:
+            counts["coverage"] += 1
+            failures.append(f"cyl {i}: coverage gap {gap:.4g} > tau_bar {tb:.4g}")
+    return PacketValidation(
+        condition1_ok=counts["angle"] == 0, condition2_ok=counts["rotation"] == 0,
+        condition3_ok=counts["offset"] == 0, condition4_ok=counts["coverage"] == 0,
+        worst_angle=worst_angle, worst_opnorm=worst_op, worst_normal_offset=worst_tr,
+        worst_coverage_gap=worst_gap, failures=tuple(failures), failure_counts=counts)
+
+
+def reference_constants(packet):
+    """ideal_packet's measured (c12, C_align), one pair at a time."""
+    worst_op = worst_tr = 0.0
+    for i in range(packet.size):
+        for j in reference_neighbor_indices(packet, i):
+            opnorm, tr_norm, _ = reference_alignment_stats(packet, i, int(j))
+            worst_op = max(worst_op, opnorm)
+            worst_tr = max(worst_tr, tr_norm)
+    tb = packet.tau_bar
+    return (max(worst_op * 1.25 / tb, 1.0),
+            max(worst_tr * 1.25 * packet.tau / tb ** 2, 10.0))
+
+
+def disc_packet():
+    """The ideal packet of a ball-reject-like 300-point disc."""
+    disc, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
+    tb = 0.1 * 0.3
+    return ideal_packet(disc, _net_tangents(disc, greedy_net(disc, tb / 2.0), 1, tb),
+                        tau=0.3, cbar12=0.1)
+
+
+def sphere_packet():
+    """The ideal packet of a 2-sphere of radius 0.5 in R^3, as in sphere-d2."""
+    sphere, _ = generate_synthetic("sphere", n=3, size=150, seed=7, dim=2, radius=0.5)
+    tb = 0.25 * 0.4
+    net = greedy_net(sphere, tb / 2.0)
+    return ideal_packet(sphere, _net_tangents(sphere, net, 2, tb), tau=0.4, cbar12=0.25)
+
+
+def random_packet():
+    """Random 2-planes in R^5: three normal directions, so the normal offset
+    is a dot product of length 3."""
+    rng = np.random.default_rng(11)
+    cyls = []
+    for _ in range(40):
+        q, r = np.linalg.qr(rng.normal(size=(5, 5)))
+        q *= np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        cyls.append(Cylinder(rotation=q, center=rng.uniform(-0.2, 0.2, 5),
+                             scale=0.05, tangent_dim=2))
+    return CylinderPacket(cyls, tau=0.5, c12=1.0, C_align=10.0)
+
+
+@pytest.fixture(scope="module")
+def kernel_cases(circle_packet):
+    """(name, packet, validate_packet keyword arguments)."""
+    packet = circle_packet[0]
+    single = CylinderPacket([packet.cylinders[0]], tau=0.5, c12=1.0, C_align=10.0)
+    return [
+        ("circle-ideal", packet, {}),
+        ("circle-perturbed", _perturb_packet(packet, np.random.default_rng(1)), {}),
+        ("disc", disc_packet(), {}),
+        # a coarser grid keeps the d = 2 coverage check short
+        ("sphere", sphere_packet(), {"spacing_fraction": 0.1}),
+        ("single", single, {}),
+        ("misaligned", misaligned_packet(), {}),
+        ("random", random_packet(), {"angle_limit": 0.5}),
+    ]
+
+
+def test_pair_kernel_matches_the_per_pair_stats(kernel_cases):
+    for name, packet, _ in kernel_cases:
+        i, j, opnorm, normal, tangential = asdf_bundle._packet_pairs(packet)
+        pairs = [(a, int(b)) for a in range(packet.size)
+                 for b in reference_neighbor_indices(packet, a)]
+        assert list(zip(i.tolist(), j.tolist())) == pairs, name
+        for p, (a, b) in enumerate(pairs):
+            op, nor, tan = reference_alignment_stats(packet, a, b)
+            assert (opnorm[p], normal[p]) == (op, nor), (name, a, b)
+            assert np.array_equal(tangential[p], tan), (name, a, b)
+
+
+def test_validate_packet_matches_the_per_pair_loop(kernel_cases):
+    seen = {}
+    for name, packet, kwargs in kernel_cases:
+        got = validate_packet(packet, **kwargs)
+        want = reference_validate_packet(packet, **kwargs)
+        assert got == want, name
+        assert got.failures == want.failures, name   # element for element
+        seen[name] = got
+    assert len(seen["disc"].failures) > 900
+    assert sum(seen["sphere"].failure_counts.values()) > 0
+    assert seen["random"].failure_counts["offset"] > 0
+    assert seen["circle-perturbed"].failure_counts["rotation"] > 0
+    single = seen["single"]   # no neighbours: margins 0, coverage from the zero offset
+    tb = kernel_cases[0][1].tau_bar
+    assert (single.worst_angle, single.worst_opnorm, single.worst_normal_offset) == (0, 0, 0)
+    assert single.worst_coverage_gap > 2.9 * tb
+    assert single.failures == (f"cyl 0: coverage gap {single.worst_coverage_gap:.4g} "
+                               f"> tau_bar {tb:.4g}",)
+    assert single.failure_counts == {"angle": 0, "rotation": 0, "offset": 0, "coverage": 1}
+
+
+def test_ideal_packet_constants_match_the_per_pair_loop(kernel_cases):
+    built = {name: packet for name, packet, _ in kernel_cases
+             if name in ("circle-ideal", "disc", "sphere")}
+    assert len(built) == 3
+    for name, packet in built.items():
+        assert (packet.c12, packet.C_align) == reference_constants(packet), name
+        assert packet.c12 > 1.0 or packet.C_align > 10.0, name   # measured, not a floor
 
 
 def test_ideal_packet_centers_form_a_net(circle_packet):

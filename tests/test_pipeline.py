@@ -208,6 +208,53 @@ def test_reduction_validation():
         reduce_dimension(cloud, np.array([], dtype=np.int64))
 
 
+# ---- packet perturbation ----
+
+def reference_perturb_packet(packet, rng):
+    """One cylinder at a time: draw, then build its Cayley twist."""
+    tb = packet.tau_bar
+    center_scale = min(0.1 * packet.C_align * tb * tb / packet.tau, 0.25 * tb)
+    rot_scale = 0.3 * packet.c12 * tb
+    centers, rotations = [], []
+    for cyl in packet.cylinders:
+        shift = rng.normal(size=packet.n)
+        nrm = float(np.linalg.norm(shift))
+        if nrm > 0:
+            shift = shift / nrm * center_scale * rng.uniform(0.0, 1.0)
+        a = rng.normal(size=(packet.n, packet.n))
+        s = a - a.T
+        s *= rot_scale / float(np.linalg.norm(s, 2))
+        eye = np.eye(packet.n)
+        rotations.append(np.linalg.solve(eye - 0.5 * s, eye + 0.5 * s) @ cyl.rotation)
+        centers.append(cyl.center + shift)
+    return np.stack(centers), np.stack(rotations)
+
+
+def random_frames_packet(n, d, size, seed):
+    rng = np.random.default_rng(seed)
+    cyls = []
+    for _ in range(size):
+        q, r = np.linalg.qr(rng.normal(size=(n, n)))
+        q *= np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        cyls.append(Cylinder(rotation=q, center=rng.uniform(-0.3, 0.3, n), scale=0.05,
+                             tangent_dim=d))
+    return CylinderPacket(cyls, tau=0.5, c12=3.0, C_align=20.0)
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (7, 2)])
+def test_perturbed_packet_matches_the_per_cylinder_draws(n, d):
+    packet = random_frames_packet(n, d, 30, seed=n)
+    seed = pipeline._packet_seed(0, 1)
+    got = pipeline._perturb_packet(packet, np.random.default_rng(seed))
+    centers, rotations = reference_perturb_packet(packet, np.random.default_rng(seed))
+    assert np.array_equal(got.centers, centers)
+    assert np.array_equal(got.rotations, rotations)
+    assert (got.c12, got.C_align, got.tau, got.tau_bar) == (3.0, 20.0, 0.5, 0.05)
+    assert not np.array_equal(got.rotations, packet.rotations)
+
+
 # ---- verdicts ----
 
 def test_clean_circle_is_case_one(circle_verdict):
@@ -240,10 +287,12 @@ def test_circle_certificate_contents(circle_verdict):
     assert cert["search"] == "searched 1 of ~2^28.0 admissible packets"
     entry = cert["candidates"][0]
     for key in ("index", "kind", "loss", "reason", "packet_conditions_ok",
-                "mesh_size", "empty_sections", "out_of_tube", "seed_failures",
-                "section_paths", "mesh_newton", "projection_stops", "loss_newton"):
+                "packet_failures", "mesh_size", "empty_sections", "out_of_tube",
+                "seed_failures", "section_paths", "mesh_newton", "projection_stops",
+                "loss_newton"):
         assert key in entry
     assert entry["packet_conditions_ok"] is True
+    assert entry["packet_failures"] == {"angle": 0, "rotation": 0, "offset": 0, "coverage": 0}
     assert entry["mesh_size"] == cert["mesh_points"]
 
 
@@ -425,6 +474,33 @@ def test_a_candidate_that_fails_before_extraction_has_no_counts(circle_verdict,
     for key in ("seed_failures", "section_paths", "mesh_newton", "projection_stops",
                 "loss_newton"):
         assert entry[key] == {}
+    assert entry["packet_failures"] is None and entry["packet_conditions_ok"] is None
+
+
+def test_failed_candidates_keep_their_packet_failure_counts(monkeypatch):
+    # the uniform-ball fixture: every packet fails its section fit, after
+    # validation has found it inadmissible
+    reports = []
+    validate = pipeline.validate_packet
+
+    def recording_validate(packet):
+        reports.append(validate(packet))
+        return reports[-1]
+
+    monkeypatch.setattr(pipeline, "validate_packet", recording_validate)
+    cloud, _ = generate_synthetic("uniform_ball", n=2, size=200, seed=5)
+    verdict = run_test(cloud, TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1,
+                                         packet_budget=2, seed=0))
+    assert verdict.case == "two" and len(reports) == 2
+    for candidate, entry, report in zip(verdict.candidates,
+                                        verdict.certificate["candidates"], reports):
+        assert entry["reason"] and entry["loss"] is None
+        counts = entry["packet_failures"]
+        assert candidate.packet_failures == counts   # counts only, not the failure texts
+        assert list(counts) == ["angle", "rotation", "offset", "coverage"]
+        assert counts == report.failure_counts
+        assert sum(counts.values()) == len(report.failures) > 0
+        assert entry["packet_conditions_ok"] is False
 
 
 @pytest.mark.parametrize("angle", [0.3, 2.0])
