@@ -166,20 +166,29 @@ class CylinderPacket:
         if worst > 1.0 + tau_bar + 1e-9:
             raise InvalidParameterError(
                 f"cylinder center at norm {worst:.6g} is too far outside the unit ball")
-        self.cylinders = cylinders
         self.tau = float(tau)
         self.c12 = float(c12)
         self.C_align = float(C_align)
         self.tau_bar = float(tau_bar)
         self.d = first.tangent_dim
         self.n = first.ambient_dim
+        # the packet keeps its cylinders only as these read-only stacks
         self.centers = np.stack([c.center for c in cylinders])
         self.rotations = np.stack([c.rotation for c in cylinders])
         self.center_sq = np.sum(self.centers * self.centers, axis=1)
+        for arr in (self.centers, self.rotations, self.center_sq):
+            arr.flags.writeable = False
 
     @property
     def size(self) -> int:
-        return len(self.cylinders)
+        return self.centers.shape[0]
+
+    @property
+    def cylinders(self) -> Sequence[Cylinder]:
+        """The cylinders, rebuilt from the stacked centers and rotations on
+        access: a verdict keeps its packet, and one object per cylinder was
+        most of it."""
+        return _StoredCylinders(self)
 
     def members(self, z: np.ndarray, factor: float = 2.0,
                 slack: float = MEMBERSHIP_SLACK) -> tuple[np.ndarray, np.ndarray]:
@@ -188,6 +197,23 @@ class CylinderPacket:
         _, idx, w = _member_pairs(self, np.asarray(z, dtype=np.float64)[None, :],
                                   factor, slack)
         return idx, w
+
+
+class _StoredCylinders(Sequence):
+    """A packet's cylinders, rebuilt from its arrays on access."""
+
+    def __init__(self, packet: CylinderPacket):
+        self._packet = packet
+
+    def __len__(self) -> int:
+        return self._packet.size
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[i] for i in range(len(self))[j])
+        p, j = self._packet, range(len(self))[j]
+        return Cylinder(rotation=p.rotations[j], center=p.centers[j], scale=p.tau_bar,
+                        tangent_dim=p.d)
 
 
 def _member_pairs(packet: CylinderPacket, points: np.ndarray, factor: float = 2.0,
@@ -218,8 +244,8 @@ def packet_to_json(packet: CylinderPacket) -> str:
         "c12": packet.c12,
         "C": packet.C_align,
         "cylinders": [
-            {"center": c.center.tolist(), "rotation": c.rotation.ravel().tolist()}
-            for c in packet.cylinders
+            {"center": c.tolist(), "rotation": r.ravel().tolist()}
+            for c, r in zip(packet.centers, packet.rotations)
         ],
     }
     return json.dumps(payload, sort_keys=True)
@@ -383,7 +409,7 @@ def ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace],
             c12 = max(float(opnorm.max(initial=0.0)) * 1.25 / tau_bar, 1.0)
         if C_align is None:
             C_align = max(float(normal.max(initial=0.0)) * 1.25 * tau / tau_bar ** 2, 10.0)
-    return CylinderPacket(packet.cylinders, tau=tau, c12=c12, C_align=C_align)
+    return CylinderPacket(cylinders, tau=tau, c12=c12, C_align=C_align)
 
 
 # ---- the approximate squared-distance field ----
@@ -539,19 +565,38 @@ class BundleChart:
     eigenvalues: tuple[float, ...]
 
     def __post_init__(self):
-        p = np.asarray(self.projector_hi, dtype=np.float64)
-        if float(np.max(np.abs(p - p.T))) > PROJECTOR_TOL:
-            raise InvalidParameterError("projector is not symmetric to 1e-9")
-        if float(np.max(np.abs(p @ p - p))) > PROJECTOR_TOL:
-            raise InvalidParameterError("projector is not idempotent to 1e-9")
-        codim = self.fiber_basis.shape[0]
-        if abs(float(np.trace(p)) - codim) > TRACE_TOL:
-            raise InvalidParameterError("projector trace does not match the codimension")
+        _check_projectors(np.asarray(self.projector_hi, dtype=np.float64)[None],
+                          self.fiber_basis.shape[0])
+
+    @classmethod
+    def _checked_stack(cls, fields: Sequence[dict]) -> list[BundleChart]:
+        """Charts from the field values of a stacked solve, their projectors
+        checked once, as one stack, not chart by chart."""
+        if fields:
+            _check_projectors(np.stack([f["projector_hi"] for f in fields]),
+                              fields[0]["fiber_basis"].shape[0])
+        charts = []
+        for f in fields:
+            chart = object.__new__(cls)
+            chart.__dict__.update(f)
+            charts.append(chart)
+        return charts
 
     @property
     def tangent_basis(self) -> np.ndarray:
         """Orthonormal rows spanning the kernel of the fiber projector."""
         return orthonormal_completion(self.fiber_basis, self.fiber_basis.shape[1])
+
+
+def _check_projectors(p: np.ndarray, codim: int) -> None:
+    """Raise unless every projector of the stack p (k, n, n) is symmetric
+    and idempotent to PROJECTOR_TOL, with trace codim to TRACE_TOL."""
+    if float(np.max(np.abs(p - p.transpose(0, 2, 1)))) > PROJECTOR_TOL:
+        raise InvalidParameterError("projector is not symmetric to 1e-9")
+    if float(np.max(np.abs(np.matmul(p, p) - p))) > PROJECTOR_TOL:
+        raise InvalidParameterError("projector is not idempotent to 1e-9")
+    if float(np.max(np.abs(np.trace(p, axis1=1, axis2=2) - codim))) > TRACE_TOL:
+        raise InvalidParameterError("projector trace does not match the codimension")
 
 
 class RowOutcomes(tuple):
@@ -617,6 +662,7 @@ def _newton(packet, z0, newton_tol, max_steps, constants) -> RowOutcomes:
     _, grad, hess, owner, status = _asdf_terms(packet, z, order=2)
     evaluations = z.shape[0]
     outcomes = [_field_error(s) if s else None for s in status]
+    converged: dict = {}   # row -> the fields of its chart
     active = np.nonzero(status == 0)[0]
     for _ in range(max_steps):
         if not active.size:
@@ -631,7 +677,7 @@ def _newton(packet, z0, newton_tol, max_steps, constants) -> RowOutcomes:
                 f"spectral gap {gap[i]:.6g} below tolerance {constants.gap_tol:.6g}")
         for i in np.nonzero(~narrow & (rnorm <= newton_tol))[0]:
             r, fib = active[i], fiber[i].copy()
-            outcomes[r] = BundleChart(
+            converged[r] = dict(
                 base_point=z[r].copy(), projector_hi=fib.T @ fib, fiber_basis=fib,
                 owning_cylinder=int(owner[r]), residual=float(rnorm[i]),
                 eigenvalues=tuple(evals[i].tolist()))
@@ -672,6 +718,8 @@ def _newton(packet, z0, newton_tol, max_steps, constants) -> RowOutcomes:
             active = np.delete(active, pending)
     for r in active:
         outcomes[r] = NoConvergenceError(f"no convergence in {max_steps} Newton steps")
+    for r, chart in zip(converged, BundleChart._checked_stack(list(converged.values()))):
+        outcomes[r] = chart
     return RowOutcomes(outcomes, evaluations=evaluations)
 
 
@@ -712,16 +760,18 @@ class PutativeMesh:
     def size(self) -> int:
         return self.base_points.shape[0]
 
+    def _fields(self, i: int) -> dict:
+        return dict(base_point=self.base_points[i], projector_hi=self.projectors[i],
+                    fiber_basis=self._fibers[i], owning_cylinder=int(self._owners[i]),
+                    residual=float(self._residuals[i]),
+                    eigenvalues=tuple(self._eigenvalues[i].tolist()))
+
     def chart(self, i: int) -> BundleChart:
-        return BundleChart(base_point=self.base_points[i], projector_hi=self.projectors[i],
-                           fiber_basis=self._fibers[i],
-                           owning_cylinder=int(self._owners[i]),
-                           residual=float(self._residuals[i]),
-                           eigenvalues=tuple(self._eigenvalues[i].tolist()))
+        return BundleChart(**self._fields(i))
 
     @property
     def charts(self) -> tuple[BundleChart, ...]:
-        return tuple(self.chart(i) for i in range(self.size))
+        return tuple(BundleChart._checked_stack([self._fields(i) for i in range(self.size)]))
 
 
 def extract_putative_manifold(packet: CylinderPacket, seeds,
@@ -831,9 +881,10 @@ def bundle_coordinates(packet: CylinderPacket, context, z,
                 outcomes[row] = DecompositionFailedError(
                     f"fiber offset {vnorm:.4g} exceeds {vmax:.4g}")
                 continue
-            owner = packet.cylinders[chart.owning_cylinder]
+            k = chart.owning_cylinder
             outcomes[row] = FiberDecomposition(
-                x=owner.to_local(chart.base_point)[:packet.d], v=v[i].copy(),
+                x=(packet.rotations[k].T @ (chart.base_point - packet.centers[k]))[:packet.d],
+                v=v[i].copy(),
                 base_point=chart.base_point.copy(), chart=chart)
         active, t = active[~done], t[~done]
         if not active.size:

@@ -284,8 +284,8 @@ def _perturb_packet(packet: CylinderPacket, rng: np.random.Generator) -> Cylinde
     eye = np.eye(n)
     rotations = np.linalg.solve(eye - 0.5 * s, eye + 0.5 * s) @ packet.rotations
     centers = packet.centers + np.stack(shifts)
-    cyls = [Cylinder(rotation=rot, center=cen, scale=cyl.scale, tangent_dim=cyl.tangent_dim)
-            for cyl, rot, cen in zip(packet.cylinders, rotations, centers)]
+    cyls = [Cylinder(rotation=rot, center=cen, scale=packet.tau_bar, tangent_dim=packet.d)
+            for rot, cen in zip(rotations, centers)]
     return CylinderPacket(cyls, tau=packet.tau, c12=packet.c12,
                           C_align=packet.C_align)
 
@@ -543,11 +543,11 @@ def _dense_manifold_sample(model: SectionModel, per_axis: int = 5,
     for j, section in enumerate(model.sections):
         if section.is_empty:
             continue
-        cyl = packet.cylinders[j]
+        rotation = packet.rotations[j]
         vals, jac = section.evaluate(grid)
         local = np.concatenate([tb * grid, tb * vals], axis=1)
-        points.append(np.matmul(cyl.rotation, local[:, :, None])[:, :, 0] + cyl.center)
-        frames.append(np.linalg.qr(np.matmul(cyl.rotation, np.concatenate([eye, jac], axis=1)))[0])
+        points.append(np.matmul(rotation, local[:, :, None])[:, :, 0] + packet.centers[j])
+        frames.append(np.linalg.qr(np.matmul(rotation, np.concatenate([eye, jac], axis=1)))[0])
     pts, frames = np.concatenate(points), np.concatenate(frames)
     kept = greedy_merge(pts, merge_fraction * tb)
     return pts[kept], [AffineSubspace(base=pts[i], basis=frames[i].T) for i in kept]

@@ -7,7 +7,8 @@ form a convex set cut out by coefficient bounds and pairwise
 Taylor-compatibility constraints; fitting minimizes a weighted least-squares
 objective over that set: a local least-squares warm start, its Dykstra
 projection, and an analytic-center cutting-plane method when neither reaches
-the target.
+the target. The warm starts and projections of all of a packet's fits run as
+stacked passes; the cutting plane runs fit by fit.
 Local sections are blended into a global section over the extracted mesh.
 """
 from __future__ import annotations
@@ -18,6 +19,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .asdf_bundle import (
     CylinderPacket,
@@ -30,7 +32,7 @@ from .asdf_bundle import (
     first_or_raise,
     solve_base_point,
 )
-from .core_geometry import greedy_merge, orthonormal_completion
+from .core_geometry import orthonormal_completion
 from .errors import (
     BudgetExceededError,
     DuplicateSiteError,
@@ -111,7 +113,7 @@ class SketchedData:
     sites: np.ndarray            # (m, d)
     targets: np.ndarray          # (m,) or (m, c)
     multiplicities: np.ndarray   # (m,) positive ints
-    members: tuple[tuple[int, ...], ...]
+    owners: np.ndarray           # (N,) the representative each input site joined
 
     @property
     def size(self) -> int:
@@ -123,9 +125,15 @@ class SketchedData:
         mult = np.asarray(self.multiplicities, dtype=np.float64)
         return mult / float(mult.sum())
 
+    @property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """The input sites of each representative, in input order."""
+        return tuple(tuple(np.flatnonzero(self.owners == r).tolist())
+                     for r in range(self.size))
+
     def component(self, c: int) -> "SketchedData":
         return SketchedData(sites=self.sites, targets=self.targets[:, c],
-                            multiplicities=self.multiplicities, members=self.members)
+                            multiplicities=self.multiplicities, owners=self.owners)
 
 
 def sketch(sites, values, radius: float) -> SketchedData:
@@ -134,7 +142,7 @@ def sketch(sites, values, radius: float) -> SketchedData:
     The representatives are the sites kept by greedy_merge(sites, radius).
     Every other site joins the lowest-index representative within radius;
     representatives keep their original location and average the joined
-    values.
+    values. A batch of one of _sketches.
     """
     sites = np.asarray(sites, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
@@ -144,16 +152,46 @@ def sketch(sites, values, radius: float) -> SketchedData:
         raise InvalidParameterError("values and sites must align")
     if not (radius >= 0):
         raise InvalidParameterError("sketch radius must be nonnegative")
-    reps = greedy_merge(sites, radius)
-    rep_sites = sites[reps]
-    dist = np.linalg.norm(sites[:, None, :] - rep_sites[None, :, :], axis=2)
-    owner = np.argmax(dist < radius, axis=1)
-    owner[reps] = np.arange(len(reps))
-    members = [np.nonzero(owner == r)[0].tolist() for r in range(len(reps))]
-    targets = np.stack([values[m].mean(axis=0) for m in members])
-    mult = np.array([len(m) for m in members], dtype=np.int64)
-    return SketchedData(sites=rep_sites, targets=targets,
-                        multiplicities=mult, members=tuple(tuple(m) for m in members))
+    data = _sketches(sites[None], values.reshape(1, sites.shape[0], -1),
+                     np.array([sites.shape[0]]), radius)[0]
+    if values.ndim == 1:
+        data = data.component(0)
+    return data
+
+
+def _sketches(sites, values, count, radius: float) -> list[SketchedData]:
+    """The sketches of C site sets at once: sites (C, P, d) and values
+    (C, P, c) padded past each set's count (C,) of real sites, each at
+    least 1. The greedy merge runs as one masked scan over the site
+    position, with the arithmetic of greedy_merge."""
+    C, P, _ = sites.shape
+    real = np.arange(P) < count[:, None]
+    dist = np.linalg.norm(sites[:, :, None, :] - sites[:, None, :, :], axis=3)
+    kept = np.zeros((C, P), dtype=bool)
+    kept[:, 0] = True
+    dmin = dist[:, 0].copy()
+    for i in range(1, P):
+        keep = real[:, i] & (dmin[:, i] >= radius)
+        kept[:, i] = keep
+        if keep.any():
+            dmin[keep] = np.minimum(dmin[keep], dist[keep, i])
+    rank = np.cumsum(kept, axis=1) - 1
+    # each site joins the first representative within radius; representatives own themselves
+    first = np.argmax((dist < radius) & kept[:, None, :], axis=2)
+    owners = np.where(kept, rank, np.take_along_axis(rank, first, axis=1))
+    m = kept.sum(axis=1)
+    cyl, pos = np.nonzero(real)
+    slot = cyl * P + owners[cyl, pos]
+    mult = np.bincount(slot, minlength=C * P).reshape(C, P)
+    sums = np.zeros((C * P, values.shape[2]))
+    np.add.at(sums, slot, values[cyl, pos])
+    targets = sums.reshape(C, P, -1) / np.maximum(mult, 1)[:, :, None]
+    reps = np.zeros_like(sites)
+    rc, rp = np.nonzero(kept)
+    reps[rc, rank[rc, rp]] = sites[rc, rp]
+    return [SketchedData(sites=reps[c, :m[c]], targets=targets[c, :m[c]],
+                         multiplicities=mult[c, :m[c]], owners=owners[c, :count[c]])
+            for c in range(C)]
 
 
 # ---- constraint sets ----
@@ -170,7 +208,10 @@ class ConstraintSet:
     Site constraint i (index i) bounds the i-th jet block: |y_i|^2 <= M^2.
     Pair constraints (indices m, m+1, ...) are single functionals alpha with
     (alpha . y)^2 <= beta: Taylor value and directional-gradient agreement
-    between nearby sites, both pair directions.
+    between nearby sites, both pair directions. Pair row k is stored
+    compactly: its sites (s, t), its kind (0 for the value, 1 + axis for a
+    gradient component), and its Taylor functional on jet s (q,); the row
+    is that functional on block s minus the kind's entry of block t.
     """
 
     sites: np.ndarray        # (m, d)
@@ -178,11 +219,13 @@ class ConstraintSet:
     c_w: float
     kappa: float
     pair_radius: float
-    pair_rows: np.ndarray    # (K, D) dense functionals
+    pair_sites: np.ndarray   # (K, 2) the sites (s, t) of each row
+    pair_kinds: np.ndarray   # (K,)
+    pair_taylor: np.ndarray  # (K, q)
     pair_betas: np.ndarray   # (K,)
-    pair_labels: tuple[str, ...]
-    # row-index batches of disjoint support; a fixed cyclic projection order
-    pair_groups: tuple
+    # each row's batch; batches have disjoint support and are projected in
+    # a fixed cyclic order
+    pair_group: np.ndarray   # (K,)
 
     @property
     def m(self) -> int:
@@ -202,21 +245,43 @@ class ConstraintSet:
 
     @property
     def total_constraints(self) -> int:
-        return self.m + self.pair_rows.shape[0]
+        return self.m + self.pair_betas.shape[0]
+
+    @functools.cached_property
+    def pair_rows(self) -> np.ndarray:
+        """The pair functionals as dense (K, m q) rows."""
+        k = self.pair_betas.shape[0]
+        rows = np.zeros((k, self.m, self.q))
+        each = np.arange(k)
+        rows[each, self.pair_sites[:, 0]] = self.pair_taylor
+        rows[each, self.pair_sites[:, 1], self.pair_kinds] = -1.0
+        return rows.reshape(k, self.dim)
+
+    @functools.cached_property
+    def pair_labels(self) -> tuple[str, ...]:
+        return tuple(f"{'value' if kind == 0 else f'grad[{kind - 1}]'} {s}->{t}"
+                     for (s, t), kind in zip(self.pair_sites.tolist(),
+                                             self.pair_kinds.tolist()))
+
+    @property
+    def pair_groups(self) -> tuple:
+        """Row indices of each batch, in the cyclic projection order."""
+        return tuple(np.flatnonzero(self.pair_group == g)
+                     for g in range(int(self.pair_group.max(initial=-1)) + 1))
 
     def violations(self, y: np.ndarray) -> np.ndarray:
         """Per-constraint |A y|^2 - beta, site constraints first."""
         q = self.q
         blocks = y.reshape(self.m, q)
         site_v = np.sum(blocks * blocks, axis=1) - self.M ** 2
-        if self.pair_rows.shape[0] == 0:
+        if self.pair_betas.shape[0] == 0:
             return site_v
         pv = (self.pair_rows @ y) ** 2 - self.pair_betas
         return np.concatenate([site_v, pv])
 
     def all_betas(self) -> np.ndarray:
         site = np.full(self.m, self.M ** 2)
-        if self.pair_rows.shape[0] == 0:
+        if self.pair_betas.shape[0] == 0:
             return site
         return np.concatenate([site, self.pair_betas])
 
@@ -235,76 +300,89 @@ def build_constraints(sites, M: float, c_w: float = C_W_DEFAULT,
     Pairs closer than pair_radius (default: four times the largest
     nearest-neighbor distance) must agree to second order: the Taylor value
     of one jet at the other site within c_w M |h|^2 and each gradient
-    component within c_w M |h|, in both directions.
+    component within c_w M |h|, in both directions. A batch of one of
+    _constraint_sets.
     """
     sites = np.asarray(sites, dtype=np.float64)
     if sites.ndim != 2 or sites.shape[0] == 0:
         raise EmptyInputError("need a nonempty (m, d) site array")
     if not (M > 0):
         raise InvalidParameterError("coefficient bound M must be positive")
-    m, d = sites.shape
-    q = jet_size(d)
-    if m > 1:
-        diff = sites[:, None, :] - sites[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        off = dist.copy()
-        np.fill_diagonal(off, np.inf)
-        if float(off.min()) < DUPLICATE_SITE_TOL:
-            pair = np.unravel_index(int(np.argmin(off)), off.shape)
-            raise DuplicateSiteError(f"sites {pair[0]} and {pair[1]} coincide")
-        nn = off.min(axis=1)
-        if pair_radius is None:
-            pair_radius = 4.0 * float(nn.max())
-    else:
-        dist = np.zeros((1, 1))
-        if pair_radius is None:
-            pair_radius = 0.0
+    out = _constraint_sets(sites[None], np.array([sites.shape[0]]), M, c_w,
+                           pair_radius)[0][0]
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    s_idx, t_idx = np.nonzero((dist <= pair_radius) & ~np.eye(m, dtype=bool))
-    k = s_idx.size
-    h = sites[t_idx] - sites[s_idx]
-    hn = dist[s_idx, t_idx]
+
+def _constraint_sets(sites, m, M: float, c_w: float, pair_radius: float | None = None):
+    """The constraint sets of C site sets at once, sites (C, S, d) padded
+    past each set's count m (C,), and each set's smallest site separation
+    (inf for one site). A set with coinciding sites gets its
+    DuplicateSiteError in place of a ConstraintSet."""
+    C, S, d = sites.shape
+    real = np.arange(S) < m[:, None]
+    dist = np.linalg.norm(sites[:, :, None, :] - sites[:, None, :, :], axis=3)
+    off = np.where(real[:, :, None] & real[:, None, :] & ~np.eye(S, dtype=bool), dist, np.inf)
+    closest_at = off.reshape(C, -1).argmin(axis=1)
+    closest = off.reshape(C, -1)[np.arange(C), closest_at]
+    if pair_radius is None:
+        nn = np.where(real, off.min(axis=2), -np.inf)
+        radius = np.where(m > 1, 4.0 * nn.max(axis=1, initial=-np.inf), 0.0)
+    else:
+        radius = np.full(C, float(pair_radius))
+    cyl, s_idx, t_idx = np.nonzero(np.isfinite(off) & (off <= radius[:, None, None]))
     # per pair (s, t): the value row, then one gradient row per axis; each
     # holds the Taylor functional of jet s at x_t minus jet t's own entry
-    rows = np.zeros((k, 1 + d, m, q))
-    each = np.arange(k)
-    rows[each, :, s_idx] = np.concatenate(
-        [_monomials(h)[:, None, :], _monomial_gradients(h)], axis=1)
-    rows[each, :, t_idx, :1 + d] = -np.eye(1 + d)
-    pair_rows = rows.reshape(k * (1 + d), m * q)
-    pair_betas = np.stack([(c_w * M * hn * hn) ** 2] + d * [(c_w * M * hn) ** 2],
-                          axis=1).reshape(-1)
-    kinds = ["value"] + [f"grad[{axis}]" for axis in range(d)]
-    pairs = list(zip(s_idx.tolist(), t_idx.tolist()))
-    labels = tuple(f"{kind} {s}->{t}" for s, t in pairs for kind in kinds)
-    row_sites = [st for st in pairs for _ in kinds]
-    return ConstraintSet(sites=sites, M=float(M), c_w=float(c_w),
-                         kappa=whitney_kappa(d, c_w), pair_radius=float(pair_radius),
-                         pair_rows=pair_rows, pair_betas=pair_betas,
-                         pair_labels=labels,
-                         pair_groups=_disjoint_row_groups(row_sites))
+    h = sites[cyl, t_idx] - sites[cyl, s_idx]
+    hn = dist[cyl, s_idx, t_idx]
+    taylor = np.concatenate([_monomials(h)[:, None, :], _monomial_gradients(h)],
+                            axis=1).reshape(-1, jet_size(d))
+    betas = np.stack([(c_w * M * hn * hn) ** 2] + d * [(c_w * M * hn) ** 2],
+                     axis=1).reshape(-1)
+    ends = np.repeat(np.stack([s_idx, t_idx], axis=1), 1 + d, axis=0)
+    kinds = np.tile(np.arange(1 + d), s_idx.size)
+    counts = np.bincount(cyl, minlength=C) * (1 + d)
+    groups = _row_groups(ends, counts, S)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    kappa = whitney_kappa(d, c_w)
+    sets = []
+    for c in range(C):
+        if closest[c] < DUPLICATE_SITE_TOL:
+            i, j = np.unravel_index(int(closest_at[c]), (S, S))
+            sets.append(DuplicateSiteError(f"sites {i} and {j} coincide"))
+            continue
+        rows = slice(bounds[c], bounds[c + 1])
+        sets.append(ConstraintSet(
+            sites=sites[c, :m[c]], M=float(M), c_w=float(c_w), kappa=kappa,
+            pair_radius=float(radius[c]), pair_sites=ends[rows], pair_kinds=kinds[rows],
+            pair_taylor=taylor[rows], pair_betas=betas[rows], pair_group=groups[rows]))
+    return sets, closest
 
 
-def _disjoint_row_groups(row_sites) -> tuple:
-    """Greedy batches of row indices whose site supports do not overlap.
+def _row_groups(ends, counts, S: int) -> np.ndarray:
+    """Greedy batches of rows whose site supports do not overlap.
 
-    Rows in one batch touch pairwise-disjoint jet blocks, so a Dykstra
-    sweep may project a whole batch with vectorized arithmetic while
-    keeping a fixed cyclic constraint order.
+    ends (T, 2) holds the sites of each row of C row sets laid end to end,
+    counts (C,) their sizes. Each row joins the first batch of its set that
+    touches neither of its sites, scanning rows in order, so rows in one
+    batch touch pairwise-disjoint jet blocks and a Dykstra sweep may project
+    a whole batch at once while keeping a fixed cyclic constraint order.
+    The scan runs over the row position, for all sets at once.
     """
-    groups: list[list[int]] = []
-    used_sites: list[set] = []
-    for idx, (s, t) in enumerate(row_sites):
-        for g, used in zip(groups, used_sites):
-            if s not in used and t not in used:
-                g.append(idx)
-                used.add(s)
-                used.add(t)
-                break
-        else:
-            groups.append([idx])
-            used_sites.append({s, t})
-    return tuple(np.asarray(g, dtype=np.int64) for g in groups)
+    C, width = counts.size, int(counts.max(initial=0))
+    starts = np.cumsum(counts) - counts
+    groups = np.zeros(ends.shape[0], dtype=np.int64)
+    used = np.zeros((C, width, S), dtype=bool)
+    for r in range(width):
+        sets = np.flatnonzero(counts > r)
+        rows = starts[sets] + r
+        s, t = ends[rows, 0], ends[rows, 1]
+        g = np.argmin(used[sets, :, s] | used[sets, :, t], axis=1)
+        groups[rows] = g
+        used[sets, g, s] = True
+        used[sets, g, t] = True
+    return groups
 
 
 # ---- objective ----
@@ -378,65 +456,263 @@ def separation_oracle(constraints: ConstraintSet, y: np.ndarray) -> Cut | None:
                violation=float(viol[i0]))
 
 
+# ---- stacked section problems ----
+
+def _padded(parts, fill=0) -> np.ndarray:
+    """Arrays parts[i] (n_i, ...) as one (B, max n_i, ...) array, filled
+    with fill past each one's end."""
+    counts = np.array([p.shape[0] for p in parts])
+    flat = np.concatenate(parts)
+    live = np.arange(int(counts.max(initial=0))) < counts[:, None]
+    out = np.full(live.shape + flat.shape[1:], fill, dtype=flat.dtype)
+    out[live] = flat
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _SectionStack:
+    """B section problems in one padded layout.
+
+    Problem b has m[b] sites (S the largest count), coefficient bound M[b]
+    and the compact pair rows of its ConstraintSet, padded to R rows
+    (group -1 marks padding). targets and weights (B, S) are zero past a
+    problem's sites, or None for a stack without data. Coefficient vectors
+    are (B, S q); problem b's own vector is the first m[b] q entries.
+    """
+
+    sites: np.ndarray     # (B, S, d)
+    m: np.ndarray         # (B,)
+    M: np.ndarray         # (B,)
+    ends: np.ndarray      # (B, R, 2)
+    kinds: np.ndarray     # (B, R)
+    taylor: np.ndarray    # (B, R, q)
+    betas: np.ndarray     # (B, R)
+    group: np.ndarray     # (B, R)
+    targets: np.ndarray | None
+    weights: np.ndarray | None
+
+    @staticmethod
+    def build(constraints: Sequence[ConstraintSet],
+              data: Sequence[SketchedData] | None = None) -> _SectionStack:
+        return _SectionStack(
+            sites=_padded([c.sites for c in constraints]),
+            m=np.array([c.m for c in constraints]), M=np.array([c.M for c in constraints]),
+            ends=_padded([c.pair_sites for c in constraints]),
+            kinds=_padded([c.pair_kinds for c in constraints]),
+            taylor=_padded([c.pair_taylor for c in constraints]),
+            betas=_padded([c.pair_betas for c in constraints]),
+            group=_padded([c.pair_group for c in constraints], fill=-1),
+            targets=None if data is None else _padded([x.targets for x in data]),
+            weights=None if data is None else _padded([x.weights for x in data]))
+
+    def subset(self, idx) -> _SectionStack:
+        return _SectionStack(**{k: None if v is None else v[idx] for k, v in vars(self).items()})
+
+    def objective(self, ys, idx) -> np.ndarray:
+        """section_objective of the rows ys (k, S q) of problems idx (k,)."""
+        resid = self.targets[idx] - ys.reshape(len(idx), self.sites.shape[1], -1)[:, :, 0]
+        return np.sum(self.weights[idx] * resid * resid, axis=1)
+
+    def feasible(self, ys, idx) -> np.ndarray:
+        """ConstraintSet.is_feasible of the rows ys (k, S q) of problems idx (k,)."""
+        blocks = ys.reshape(len(idx), self.sites.shape[1], -1)
+        bound = self.M[idx, None] ** 2
+        sites_ok = np.all(np.sum(blocks * blocks, axis=2) - bound
+                          <= bound * FEASIBILITY_REL + FEASIBILITY_ABS, axis=1)
+        ends, each = self.ends[idx], np.arange(len(idx))[:, None]
+        values = (np.sum(self.taylor[idx] * blocks[each, ends[:, :, 0]], axis=2)
+                  - blocks[each, ends[:, :, 1], self.kinds[idx]])
+        betas = self.betas[idx]
+        pairs_ok = np.all((values * values - betas <= betas * FEASIBILITY_REL + FEASIBILITY_ABS)
+                          | (self.group[idx] < 0), axis=1)
+        return sites_ok & pairs_ok
+
+
+def _lstsq(a, b, rcond: float) -> np.ndarray:
+    """Minimum-norm least-squares solutions (k, n, r) of k systems a (k, m, n)
+    x = b (k, m, r). numpy's public lstsq takes one system; its own gufunc
+    takes a stack and runs the same LAPACK routine on each system, so every
+    solution is bit-equal to its np.linalg.lstsq(a[i], b[i], rcond) call."""
+    def failed(*_args):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    with np.errstate(call=failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.lstsq(a, b, rcond, signature="ddd->ddid")[0]
+
+
+def _warm_starts(stack: _SectionStack) -> np.ndarray:
+    """Local least-squares jets (B, S q) of a stack: at each site the target
+    value, and the derivatives of the quadratic least-squares fit of all of
+    the problem's targets around the site (np.linalg.lstsq's minimum-norm
+    solution and cutoff, also when m < q), the block scaled back to norm M
+    when longer. One stacked solve per site count."""
+    B, S, d = stack.sites.shape
+    q = jet_size(d)
+    y = np.zeros((B, S, q))
+    for m in np.unique(stack.m).tolist():
+        sel = np.flatnonzero(stack.m == m)
+        sites, targets = stack.sites[sel, :m], stack.targets[sel, :m]
+        design = _monomials((sites[:, None, :, :] - sites[:, :, None, :]).reshape(-1, d))
+        coeff = _lstsq(design.reshape(-1, m, q), np.repeat(targets, m, axis=0)[:, :, None],
+                       np.finfo(np.float64).eps * max(m, q)).reshape(sel.size, m, q)
+        coeff[:, :, 0] = targets
+        # the norm of np.linalg.norm on one block: the square root of its dot product
+        norm = np.sqrt(np.matmul(coeff[:, :, None, :], coeff[:, :, :, None]))[:, :, 0, 0]
+        limit = np.broadcast_to(stack.M[sel, None], norm.shape)
+        over = norm > limit
+        coeff[over] *= (limit[over] / norm[over])[:, None]
+        y[sel, :m] = coeff
+    return y.reshape(B, S * q)
+
+
+def _warm_start(data: SketchedData, constraints: ConstraintSet) -> np.ndarray:
+    """Local least-squares jets of one problem; a batch of one of _warm_starts."""
+    return _warm_starts(_SectionStack.build([constraints], [data]))[0]
+
+
 # ---- projections (Dykstra) ----
+
+def _dykstra_batches(stack: _SectionStack):
+    """The pair rows of a stack as dense rows, batch by batch, for problems
+    ordered by falling batch count, so that the problems holding batch g
+    are the first n_g.
+
+    Returns, per batch, its rows (n_g, W_g, S q), each problem's batch-g
+    rows in row order and zero rows past them, and the columns of its W_g
+    slots in the per-slot arrays: each row's sqrt(beta) and squared norm
+    (1 on empty slots), and its largest |entry| (0 on empty slots), all
+    (B, slots).
+    """
+    B, S, q = len(stack.m), stack.sites.shape[1], stack.taylor.shape[2]
+    b, r = np.nonzero(stack.group >= 0)
+    g = stack.group[b, r]
+    # rows by batch, then problem, then row order; each row's slot in its batch
+    order = np.lexsort((r, b, g))
+    b, r, g = b[order], r[order], g[order]
+    run = np.flatnonzero(np.diff(g * B + b, prepend=-1))
+    slot = np.arange(b.size) - np.repeat(run, np.diff(np.append(run, b.size)))
+    width = np.zeros(int(g.max(initial=-1)) + 1, dtype=np.int64)
+    np.maximum.at(width, g, slot + 1)
+    first = np.cumsum(width) - width
+    col = first[g] + slot
+    roots, sq, absmax = np.zeros((B, width.sum())), np.ones((B, width.sum())), np.zeros((B, width.sum()))
+    batches = []
+    for rows_g in np.split(np.arange(b.size), np.flatnonzero(np.diff(g)) + 1):
+        if not rows_g.size:
+            continue
+        bb, rr, ww = b[rows_g], r[rows_g], slot[rows_g]
+        rows = np.zeros((bb.max() + 1, width[g[rows_g[0]]], S * q))
+        rows[bb[:, None], ww[:, None], stack.ends[bb, rr, 0][:, None] * q + np.arange(q)] = (
+            stack.taylor[bb, rr])
+        rows[bb, ww, stack.ends[bb, rr, 1] * q + stack.kinds[bb, rr]] = -1.0
+        cols = col[rows_g]
+        roots[bb, cols] = np.sqrt(stack.betas[bb, rr])
+        sq[bb, cols] = np.sum(rows * rows, axis=2)[bb, ww]
+        absmax[bb, cols] = np.max(np.abs(rows), axis=2)[bb, ww]
+        start = first[g[rows_g[0]]]
+        batches.append((rows, slice(start, start + rows.shape[1])))
+    return batches, roots, sq, absmax
+
+
+def _dykstra(stack: _SectionStack, y0: np.ndarray,
+             target: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+             sweeps: int = 400, move_tol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
+    """Dykstra's cyclic projections of y0 (B, S q) onto each problem's
+    admissible set, all problems in one masked loop.
+
+    A problem's cycle visits its site balls (all at once), then its pair
+    batches in their fixed order, each batch with one matrix product;
+    batch g of every problem still in the loop is projected together. After
+    each cycle a problem stops if its iterate is feasible and either the
+    cycle moved it less than move_tol or the caller's target holds:
+    target(ys, idx) tests the rows ys of problems idx (None: never). A
+    problem leaves the loop at the cycle where it stops, and the loop ends
+    after `sweeps` cycles. Returns the iterates and why each problem
+    stopped: "move_tol" (converged to the projection), "target" (feasible
+    and good enough for the caller, but not the projection), or "cap" (the
+    sweep cap came first; the iterate may be infeasible).
+    """
+    # problems with more batches first, so that batch g is a prefix of the live set
+    live = np.argsort(-(stack.group.max(axis=1, initial=-1) + 1), kind="stable")
+    batches, roots, sq, absmax = _dykstra_batches(stack.subset(live))
+    B, D = y0.shape
+    q = jet_size(stack.sites.shape[2])
+    out = y0.copy()
+    stops = np.full(B, "cap", dtype=object)
+    y = y0[live].reshape(B, D, 1)
+    bound = stack.M[live, None]
+    site_corr = np.zeros((B, D // q, q))
+    corr = np.zeros(roots.shape)
+
+    def views():
+        """Per batch: its rows and their transpose, and the iterates,
+        corrections, squared norms and roots of the problems holding it, as
+        views into the live arrays. A batch's rows touch disjoint entries, so
+        each entry of rows_t @ delta is one product, in any summation order."""
+        return [(rows, rows.transpose(0, 2, 1), y[:n], corr[:n, cols, None],
+                 sq[:n, cols, None], roots[:n, cols, None])
+                for rows, cols in batches for n in [rows.shape[0]]]
+
+    steps = views()
+    for _ in range(sweeps):
+        if not live.size:
+            break
+        blocks = y.reshape(site_corr.shape) + site_corr
+        norms = np.linalg.norm(blocks, axis=2)
+        scale = np.ones(norms.shape)
+        over = norms > bound
+        scale[over] = np.broadcast_to(bound, over.shape)[over] / norms[over]
+        new_blocks = blocks * scale[:, :, None]
+        site_corr = blocks - new_blocks
+        moved = np.max(np.abs(new_blocks - y.reshape(site_corr.shape)), axis=(1, 2))
+        y[...] = new_blocks.reshape(y.shape)
+        before = corr.copy()
+        for rows, rows_t, y_g, corr_g, sq_g, root_g in steps:
+            # project w = y + corr*alpha onto the slab |alpha . w| <= root;
+            # t minus t clipped to the slab is t - copysign(root, t) outside it, 0 inside
+            t = np.matmul(rows, y_g)
+            t += corr_g * sq_g
+            shift = (t - np.minimum(np.maximum(t, -root_g), root_g)) / sq_g
+            y_g += np.matmul(rows_t, corr_g - shift)
+            corr_g[...] = shift
+        moved = np.maximum(moved, np.max(np.abs(before - corr) * absmax, axis=1, initial=0.0))
+        settled = moved < move_tol
+        check = settled.copy()
+        rest = np.flatnonzero(~settled)
+        if target is not None and rest.size:
+            check[rest] = target(y[rest, :, 0], live[rest])
+        ask = np.flatnonzero(check)
+        if not ask.size:
+            continue
+        done = ask[stack.feasible(y[ask, :, 0], live[ask])]
+        if not done.size:
+            continue
+        out[live[done]] = y[done, :, 0]
+        stops[live[done]] = np.where(settled[done], "move_tol", "target")
+        keep = np.ones(live.size, dtype=bool)
+        keep[done] = False
+        live, y, site_corr, bound, corr, sq, roots, absmax = (
+            a[keep] for a in (live, y, site_corr, bound, corr, sq, roots, absmax))
+        batches = [(rows[kept], cols) for rows, cols in batches
+                   for kept in [keep[:rows.shape[0]]] if kept.any()]
+        steps = views()
+    out[live] = y[:, :, 0]
+    return out, stops
+
 
 def _project_constraints(constraints: ConstraintSet, y0: np.ndarray,
                          sweeps: int = 400, move_tol: float = 1e-13,
                          good_enough: Callable[[np.ndarray], bool] | None = None
                          ) -> tuple[np.ndarray, str]:
-    """Dykstra's cyclic projections onto the admissible set.
-
-    The cycle visits the site balls (disjoint blocks, vectorized), then the
-    pair slabs in fixed batches of disjoint support so each batch projects
-    with one matrix product. After each cycle the iterate is returned if it
-    is feasible and either the cycle moved less than move_tol or the
-    caller's target `good_enough(y)` holds; a caller that needs any feasible
-    point meeting its own test, not the projection itself, passes that test
-    as the target. Otherwise the loop stops after `sweeps` cycles.
-
-    Returns the iterate and why the loop stopped: "move_tol" (converged to
-    the projection), "target" (feasible and good enough for the caller, but
-    not the projection), or "cap" (the sweep cap came first; the iterate may
-    be infeasible).
-    """
-    m, q = constraints.m, constraints.q
-    y = y0.copy()
-    site_corr = np.zeros((m, q))
-    groups = constraints.pair_groups
-    pair_corr = np.zeros(constraints.pair_rows.shape[0])
-    pair_sq = np.sum(constraints.pair_rows * constraints.pair_rows, axis=1)
-    roots = np.sqrt(constraints.pair_betas)
-    batch_rows = [constraints.pair_rows[g] for g in groups]
-    batch_absmax = [np.max(np.abs(rows), axis=1) for rows in batch_rows]
-    for _ in range(sweeps):
-        blocks = y.reshape(m, q) + site_corr
-        norms = np.linalg.norm(blocks, axis=1)
-        scale = np.ones(m)
-        over = norms > constraints.M
-        scale[over] = constraints.M / norms[over]
-        new_blocks = blocks * scale[:, None]
-        site_corr = blocks - new_blocks
-        moved = float(np.max(np.abs(new_blocks - y.reshape(m, q))))
-        y = new_blocks.reshape(-1)
-        for g, rows, absmax in zip(groups, batch_rows, batch_absmax):
-            # project w = y + corr*alpha onto the slab |alpha . w| <= root
-            t = rows @ y + pair_corr[g] * pair_sq[g]
-            shift = np.where(np.abs(t) <= roots[g], 0.0,
-                             (t - np.copysign(roots[g], t)) / pair_sq[g])
-            delta = pair_corr[g] - shift
-            if np.any(delta != 0.0):
-                y = y + rows.T @ delta
-                moved = max(moved, float(np.max(np.abs(delta) * absmax)))
-            pair_corr[g] = shift
-        if moved < move_tol:
-            stop = "move_tol"
-        elif good_enough is not None and good_enough(y):
-            stop = "target"
-        else:
-            continue
-        if constraints.is_feasible(y):
-            return y, stop
-    return y, "cap"
+    """Dykstra's cyclic projections of one iterate onto the admissible set;
+    a batch of one of _dykstra, with the caller's target `good_enough(y)`.
+    Returns the iterate and why the loop stopped."""
+    target = None if good_enough is None else (
+        lambda ys, _idx: np.array([bool(good_enough(y)) for y in ys]))
+    y, stops = _dykstra(_SectionStack.build([constraints]), y0[None, :], target,
+                        sweeps, move_tol)
+    return y[0], stops[0]
 
 
 # ---- analytic-center cutting-plane solver ----
@@ -526,34 +802,74 @@ class SectionFitResult:
     projection_stops: tuple[str, ...] = ()
 
 
-def _warm_start(data: SketchedData, constraints: ConstraintSet) -> np.ndarray:
-    """Local least-squares jets: target values, quadratic fits for derivatives."""
-    m, q = constraints.m, constraints.q
-    sites = constraints.sites
-    targets = np.asarray(data.targets, dtype=np.float64)
-    y = np.zeros(m * q)
-    for i in range(m):
-        design = _monomials(sites - sites[i])
-        coeff, *_ = np.linalg.lstsq(design, targets, rcond=None)
-        coeff[0] = targets[i]
-        block = coeff
-        norm = float(np.linalg.norm(block))
-        if norm > constraints.M:
-            block = block * (constraints.M / norm)
-        y[i * q:(i + 1) * q] = block
-    return y
+# the padded layouts of a front grow with its problems' pair rows times
+# coefficients; _front stacks consecutive runs of problems under this size
+_FRONT_ENTRIES = 1 << 23
+
+
+def _front(data: Sequence[SketchedData], constraints: Sequence[ConstraintSet],
+           eps_bar: float) -> list[SectionFitResult]:
+    """The warm-start front of B section fits, in stacked passes.
+
+    Problem b fits data[b] (one normal component) over constraints[b]. Its
+    warm start certifies when it is feasible with objective <= eps_bar;
+    every other problem's warm start is projected in one _dykstra loop,
+    with eps_bar as its target, and certifies on the same test. Returns one
+    SectionFitResult per problem: certified ("warm-start" or
+    "warm-start-projected"), or uncertified with the projected iterate and
+    its stop, from which minimize_section goes on. A problem's outcome does
+    not depend on the rest of its batch, so the problems are stacked in
+    consecutive runs of at most _FRONT_ENTRIES row entries (at least one
+    problem each), which bounds the memory of a large packet's front.
+    """
+    entries = np.cumsum([c.pair_betas.size * c.dim for c in constraints])
+    results: list[SectionFitResult] = []
+    while len(results) < len(data):
+        start = len(results)
+        base = entries[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(entries, base + _FRONT_ENTRIES, side="right")))
+        results += _front_pass(data[start:stop], constraints[start:stop], eps_bar)
+    return results
+
+
+def _front_pass(data: Sequence[SketchedData], constraints: Sequence[ConstraintSet],
+                eps_bar: float) -> list[SectionFitResult]:
+    """The front of a run of problems (see _front), as one stacked pass."""
+    stack = _SectionStack.build(constraints, data)
+    every = np.arange(len(data))
+    y = _warm_starts(stack)
+    value = stack.objective(y, every)
+    certified = stack.feasible(y, every) & (value <= eps_bar)
+    stops = np.full(len(data), None, dtype=object)
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        sub = stack.subset(rest)
+        y[rest], stops[rest] = _dykstra(
+            sub, y[rest], lambda ys, idx: sub.objective(ys, idx) <= eps_bar)
+        every = np.arange(rest.size)
+        value[rest] = sub.objective(y[rest], every)
+        certified[rest] = sub.feasible(y[rest], every) & (value[rest] <= eps_bar)
+    q = jet_size(stack.sites.shape[2])
+    return [SectionFitResult(y=y[b, :stack.m[b] * q], value=float(value[b]), iterations=0,
+                             certified=bool(certified[b]),
+                             solver="warm-start" if stops[b] is None else "warm-start-projected",
+                             projection_stops=() if stops[b] is None else (stops[b],))
+            for b in range(len(data))]
 
 
 def minimize_section(data: SketchedData, constraints: ConstraintSet,
-                     eps_bar: float, budget: int | None = None) -> SectionFitResult:
+                     eps_bar: float, budget: int | None = None, *,
+                     start: SectionFitResult | None = None) -> SectionFitResult:
     """Minimize the section objective over the admissible set.
 
-    Tries the warm start, then its projection, then the cutting-plane
-    solver with `budget` cuts. Returns as soon as a feasible field with
-    objective <= eps_bar is found (the objective is nonnegative, so such a
-    field certifies the minimum up to eps_bar). Raises BudgetExceededError
-    carrying the best feasible iterate when the budget or a stall is hit
-    first.
+    Tries the warm start, then its projection (the front, see _front),
+    then the cutting-plane solver with `budget` cuts. Returns as soon as a
+    feasible field with objective <= eps_bar is found (the objective is
+    nonnegative, so such a field certifies the minimum up to eps_bar).
+    Raises BudgetExceededError carrying the best feasible iterate when the
+    budget or a stall is hit first. start is this problem's front outcome
+    when a stacked front already ran (fit_sections passes it); without it
+    the front runs as a batch of one.
     """
     if not (eps_bar > 0):
         raise InvalidParameterError("eps_bar must be positive")
@@ -565,27 +881,20 @@ def minimize_section(data: SketchedData, constraints: ConstraintSet,
         raise InvalidParameterError(
             "minimize_section fits one normal coordinate at a time; "
             "split vector targets with SketchedData.component")
-
-    y0 = _warm_start(data, constraints)
-    if constraints.is_feasible(y0):
-        val = section_objective(data, constraints, y0)
-        if val <= eps_bar:
-            return SectionFitResult(y=y0, value=val, iterations=0,
-                                    certified=True, solver="warm-start")
+    if data.size != constraints.m:
+        raise SiteMismatchError(
+            f"data has {data.size} sites, constraints have {constraints.m}")
+    if start is None:
+        start = _front([data], [constraints], eps_bar)[0]
+    if start.certified:
+        return start
 
     def meets_target(y):
         return section_objective(data, constraints, y) <= eps_bar
 
-    y0, stop = _project_constraints(constraints, y0, good_enough=meets_target)
-    start = y0 if constraints.is_feasible(y0) else None
-    if start is not None:
-        val = section_objective(data, constraints, start)
-        if val <= eps_bar:
-            return SectionFitResult(y=start, value=val, iterations=0,
-                                    certified=True, solver="warm-start-projected",
-                                    projection_stops=(stop,))
-    return _solve_cutting_plane(data, constraints, eps_bar, budget, start,
-                                meets_target, [stop])
+    feasible = start.y if constraints.is_feasible(start.y) else None
+    return _solve_cutting_plane(data, constraints, eps_bar, budget, feasible,
+                                meets_target, list(start.projection_stops))
 
 
 def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start,
@@ -754,50 +1063,104 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
                       M: float | None = None, c_w: float = C_W_DEFAULT,
                       budget: int | None = None,
                       sketch_radius: float = 0.02) -> LocalSection:
-    """Fit the graph section of one cylinder from the mesh points inside it.
+    """Fit the graph section of one cylinder from the mesh points inside it;
+    a batch of one of _fit_cylinders."""
+    if not (0 <= cylinder_index < packet.size):
+        raise InvalidParameterError(f"no cylinder {cylinder_index} in the packet")
+    return _fit_cylinders(packet, mesh, [cylinder_index], eps_bar, M, c_w, budget,
+                          sketch_radius)[0]
 
-    Mesh base points inside the full cylinder give sites (tangential local
+
+# mesh points times cylinders whose local coordinates _inside_points holds at once
+_LOCAL_CHUNK = 1 << 13
+
+
+def _inside_points(packet: CylinderPacket, mesh: PutativeMesh, cylinders: np.ndarray):
+    """The mesh base points inside each of the given full cylinders: their
+    counts (C,) and their local coordinates over tau_bar in mesh order,
+    (C, P, n) zero-padded past each count. The coordinates are computed a
+    chunk of cylinders at a time, which bounds the memory they take."""
+    tb, d = packet.tau_bar, packet.d
+    step = max(1, _LOCAL_CHUNK // mesh.size)
+    found, counts = [], []
+    for lo in range(0, cylinders.size, step):
+        part = cylinders[lo:lo + step]
+        local = np.matmul(mesh.base_points - packet.centers[part][:, None, :],
+                          packet.rotations[part])
+        inside = ((np.linalg.norm(local[:, :, :d], axis=2) <= tb + 1e-12)
+                  & (np.linalg.norm(local[:, :, d:], axis=2) <= tb + 1e-12))
+        found.append(local[inside] / tb)
+        counts.append(inside.sum(axis=1))
+    count = np.concatenate(counts)
+    real = np.arange(int(count.max(initial=0))) < count[:, None]
+    points = np.zeros(real.shape + (packet.n,))
+    points[real] = np.concatenate(found)
+    return count, points
+
+
+def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_bar: float,
+                   M: float | None, c_w: float, budget: int | None,
+                   sketch_radius: float) -> list[LocalSection]:
+    """Fit the graph sections of the given cylinders, in order.
+
+    Mesh base points inside a full cylinder give sites (tangential local
     coordinates over tau_bar) and per-component targets (normal coordinates
     over tau_bar). A cylinder without mesh points yields an empty section.
     The default coefficient bound is M = 2 tau_bar / tau.
+
+    The sketches, the constraint sets and the warm-start front (_front) of
+    every normal component of every cylinder run as stacked passes. Then
+    each component goes through minimize_section with its front outcome,
+    cylinder by cylinder, so the first failing cylinder raises its own
+    error, from the setup or from the solver.
     """
-    if not (0 <= cylinder_index < packet.size):
-        raise InvalidParameterError(f"no cylinder {cylinder_index} in the packet")
-    cyl = packet.cylinders[cylinder_index]
-    d = packet.d
-    tb = packet.tau_bar
+    d, tb, codim = packet.d, packet.tau_bar, packet.n - packet.d
     if M is None:
         M = 2.0 * tb / packet.tau
-    local = (mesh.base_points - cyl.center) @ cyl.rotation
-    tan = np.linalg.norm(local[:, :d], axis=1)
-    nor = np.linalg.norm(local[:, d:], axis=1)
-    inside = (tan <= tb + 1e-12) & (nor <= tb + 1e-12)
-    if not np.any(inside):
-        return LocalSection(cylinder_index=cylinder_index,
-                            sites=np.zeros((0, d)),
-                            coefficients=np.zeros((0, 0, jet_size(d))),
-                            fit_values=(),
-                            shepard_radius=0.0, is_empty=True)
-    u = local[inside, :d] / tb
-    vals = local[inside, d:] / tb
-    data_all = sketch(u, vals, sketch_radius)
-    constraints = build_constraints(data_all.sites, M, c_w)
-    fits = [minimize_section(data_all.component(c) if data_all.targets.ndim == 2
-                             else data_all, constraints, eps_bar, budget)
-            for c in range(vals.shape[1])]
-    if data_all.size > 1:
-        diff = data_all.sites[:, None, :] - data_all.sites[None, :, :]
-        seps = np.linalg.norm(diff, axis=2)
-        np.fill_diagonal(seps, np.inf)
-        radius = 0.999 * float(seps.min())
+    cylinders = np.asarray(cylinders, dtype=np.int64)
+    count, points = _inside_points(packet, mesh, cylinders)
+    if not (sketch_radius >= 0):
+        error = InvalidParameterError("sketch radius must be nonnegative")
+    elif not (M > 0):
+        error = InvalidParameterError("coefficient bound M must be positive")
     else:
-        radius = 0.0
-    return LocalSection(
-        cylinder_index=cylinder_index, sites=data_all.sites,
-        coefficients=np.stack([f.y.reshape(data_all.size, constraints.q) for f in fits]),
-        fit_values=tuple(f.value for f in fits), shepard_radius=radius,
-        solver_paths=tuple(f.solver for f in fits),
-        projection_stops=tuple(stop for f in fits for stop in f.projection_stops))
+        error = None
+    filled = np.flatnonzero(count)
+    setup: dict = {}   # filled cylinder position -> (data, constraints, separation) or error
+    if filled.size and error is None:
+        points = points[filled]
+        sketches = _sketches(points[:, :, :d], points[:, :, d:], count[filled], sketch_radius)
+        sets, closest = _constraint_sets(_padded([s.sites for s in sketches]),
+                                         np.array([s.size for s in sketches]), M, c_w)
+        for j, data, cons, sep in zip(filled.tolist(), sketches, sets, closest.tolist()):
+            setup[j] = cons if isinstance(cons, Exception) else (data, cons, sep)
+    problems = [(j, c) for j, out in setup.items() if isinstance(out, tuple)
+                for c in range(codim)]
+    fronts: dict = {}
+    if problems and eps_bar > 0:
+        fronts = dict(zip(problems, _front([setup[j][0].component(c) for j, c in problems],
+                                           [setup[j][1] for j, _ in problems], eps_bar)))
+    sections = []
+    for j, cylinder in enumerate(cylinders.tolist()):
+        if not count[j]:
+            sections.append(LocalSection(cylinder_index=cylinder, sites=np.zeros((0, d)),
+                                         coefficients=np.zeros((0, 0, jet_size(d))),
+                                         fit_values=(), shepard_radius=0.0, is_empty=True))
+            continue
+        out = error or setup[j]
+        if isinstance(out, Exception):
+            raise out
+        data, cons, sep = out
+        fits = [minimize_section(data.component(c), cons, eps_bar, budget,
+                                 start=fronts.get((j, c))) for c in range(codim)]
+        sections.append(LocalSection(
+            cylinder_index=cylinder, sites=data.sites,
+            coefficients=np.stack([f.y.reshape(data.size, cons.q) for f in fits]),
+            fit_values=tuple(f.value for f in fits),
+            shepard_radius=0.999 * sep if data.size > 1 else 0.0,
+            solver_paths=tuple(f.solver for f in fits),
+            projection_stops=tuple(stop for f in fits for stop in f.projection_stops)))
+    return sections
 
 
 # ---- partition of unity and the global section ----
@@ -950,10 +1313,10 @@ def fit_sections(packet: CylinderPacket, mesh: PutativeMesh,
                  eps_bar: float = 0.5, M: float | None = None,
                  c_w: float = C_W_DEFAULT, budget: int | None = None,
                  sketch_radius: float = 0.02) -> SectionModel:
-    """Fit every cylinder's local section and assemble the model."""
-    sections = tuple(
-        fit_local_section(packet, mesh, j, eps_bar, M, c_w, budget, sketch_radius)
-        for j in range(packet.size))
+    """Fit every cylinder's local section (see _fit_cylinders) and assemble
+    the model."""
+    sections = _fit_cylinders(packet, mesh, range(packet.size), eps_bar, M, c_w, budget,
+                              sketch_radius)
     return SectionModel(packet=packet, mesh=mesh, sections=sections,
                         eps_bar=eps_bar)
 

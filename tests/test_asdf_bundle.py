@@ -1102,3 +1102,34 @@ def test_load_mesh_rejects_projector_mismatch(circle_packet, circle_mesh, tmp_pa
         json.dump(payload, fh)
     with pytest.raises(InvalidParameterError):
         load_mesh(packet, csv_path, sidecar)
+
+
+def test_a_chart_built_from_outside_checks_its_projector():
+    fib = np.array([[0.0, 1.0]])
+    fields = dict(base_point=np.zeros(2), projector_hi=fib.T @ fib, fiber_basis=fib,
+                  owning_cylinder=0, residual=0.0, eigenvalues=(0.0, 1.0))
+    BundleChart(**fields)
+    for projector, text in ((np.array([[0.0, 1.0], [0.0, 1.0]]), "symmetric"),
+                            (np.diag([0.0, 2.0]), "idempotent"), (np.eye(2), "trace")):
+        with pytest.raises(InvalidParameterError, match=text):
+            BundleChart(**{**fields, "projector_hi": projector})
+
+
+def test_a_stacked_solve_checks_its_projectors_once(circle_packet, circle_mesh, monkeypatch):
+    packet, cloud, _ = circle_packet
+    shapes = []
+    check = asdf_bundle._check_projectors
+
+    def spy(p, codim):
+        shapes.append(p.shape)
+        return check(p, codim)
+
+    monkeypatch.setattr(asdf_bundle, "_check_projectors", spy)
+    charts = [out for out in solve_base_point(packet, cloud.points[:40])
+              if isinstance(out, BundleChart)]
+    assert len(charts) > 1 and shapes == [(len(charts), 2, 2)]
+    for chart in charts:
+        np.testing.assert_array_equal(chart.projector_hi, chart.fiber_basis.T @ chart.fiber_basis)
+    # a mesh rebuilds all of its charts with one check too
+    shapes.clear()
+    assert len(circle_mesh.charts) == circle_mesh.size and shapes == [(circle_mesh.size, 2, 2)]

@@ -412,14 +412,15 @@ def test_certificate_counts_projection_stops_by_reason(circle_verdict, ball_verd
                                                        monkeypatch):
     cloud, verdict = circle_verdict
     seen = []
-    project = whitney_sections._project_constraints
+    project = whitney_sections._dykstra
 
     def spy(*args, **kwargs):
         out = project(*args, **kwargs)
-        seen.append(out[1])
+        seen.extend(out[1])
         return out
 
-    monkeypatch.setattr(whitney_sections, "_project_constraints", spy)
+    # every projection, stacked or alone, runs in _dykstra
+    monkeypatch.setattr(whitney_sections, "_dykstra", spy)
     # the ideal packet's sections all certify from the warm start; the
     # perturbed packet's need projections
     ideal, perturbed = run_test(cloud, replace(CIRCLE_CONFIG, packet_budget=2)

@@ -1,4 +1,5 @@
 """The jet layout, sketching, the convex section solver, and partition-of-unity patching."""
+import inspect
 import math
 
 import numpy as np
@@ -15,18 +16,20 @@ from manifold_test.asdf_bundle import (
     ideal_packet,
     solve_base_point,
 )
-from manifold_test.core_geometry import AffineSubspace, PointCloud
+from manifold_test.core_geometry import AffineSubspace, PointCloud, greedy_merge
 from manifold_test.errors import (
     BudgetExceededError,
     DecompositionFailedError,
     DuplicateSiteError,
     EmptyInputError,
     InvalidParameterError,
+    ManifoldTestError,
     OutOfTubeError,
     SiteMismatchError,
     UncoveredPointError,
 )
-from manifold_test.pipeline import generate_synthetic
+import manifold_test.pipeline as pipeline
+from manifold_test.pipeline import TestConfig, generate_synthetic, run_test
 import manifold_test.whitney_sections as ws
 from manifold_test.whitney_sections import (
     GlobalSectionValue,
@@ -387,20 +390,22 @@ def test_warm_start_projection_stops_at_the_callers_target():
 
 def test_a_fit_reports_the_stop_of_every_projection(monkeypatch):
     seen = []
-    project = ws._project_constraints
+    project = ws._dykstra
 
     def spy(*args, **kwargs):
-        seen.append(project(*args, **kwargs))
-        return seen[-1]
+        out = project(*args, **kwargs)
+        seen.extend(out[1])
+        return out
 
-    monkeypatch.setattr(ws, "_project_constraints", spy)
+    # every projection, the front's and the cutting plane's, runs in _dykstra
+    monkeypatch.setattr(ws, "_dykstra", spy)
     assert minimize_section(*line_fixture(), eps_bar=1e-3).projection_stops == ()
     assert not seen
     # the Dykstra cap bites here although the objective meets the target
     res = minimize_section(*line_fixture(sigma=0.02, seed=0), eps_bar=0.01)
     assert res.solver == "cutting-plane"
     assert res.projection_stops[0] == "cap"
-    assert res.projection_stops == tuple(stop for _, stop in seen)
+    assert res.projection_stops == tuple(seen)
 
 
 def test_unreachable_target_leaves_the_projection_unchanged():
@@ -497,6 +502,26 @@ def test_pair_rows_and_warm_start_match_the_old_loops(d):
     np.testing.assert_array_equal(y, old_warm_start(data, cons))
     norms = np.linalg.norm(y.reshape(cons.m, cons.q), axis=1)
     assert np.any(np.isclose(norms, cons.M)) and np.any(norms < 0.99 * cons.M)
+
+
+def test_stacked_warm_starts_equal_lstsq_site_by_site():
+    # d = 2 problems of 2 to 8 sites in one stack: fewer sites than the 6 jet
+    # coefficients, and sites on a line up to 1e-13, whose designs are
+    # numerically rank-deficient, so lstsq's cutoff decides their solutions
+    rng = np.random.default_rng(12)
+    problems = []
+    for m in range(2, 9):
+        for on_line in (False, True):
+            sites = rng.uniform(-1.0, 1.0, (m, 2))
+            if on_line:
+                sites[:, 1] = 0.3 * sites[:, 0] + 1e-13 * rng.standard_normal(m)
+            data = sketch(sites, np.sin(sites.sum(axis=1)), 0.0)
+            problems.append((data, build_constraints(data.sites, M=1e9)))
+    stack = ws._SectionStack.build([c for _, c in problems], [d for d, _ in problems])
+    y = ws._warm_starts(stack)
+    for b, (data, cons) in enumerate(problems):
+        np.testing.assert_array_equal(y[b, :cons.dim], old_warm_start(data, cons))
+        assert not np.any(y[b, cons.dim:])
 
 
 def _five_site_fixture(seed: int):
@@ -1022,3 +1047,318 @@ def test_stacked_evaluate_matches_single_points(sphere_model):
             one = section.evaluate(u[i])
             np.testing.assert_array_equal(values[i], one[0])
             np.testing.assert_array_equal(jac[i], one[1])
+
+
+# ---- the stacked fit against the per-cylinder reference ----
+
+def reference_sketch(sites, values, radius):
+    """The per-cylinder sketch: greedy_merge, each site joining its first
+    representative within radius, the member means."""
+    reps = greedy_merge(sites, radius)
+    rep_sites = sites[reps]
+    dist = np.linalg.norm(sites[:, None, :] - rep_sites[None, :, :], axis=2)
+    owner = np.argmax(dist < radius, axis=1)
+    owner[reps] = np.arange(len(reps))
+    members = [np.nonzero(owner == r)[0] for r in range(len(reps))]
+    targets = np.stack([values[m].mean(axis=0) for m in members])
+    mult = np.array([len(m) for m in members], dtype=np.int64)
+    return rep_sites, targets, mult, owner
+
+
+def reference_row_groups(ends):
+    """The greedy batch loop: each row joins the first batch that touches
+    neither of its sites."""
+    groups, used_sites = [], []
+    for idx, (s, t) in enumerate(ends):
+        for g, used in zip(groups, used_sites):
+            if s not in used and t not in used:
+                g.append(idx)
+                used.update((s, t))
+                break
+        else:
+            groups.append([idx])
+            used_sites.append({s, t})
+    return groups
+
+
+def reference_project(cons, y0, sweeps=400, move_tol=1e-13, good_enough=None):
+    """The per-problem Dykstra loop over the dense rows."""
+    m, q = cons.m, cons.q
+    y = y0.copy()
+    site_corr = np.zeros((m, q))
+    groups = reference_row_groups(cons.pair_sites.tolist())
+    assert [g.tolist() for g in cons.pair_groups] == groups
+    pair_corr = np.zeros(cons.pair_rows.shape[0])
+    pair_sq = np.sum(cons.pair_rows * cons.pair_rows, axis=1)
+    roots = np.sqrt(cons.pair_betas)
+    for _ in range(sweeps):
+        blocks = y.reshape(m, q) + site_corr
+        norms = np.linalg.norm(blocks, axis=1)
+        scale = np.ones(m)
+        over = norms > cons.M
+        scale[over] = cons.M / norms[over]
+        new_blocks = blocks * scale[:, None]
+        site_corr = blocks - new_blocks
+        moved = float(np.max(np.abs(new_blocks - y.reshape(m, q))))
+        y = new_blocks.reshape(-1)
+        for g in groups:
+            rows = cons.pair_rows[g]
+            t = rows @ y + pair_corr[g] * pair_sq[g]
+            shift = np.where(np.abs(t) <= roots[g], 0.0,
+                             (t - np.copysign(roots[g], t)) / pair_sq[g])
+            delta = pair_corr[g] - shift
+            y = y + rows.T @ delta
+            moved = max(moved, float(np.max(np.abs(delta) * np.max(np.abs(rows), axis=1))))
+            pair_corr[g] = shift
+        if moved < move_tol:
+            stop = "move_tol"
+        elif good_enough is not None and good_enough(y):
+            stop = "target"
+        else:
+            continue
+        if cons.is_feasible(y):
+            return y, stop
+    return y, "cap"
+
+
+def reference_minimize(data, cons, eps_bar, budget):
+    """The per-problem fit: warm start, its projection, the cutting plane."""
+    if budget is None:
+        budget = min(120 + 4 * cons.dim, 700)
+    y0 = old_warm_start(data, cons)
+    if cons.is_feasible(y0):
+        val = section_objective(data, cons, y0)
+        if val <= eps_bar:
+            return ws.SectionFitResult(y=y0, value=val, iterations=0, certified=True,
+                                       solver="warm-start")
+
+    def meets_target(y):
+        return section_objective(data, cons, y) <= eps_bar
+
+    y0, stop = reference_project(cons, y0, good_enough=meets_target)
+    start = y0 if cons.is_feasible(y0) else None
+    if start is not None:
+        val = section_objective(data, cons, start)
+        if val <= eps_bar:
+            return ws.SectionFitResult(y=start, value=val, iterations=0, certified=True,
+                                       solver="warm-start-projected", projection_stops=(stop,))
+    return ws._solve_cutting_plane(data, cons, eps_bar, budget, start, meets_target, [stop])
+
+
+def reference_fit(packet, mesh, eps_bar, budget):
+    """Every component fit of the cylinder-by-cylinder loop, in order, and
+    the error that stopped it (None when every cylinder fits)."""
+    fits = []
+    tb, d = packet.tau_bar, packet.d
+    with pytest.MonkeyPatch.context() as mp:
+        # the cutting plane's own projections run the reference loop too
+        mp.setattr(ws, "_project_constraints", reference_project)
+        for cyl in packet.cylinders:
+            local = (mesh.base_points - cyl.center) @ cyl.rotation
+            inside = ((np.linalg.norm(local[:, :d], axis=1) <= tb + 1e-12)
+                      & (np.linalg.norm(local[:, d:], axis=1) <= tb + 1e-12))
+            if not np.any(inside):
+                continue
+            try:
+                sites, targets, mult, owner = reference_sketch(
+                    local[inside, :d] / tb, local[inside, d:] / tb, 0.02)
+                cons = build_constraints(sites, 2.0 * tb / packet.tau)
+                for c in range(targets.shape[1]):
+                    data = ws.SketchedData(sites=sites, targets=targets[:, c],
+                                           multiplicities=mult, owners=owner)
+                    fits.append(reference_minimize(data, cons, eps_bar, budget))
+            except ManifoldTestError as exc:
+                return fits, exc
+    return fits, None
+
+
+def stacked_fit(packet, mesh, eps_bar, budget):
+    """The same record of fit_sections: what each minimize_section call
+    returned, in order, and the error fit_sections raised."""
+    fits = []
+    minimize = ws.minimize_section
+
+    def record(*args, **kwargs):
+        fits.append(minimize(*args, **kwargs))
+        return fits[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ws, "minimize_section", record)
+        try:
+            fit_sections(packet, mesh, eps_bar, budget=budget)
+        except ManifoldTestError as exc:
+            return fits, exc
+    return fits, None
+
+
+@pytest.fixture(scope="module")
+def pipeline_packets(sphere_model):
+    """(packet, mesh, eps_bar, budget) of the fits run_test makes on a noisy
+    circle (the ideal packet, then a perturbed one; case one) and on a
+    uniform disc (case two: a cylinder fails), and the d = 2 sphere packet
+    with a target that one fit meets only in the cutting plane."""
+    fits = {}
+
+    def recorder(name):
+        def fit(packet, mesh, eps_bar, budget=None):
+            fits.setdefault(name, []).append((packet, mesh, eps_bar, budget))
+            return fit_sections(packet, mesh, eps_bar, budget=budget)
+        return fit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "fit_sections", recorder("circle"))
+        cloud, _ = generate_synthetic("sphere", n=2, size=120, noise=0.003, radius=0.5,
+                                      even=True, seed=3)
+        run_test(cloud, TestConfig(d=1, V=7.0, tau=0.3, eps=3.6e-5, delta=0.1, C=4.0,
+                                   packet_budget=2, seed=0))
+        mp.setattr(pipeline, "fit_sections", recorder("disc"))
+        cloud, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
+        run_test(cloud, TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1,
+                                   packet_budget=1, seed=0))
+    packet, mesh, _ = sphere_model
+    return {"circle-ideal": fits["circle"][0], "circle-perturbed": fits["circle"][1],
+            "disc": fits["disc"][0], "sphere": (packet, mesh, 1e-3, None)}
+
+
+@pytest.mark.parametrize("name", ["circle-ideal", "circle-perturbed", "disc", "sphere"])
+def test_stacked_fit_matches_the_per_cylinder_reference(pipeline_packets, name):
+    packet, mesh, eps_bar, budget = pipeline_packets[name]
+    fits, error = stacked_fit(packet, mesh, eps_bar, budget)
+    want, want_error = reference_fit(packet, mesh, eps_bar, budget)
+    assert len(fits) == len(want) > 0
+    for got, ref in zip(fits, want):
+        assert (got.solver, got.projection_stops, got.iterations, got.certified) == (
+            ref.solver, ref.projection_stops, ref.iterations, ref.certified)
+        np.testing.assert_allclose(got.value, ref.value, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.y, ref.y, rtol=0.0,
+                                   atol=1e-12 * float(np.max(np.abs(ref.y))))
+    assert type(error) is type(want_error) and str(error) == str(want_error)
+    paths = {f.solver for f in fits}
+    if name == "circle-ideal":
+        assert paths == {"warm-start"}
+    elif name == "circle-perturbed":
+        assert "warm-start-projected" in paths
+    elif name == "sphere":
+        assert paths == {"warm-start", "cutting-plane"}
+    else:
+        assert isinstance(error, BudgetExceededError)
+
+
+def test_a_cylinder_fits_alone_as_in_its_packet(pipeline_packets):
+    packet, mesh, eps_bar, budget = pipeline_packets["circle-perturbed"]
+    model = fit_sections(packet, mesh, eps_bar, budget=budget)
+    assert any("warm-start-projected" in s.solver_paths for s in model.sections)
+    for j, inside in enumerate(model.sections):
+        alone = fit_local_section(packet, mesh, j, eps_bar, budget=budget)
+        assert alone.is_empty == inside.is_empty
+        assert alone.solver_paths == inside.solver_paths
+        assert alone.projection_stops == inside.projection_stops
+        if not inside.is_empty:
+            np.testing.assert_allclose(alone.coefficients, inside.coefficients, rtol=0.0,
+                                       atol=1e-12 * float(np.max(np.abs(inside.coefficients))))
+
+
+def test_a_front_stacked_in_runs_fits_as_one_pass(pipeline_packets, monkeypatch):
+    packet, mesh, eps_bar, budget = pipeline_packets["circle-perturbed"]
+    whole = fit_sections(packet, mesh, eps_bar, budget=budget).section_table
+    runs = []
+    front_pass = ws._front_pass
+
+    def spy(data, constraints, eps):
+        runs.append(len(data))
+        return front_pass(data, constraints, eps)
+
+    monkeypatch.setattr(ws, "_front_pass", spy)
+    monkeypatch.setattr(ws, "_FRONT_ENTRIES", 2000)
+    split = fit_sections(packet, mesh, eps_bar, budget=budget).section_table
+    assert len(runs) > 10 and sum(runs) == int(np.count_nonzero(~whole.empty))
+    assert split.solver_paths == whole.solver_paths
+    assert split.projection_stops == whole.projection_stops
+    np.testing.assert_allclose(split.coefficients, whole.coefficients, rtol=0.0,
+                               atol=1e-12 * float(np.max(np.abs(whole.coefficients))))
+
+
+def test_a_short_projection_ignores_a_long_tail_in_its_batch():
+    # a 25-site problem whose projection meets its target in a few dozen
+    # sweeps, and a 29-site one that runs to the 400-sweep cap
+    problems = [line_fixture(sigma=0.01, seed=1), line_fixture(sigma=0.02, m=29, seed=0)]
+
+    def project(chosen):
+        data = [problems[i][0] for i in chosen]
+        cons = [problems[i][1] for i in chosen]
+        stack = ws._SectionStack.build(cons, data)
+        sweeps = [0] * len(chosen)
+
+        def target(ys, idx):
+            for i in idx:
+                sweeps[i] += 1
+            return stack.objective(ys, idx) <= 0.01
+
+        y, stops = ws._dykstra(stack, ws._warm_starts(stack), target)
+        return [(stops[b], sweeps[b], y[b, :cons[b].dim]) for b in range(len(chosen))]
+
+    (short_alone,) = project([0])
+    short, tail = project([0, 1])
+    assert tail[:2] == ("cap", 400)
+    assert short_alone[0] == "target" and 1 < short_alone[1] < 400
+    assert short[:2] == short_alone[:2]
+    np.testing.assert_allclose(short[2], short_alone[2], rtol=0.0, atol=1e-12)
+    fronts = ws._front([p[0] for p in problems], [p[1] for p in problems], 0.01)
+    alone = ws._front([problems[0][0]], [problems[0][1]], 0.01)[0]
+    assert (fronts[0].solver, fronts[0].projection_stops) == (
+        alone.solver, alone.projection_stops) == ("warm-start-projected", ("target",))
+    assert fronts[0].certified and not fronts[1].certified
+    np.testing.assert_allclose(fronts[0].y, alone.y, rtol=0.0, atol=1e-12)
+
+
+def test_an_earlier_failing_cylinder_raises_before_any_later_one(pipeline_packets,
+                                                                 monkeypatch):
+    packet, mesh, eps_bar, budget = pipeline_packets["disc"]
+    batches, fitted = [], []
+    front, minimize, sets = ws._front, ws.minimize_section, ws._constraint_sets
+
+    def spy_front(data, constraints, eps):
+        batches.append(len(data))
+        return front(data, constraints, eps)
+
+    def spy_minimize(*args, **kwargs):
+        fitted.append(minimize(*args, **kwargs))
+        return fitted[-1]
+
+    def inject(position):
+        def broken(*args, **kwargs):
+            out, closest = sets(*args, **kwargs)
+            out[position] = DuplicateSiteError("injected")
+            return out, closest
+        return broken
+
+    monkeypatch.setattr(ws, "_front", spy_front)
+    monkeypatch.setattr(ws, "minimize_section", spy_minimize)
+    with pytest.raises(BudgetExceededError) as plain:
+        fit_sections(packet, mesh, eps_bar, budget=budget)
+    # the front prepared every cylinder, those past the failing one too
+    assert batches[0] > len(fitted) + 1
+    # the last cylinder fails in the stacked setup; the earlier solver failure wins
+    monkeypatch.setattr(ws, "_constraint_sets", inject(-1))
+    with pytest.raises(BudgetExceededError) as late:
+        fit_sections(packet, mesh, eps_bar, budget=budget)
+    assert str(late.value) == str(plain.value)
+    assert batches[1] == batches[0] - 1
+    # the first cylinder fails in the setup before any solver runs
+    monkeypatch.setattr(ws, "_constraint_sets", inject(0))
+    with pytest.raises(DuplicateSiteError, match="injected"):
+        fit_sections(packet, mesh, eps_bar, budget=budget)
+
+
+def test_the_front_reports_the_honest_cap_and_falls_through():
+    # the objective meets the target on every sweep, but no iterate passes
+    # the feasibility slack before the cap; the fit must say so and go on
+    data, cons = line_fixture(sigma=0.02, seed=0)
+    front = ws._front([data], [cons], 0.01)[0]
+    assert not front.certified and front.projection_stops == ("cap",)
+    assert front.value <= 0.01 and not cons.is_feasible(front.y)
+    res = minimize_section(data, cons, eps_bar=0.01, start=front)
+    assert res.solver == "cutting-plane" and res.projection_stops[0] == "cap"
+    assert ws.FEASIBILITY_REL == 2e-6
+    defaults = inspect.signature(ws._dykstra).parameters
+    assert defaults["sweeps"].default == 400 and defaults["move_tol"].default == 1e-13
