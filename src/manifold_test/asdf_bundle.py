@@ -638,14 +638,18 @@ def solve_base_point(packet: CylinderPacket, z0, newton_tol: float = 1e-10,
                      constants: BundleConstants = DEFAULT_CONSTANTS):
     """Damped Newton for a zero of Pi_hi grad F along the current fiber.
 
-    Steps move only inside the span of the top Hessian eigenvectors; a step
-    is halved (up to 20 times) until the fixed-frame residual decreases.
+    Steps move only inside the span of the top Hessian eigenvectors; a row
+    takes the first of its full step and its 20 halvings that lowers the
+    fixed-frame residual (_damped_steps evaluates them as stacked trials).
     z0 of shape (n,) returns its BundleChart or raises. z0 of shape (m, n)
     returns a RowOutcomes tuple of m outcomes, each a BundleChart or the
     BASE_POINT_ERRORS instance that ended the row, with counts["evaluations"]
-    the rows the field kernel evaluated. The rows are solved in one masked
-    loop (each row keeps its own iterate, step count and halving), and a
-    row's outcome does not depend on the other rows.
+    the field evaluations of a halving search: each row's first point and,
+    per step, its trials up to and including the accepted one (all 21 when
+    none is). The trials the stacked ladder computes past a row's accepted
+    one are not counted. The rows are solved in one masked loop (each row
+    keeps its own iterate and step count), and a row's outcome does not
+    depend on the other rows.
     """
     z0 = np.asarray(z0, dtype=np.float64)
     if z0.shape[-1:] != (packet.n,) or z0.ndim not in (1, 2):
@@ -692,27 +696,13 @@ def _newton(packet, z0, newton_tol, max_steps, constants) -> RowOutcomes:
                 outcomes[r] = NoConvergenceError("singular fiber Hessian in the Newton step")
             active, fiber, rnorm, delta = (a[~singular] for a in (active, fiber, rnorm, delta))
         step = np.matmul(fiber.transpose(0, 2, 1), delta[:, :, None])[:, :, 0]
-        lam = np.ones(active.size)
-        exits = np.zeros(active.size, dtype=np.int64)
-        pending = np.arange(active.size)
-        for _halving in range(21):
-            rows = active[pending]
-            cand = z[rows] + lam[pending, None] * step[pending]
-            _, g2, h2, o2, s2 = _asdf_terms(packet, cand, order=2)
-            evaluations += rows.size
-            exits[pending] += s2 != 0
-            r2 = np.matmul(fiber[pending], g2[:, :, None])
-            taken = (s2 == 0) & (np.sqrt((r2 * r2).sum((1, 2))) < rnorm[pending])
-            won = rows[taken]
-            z[won], grad[won], hess[won], owner[won] = cand[taken], g2[taken], h2[taken], o2[taken]
-            pending = pending[~taken]
-            if not pending.size:
-                break
-            lam[pending] *= 0.5
-        for i in pending:
+        pending, exits, counted = _damped_steps(packet, active, z, grad, hess, owner,
+                                                step, fiber, rnorm)
+        evaluations += counted
+        for i, exited in zip(pending, exits):
             outcomes[active[i]] = (
                 EscapedDomainError("every damped step left the packet domain")
-                if exits[i] == 21 else NoConvergenceError(
+                if exited == _TRIALS else NoConvergenceError(
                     f"residual {rnorm[i]:.3g} would not decrease after 20 halvings"))
         if pending.size:
             active = np.delete(active, pending)
@@ -721,6 +711,54 @@ def _newton(packet, z0, newton_tol, max_steps, constants) -> RowOutcomes:
     for r, chart in zip(converged, BundleChart._checked_stack(list(converged.values()))):
         outcomes[r] = chart
     return RowOutcomes(outcomes, evaluations=evaluations)
+
+
+# a damped step tries lambda = 1, 1/2, ..., 2^-20
+_TRIALS = 21
+# trial points one stacked kernel call of _damped_steps evaluates at most
+_TRIAL_CHUNK = 1 << 12
+
+
+def _damped_steps(packet, active, z, grad, hess, owner, step, fiber, rnorm):
+    """One damped step of each active row: the row moves to its first trial
+    z + lambda step, lambda = 1, 1/2, ..., 2^-20, whose fixed-frame residual
+    |fiber grad F| is below rnorm, and z, grad, hess, owner take that
+    trial's values in place.
+
+    The trials run in two stacked rounds: the full step of every row, then
+    the 20 halvings of the rows it does not serve, each round in kernel
+    calls of at most _TRIAL_CHUNK points. lambda = 2^-k is exact, so every
+    trial point, and with it every row's outcome, is bit-equal to a halving
+    loop's. Returns the positions (into active) of the rows no trial
+    served, their domain exits among the 21 trials, and the trials up to
+    and including each row's accepted one (all 21 for a row not served):
+    the kernel rows a halving loop would have evaluated.
+    """
+    left = np.arange(active.size)
+    exits = np.zeros(active.size, dtype=np.int64)
+    counted = 0
+    for lam in (np.ones(1), np.ldexp(1.0, -np.arange(1, _TRIALS))):
+        per_call = max(1, _TRIAL_CHUNK // lam.size)
+        served = np.zeros(left.size, dtype=bool)
+        for lo in range(0, left.size, per_call):
+            part = left[lo:lo + per_call]
+            rows = active[part]
+            cand = (z[rows][:, None, :] + lam[:, None] * step[part][:, None, :]
+                    ).reshape(-1, z.shape[1])
+            _, g2, h2, o2, s2 = _asdf_terms(packet, cand, order=2)
+            r2 = np.matmul(np.repeat(fiber[part], lam.size, axis=0), g2[:, :, None])
+            lower = ((s2 == 0) & (np.sqrt((r2 * r2).sum((1, 2)))
+                                  < np.repeat(rnorm[part], lam.size))).reshape(part.size, -1)
+            first = np.argmax(lower, axis=1)
+            hit = lower[np.arange(part.size), first]
+            pick = np.flatnonzero(hit) * lam.size + first[hit]
+            won = rows[hit]
+            z[won], grad[won], hess[won], owner[won] = cand[pick], g2[pick], h2[pick], o2[pick]
+            counted += int(np.where(hit, first + 1, lam.size).sum())
+            exits[part] += np.where(hit, 0, (s2 != 0).reshape(part.size, -1).sum(axis=1))
+            served[lo:lo + part.size] = hit
+        left = left[~served]
+    return left, exits[left], counted
 
 
 class PutativeMesh:
@@ -785,7 +823,8 @@ def extract_putative_manifold(packet: CylinderPacket, seeds,
     kind and text) in seed order. Base points closer than
     tau_bar * dedup_fraction are merged by a sequential pass over the
     lexicographically sorted points. mesh.newton counts the seeds, the
-    distinct rows solved and the field-kernel rows evaluated.
+    distinct rows solved and the field evaluations of their halving search
+    (solve_base_point's counts["evaluations"]).
     """
     seeds = np.asarray(seeds, dtype=np.float64)
     if seeds.ndim != 2 or seeds.shape[0] == 0:

@@ -185,20 +185,55 @@ def dist_to_affine(x, sub: AffineSubspace) -> float:
     return float(np.linalg.norm(res[0]))
 
 
+def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances (A, B) between the rows of a (A, n) and b (B, n), each
+    bit-equal to np.linalg.norm(a[i] - b[j]). numpy sums fewer than 8
+    squares left to right, as the loop over coordinates does; longer rows
+    it sums pairwise, so those go through np.linalg.norm itself."""
+    if a.shape[1] >= 8:
+        return np.linalg.norm(a[:, None, :] - b[None], axis=2)
+    sq = np.zeros((a.shape[0], b.shape[0]))
+    for k in range(a.shape[1]):
+        diff = a[:, k, None] - b[None, :, k]
+        sq += diff * diff
+    return np.sqrt(sq)
+
+
+# rows of a greedy_merge block, and kept points measured against it at once
+_MERGE_BLOCK = 256
+
+
 def greedy_merge(points, r: float) -> list[int]:
     """Indices kept by a greedy r-merge of the rows of points, in row order.
 
     The first point is kept; a later point is kept exactly when it lies at
     distance >= r from every point kept before it. r may be 0, which keeps
     every point.
+
+    The rows are scanned in blocks of _MERGE_BLOCK: the distances (later
+    minus earlier point, see _row_distances) of a block to the points kept
+    before it, then among its remaining rows, are each one stacked pass, so
+    the kept indices equal a scan with one np.linalg.norm row per kept
+    point. Only a row within r of an earlier remaining row of its block is
+    decided in a Python loop. No pass holds more than _MERGE_BLOCK^2
+    distances.
     """
     points = np.asarray(points, dtype=np.float64)
-    kept = [0]
-    dmin = np.linalg.norm(points - points[0], axis=1)
-    for i in range(1, points.shape[0]):
-        if dmin[i] >= r:
-            kept.append(i)
-            np.minimum(dmin, np.linalg.norm(points - points[i], axis=1), out=dmin)
+    kept = [0] if points.shape[0] else []
+    for lo in range(0, points.shape[0], _MERGE_BLOCK):
+        block = points[lo:lo + _MERGE_BLOCK]
+        far = np.ones(block.shape[0], dtype=bool)   # far from everything kept so far
+        for k in range(0, len(kept), _MERGE_BLOCK):
+            far &= np.all(_row_distances(block, points[kept[k:k + _MERGE_BLOCK]]) >= r, axis=1)
+        if lo == 0:
+            far[0] = False   # kept already
+        rows = np.flatnonzero(far)
+        # close[i, j]: remaining row j, earlier than row i, lies within r of it
+        close = np.tril(~(_row_distances(block[rows], block[rows]) >= r), -1)
+        keep = np.ones(rows.size, dtype=bool)
+        for i in np.flatnonzero(close.any(axis=1)).tolist():
+            keep[i] = not (close[i] & keep).any()
+        kept += (lo + rows[keep]).tolist()
     return kept
 
 

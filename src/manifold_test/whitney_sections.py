@@ -402,6 +402,21 @@ def section_objective(data: SketchedData, constraints: ConstraintSet,
     return float(np.sum(data.weights * resid * resid))
 
 
+def _objective_bounds(targets: np.ndarray, weights: np.ndarray, M: float) -> np.ndarray:
+    """Lower bounds (C, k) on the objective of any field that can certify,
+    for C padded problems with targets (C, S, k) and weights (C, S), zero
+    past each problem's sites.
+
+    A point that passes is_feasible (or the separation oracle) has every
+    jet block, and so every value coefficient, of norm at most
+    M~ = sqrt(M^2 (1 + FEASIBILITY_REL) + FEASIBILITY_ABS). So its
+    objective is at least sum_i w_i (|t_i| - M~)_+^2.
+    """
+    m_tilde = math.sqrt(M * M * (1.0 + FEASIBILITY_REL) + FEASIBILITY_ABS)
+    excess = np.maximum(np.abs(targets) - m_tilde, 0.0)
+    return np.sum(weights[:, :, None] * excess * excess, axis=1)
+
+
 def section_objective_gradient(data: SketchedData, constraints: ConstraintSet,
                                y: np.ndarray) -> np.ndarray:
     if data.size != constraints.m:
@@ -820,7 +835,9 @@ def _front(data: Sequence[SketchedData], constraints: Sequence[ConstraintSet],
     its stop, from which minimize_section goes on. A problem's outcome does
     not depend on the rest of its batch, so the problems are stacked in
     consecutive runs of at most _FRONT_ENTRIES row entries (at least one
-    problem each), which bounds the memory of a large packet's front.
+    problem each), which bounds the memory of a large packet's front, and
+    _fit_cylinders may leave out the problems past a cylinder that cannot
+    certify.
     """
     entries = np.cumsum([c.pair_betas.size * c.dim for c in constraints])
     results: list[SectionFitResult] = []
@@ -1108,11 +1125,16 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
     over tau_bar). A cylinder without mesh points yields an empty section.
     The default coefficient bound is M = 2 tau_bar / tau.
 
-    The sketches, the constraint sets and the warm-start front (_front) of
-    every normal component of every cylinder run as stacked passes. Then
-    each component goes through minimize_section with its front outcome,
-    cylinder by cylinder, so the first failing cylinder raises its own
-    error, from the setup or from the solver.
+    The sketches and the constraint sets of every cylinder run as stacked
+    passes. A cylinder one of whose components has an objective lower bound
+    (_objective_bounds) above eps_bar (by more than 1e-9 relative, which
+    covers rounding) cannot certify, so its fit raises; the
+    warm-start front (_front), one stacked pass too, takes the components of
+    the cylinders up to and including the first such cylinder, and none
+    after it. Then each component goes through minimize_section with its
+    front outcome, cylinder by cylinder, so the first failing cylinder
+    raises its own error, from the setup or from the solver: an earlier
+    failure first, else that cylinder's own cutting-plane stop.
     """
     d, tb, codim = packet.d, packet.tau_bar, packet.n - packet.d
     if M is None:
@@ -1127,14 +1149,20 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
         error = None
     filled = np.flatnonzero(count)
     setup: dict = {}   # filled cylinder position -> (data, constraints, separation) or error
+    last = cylinders.size   # the front ends at the first cylinder that cannot certify
     if filled.size and error is None:
         points = points[filled]
         sketches = _sketches(points[:, :, :d], points[:, :, d:], count[filled], sketch_radius)
+        bound = _objective_bounds(_padded([s.targets for s in sketches]),
+                                  _padded([s.weights for s in sketches]), M)
+        over = np.flatnonzero(np.any(bound > eps_bar * (1.0 + 1e-9), axis=1))
+        if over.size:
+            last = int(filled[over[0]])
         sets, closest = _constraint_sets(_padded([s.sites for s in sketches]),
                                          np.array([s.size for s in sketches]), M, c_w)
         for j, data, cons, sep in zip(filled.tolist(), sketches, sets, closest.tolist()):
             setup[j] = cons if isinstance(cons, Exception) else (data, cons, sep)
-    problems = [(j, c) for j, out in setup.items() if isinstance(out, tuple)
+    problems = [(j, c) for j, out in setup.items() if isinstance(out, tuple) and j <= last
                 for c in range(codim)]
     fronts: dict = {}
     if problems and eps_bar > 0:

@@ -84,6 +84,20 @@ def noisy_circle_result():
     return cloud, verdict, elapsed
 
 
+BALL_CONFIG = TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1,
+                         packet_budget=2, seed=0)
+
+
+@pytest.fixture(scope="module")
+def ball_result():
+    """The verdict on the 300-point uniform disc (the unrotated sample of
+    the ball-reject benchmark workload), which has no manifold to find."""
+    ball, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
+    start = time.monotonic()
+    verdict = run_test(ball, BALL_CONFIG)
+    return ball, verdict, time.monotonic() - start
+
+
 def solver_fixture(sigma: float, seed: int = 0):
     """25 sites on [-1, 1], quadratic truth, optional Gaussian target noise."""
     sites = np.linspace(-1.0, 1.0, 25).reshape(-1, 1)
@@ -348,7 +362,7 @@ def test_criterion_10_partition_weights_and_patching_identity(circle_fixture):
     assert mfin_distance(lone_model, value.point) == 0.0
 
 
-def test_criterion_11_end_to_end_verdicts(noisy_circle_result):
+def test_criterion_11_end_to_end_verdicts(noisy_circle_result, ball_result):
     cloud, verdict, elapsed = noisy_circle_result
     assert verdict.case == "one"
     assert verdict.best_loss <= NOISY_CONFIG.threshold
@@ -361,13 +375,32 @@ def test_criterion_11_end_to_end_verdicts(noisy_circle_result):
     assert again.best_loss == verdict.best_loss
     assert again.certificate == verdict.certificate
 
-    start = time.monotonic()
-    ball, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
-    ball_config = TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1,
-                             packet_budget=2, seed=0)
-    ball_verdict = run_test(ball, ball_config)
+    _, ball_verdict, ball_elapsed = ball_result
     assert ball_verdict.case == "two"
-    assert time.monotonic() - start < 300.0
+    assert ball_elapsed < 300.0
+
+
+def test_case_two_candidates_keep_their_reasons_and_counts(ball_result):
+    # every packet of the disc fails its section fit. The reasons and work
+    # counts are pinned as computed with one kernel call per Newton halving
+    # and a section front over every cylinder; neither speed-up changes them.
+    _, verdict, _ = ball_result
+    got = [{key: c[key] for key in ("reason", "seed_failures", "mesh_newton",
+                                    "packet_failures")}
+           for c in verdict.certificate["candidates"]]
+    assert got == [
+        {"reason": "BudgetExceededError: cutting-plane search stopped after 41 cuts "
+                   "(best objective 0.573533, target 0.5)",
+         "seed_failures": {"InsufficientGapError": 2},
+         "mesh_newton": {"seeds": 593, "solved": 300, "evaluations": 1332},
+         "packet_failures": {"angle": 720, "rotation": 0, "offset": 0, "coverage": 184}},
+        {"reason": "BudgetExceededError: cutting-plane search stopped after 48 cuts "
+                   "(best objective 0.523557, target 0.5)",
+         "seed_failures": {"InsufficientGapError": 11, "NoConvergenceError": 22},
+         "mesh_newton": {"seeds": 593, "solved": 593, "evaluations": 6429},
+         "packet_failures": {"angle": 792, "rotation": 0, "offset": 0, "coverage": 199}},
+    ]
+    assert verdict.best_loss == math.inf and verdict.model is None
 
 
 def test_criterion_12_patched_loss_within_constant_of_optimal(noisy_circle_result):

@@ -799,6 +799,153 @@ def test_mesh_counts_the_newton_work_of_the_reference_loop(newton_cases):
     assert counter[0] > 3 * len(rows)
 
 
+# ---- the stacked halving ladder against the halving loop ----
+
+def reference_newton(packet, z0, newton_tol=1e-10, max_steps=60,
+                     constants=DEFAULT_CONSTANTS):
+    """Reference: the masked Newton with one field-kernel call per halving."""
+    codim = packet.n - packet.d
+    z = z0.copy()
+    _, grad, hess, owner, status = asdf_bundle._asdf_terms(packet, z, order=2)
+    evaluations = z.shape[0]
+    outcomes = [asdf_bundle._field_error(s) if s else None for s in status]
+    converged: dict = {}
+    active = np.nonzero(status == 0)[0]
+    for _ in range(max_steps):
+        if not active.size:
+            break
+        h = hess[active]
+        evals, fiber, gap = asdf_bundle._top_eigenspaces(h, codim)
+        resid = np.matmul(fiber, grad[active][:, :, None])
+        rnorm = np.sqrt((resid * resid).sum((1, 2)))
+        narrow = gap < constants.gap_tol
+        for i in np.nonzero(narrow)[0]:
+            outcomes[active[i]] = InsufficientGapError(
+                f"spectral gap {gap[i]:.6g} below tolerance {constants.gap_tol:.6g}")
+        for i in np.nonzero(~narrow & (rnorm <= newton_tol))[0]:
+            r, fib = active[i], fiber[i].copy()
+            converged[r] = dict(
+                base_point=z[r].copy(), projector_hi=fib.T @ fib, fiber_basis=fib,
+                owning_cylinder=int(owner[r]), residual=float(rnorm[i]),
+                eigenvalues=tuple(evals[i].tolist()))
+        going = ~narrow & (rnorm > newton_tol)
+        active, h, fiber, resid, rnorm = (a[going] for a in (active, h, fiber, resid, rnorm))
+        if not active.size:
+            break
+        hf = np.matmul(np.matmul(fiber, h), fiber.transpose(0, 2, 1))
+        delta, singular = asdf_bundle._solve_rows(hf, -resid[:, :, 0])
+        if singular.any():
+            for r in active[singular]:
+                outcomes[r] = NoConvergenceError("singular fiber Hessian in the Newton step")
+            active, fiber, rnorm, delta = (a[~singular] for a in (active, fiber, rnorm, delta))
+        step = np.matmul(fiber.transpose(0, 2, 1), delta[:, :, None])[:, :, 0]
+        lam = np.ones(active.size)
+        exits = np.zeros(active.size, dtype=np.int64)
+        pending = np.arange(active.size)
+        for _halving in range(21):
+            rows = active[pending]
+            cand = z[rows] + lam[pending, None] * step[pending]
+            _, g2, h2, o2, s2 = asdf_bundle._asdf_terms(packet, cand, order=2)
+            evaluations += rows.size
+            exits[pending] += s2 != 0
+            r2 = np.matmul(fiber[pending], g2[:, :, None])
+            taken = (s2 == 0) & (np.sqrt((r2 * r2).sum((1, 2))) < rnorm[pending])
+            won = rows[taken]
+            z[won], grad[won], hess[won], owner[won] = cand[taken], g2[taken], h2[taken], o2[taken]
+            pending = pending[~taken]
+            if not pending.size:
+                break
+            lam[pending] *= 0.5
+        for i in pending:
+            outcomes[active[i]] = (
+                EscapedDomainError("every damped step left the packet domain")
+                if exits[i] == 21 else NoConvergenceError(
+                    f"residual {rnorm[i]:.3g} would not decrease after 20 halvings"))
+        if pending.size:
+            active = np.delete(active, pending)
+    for r in active:
+        outcomes[r] = NoConvergenceError(f"no convergence in {max_steps} Newton steps")
+    for r, fields in converged.items():
+        outcomes[r] = BundleChart(**fields)
+    return outcomes, evaluations
+
+
+def fenced_kernel(kernel):
+    """The field kernel with every point of positive first coordinate
+    outside the domain: a seed on the fence whose steps point out of it
+    leaves the domain at every trial."""
+    def fenced(packet, points, order):
+        value, grad, hess, owner, status = kernel(packet, points, order)
+        status = np.where(points[:, 0] > 0.0, np.int8(1), status)
+        return value, grad, hess, owner, status
+    return fenced
+
+
+@pytest.fixture(scope="module")
+def ladder_cases():
+    """(name, packet, seed rows, max_steps) on the 300-point disc: its ideal
+    and a perturbed packet seeded as run_test seeds them, the same with a
+    4-step limit, and with the seeds moved onto the fence of fenced_kernel."""
+    ideal = disc_packet()
+    disc, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
+    cases = []
+    for kind, packet in (("ideal", ideal),
+                         ("perturbed", _perturb_packet(ideal, np.random.default_rng(1)))):
+        rows = distinct_rows(np.vstack([packet.centers, disc.points]))
+        fence = rows.copy()
+        fence[:, 0] = np.minimum(fence[:, 0], 0.0)
+        cases += [(kind, packet, rows, 60), (f"{kind}-4-steps", packet, rows, 4),
+                  (f"{kind}-fenced", packet, fence, 60)]
+    return cases
+
+
+def test_stacked_halvings_match_the_halving_loop(ladder_cases, monkeypatch):
+    texts = set()
+    kernel = asdf_bundle._asdf_terms
+    for name, packet, rows, steps in ladder_cases:
+        if name.endswith("fenced"):
+            monkeypatch.setattr(asdf_bundle, "_asdf_terms", fenced_kernel(kernel))
+        got = solve_base_point(packet, rows, max_steps=steps)
+        want, evaluations = reference_newton(packet, rows, max_steps=steps)
+        monkeypatch.undo()
+        assert got.counts == {"evaluations": evaluations}, name
+        for i, (a, b) in enumerate(zip(got, want, strict=True)):
+            assert type(a) is type(b), (name, i)
+            if isinstance(b, BundleChart):
+                assert_same_chart(a, b)
+            else:
+                assert str(a) == str(b), (name, i)
+                texts.add(f"{type(b).__name__}: {str(b)[:9]}")
+    assert {"InsufficientGapError: spectral ", "NoConvergenceError: residual ",
+            "NoConvergenceError: no conver", "EscapedDomainError: every dam",
+            "OutOfDomainError: point lie"} <= texts
+
+
+def test_the_trial_stack_is_split_into_bounded_calls(ladder_cases, monkeypatch):
+    _name, packet, rows, _steps = ladder_cases[3]
+    whole = solve_base_point(packet, rows)
+    sizes = []
+    kernel = asdf_bundle._asdf_terms
+
+    def spy(packet, points, order):
+        sizes.append(len(points))
+        return kernel(packet, points, order)
+
+    monkeypatch.setattr(asdf_bundle, "_asdf_terms", spy)
+    monkeypatch.setattr(asdf_bundle, "_TRIAL_CHUNK", 45)
+    split = solve_base_point(packet, rows)
+    # past the seeds' own evaluation, no call holds more than 45 trial
+    # points: 45 full steps, or the 20 halvings of two rows
+    assert split.counts == whole.counts
+    assert max(sizes[1:]) <= 45 and sizes.count(40) > 2
+    for a, b in zip(split, whole, strict=True):
+        assert type(a) is type(b)
+        if isinstance(b, BundleChart):
+            assert_same_chart(a, b)
+        else:
+            assert str(a) == str(b)
+
+
 def test_circle_mesh_stays_on_the_circle(circle_mesh):
     radial = np.abs(np.linalg.norm(circle_mesh.base_points, axis=1) - 1.0)
     assert float(radial.max()) < 2e-3

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import manifold_test.core_geometry as core_geometry
 from manifold_test.core_geometry import (
     AffineSubspace,
     PointCloud,
@@ -12,6 +13,7 @@ from manifold_test.core_geometry import (
     estimate_tangent,
     federer_reach,
     frame_from_tangent,
+    greedy_merge,
     greedy_net,
     hausdorff_distance,
     lexsort_dedup,
@@ -151,6 +153,69 @@ def test_greedy_net_rejects_bad_radius():
     cloud = PointCloud.from_points(np.zeros((2, 2)))
     with pytest.raises(InvalidParameterError):
         greedy_net(cloud, 0.0)
+
+
+def reference_greedy_merge(points, r):
+    """Reference: the point-by-point scan, one norm row per kept point."""
+    points = np.asarray(points, dtype=np.float64)
+    kept = [0]
+    dmin = np.linalg.norm(points - points[0], axis=1)
+    for i in range(1, points.shape[0]):
+        if dmin[i] >= r:
+            kept.append(i)
+            np.minimum(dmin, np.linalg.norm(points - points[i], axis=1), out=dmin)
+    return kept
+
+
+def merge_cases():
+    """(points, radii): random clouds in 1 to 12 dimensions (so that norms
+    of 8 and more terms are summed pairwise too), clouds with duplicate
+    rows, and integer grids whose distances equal r exactly."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for n, size in ((1, 50), (2, 700), (3, 300), (9, 260), (12, 90)):
+        pts = rng.uniform(-1.0, 1.0, (size, n))
+        dists = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        cases.append((pts, [float(np.quantile(dists[dists > 0], q)) for q in (0.01, 0.1, 0.5)]))
+    base = rng.uniform(-1.0, 1.0, (60, 3))
+    cases.append((base[rng.integers(0, 60, 400)], [1e-12, 0.05, 0.3]))
+    grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), axis=-1).reshape(-1, 2)
+    cases.append((grid[rng.permutation(len(grid))], [1.0, 2.0, 5.0, math.sqrt(2.0)]))
+    cases.append((np.vstack([grid, grid[::-1]]), [1.0, 3.0]))
+    return cases
+
+
+@pytest.mark.parametrize("block", [256, 7])
+def test_greedy_merge_matches_the_point_by_point_scan(block, monkeypatch):
+    monkeypatch.setattr(core_geometry, "_MERGE_BLOCK", block)
+    for pts, radii in merge_cases():
+        for r in radii + [0.0]:
+            assert greedy_merge(pts, r) == reference_greedy_merge(pts, r), (pts.shape, r)
+        assert greedy_merge(pts, 0.0) == list(range(len(pts)))
+
+
+def test_greedy_merge_keeps_ties_at_exactly_r():
+    pts = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0], [6.0, 8.0], [3.0, 4.0]])
+    assert greedy_merge(pts, 5.0) == [0, 1, 3]
+    assert greedy_merge(pts, 5.0 + 1e-12) == [0, 3]
+    assert greedy_merge(pts, 0.0) == [0, 1, 2, 3, 4]
+    assert greedy_merge(pts[:1], 1.0) == [0]
+
+
+def test_greedy_merge_holds_at_most_a_block_of_distances(monkeypatch):
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, (3200, 2))
+    largest = [0]
+    row_distances = core_geometry._row_distances
+
+    def spy(a, b):
+        out = row_distances(a, b)
+        largest[0] = max(largest[0], out.size)
+        return out
+
+    monkeypatch.setattr(core_geometry, "_row_distances", spy)
+    kept = greedy_merge(pts, 0.01)
+    assert kept == reference_greedy_merge(pts, 0.01) and len(kept) > 2000
+    assert 0 < largest[0] <= core_geometry._MERGE_BLOCK ** 2 < 3200 * 3200
 
 
 def test_lexsort_dedup_keeps_points_in_sorted_order():

@@ -1195,8 +1195,9 @@ def stacked_fit(packet, mesh, eps_bar, budget):
 def pipeline_packets(sphere_model):
     """(packet, mesh, eps_bar, budget) of the fits run_test makes on a noisy
     circle (the ideal packet, then a perturbed one; case one) and on a
-    uniform disc (case two: a cylinder fails), and the d = 2 sphere packet
-    with a target that one fit meets only in the cutting plane."""
+    uniform disc (ball-reject's sample: case two, a cylinder fails in each of
+    its three packets), and the d = 2 sphere packet with a target that one
+    fit meets only in the cutting plane."""
     fits = {}
 
     def recorder(name):
@@ -1214,10 +1215,11 @@ def pipeline_packets(sphere_model):
         mp.setattr(pipeline, "fit_sections", recorder("disc"))
         cloud, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
         run_test(cloud, TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1,
-                                   packet_budget=1, seed=0))
+                                   packet_budget=3, seed=0))
     packet, mesh, _ = sphere_model
     return {"circle-ideal": fits["circle"][0], "circle-perturbed": fits["circle"][1],
-            "disc": fits["disc"][0], "sphere": (packet, mesh, 1e-3, None)}
+            "disc": fits["disc"][0], "disc-1": fits["disc"][1], "disc-2": fits["disc"][2],
+            "sphere": (packet, mesh, 1e-3, None)}
 
 
 @pytest.mark.parametrize("name", ["circle-ideal", "circle-perturbed", "disc", "sphere"])
@@ -1336,18 +1338,109 @@ def test_an_earlier_failing_cylinder_raises_before_any_later_one(pipeline_packet
     monkeypatch.setattr(ws, "minimize_section", spy_minimize)
     with pytest.raises(BudgetExceededError) as plain:
         fit_sections(packet, mesh, eps_bar, budget=budget)
-    # the front prepared every cylinder, those past the failing one too
-    assert batches[0] > len(fitted) + 1
-    # the last cylinder fails in the stacked setup; the earlier solver failure wins
+    # the front ends at the failing cylinder: every fit before it, and its own
+    assert batches[0] == len(fitted) + 1
+    # the last cylinder, past the failing one, fails in the stacked setup:
+    # the front and the raised error stay as they were
     monkeypatch.setattr(ws, "_constraint_sets", inject(-1))
     with pytest.raises(BudgetExceededError) as late:
         fit_sections(packet, mesh, eps_bar, budget=budget)
     assert str(late.value) == str(plain.value)
-    assert batches[1] == batches[0] - 1
+    assert batches[1] == batches[0]
     # the first cylinder fails in the setup before any solver runs
     monkeypatch.setattr(ws, "_constraint_sets", inject(0))
     with pytest.raises(DuplicateSiteError, match="injected"):
         fit_sections(packet, mesh, eps_bar, budget=budget)
+
+
+def failing_problem(packet, mesh, eps_bar, budget):
+    """The component fit that stops fit_sections: its data, constraints and
+    BudgetExceededError, and the number of fits run before it."""
+    calls = []
+    minimize = ws.minimize_section
+
+    def spy(data, cons, *args, **kwargs):
+        calls.append((data, cons))
+        return minimize(data, cons, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ws, "minimize_section", spy)
+        with pytest.raises(BudgetExceededError) as failed:
+            fit_sections(packet, mesh, eps_bar, budget=budget)
+    return calls[-1] + (failed.value, len(calls) - 1)
+
+
+def objective_bound(data, cons):
+    return float(ws._objective_bounds(np.asarray(data.targets)[None, :, None],
+                                      data.weights[None], cons.M)[0, 0])
+
+
+@pytest.mark.parametrize("name", ["disc", "disc-1", "disc-2"])
+def test_the_bound_is_the_minimum_of_a_failing_fit(pipeline_packets, name):
+    data, cons, error, _ = failing_problem(*pipeline_packets[name])
+    best = error.best.value
+    bound = objective_bound(data, cons)
+    assert f"best objective {best:.6g}" in str(error)
+    assert pipeline_packets[name][2] < bound <= best
+    # the bound is attained to 1e-6: the values clamped to [-M, M], with
+    # zero derivatives, are feasible. The cutting plane stops at its stall
+    # test a little above it.
+    clamped = np.zeros((cons.m, cons.q))
+    clamped[:, 0] = np.clip(data.targets, -cons.M, cons.M)
+    assert cons.is_feasible(clamped.ravel())
+    assert bound <= section_objective(data, cons, clamped.ravel()) <= bound + 1e-6
+
+
+def test_no_certified_fit_falls_below_its_bound():
+    rng = np.random.default_rng(23)
+    certified = near = 0
+    for trial in range(24):
+        d = 1 + trial % 2
+        m = int(rng.integers(2, 7))
+        sites = rng.uniform(-1.0, 1.0, (m, d))
+        targets = rng.normal(0.0, 0.6, m)
+        data = ws.SketchedData(sites=sites, targets=targets,
+                               multiplicities=rng.integers(1, 4, m),
+                               owners=np.arange(m))
+        cons = build_constraints(sites, M=float(rng.uniform(0.1, 0.5)))
+        bound = objective_bound(data, cons)
+        for eps_bar in (bound * 1.05 + 1e-4, bound * 1.5 + 1e-3, bound + 0.5):
+            try:
+                res = minimize_section(data, cons, eps_bar)
+            except BudgetExceededError:
+                continue
+            assert res.certified and cons.is_feasible(res.y)
+            assert res.value >= bound
+            certified += 1
+            near += res.value <= bound * 1.5 + 1e-3
+    assert certified > 30 and near > 10
+
+
+def test_a_cylinder_that_cannot_certify_ends_the_front(pipeline_packets, monkeypatch):
+    packet, mesh, eps_bar, budget = pipeline_packets["disc"]
+    data, cons, _, before = failing_problem(packet, mesh, eps_bar, budget)
+    assert objective_bound(data, cons) > eps_bar
+    sizes = []
+    front = ws._front
+
+    def spy(data, constraints, eps):
+        sizes.append(len(data))
+        return front(data, constraints, eps)
+
+    monkeypatch.setattr(ws, "_front", spy)
+    with pytest.raises(BudgetExceededError):
+        fit_sections(packet, mesh, eps_bar, budget=budget)
+    assert sizes == [before + 1]
+    # the failing cylinder is the before-th filled one (codim 1); some later
+    # cylinder certifies on its own, and its fit was not prepared
+    filled = np.flatnonzero(ws._inside_points(packet, mesh, np.arange(packet.size))[0])
+    later = []
+    for j in filled[before + 1:before + 8]:
+        try:
+            later.append(fit_local_section(packet, mesh, j, eps_bar, budget=budget))
+        except BudgetExceededError:
+            pass
+    assert later and all(s.fit_values[0] <= eps_bar for s in later)
 
 
 def test_the_front_reports_the_honest_cap_and_falls_through():
