@@ -189,7 +189,9 @@ def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances (A, B) between the rows of a (A, n) and b (B, n), each
     bit-equal to np.linalg.norm(a[i] - b[j]). numpy sums fewer than 8
     squares left to right, as the loop over coordinates does; longer rows
-    it sums pairwise, so those go through np.linalg.norm itself."""
+    it sums pairwise, so those go through np.linalg.norm itself. The loop
+    is the faster of the two: a stacked norm over a short last axis takes
+    about three times as long on a block of points in the plane."""
     if a.shape[1] >= 8:
         return np.linalg.norm(a[:, None, :] - b[None], axis=2)
     sq = np.zeros((a.shape[0], b.shape[0]))

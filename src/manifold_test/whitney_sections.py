@@ -1125,16 +1125,16 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
     over tau_bar). A cylinder without mesh points yields an empty section.
     The default coefficient bound is M = 2 tau_bar / tau.
 
-    The sketches and the constraint sets of every cylinder run as stacked
-    passes. A cylinder one of whose components has an objective lower bound
-    (_objective_bounds) above eps_bar (by more than 1e-9 relative, which
-    covers rounding) cannot certify, so its fit raises; the
-    warm-start front (_front), one stacked pass too, takes the components of
-    the cylinders up to and including the first such cylinder, and none
-    after it. Then each component goes through minimize_section with its
-    front outcome, cylinder by cylinder, so the first failing cylinder
-    raises its own error, from the setup or from the solver: an earlier
-    failure first, else that cylinder's own cutting-plane stop.
+    The sketches of every cylinder run as one stacked pass. A cylinder one
+    of whose components has an objective lower bound (_objective_bounds)
+    above eps_bar (by more than 1e-9 relative, which covers rounding)
+    cannot certify, so its fit raises; the constraint sets and the
+    warm-start front (_front), stacked passes too, take the cylinders up to
+    and including the first such cylinder, and none after it. Then each
+    component goes through minimize_section with its front outcome,
+    cylinder by cylinder, so the first failing cylinder raises its own
+    error, from the setup or from the solver: an earlier failure first,
+    else that cylinder's own cutting-plane stop.
     """
     d, tb, codim = packet.d, packet.tau_bar, packet.n - packet.d
     if M is None:
@@ -1158,11 +1158,12 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
         over = np.flatnonzero(np.any(bound > eps_bar * (1.0 + 1e-9), axis=1))
         if over.size:
             last = int(filled[over[0]])
+            filled, sketches = filled[:over[0] + 1], sketches[:over[0] + 1]
         sets, closest = _constraint_sets(_padded([s.sites for s in sketches]),
                                          np.array([s.size for s in sketches]), M, c_w)
         for j, data, cons, sep in zip(filled.tolist(), sketches, sets, closest.tolist()):
             setup[j] = cons if isinstance(cons, Exception) else (data, cons, sep)
-    problems = [(j, c) for j, out in setup.items() if isinstance(out, tuple) and j <= last
+    problems = [(j, c) for j, out in setup.items() if isinstance(out, tuple)
                 for c in range(codim)]
     fronts: dict = {}
     if problems and eps_bar > 0:
@@ -1170,6 +1171,7 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
                                            [setup[j][1] for j, _ in problems], eps_bar)))
     sections = []
     for j, cylinder in enumerate(cylinders.tolist()):
+        assert j <= last, "a fit certified below its objective lower bound"
         if not count[j]:
             sections.append(LocalSection(cylinder_index=cylinder, sites=np.zeros((0, d)),
                                          coefficients=np.zeros((0, 0, jet_size(d))),

@@ -168,15 +168,26 @@ def reference_greedy_merge(points, r):
 
 
 def merge_cases():
-    """(points, radii): random clouds in 1 to 12 dimensions (so that norms
-    of 8 and more terms are summed pairwise too), clouds with duplicate
-    rows, and integer grids whose distances equal r exactly."""
+    """(points, radii): random clouds in 1 to 12 dimensions (7 and 8 on
+    either side of the length from which numpy sums a norm's squares
+    pairwise), clouds with duplicate rows, and integer grids whose
+    distances equal r exactly."""
     rng = np.random.default_rng(17)
     cases = []
-    for n, size in ((1, 50), (2, 700), (3, 300), (9, 260), (12, 90)):
+    for n, size in ((1, 50), (2, 700), (3, 300), (7, 200), (8, 200), (9, 260), (12, 90)):
         pts = rng.uniform(-1.0, 1.0, (size, n))
         dists = np.linalg.norm(pts[:, None] - pts[None], axis=2)
         cases.append((pts, [float(np.quantile(dists[dists > 0], q)) for q in (0.01, 0.1, 0.5)]))
+    for n in (8, 12):
+        # r is the norm of the second point from the first, which a left to
+        # right sum of its squares rounds below r
+        pts = rng.uniform(-1.0, 1.0, (400, n))
+        sq = np.zeros(len(pts))
+        for k in range(n):
+            sq += (pts[:, k] - pts[0, k]) ** 2
+        first = np.flatnonzero(np.sqrt(sq) < np.linalg.norm(pts - pts[0], axis=1))[0]
+        pts[[1, first]] = pts[[first, 1]]
+        cases.append((pts, [float(np.linalg.norm(pts[1] - pts[0]))]))
     base = rng.uniform(-1.0, 1.0, (60, 3))
     cases.append((base[rng.integers(0, 60, 400)], [1e-12, 0.05, 0.3]))
     grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), axis=-1).reshape(-1, 2)

@@ -1316,7 +1316,7 @@ def test_a_short_projection_ignores_a_long_tail_in_its_batch():
 def test_an_earlier_failing_cylinder_raises_before_any_later_one(pipeline_packets,
                                                                  monkeypatch):
     packet, mesh, eps_bar, budget = pipeline_packets["disc"]
-    batches, fitted = [], []
+    batches, fitted, built = [], [], []
     front, minimize, sets = ws._front, ws.minimize_section, ws._constraint_sets
 
     def spy_front(data, constraints, eps):
@@ -1330,23 +1330,29 @@ def test_an_earlier_failing_cylinder_raises_before_any_later_one(pipeline_packet
     def inject(position):
         def broken(*args, **kwargs):
             out, closest = sets(*args, **kwargs)
-            out[position] = DuplicateSiteError("injected")
+            built.append(len(out))
+            if position is not None:
+                out[position] = DuplicateSiteError("injected")
             return out, closest
         return broken
 
     monkeypatch.setattr(ws, "_front", spy_front)
     monkeypatch.setattr(ws, "minimize_section", spy_minimize)
-    with pytest.raises(BudgetExceededError) as plain:
+    monkeypatch.setattr(ws, "_constraint_sets", inject(None))
+    with pytest.raises(BudgetExceededError):
         fit_sections(packet, mesh, eps_bar, budget=budget)
-    # the front ends at the failing cylinder: every fit before it, and its own
-    assert batches[0] == len(fitted) + 1
-    # the last cylinder, past the failing one, fails in the stacked setup:
-    # the front and the raised error stay as they were
+    # the setup and the front end at the failing cylinder: every fit before
+    # it, and its own (one normal component each); no set is built past it
+    assert packet.n - packet.d == 1
+    assert batches[0] == len(fitted) + 1 == built[0]
+    assert built[0] < int(np.count_nonzero(ws._inside_points(
+        packet, mesh, np.arange(packet.size))[0]))
+    # the failing cylinder itself fails in the stacked setup: its setup
+    # error raises, and the front holds only the cylinders before it
     monkeypatch.setattr(ws, "_constraint_sets", inject(-1))
-    with pytest.raises(BudgetExceededError) as late:
+    with pytest.raises(DuplicateSiteError, match="injected"):
         fit_sections(packet, mesh, eps_bar, budget=budget)
-    assert str(late.value) == str(plain.value)
-    assert batches[1] == batches[0]
+    assert built[1] == built[0] and batches[1] == batches[0] - 1
     # the first cylinder fails in the setup before any solver runs
     monkeypatch.setattr(ws, "_constraint_sets", inject(0))
     with pytest.raises(DuplicateSiteError, match="injected"):
