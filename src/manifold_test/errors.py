@@ -91,6 +91,19 @@ class BudgetExceededError(ManifoldTestError):
         self.best = best
 
 
+class InfeasibleSectionError(ManifoldTestError):
+    """A cylinder's section fit cannot certify: the objective lower bound of
+    one normal component exceeds eps_bar. Carries all four."""
+
+    def __init__(self, cylinder: int, component: int, bound: float, eps_bar: float):
+        super().__init__(f"cylinder {cylinder} component {component} cannot certify: "
+                         f"objective lower bound {bound:.6g} exceeds eps_bar {eps_bar:.6g}")
+        self.cylinder = cylinder
+        self.component = component
+        self.bound = bound
+        self.eps_bar = eps_bar
+
+
 class NoValidPacketError(ManifoldTestError):
     """Pipeline could not build any candidate packet; carries diagnostics."""
 

@@ -22,6 +22,7 @@ from .asdf_bundle import (
     ideal_packet,
     validate_packet,
 )
+from .complexity_bounds import BoundParams, sample_complexity
 from .core_geometry import (
     AffineSubspace,
     PointCloud,
@@ -382,12 +383,23 @@ def _packet_loss(model: SectionModel, reduced: ReducedCloud,
     return total, int(out.sum()), newton
 
 
+def _sample_complexity(config: TestConfig) -> float | None:
+    """complexity_bounds.sample_complexity of the config's class and
+    tolerances; None when eps >= 1, outside the bound's range."""
+    if config.eps >= 1:
+        return None
+    return sample_complexity(BoundParams(d=config.d, V=config.V, tau=config.tau,
+                                         eps=config.eps, delta=config.delta, C=config.C))
+
+
 def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
     """Decide between the two cases for the given sample.
 
     Case one: some admissible packet yields a patched manifold whose
     empirical loss is at most C * eps. Case two: every packet in the budget
-    fails or exceeds the threshold.
+    fails or exceeds the threshold. The certificate records the sample size
+    N next to sample_complexity(BoundParams(d, V, tau, eps, delta, C)), the
+    size the loss guarantee asks for; neither changes the verdict.
     """
     if cloud.size == 0:
         raise EmptyInputError("cannot test an empty sample")
@@ -483,6 +495,8 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
         "net_size_before_cap": len(full_net),
         "tau_bar": tb,
         "search": estimate.describe(config.packet_budget),
+        "samples": cloud.size,
+        "sample_complexity": _sample_complexity(config),
     }
     if best_model is not None and case == "one":
         certificate["cylinders"] = best_model.packet.size

@@ -37,6 +37,7 @@ from .errors import (
     BudgetExceededError,
     DuplicateSiteError,
     EmptyInputError,
+    InfeasibleSectionError,
     InvalidParameterError,
     OutOfTubeError,
     SiteMismatchError,
@@ -835,9 +836,7 @@ def _front(data: Sequence[SketchedData], constraints: Sequence[ConstraintSet],
     its stop, from which minimize_section goes on. A problem's outcome does
     not depend on the rest of its batch, so the problems are stacked in
     consecutive runs of at most _FRONT_ENTRIES row entries (at least one
-    problem each), which bounds the memory of a large packet's front, and
-    _fit_cylinders may leave out the problems past a cylinder that cannot
-    certify.
+    problem each), which bounds the memory of a large packet's front.
     """
     entries = np.cumsum([c.pair_betas.size * c.dim for c in constraints])
     results: list[SectionFitResult] = []
@@ -884,9 +883,11 @@ def minimize_section(data: SketchedData, constraints: ConstraintSet,
     feasible field with objective <= eps_bar is found (the objective is
     nonnegative, so such a field certifies the minimum up to eps_bar).
     Raises BudgetExceededError carrying the best feasible iterate when the
-    budget or a stall is hit first. start is this problem's front outcome
-    when a stacked front already ran (fit_sections passes it); without it
-    the front runs as a batch of one.
+    budget or a stall is hit first, also on a problem whose objective lower
+    bound already exceeds eps_bar: a caller that wants the bound's proof
+    checks it first, as _fit_cylinders does. start is this problem's front
+    outcome when a stacked front already ran (fit_sections passes it);
+    without it the front runs as a batch of one.
     """
     if not (eps_bar > 0):
         raise InvalidParameterError("eps_bar must be positive")
@@ -1125,40 +1126,42 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
     over tau_bar). A cylinder without mesh points yields an empty section.
     The default coefficient bound is M = 2 tau_bar / tau.
 
-    The sketches of every cylinder run as one stacked pass. A cylinder one
-    of whose components has an objective lower bound (_objective_bounds)
-    above eps_bar (by more than 1e-9 relative, which covers rounding)
-    cannot certify, so its fit raises; the constraint sets and the
-    warm-start front (_front), stacked passes too, take the cylinders up to
-    and including the first such cylinder, and none after it. Then each
-    component goes through minimize_section with its front outcome,
+    The parameters are checked first (InvalidParameterError). Then the
+    sketches of every cylinder run as one stacked pass, and from them each
+    component's objective lower bound (_objective_bounds). When a bound
+    exceeds eps_bar (by more than 1e-9 relative, which covers rounding),
+    that fit cannot certify, and the first such (cylinder, component), in
+    cylinder order, raises InfeasibleSectionError before any constraint
+    set, front or solver runs, even when an earlier cylinder would fail
+    its setup or stall on a feasible problem. Otherwise the constraint
+    sets and the warm-start front (_front) run as stacked passes too, and
+    each component goes through minimize_section with its front outcome,
     cylinder by cylinder, so the first failing cylinder raises its own
-    error, from the setup or from the solver: an earlier failure first,
-    else that cylinder's own cutting-plane stop.
+    error, from the setup or from the solver.
     """
     d, tb, codim = packet.d, packet.tau_bar, packet.n - packet.d
     if M is None:
         M = 2.0 * tb / packet.tau
+    if not (eps_bar > 0):
+        raise InvalidParameterError("eps_bar must be positive")
+    if not (sketch_radius >= 0):
+        raise InvalidParameterError("sketch radius must be nonnegative")
+    if not (M > 0):
+        raise InvalidParameterError("coefficient bound M must be positive")
     cylinders = np.asarray(cylinders, dtype=np.int64)
     count, points = _inside_points(packet, mesh, cylinders)
-    if not (sketch_radius >= 0):
-        error = InvalidParameterError("sketch radius must be nonnegative")
-    elif not (M > 0):
-        error = InvalidParameterError("coefficient bound M must be positive")
-    else:
-        error = None
     filled = np.flatnonzero(count)
     setup: dict = {}   # filled cylinder position -> (data, constraints, separation) or error
-    last = cylinders.size   # the front ends at the first cylinder that cannot certify
-    if filled.size and error is None:
+    if filled.size:
         points = points[filled]
         sketches = _sketches(points[:, :, :d], points[:, :, d:], count[filled], sketch_radius)
         bound = _objective_bounds(_padded([s.targets for s in sketches]),
                                   _padded([s.weights for s in sketches]), M)
-        over = np.flatnonzero(np.any(bound > eps_bar * (1.0 + 1e-9), axis=1))
+        over = np.argwhere(bound > eps_bar * (1.0 + 1e-9))
         if over.size:
-            last = int(filled[over[0]])
-            filled, sketches = filled[:over[0] + 1], sketches[:over[0] + 1]
+            k, c = over[0].tolist()
+            raise InfeasibleSectionError(int(cylinders[filled[k]]), c, float(bound[k, c]),
+                                         eps_bar)
         sets, closest = _constraint_sets(_padded([s.sites for s in sketches]),
                                          np.array([s.size for s in sketches]), M, c_w)
         for j, data, cons, sep in zip(filled.tolist(), sketches, sets, closest.tolist()):
@@ -1166,21 +1169,19 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
     problems = [(j, c) for j, out in setup.items() if isinstance(out, tuple)
                 for c in range(codim)]
     fronts: dict = {}
-    if problems and eps_bar > 0:
+    if problems:
         fronts = dict(zip(problems, _front([setup[j][0].component(c) for j, c in problems],
                                            [setup[j][1] for j, _ in problems], eps_bar)))
     sections = []
     for j, cylinder in enumerate(cylinders.tolist()):
-        assert j <= last, "a fit certified below its objective lower bound"
         if not count[j]:
             sections.append(LocalSection(cylinder_index=cylinder, sites=np.zeros((0, d)),
                                          coefficients=np.zeros((0, 0, jet_size(d))),
                                          fit_values=(), shepard_radius=0.0, is_empty=True))
             continue
-        out = error or setup[j]
-        if isinstance(out, Exception):
-            raise out
-        data, cons, sep = out
+        if isinstance(setup[j], Exception):
+            raise setup[j]
+        data, cons, sep = setup[j]
         fits = [minimize_section(data.component(c), cons, eps_bar, budget,
                                  start=fronts.get((j, c))) for c in range(codim)]
         sections.append(LocalSection(
@@ -1344,7 +1345,11 @@ def fit_sections(packet: CylinderPacket, mesh: PutativeMesh,
                  c_w: float = C_W_DEFAULT, budget: int | None = None,
                  sketch_radius: float = 0.02) -> SectionModel:
     """Fit every cylinder's local section (see _fit_cylinders) and assemble
-    the model."""
+    the model. Raises InvalidParameterError for eps_bar <= 0, M <= 0 or a
+    negative sketch_radius; then InfeasibleSectionError when some cylinder's
+    objective lower bound exceeds eps_bar, reported before any earlier
+    cylinder's setup error or solver stop; else the first failing
+    cylinder's own error."""
     sections = _fit_cylinders(packet, mesh, range(packet.size), eps_bar, M, c_w, budget,
                               sketch_radius)
     return SectionModel(packet=packet, mesh=mesh, sections=sections,

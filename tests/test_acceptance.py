@@ -3,6 +3,7 @@
 Each test states its pass condition in asserts; shared heavy artifacts
 (the noisy-circle verdict, the ideal circle packet) are module fixtures.
 """
+import json
 import math
 import time
 
@@ -374,6 +375,7 @@ def test_criterion_11_end_to_end_verdicts(noisy_circle_result, ball_result):
     assert again.case == verdict.case
     assert again.best_loss == verdict.best_loss
     assert again.certificate == verdict.certificate
+    assert {"samples", "sample_complexity"} <= set(verdict.certificate)
 
     _, ball_verdict, ball_elapsed = ball_result
     assert ball_verdict.case == "two"
@@ -381,26 +383,48 @@ def test_criterion_11_end_to_end_verdicts(noisy_circle_result, ball_result):
 
 
 def test_case_two_candidates_keep_their_reasons_and_counts(ball_result):
-    # every packet of the disc fails its section fit. The reasons and work
-    # counts are pinned as computed with one kernel call per Newton halving
-    # and a section front over every cylinder; neither speed-up changes them.
+    # every packet of the disc fails its section fit: a cylinder's objective
+    # lower bound exceeds eps_bar. Each reason names the cylinder at which
+    # the cutting plane used to stop (193: 41 cuts, best objective 0.573533;
+    # 195: 48 cuts, 0.523557), with a bound at or below that best objective.
+    # The work counts are pinned as computed with one kernel call per Newton
+    # halving and a section front over every cylinder.
     _, verdict, _ = ball_result
     got = [{key: c[key] for key in ("reason", "seed_failures", "mesh_newton",
                                     "packet_failures")}
            for c in verdict.certificate["candidates"]]
     assert got == [
-        {"reason": "BudgetExceededError: cutting-plane search stopped after 41 cuts "
-                   "(best objective 0.573533, target 0.5)",
+        {"reason": "InfeasibleSectionError: cylinder 193 component 0 cannot certify: "
+                   "objective lower bound 0.573488 exceeds eps_bar 0.5",
          "seed_failures": {"InsufficientGapError": 2},
          "mesh_newton": {"seeds": 593, "solved": 300, "evaluations": 1332},
          "packet_failures": {"angle": 720, "rotation": 0, "offset": 0, "coverage": 184}},
-        {"reason": "BudgetExceededError: cutting-plane search stopped after 48 cuts "
-                   "(best objective 0.523557, target 0.5)",
+        {"reason": "InfeasibleSectionError: cylinder 195 component 0 cannot certify: "
+                   "objective lower bound 0.523525 exceeds eps_bar 0.5",
          "seed_failures": {"InsufficientGapError": 11, "NoConvergenceError": 22},
          "mesh_newton": {"seeds": 593, "solved": 593, "evaluations": 6429},
          "packet_failures": {"angle": 792, "rotation": 0, "offset": 0, "coverage": 199}},
     ]
     assert verdict.best_loss == math.inf and verdict.model is None
+
+
+def test_the_certificate_records_its_sample_size_against_the_guarantee(ball_result):
+    # circle-search's sample and config (case one) and the disc (case two)
+    circle, _ = generate_synthetic("sphere", n=2, size=120, noise=0.003, radius=0.5,
+                                   even=True, seed=3)
+    circle_config = TestConfig(d=1, V=7.0, tau=0.3, eps=3.6e-5, delta=0.1, C=4.0,
+                               packet_budget=2, seed=0)
+    ball, ball_verdict, _ = ball_result
+    runs = [(circle, run_test(circle, circle_config), circle_config, "one"),
+            (ball, ball_verdict, BALL_CONFIG, "two")]
+    for cloud, verdict, config, case in runs:
+        cert = verdict.certificate
+        want = sample_complexity(BoundParams(d=config.d, V=config.V, tau=config.tau,
+                                             eps=config.eps, delta=config.delta, C=config.C))
+        assert cert["samples"] == cloud.size and cert["sample_complexity"] == want
+        assert math.isfinite(want) and want > cloud.size
+        assert verdict.case == case
+        json.dumps(cert, allow_nan=False)
 
 
 def test_criterion_12_patched_loss_within_constant_of_optimal(noisy_circle_result):

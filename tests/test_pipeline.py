@@ -10,6 +10,7 @@ import pytest
 import manifold_test.pipeline as pipeline
 import manifold_test.whitney_sections as whitney_sections
 from manifold_test.asdf_bundle import Cylinder, CylinderPacket
+from manifold_test.complexity_bounds import BoundParams, sample_complexity
 from manifold_test.core_geometry import PointCloud, federer_reach, greedy_net
 from manifold_test.errors import (
     EmptyInputError,
@@ -277,7 +278,8 @@ def test_circle_certificate_contents(circle_verdict):
     json.loads(json.dumps(cert))
     for key in ("case", "best_loss", "threshold", "best_candidate",
                 "candidates", "reduced_dim", "span_rank", "net_size",
-                "net_size_before_cap", "tau_bar", "search", "cylinders", "mesh_points"):
+                "net_size_before_cap", "tau_bar", "search", "samples", "sample_complexity",
+                "cylinders", "mesh_points"):
         assert key in cert
     assert cert["case"] == "one"
     assert cert["best_candidate"] == 0
@@ -294,6 +296,16 @@ def test_circle_certificate_contents(circle_verdict):
     assert entry["packet_conditions_ok"] is True
     assert entry["packet_failures"] == {"angle": 0, "rotation": 0, "offset": 0, "coverage": 0}
     assert entry["mesh_size"] == cert["mesh_points"]
+
+
+def test_certificate_sample_complexity_only_inside_its_range(circle_verdict):
+    cloud, verdict = circle_verdict
+    cfg = CIRCLE_CONFIG
+    assert verdict.certificate["samples"] == cloud.size == 150
+    assert verdict.certificate["sample_complexity"] == sample_complexity(
+        BoundParams(d=cfg.d, V=cfg.V, tau=cfg.tau, eps=cfg.eps, delta=cfg.delta, C=cfg.C))
+    # the loss scale of the bound lies in (0, 1); a config past it records none
+    assert pipeline._sample_complexity(replace(cfg, eps=1.5)) is None
 
 
 def test_circle_verdict_verifies(circle_verdict):

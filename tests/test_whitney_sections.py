@@ -22,6 +22,7 @@ from manifold_test.errors import (
     DecompositionFailedError,
     DuplicateSiteError,
     EmptyInputError,
+    InfeasibleSectionError,
     InvalidParameterError,
     ManifoldTestError,
     OutOfTubeError,
@@ -1145,24 +1146,38 @@ def reference_minimize(data, cons, eps_bar, budget):
     return ws._solve_cutting_plane(data, cons, eps_bar, budget, start, meets_target, [stop])
 
 
+def reference_bound(targets, mult, M):
+    """sum_i w_i (|t_i| - M~)_+^2 of one component's targets, site by site."""
+    m_tilde = math.sqrt(M * M * (1.0 + ws.FEASIBILITY_REL) + ws.FEASIBILITY_ABS)
+    weights = mult / mult.sum()
+    return sum(w * max(abs(t) - m_tilde, 0.0) ** 2 for w, t in zip(weights, targets))
+
+
 def reference_fit(packet, mesh, eps_bar, budget):
     """Every component fit of the cylinder-by-cylinder loop, in order, and
-    the error that stopped it (None when every cylinder fits)."""
+    the error that stopped it (None when every cylinder fits). Every
+    cylinder's objective lower bounds are checked before the loop."""
     fits = []
     tb, d = packet.tau_bar, packet.d
+    M = 2.0 * tb / packet.tau
+    sketched = []
+    for index, cyl in enumerate(packet.cylinders):
+        local = (mesh.base_points - cyl.center) @ cyl.rotation
+        inside = ((np.linalg.norm(local[:, :d], axis=1) <= tb + 1e-12)
+                  & (np.linalg.norm(local[:, d:], axis=1) <= tb + 1e-12))
+        if np.any(inside):
+            sketched.append(reference_sketch(local[inside, :d] / tb, local[inside, d:] / tb,
+                                             0.02))
+            bounds = [reference_bound(t, sketched[-1][2], M) for t in sketched[-1][1].T]
+            over = [c for c, b in enumerate(bounds) if b > eps_bar * (1.0 + 1e-9)]
+            if over:
+                return fits, InfeasibleSectionError(index, over[0], bounds[over[0]], eps_bar)
     with pytest.MonkeyPatch.context() as mp:
         # the cutting plane's own projections run the reference loop too
         mp.setattr(ws, "_project_constraints", reference_project)
-        for cyl in packet.cylinders:
-            local = (mesh.base_points - cyl.center) @ cyl.rotation
-            inside = ((np.linalg.norm(local[:, :d], axis=1) <= tb + 1e-12)
-                      & (np.linalg.norm(local[:, d:], axis=1) <= tb + 1e-12))
-            if not np.any(inside):
-                continue
+        for sites, targets, mult, owner in sketched:
             try:
-                sites, targets, mult, owner = reference_sketch(
-                    local[inside, :d] / tb, local[inside, d:] / tb, 0.02)
-                cons = build_constraints(sites, 2.0 * tb / packet.tau)
+                cons = build_constraints(sites, M)
                 for c in range(targets.shape[1]):
                     data = ws.SketchedData(sites=sites, targets=targets[:, c],
                                            multiplicities=mult, owners=owner)
@@ -1227,7 +1242,9 @@ def test_stacked_fit_matches_the_per_cylinder_reference(pipeline_packets, name):
     packet, mesh, eps_bar, budget = pipeline_packets[name]
     fits, error = stacked_fit(packet, mesh, eps_bar, budget)
     want, want_error = reference_fit(packet, mesh, eps_bar, budget)
-    assert len(fits) == len(want) > 0
+    # a proven-infeasible packet runs no fit
+    assert len(fits) == len(want)
+    assert (len(want) == 0) == (name == "disc")
     for got, ref in zip(fits, want):
         assert (got.solver, got.projection_stops, got.iterations, got.certified) == (
             ref.solver, ref.projection_stops, ref.iterations, ref.certified)
@@ -1243,7 +1260,10 @@ def test_stacked_fit_matches_the_per_cylinder_reference(pipeline_packets, name):
     elif name == "sphere":
         assert paths == {"warm-start", "cutting-plane"}
     else:
-        assert isinstance(error, BudgetExceededError)
+        assert isinstance(error, InfeasibleSectionError)
+        assert (error.cylinder, error.component, error.eps_bar) == (
+            want_error.cylinder, want_error.component, want_error.eps_bar)
+        np.testing.assert_allclose(error.bound, want_error.bound, rtol=1e-12, atol=0.0)
 
 
 def test_a_cylinder_fits_alone_as_in_its_packet(pipeline_packets):
@@ -1315,22 +1335,21 @@ def test_a_short_projection_ignores_a_long_tail_in_its_batch():
 
 def test_an_earlier_failing_cylinder_raises_before_any_later_one(pipeline_packets,
                                                                  monkeypatch):
-    packet, mesh, eps_bar, budget = pipeline_packets["disc"]
-    batches, fitted, built = [], [], []
+    calls = {"sets": [], "front": [], "fits": 0}
     front, minimize, sets = ws._front, ws.minimize_section, ws._constraint_sets
 
     def spy_front(data, constraints, eps):
-        batches.append(len(data))
+        calls["front"].append(len(data))
         return front(data, constraints, eps)
 
     def spy_minimize(*args, **kwargs):
-        fitted.append(minimize(*args, **kwargs))
-        return fitted[-1]
+        calls["fits"] += 1
+        return minimize(*args, **kwargs)
 
     def inject(position):
         def broken(*args, **kwargs):
             out, closest = sets(*args, **kwargs)
-            built.append(len(out))
+            calls["sets"].append(len(out))
             if position is not None:
                 out[position] = DuplicateSiteError("injected")
             return out, closest
@@ -1338,42 +1357,40 @@ def test_an_earlier_failing_cylinder_raises_before_any_later_one(pipeline_packet
 
     monkeypatch.setattr(ws, "_front", spy_front)
     monkeypatch.setattr(ws, "minimize_section", spy_minimize)
+    # on the disc a cylinder's bound proves its fit infeasible: the proof
+    # raises before any constraint set, front or fit
+    packet, mesh, eps_bar, budget = pipeline_packets["disc"]
     monkeypatch.setattr(ws, "_constraint_sets", inject(None))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(InfeasibleSectionError):
         fit_sections(packet, mesh, eps_bar, budget=budget)
-    # the setup and the front end at the failing cylinder: every fit before
-    # it, and its own (one normal component each); no set is built past it
+    assert calls == {"sets": [], "front": [], "fits": 0}
+    # where every bound holds, a setup failure raises at its own cylinder:
+    # after the fits of the cylinders before it (one normal component each),
+    # and at the first cylinder before any fit
+    packet, mesh, eps_bar, budget = pipeline_packets["circle-perturbed"]
     assert packet.n - packet.d == 1
-    assert batches[0] == len(fitted) + 1 == built[0]
-    assert built[0] < int(np.count_nonzero(ws._inside_points(
-        packet, mesh, np.arange(packet.size))[0]))
-    # the failing cylinder itself fails in the stacked setup: its setup
-    # error raises, and the front holds only the cylinders before it
-    monkeypatch.setattr(ws, "_constraint_sets", inject(-1))
-    with pytest.raises(DuplicateSiteError, match="injected"):
-        fit_sections(packet, mesh, eps_bar, budget=budget)
-    assert built[1] == built[0] and batches[1] == batches[0] - 1
-    # the first cylinder fails in the setup before any solver runs
-    monkeypatch.setattr(ws, "_constraint_sets", inject(0))
-    with pytest.raises(DuplicateSiteError, match="injected"):
-        fit_sections(packet, mesh, eps_bar, budget=budget)
+    filled = int(np.count_nonzero(ws._inside_points(packet, mesh, np.arange(packet.size))[0]))
+    for position in (filled // 2, 0):
+        calls.update(sets=[], front=[], fits=0)
+        monkeypatch.setattr(ws, "_constraint_sets", inject(position))
+        with pytest.raises(DuplicateSiteError, match="injected"):
+            fit_sections(packet, mesh, eps_bar, budget=budget)
+        assert calls == {"sets": [filled], "front": [filled - 1], "fits": position}
 
 
 def failing_problem(packet, mesh, eps_bar, budget):
-    """The component fit that stops fit_sections: its data, constraints and
-    BudgetExceededError, and the number of fits run before it."""
-    calls = []
-    minimize = ws.minimize_section
-
-    def spy(data, cons, *args, **kwargs):
-        calls.append((data, cons))
-        return minimize(data, cons, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ws, "minimize_section", spy)
-        with pytest.raises(BudgetExceededError) as failed:
-            fit_sections(packet, mesh, eps_bar, budget=budget)
-    return calls[-1] + (failed.value, len(calls) - 1)
+    """The component fit that stops fit_sections, rebuilt from its
+    InfeasibleSectionError: its data, constraints and error, and the
+    cylinder's position among the cylinders with mesh points."""
+    with pytest.raises(InfeasibleSectionError) as failed:
+        fit_sections(packet, mesh, eps_bar, budget=budget)
+    error = failed.value
+    count, points = ws._inside_points(packet, mesh, np.array([error.cylinder]))
+    local = points[0, :count[0]]
+    data = sketch(local[:, :packet.d], local[:, packet.d:], 0.02).component(error.component)
+    cons = build_constraints(data.sites, 2.0 * packet.tau_bar / packet.tau)
+    filled = np.flatnonzero(ws._inside_points(packet, mesh, np.arange(packet.size))[0])
+    return data, cons, error, int(np.searchsorted(filled, error.cylinder))
 
 
 def objective_bound(data, cons):
@@ -1383,23 +1400,30 @@ def objective_bound(data, cons):
 
 @pytest.mark.parametrize("name", ["disc", "disc-1", "disc-2"])
 def test_the_bound_is_the_minimum_of_a_failing_fit(pipeline_packets, name):
-    data, cons, error, _ = failing_problem(*pipeline_packets[name])
-    best = error.best.value
+    packet, mesh, eps_bar, budget = pipeline_packets[name]
+    data, cons, error, _ = failing_problem(packet, mesh, eps_bar, budget)
     bound = objective_bound(data, cons)
-    assert f"best objective {best:.6g}" in str(error)
-    assert pipeline_packets[name][2] < bound <= best
+    np.testing.assert_allclose(error.bound, bound, rtol=1e-12, atol=0.0)
+    assert f"objective lower bound {error.bound:.6g} exceeds eps_bar {eps_bar:.6g}" in str(error)
+    assert error.eps_bar == eps_bar < bound
     # the bound is attained to 1e-6: the values clamped to [-M, M], with
-    # zero derivatives, are feasible. The cutting plane stops at its stall
-    # test a little above it.
+    # zero derivatives, are feasible
     clamped = np.zeros((cons.m, cons.q))
     clamped[:, 0] = np.clip(data.targets, -cons.M, cons.M)
     assert cons.is_feasible(clamped.ravel())
     assert bound <= section_objective(data, cons, clamped.ravel()) <= bound + 1e-6
+    # a lone fit, which runs the cutting plane, never gets below it: it
+    # stops at its stall test a little above
+    with pytest.raises(BudgetExceededError) as stalled:
+        minimize_section(data, cons, eps_bar)
+    best = stalled.value.best.value
+    assert f"best objective {best:.6g}" in str(stalled.value)
+    assert bound <= best
 
 
 def test_no_certified_fit_falls_below_its_bound():
     rng = np.random.default_rng(23)
-    certified = near = 0
+    certified = near = stalls = 0
     for trial in range(24):
         d = 1 + trial % 2
         m = int(rng.integers(2, 7))
@@ -1414,12 +1438,13 @@ def test_no_certified_fit_falls_below_its_bound():
             try:
                 res = minimize_section(data, cons, eps_bar)
             except BudgetExceededError:
+                stalls += 1
                 continue
             assert res.certified and cons.is_feasible(res.y)
             assert res.value >= bound
             certified += 1
             near += res.value <= bound * 1.5 + 1e-3
-    assert certified > 30 and near > 10
+    assert certified > 30 and near > 10 and stalls >= 1
 
 
 def test_a_cylinder_that_cannot_certify_ends_the_front(pipeline_packets, monkeypatch):
@@ -1434,19 +1459,40 @@ def test_a_cylinder_that_cannot_certify_ends_the_front(pipeline_packets, monkeyp
         return front(data, constraints, eps)
 
     monkeypatch.setattr(ws, "_front", spy)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(InfeasibleSectionError):
         fit_sections(packet, mesh, eps_bar, budget=budget)
-    assert sizes == [before + 1]
+    assert sizes == []
     # the failing cylinder is the before-th filled one (codim 1); some later
-    # cylinder certifies on its own, and its fit was not prepared
+    # cylinder certifies on its own, though the packet fit prepared none
     filled = np.flatnonzero(ws._inside_points(packet, mesh, np.arange(packet.size))[0])
     later = []
     for j in filled[before + 1:before + 8]:
         try:
             later.append(fit_local_section(packet, mesh, j, eps_bar, budget=budget))
-        except BudgetExceededError:
+        except (BudgetExceededError, InfeasibleSectionError):
             pass
     assert later and all(s.fit_values[0] <= eps_bar for s in later)
+
+
+@pytest.mark.parametrize("bad", [dict(eps_bar=0.0), dict(eps_bar=-0.5),
+                                 dict(sketch_radius=-0.01), dict(M=0.0), dict(M=-1.0)],
+                         ids=["eps_bar-zero", "eps_bar-negative", "sketch_radius-negative",
+                              "M-zero", "M-negative"])
+def test_parameter_errors_come_before_any_bound(pipeline_packets, bad, monkeypatch):
+    # on the disc a bound fails at the valid parameters, and with a
+    # nonpositive eps_bar every bound would
+    packet, mesh, eps_bar, budget = pipeline_packets["disc"]
+    compared = []
+    bounds = ws._objective_bounds
+
+    def spy(*args):
+        compared.append(args)
+        return bounds(*args)
+
+    monkeypatch.setattr(ws, "_objective_bounds", spy)
+    with pytest.raises(InvalidParameterError):
+        fit_sections(packet, mesh, **{"eps_bar": eps_bar, "budget": budget, **bad})
+    assert compared == []
 
 
 def test_the_front_reports_the_honest_cap_and_falls_through():
