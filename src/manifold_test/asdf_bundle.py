@@ -20,9 +20,10 @@ from .core_geometry import (
     AffineSubspace,
     PointCloud,
     _ball_grid,
+    _frames,
     _sign_fix_rows,
     frame_from_tangent,
-    greedy_net,
+    greedy_net,   # kept bound here: bench/tracer.py wraps asdf_bundle.greedy_net
     lexsort_dedup,
     orthonormal_completion,
 )
@@ -45,9 +46,10 @@ MEMBERSHIP_SLACK = 1e-12
 BUMP_INNER = 0.25   # theta == 1 inside this radius
 BUMP_OUTER = 1.0    # theta == 0 from this radius on
 
-# Base-point solver failures that reject one seed or point, not the input.
+# Base-point solver failures that reject one seed or point, not the input;
+# InvalidParameterError ends a row whose Hessian is not symmetric to 1e-9.
 BASE_POINT_ERRORS = (OutOfDomainError, DegenerateCoverError, InsufficientGapError,
-                     EscapedDomainError, NoConvergenceError)
+                     EscapedDomainError, NoConvergenceError, InvalidParameterError)
 
 
 @dataclass(frozen=True)
@@ -111,18 +113,7 @@ class Cylinder:
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=np.float64)
         cen = np.asarray(self.center, dtype=np.float64)
-        n = cen.shape[0]
-        if rot.shape != (n, n):
-            raise InvalidParameterError("rotation shape does not match center")
-        if float(np.max(np.abs(rot.T @ rot - np.eye(n)))) > ROTATION_TOL:
-            raise InvalidParameterError("rotation is not orthogonal to 1e-10")
-        if abs(float(np.linalg.det(rot)) - 1.0) > 1e-8:
-            raise InvalidParameterError("rotation must be proper (det +1)")
-        if not (self.scale > 0):
-            raise InvalidParameterError("cylinder scale must be positive")
-        if not (1 <= self.tangent_dim < n):
-            raise InvalidParameterError(
-                f"tangent dimension {self.tangent_dim} invalid for ambient {n}")
+        _check_cylinders(cen[None], rot[None], self.scale, self.tangent_dim)
         object.__setattr__(self, "rotation", np.ascontiguousarray(rot))
         object.__setattr__(self, "center", cen)
 
@@ -143,6 +134,25 @@ class Cylinder:
         return (np.linalg.norm(w[:d]) <= lim) and (np.linalg.norm(w[d:]) <= lim)
 
 
+def _check_cylinders(centers: np.ndarray, rotations: np.ndarray, scale: float,
+                     tangent_dim: int) -> None:
+    """Cylinder's checks on the stack of cylinders (rotations[k], centers[k]),
+    one array pass: raise the text of the first cylinder that fails one, for
+    its first failing check."""
+    if centers.ndim != 2 or rotations.shape != centers.shape + centers.shape[1:]:
+        raise InvalidParameterError("rotation shape does not match center")
+    m, n = centers.shape
+    gram = np.matmul(rotations.transpose(0, 2, 1), rotations) - np.eye(n)
+    bad = np.stack([np.abs(gram).max(axis=(1, 2), initial=0.0) > ROTATION_TOL,
+                    np.abs(np.linalg.det(rotations) - 1.0) > 1e-8,
+                    np.full(m, not scale > 0), np.full(m, not 1 <= tangent_dim < n)], axis=1)
+    if bad.any():   # row-major: the first cylinder, then its first check
+        raise InvalidParameterError((
+            "rotation is not orthogonal to 1e-10", "rotation must be proper (det +1)",
+            "cylinder scale must be positive",
+            f"tangent dimension {tangent_dim} invalid for ambient {n}")[int(bad.argmax()) % 4])
+
+
 class CylinderPacket:
     """A family of congruent cylinders with recorded alignment constants."""
 
@@ -151,18 +161,37 @@ class CylinderPacket:
         cylinders = tuple(cylinders)
         if not cylinders:
             raise EmptyInputError("a packet needs at least one cylinder")
-        if not (0 < tau < 1):
-            raise InvalidParameterError(f"tau must lie in (0, 1), got {tau}")
-        if not (c12 > 0 and C_align > 0):
-            raise InvalidParameterError("alignment constants must be positive")
         first = cylinders[0]
         for cyl in cylinders:
             if abs(cyl.scale - first.scale) > 1e-12:
                 raise InvalidParameterError("all cylinders must share one scale")
             if cyl.tangent_dim != first.tangent_dim or cyl.ambient_dim != first.ambient_dim:
                 raise InvalidParameterError("all cylinders must share (d, n)")
-        tau_bar = first.scale
-        worst = max(float(np.linalg.norm(c.center)) for c in cylinders)
+        self._store(np.stack([c.center for c in cylinders]),
+                    np.stack([c.rotation for c in cylinders]), first.scale,
+                    first.tangent_dim, tau, c12, C_align)
+
+    @classmethod
+    def from_arrays(cls, centers, rotations, scale: float, tangent_dim: int, tau: float,
+                    c12: float, C_align: float) -> CylinderPacket:
+        """The packet of the cylinders (rotations[k], centers[k], scale,
+        tangent_dim), checked as one stack (_check_cylinders)."""
+        centers = np.array(centers, dtype=np.float64)   # copies: the packet freezes them
+        rotations = np.array(rotations, dtype=np.float64, order="C")
+        _check_cylinders(centers, rotations, scale, tangent_dim)
+        packet = object.__new__(cls)
+        packet._store(centers, rotations, scale, tangent_dim, tau, c12, C_align)
+        return packet
+
+    def _store(self, centers, rotations, tau_bar, d, tau, c12, C_align) -> None:
+        if not centers.shape[0]:
+            raise EmptyInputError("a packet needs at least one cylinder")
+        if not (0 < tau < 1):
+            raise InvalidParameterError(f"tau must lie in (0, 1), got {tau}")
+        if not (c12 > 0 and C_align > 0):
+            raise InvalidParameterError("alignment constants must be positive")
+        # each center's dot with itself, as np.linalg.norm takes it
+        worst = float(np.sqrt(np.matmul(centers[:, None, :], centers[:, :, None])).max())
         if worst > 1.0 + tau_bar + 1e-9:
             raise InvalidParameterError(
                 f"cylinder center at norm {worst:.6g} is too far outside the unit ball")
@@ -170,11 +199,10 @@ class CylinderPacket:
         self.c12 = float(c12)
         self.C_align = float(C_align)
         self.tau_bar = float(tau_bar)
-        self.d = first.tangent_dim
-        self.n = first.ambient_dim
+        self.d = d
+        self.n = centers.shape[1]
         # the packet keeps its cylinders only as these read-only stacks
-        self.centers = np.stack([c.center for c in cylinders])
-        self.rotations = np.stack([c.rotation for c in cylinders])
+        self.centers, self.rotations = centers, rotations
         self.center_sq = np.sum(self.centers * self.centers, axis=1)
         for arr in (self.centers, self.rotations, self.center_sq):
             arr.flags.writeable = False
@@ -255,17 +283,15 @@ def packet_from_json(text: str) -> CylinderPacket:
     """Inverse of packet_to_json."""
     payload = json.loads(text)
     n = int(payload["n"])
-    cylinders = [
-        Cylinder(
-            rotation=np.asarray(c["rotation"], dtype=np.float64).reshape(n, n),
-            center=np.asarray(c["center"], dtype=np.float64),
-            scale=float(payload["tau_bar"]),
-            tangent_dim=int(payload["d"]),
-        )
-        for c in payload["cylinders"]
-    ]
-    return CylinderPacket(cylinders, tau=float(payload["tau"]),
-                          c12=float(payload["c12"]), C_align=float(payload["C"]))
+    centers = [np.asarray(c["center"], dtype=np.float64) for c in payload["cylinders"]]
+    if any(c.shape != (n,) for c in centers):
+        raise InvalidParameterError("rotation shape does not match center")
+    rotations = [np.asarray(c["rotation"], dtype=np.float64).reshape(n, n)
+                 for c in payload["cylinders"]]
+    return CylinderPacket.from_arrays(
+        np.array(centers).reshape(-1, n), np.array(rotations).reshape(-1, n, n),
+        float(payload["tau_bar"]), int(payload["d"]), tau=float(payload["tau"]),
+        c12=float(payload["c12"]), C_align=float(payload["C"]))
 
 
 # ---- packet construction and validation ----
@@ -295,6 +321,10 @@ def _packet_pairs(packet: CylinderPacket):
     nor = p[:, d:]   # each row's dot with itself, as np.linalg.norm takes it
     normal = np.sqrt(np.matmul(nor[:, None, :], nor[:, :, None])[:, 0, 0])
     return i, j, opnorm, normal, p[:, :d]
+
+
+# doubles one chunk of validate_packet's coverage pass holds, or one cylinder's if more
+_COVERAGE_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -346,11 +376,26 @@ def validate_packet(packet: CylinderPacket,
     bad1, bad2, bad3 = theta > angle_limit, opnorm > bound2, normal > bound3
     bad = bad1 | bad2 | bad3
     cut = np.searchsorted(i, np.arange(packet.size + 1))
-    gaps = np.empty(packet.size)
+    # condition 4 in chunks: each cylinder's offsets after the zero one, padded
+    # with it; max(., 0) and sqrt are monotone, so they come after min and max
+    width = int(np.diff(cut).max(initial=0)) + 1
+    offsets = np.zeros((packet.size, width, d))
+    offsets[i, np.arange(i.size) - cut[i] + 1] = tangential
+    per = max(1, _COVERAGE_CHUNK // (grid.shape[0] * width))
+    worst = np.empty(packet.size)
+    for lo in range(0, packet.size, per):
+        off = offsets[lo:lo + per]
+        d2 = np.matmul(grid2, off.transpose(0, 2, 1))
+        np.subtract(grid_sq, d2, out=d2)
+        d2 += np.sum(off * off, axis=2)[:, None, :]
+        worst[lo:lo + per] = d2.min(axis=2).max(axis=1)
+    gaps = np.sqrt(np.maximum(worst, 0.0))
+    uncovered = gaps > tb + 1e-12
     failures: list[str] = []
-    for k in range(packet.size):
-        lo, hi = cut[k], cut[k + 1]
-        for p in (lo + np.flatnonzero(bad[lo:hi])).tolist():
+    bad_at = np.flatnonzero(bad)
+    ends = np.searchsorted(bad_at, cut)   # cylinder k's: bad_at[ends[k]:ends[k + 1]]
+    for k in np.union1d(i[bad], np.flatnonzero(uncovered)).tolist():
+        for p in bad_at[ends[k]:ends[k + 1]].tolist():
             if bad1[p]:
                 failures.append(f"cyl {k} nbr {j[p]}: principal angle {float(theta[p]):.4f}")
             if bad2[p]:
@@ -359,13 +404,8 @@ def validate_packet(packet: CylinderPacket,
             if bad3[p]:
                 failures.append(
                     f"cyl {k} nbr {j[p]}: |Tr(0)| {float(normal[p]):.4g} > {bound3:.4g}")
-        centers = np.concatenate([np.zeros((1, d)), tangential[lo:hi]])
-        d2 = grid_sq - grid2 @ centers.T + np.sum(centers * centers, axis=1)[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        gaps[k] = np.sqrt(d2.min(axis=1)).max()
-        if gaps[k] > tb + 1e-12:
+        if uncovered[k]:
             failures.append(f"cyl {k}: coverage gap {float(gaps[k]):.4g} > tau_bar {tb:.4g}")
-    uncovered = gaps > tb + 1e-12
     return PacketValidation(
         condition1_ok=not bad1.any(), condition2_ok=not bad2.any(),
         condition3_ok=not bad3.any(), condition4_ok=not uncovered.any(),
@@ -379,37 +419,39 @@ def validate_packet(packet: CylinderPacket,
 
 def ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace],
                  tau: float, cbar12: float = 0.1,
-                 c12: float | None = None, C_align: float | None = None,
-                 max_cylinders: int | None = None) -> CylinderPacket:
-    """Data-driven ideal packet: greedy tau_bar/2-net centers, tangent frames.
+                 c12: float | None = None, C_align: float | None = None, *,
+                 net) -> CylinderPacket:
+    """Data-driven ideal packet: centers at the cloud points net (a
+    tau_bar/2-net, such as run_test's capped greedy_net), tangent frames
+    (_frames).
 
-    tangents must cover every selected net index. When the alignment
-    constants are not given they are measured from the built packet
-    (envelope times 1.25, with floors 1.0 and 10.0).
+    tangents must cover every center. When the alignment constants are not
+    given they are measured from the built packet (envelope times 1.25, with
+    floors 1.0 and 10.0).
     """
     if cloud.size == 0:
         raise EmptyInputError("cannot build a packet from an empty cloud")
     if not (0 < cbar12 < 1):
         raise InvalidParameterError(f"cbar12 must lie in (0, 1), got {cbar12}")
     tau_bar = cbar12 * tau
-    net = greedy_net(cloud, tau_bar / 2.0)
-    if max_cylinders is not None:
-        net = net[:max_cylinders]
-    cylinders = []
     for idx in net:
         if idx not in tangents:
             raise InvalidParameterError(f"no tangent supplied for net index {idx}")
-        frame = frame_from_tangent(tangents[idx])
-        cylinders.append(Cylinder(rotation=frame, center=cloud.points[idx].copy(),
-                                  scale=tau_bar, tangent_dim=tangents[idx].dim))
-    packet = CylinderPacket(cylinders, tau=tau, c12=1.0, C_align=10.0)
+    bases = [tangents[idx].basis for idx in net]
+    if len({b.shape for b in bases}) > 1:
+        raise InvalidParameterError("all cylinders must share (d, n)")
+    basis = np.stack(bases) if bases else np.zeros((0, 1, cloud.ambient_dim))
+    packet = CylinderPacket.from_arrays(
+        cloud.points[net], _frames(basis), tau_bar, basis.shape[1], tau=tau,
+        c12=1.0 if c12 is None else c12, C_align=10.0 if C_align is None else C_align)
     if c12 is None or C_align is None:
         _, _, opnorm, normal, _ = _packet_pairs(packet)
         if c12 is None:
-            c12 = max(float(opnorm.max(initial=0.0)) * 1.25 / tau_bar, 1.0)
+            packet.c12 = max(float(opnorm.max(initial=0.0)) * 1.25 / tau_bar, 1.0)
         if C_align is None:
-            C_align = max(float(normal.max(initial=0.0)) * 1.25 * tau / tau_bar ** 2, 10.0)
-    return CylinderPacket(cylinders, tau=tau, c12=c12, C_align=C_align)
+            packet.C_align = max(float(normal.max(initial=0.0)) * 1.25 * tau / tau_bar ** 2,
+                                 10.0)
+    return packet
 
 
 # ---- the approximate squared-distance field ----
@@ -518,15 +560,23 @@ class PiHiResult:
 def _top_eigenspaces(hess: np.ndarray, codim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked spectra of (m, n, n) Hessians: ascending eigenvalues (m, n),
     sign-fixed top `codim` eigenvector rows (m, codim, n), top first, and the
-    gap (m,) between positions n-codim-1 and n-codim."""
-    if float(np.max(np.abs(hess - hess.transpose(0, 2, 1)))) > PROJECTOR_TOL:
-        raise InvalidParameterError("hessian is not symmetric to 1e-9")
+    gap (m,) between positions n-codim-1 and n-codim. eigh reads one
+    triangle only: the caller checks symmetry (_asymmetric)."""
     m, n, _ = hess.shape
     evals, evecs = np.linalg.eigh(hess)
     low = n - codim
     gap = np.full(m, math.inf) if low == 0 else evals[:, low] - evals[:, low - 1]
     top = evecs[:, :, ::-1][:, :, :codim].transpose(0, 2, 1).reshape(m * codim, n)
     return evals, _sign_fix_rows(top).reshape(m, codim, n), gap
+
+
+def _asymmetric(hess: np.ndarray) -> np.ndarray:
+    """Which Hessians of the stack (m, n, n) are not symmetric to PROJECTOR_TOL;
+    when none is, one reduction over the whole stack says so."""
+    dev = np.abs(hess - hess.transpose(0, 2, 1)).reshape(hess.shape[0], -1)
+    if dev.max(initial=0.0) <= PROJECTOR_TOL:
+        return np.zeros(hess.shape[0], dtype=bool)
+    return dev.max(axis=1) > PROJECTOR_TOL
 
 
 def pi_hi(hessian, codim: int, gap_tol: float = DEFAULT_CONSTANTS.gap_tol,
@@ -542,6 +592,8 @@ def pi_hi(hessian, codim: int, gap_tol: float = DEFAULT_CONSTANTS.gap_tol,
     n = h.shape[0]
     if not (1 <= codim <= n):
         raise InvalidParameterError(f"codim {codim} invalid for dimension {n}")
+    if _asymmetric(h[None])[0]:
+        raise InvalidParameterError("hessian is not symmetric to 1e-9")
     evals, top, gap = _top_eigenspaces(h[None], codim)
     evals, top, gap = evals[0], top[0], float(gap[0])
     if gap < gap_tol:
@@ -643,7 +695,8 @@ def solve_base_point(packet: CylinderPacket, z0, newton_tol: float = 1e-10,
     fixed-frame residual (_damped_steps evaluates them as stacked trials).
     z0 of shape (n,) returns its BundleChart or raises. z0 of shape (m, n)
     returns a RowOutcomes tuple of m outcomes, each a BundleChart or the
-    BASE_POINT_ERRORS instance that ended the row, with counts["evaluations"]
+    BASE_POINT_ERRORS instance that ended the row (InvalidParameterError
+    for a row whose Hessian is not symmetric to 1e-9), with counts["evaluations"]
     the field evaluations of a halving search: each row's first point and,
     per step, its trials up to and including the accepted one (all 21 when
     none is). The trials the stacked ladder computes past a row's accepted
@@ -672,6 +725,11 @@ def _newton(packet, z0, newton_tol, max_steps, constants) -> RowOutcomes:
         if not active.size:
             break
         h = hess[active]
+        skew = _asymmetric(h)
+        if skew.any():   # such a row ends alone
+            for r in active[skew]:
+                outcomes[r] = InvalidParameterError("hessian is not symmetric to 1e-9")
+            active, h = active[~skew], h[~skew]
         evals, fiber, gap = _top_eigenspaces(h, codim)
         resid = np.matmul(fiber, grad[active][:, :, None])
         rnorm = np.sqrt((resid * resid).sum((1, 2)))

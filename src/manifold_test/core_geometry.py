@@ -135,6 +135,18 @@ class AffineSubspace:
     def ambient_dim(self) -> int:
         return self.base.shape[0]
 
+    @classmethod
+    def _checked_stack(cls, bases: np.ndarray, basis: np.ndarray) -> list[AffineSubspace]:
+        """Subspaces through the rows of bases (m, n) spanned by the rows of
+        basis (m, d, n), their orthonormality checked once, as one stack."""
+        gram = np.matmul(basis, basis.transpose(0, 2, 1)) - np.eye(basis.shape[1])
+        if float(np.abs(gram).max(initial=0.0)) > ORTHONORMAL_TOL:
+            raise InvalidParameterError("basis rows are not orthonormal to 1e-10")
+        subs = [object.__new__(cls) for _ in range(bases.shape[0])]
+        for sub, base, rows in zip(subs, bases, basis):
+            sub.__dict__.update(base=base, basis=rows)
+        return subs
+
     def nearest_to_origin(self) -> np.ndarray:
         """The point of the subspace closest to the origin."""
         if self.dim == 0:
@@ -282,12 +294,57 @@ def _sign_fix_rows(rows: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return np.negative(out, out=out, where=(lead < -tol)[:, None])
 
 
+# doubles one block of _tangent_ladder's distance pass holds, or one center's if more
+_TANGENT_BLOCK = 1 << 17
+
+
+def _tangent_ladder(points: np.ndarray, centers: np.ndarray, radii: Sequence[float],
+                    d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top-d PCA tangent bases at the rows `centers` of points, one pass: each
+    center takes the first radius of the ladder radii whose neighbourhood
+    (the points within it, center included) has d+1 points or more and a
+    nonzero covariance. Returns the bases (m, d, n), zero where no radius
+    serves, which radius served each center (-1: none) and its neighbour
+    count at the last radius tried. Distances come in blocks of at most
+    _MERGE_BLOCK centers, fewer where a block's distance pass (one double
+    per point, n per point from 8 dimensions on: see _row_distances) would
+    pass _TANGENT_BLOCK doubles. The unserved centers of a block are grouped
+    by neighbourhood size, each group one stacked call per step with a
+    single center's layout per slice, so a basis is bit-equal to a
+    one-center call's."""
+    m, n = centers.size, points.shape[1]
+    bases, found = np.zeros((m, d, n)), np.full(m, -1)
+    counts = np.zeros(m, dtype=np.int64)
+    row = points.shape[0] * (n if n >= 8 else 1)
+    per = max(1, min(_MERGE_BLOCK, _TANGENT_BLOCK // row))
+    for lo in range(0, m, per):
+        dist = _row_distances(points[centers[lo:lo + per]], points)
+        left = np.arange(dist.shape[0])   # block rows no radius has served yet
+        for r, radius in enumerate(radii):
+            near = dist[left] <= radius
+            size = near.sum(axis=1)
+            counts[lo + left] = size
+            for k in np.unique(size[size > d]).tolist():
+                group = np.flatnonzero(size == k)
+                nb = points[np.nonzero(near[group])[1].reshape(group.size, k)]
+                centered = nb - nb.mean(axis=1)[:, None, :]
+                cov = centered.transpose(0, 2, 1) @ centered / k
+                ok = np.abs(cov).max(axis=(1, 2)) >= 1e-24   # else a zero covariance
+                # columns of evecs are ascending by eigenvalue; take the top d
+                top = np.linalg.eigh(cov[ok])[1][:, :, ::-1][:, :, :d].transpose(0, 2, 1)
+                rows = lo + left[group[ok]]
+                bases[rows] = _sign_fix_rows(top.reshape(-1, n)).reshape(-1, d, n)
+                found[rows] = r
+            left = left[found[lo + left] < 0]
+    return bases, found, counts
+
+
 def estimate_tangent(cloud: PointCloud, center_index: int, radius: float, d: int) -> AffineSubspace:
     """Tangent estimate at one point: top-d PCA of the centered neighborhood.
 
     The neighborhood is every cloud point within `radius` of the center
     (the center included). Needs at least d+1 neighbors and a nonzero
-    neighborhood covariance.
+    neighborhood covariance. A one-center, one-radius _tangent_ladder.
     """
     if cloud.size == 0:
         raise EmptyInputError("cannot estimate a tangent on an empty cloud")
@@ -298,21 +355,13 @@ def estimate_tangent(cloud: PointCloud, center_index: int, radius: float, d: int
     n = cloud.ambient_dim
     if not (1 <= d <= n):
         raise InvalidParameterError(f"tangent dimension {d} invalid for ambient dim {n}")
-    center = cloud.points[center_index]
-    mask = np.linalg.norm(cloud.points - center, axis=1) <= radius
-    nb = cloud.points[mask]
-    if nb.shape[0] < d + 1:
+    bases, found, counts = _tangent_ladder(cloud.points, np.array([center_index]), (radius,), d)
+    if found[0] < 0 and counts[0] < d + 1:
         raise UnderdeterminedTangentError(
-            f"{nb.shape[0]} neighbors within radius {radius}, need at least {d + 1}")
-    centered = nb - nb.mean(axis=0)
-    cov = centered.T @ centered / nb.shape[0]
-    if float(np.max(np.abs(cov))) < 1e-24:
+            f"{counts[0]} neighbors within radius {radius}, need at least {d + 1}")
+    if found[0] < 0:
         raise DegenerateNeighborhoodError("neighborhood covariance is zero")
-    evals, evecs = np.linalg.eigh(cov)
-    # columns of evecs are ascending by eigenvalue; take the top d
-    top = evecs[:, ::-1][:, :d].T
-    basis = _sign_fix_rows(top)
-    return AffineSubspace(base=center.copy(), basis=basis)
+    return AffineSubspace(base=cloud.points[center_index].copy(), basis=bases[0])
 
 
 def federer_reach(cloud: PointCloud, tangents: Mapping[int, AffineSubspace]) -> ReachEstimate:
@@ -440,17 +489,22 @@ def orthonormal_completion(basis: np.ndarray, n: int) -> np.ndarray:
     return _sign_fix_rows(comp.reshape(-1, n)).reshape(comp.shape)
 
 
+def _frames(basis: np.ndarray) -> np.ndarray:
+    """frame_from_tangent of every tangent basis of the stack (m, d, n): one
+    stacked completion and determinant, frames (m, n, n) in C order."""
+    frames = np.concatenate([basis, orthonormal_completion(basis, basis.shape[-1])], axis=1)
+    frames = frames.transpose(0, 2, 1)   # columns are the axes
+    flip = np.linalg.det(frames) < 0
+    frames = np.ascontiguousarray(frames)
+    frames[flip, :, -1] *= -1.0
+    return frames
+
+
 def frame_from_tangent(sub: AffineSubspace) -> np.ndarray:
     """Proper-rotation matrix whose first d columns span the tangent.
 
     Columns 0..d-1 are the tangent basis rows, the rest a deterministic
     orthonormal completion; the last column is flipped if needed so the
-    determinant is +1.
+    determinant is +1. A batch of one of _frames.
     """
-    n = sub.ambient_dim
-    comp = orthonormal_completion(sub.basis, n)
-    frame = np.vstack([sub.basis, comp]).T  # columns are the axes
-    if np.linalg.det(frame) < 0:
-        frame = frame.copy()
-        frame[:, -1] = -frame[:, -1]
-    return frame
+    return _frames(sub.basis[None])[0]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asdf_bundle import (
-    Cylinder,
     CylinderPacket,
     extract_putative_manifold,
     ideal_packet,
@@ -27,7 +26,8 @@ from .core_geometry import (
     AffineSubspace,
     PointCloud,
     _ball_grid,
-    estimate_tangent,
+    _tangent_ladder,
+    estimate_tangent,   # kept bound here: bench/tracer.py wraps pipeline.estimate_tangent
     federer_reach,
     greedy_merge,
     greedy_net,
@@ -284,31 +284,21 @@ def _perturb_packet(packet: CylinderPacket, rng: np.random.Generator) -> Cylinde
     s *= (0.3 * packet.c12 * tb / np.where(norms < 1e-300, np.inf, norms))[:, None, None]
     eye = np.eye(n)
     rotations = np.linalg.solve(eye - 0.5 * s, eye + 0.5 * s) @ packet.rotations
-    centers = packet.centers + np.stack(shifts)
-    cyls = [Cylinder(rotation=rot, center=cen, scale=packet.tau_bar, tangent_dim=packet.d)
-            for rot, cen in zip(rotations, centers)]
-    return CylinderPacket(cyls, tau=packet.tau, c12=packet.c12,
-                          C_align=packet.C_align)
+    return CylinderPacket.from_arrays(packet.centers + np.stack(shifts), rotations, tb,
+                                      packet.d, tau=packet.tau, c12=packet.c12,
+                                      C_align=packet.C_align)
 
 
-def _net_tangents(cloud: PointCloud, net: np.ndarray, d: int,
+def _net_tangents(cloud: PointCloud, net, d: int,
                   tau_bar: float) -> dict[int, AffineSubspace]:
-    """Tangent estimates at net points, widening the radius as needed."""
-    tangents: dict[int, AffineSubspace] = {}
-    n = cloud.ambient_dim
-    for idx in net:
-        sub = None
-        for factor in TANGENT_RADIUS_LADDER:
-            try:
-                sub = estimate_tangent(cloud, int(idx), factor * tau_bar, d)
-                break
-            except ManifoldTestError:
-                continue
-        if sub is None:
-            basis = np.eye(d, n)
-            sub = AffineSubspace(base=cloud.points[idx].copy(), basis=basis)
-        tangents[int(idx)] = sub
-    return tangents
+    """Tangent estimates at net points, one pass: each takes the first radius
+    of TANGENT_RADIUS_LADDER (times tau_bar) that serves it (see
+    core_geometry._tangent_ladder), and np.eye(d, n) when none does."""
+    net = np.asarray(net, dtype=np.int64)
+    bases, found, _ = _tangent_ladder(cloud.points, net,
+                                      [f * tau_bar for f in TANGENT_RADIUS_LADDER], d)
+    bases[found < 0] = np.eye(d, cloud.ambient_dim)
+    return dict(zip(net.tolist(), AffineSubspace._checked_stack(cloud.points[net], bases)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,8 +415,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
         packet_failures = None                 # set once the packet is validated
         try:
             if index == 0:
-                packet = ideal_packet(rcloud, tangents, config.tau, config.cbar12,
-                                      max_cylinders=config.cylinder_cap)
+                packet = ideal_packet(rcloud, tangents, config.tau, config.cbar12, net=rnet)
                 base_packet = packet
             else:
                 if base_packet is None:

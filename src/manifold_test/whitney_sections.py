@@ -1417,7 +1417,8 @@ def global_section(model: SectionModel, x):
     the base, blended by the partition weights. x of shape (n,) returns its
     GlobalSectionValue or raises. x of shape (m, n) returns a RowOutcomes
     tuple of m outcomes, each a GlobalSectionValue or the BASE_POINT_ERRORS
-    or UncoveredPointError instance of the row, with counts "solved" and
+    (InvalidParameterError for an asymmetric Hessian among them) or
+    UncoveredPointError instance of the row, with counts "solved" and
     "evaluations" of its one stacked base-point solve.
     """
     x = np.asarray(x, dtype=np.float64)

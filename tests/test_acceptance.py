@@ -66,7 +66,7 @@ from manifold_test.whitney_sections import (
 def circle_fixture():
     """Ideal cylinder packet over 200 evenly spaced unit-circle samples."""
     cloud, tangents = circle_cloud_and_tangents()
-    packet = ideal_packet(cloud, tangents, tau=0.5, cbar12=0.1)
+    packet = ideal_packet(cloud, tangents, tau=0.5, cbar12=0.1, net=greedy_net(cloud, 0.025))
     return cloud, tangents, packet
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from test_core_geometry import reference_frame
+from test_pipeline import reference_perturb_packet
 
 import manifold_test.asdf_bundle as asdf_bundle
 from manifold_test.asdf_bundle import (
@@ -40,6 +42,7 @@ from manifold_test.core_geometry import (
 from manifold_test.errors import (
     DecompositionFailedError,
     DegenerateCoverError,
+    EmptyInputError,
     EscapedDomainError,
     InsufficientGapError,
     InvalidParameterError,
@@ -65,7 +68,7 @@ def circle_cloud_and_tangents(size: int = 200):
 @pytest.fixture(scope="module")
 def circle_packet():
     cloud, tangents = circle_cloud_and_tangents()
-    packet = ideal_packet(cloud, tangents, tau=0.5, cbar12=0.1)
+    packet = ideal_packet(cloud, tangents, tau=0.5, cbar12=0.1, net=greedy_net(cloud, 0.025))
     return packet, cloud, tangents
 
 
@@ -282,6 +285,16 @@ def test_packet_json_round_trip():
     np.testing.assert_array_equal(back.centers, packet.centers)
     np.testing.assert_array_equal(back.rotations, packet.rotations)
     assert json.loads(text)["d"] == 2
+
+
+def test_packet_from_json_rejects_a_center_of_the_wrong_length():
+    payload = json.loads(packet_to_json(torus_patch_packet()))
+    payload["cylinders"][1]["center"] = payload["cylinders"][1]["center"][:-1]
+    with pytest.raises(InvalidParameterError, match="^rotation shape does not match center$"):
+        packet_from_json(json.dumps(payload))
+    payload["cylinders"] = []
+    with pytest.raises(EmptyInputError):
+        packet_from_json(json.dumps(payload))
 
 
 # ---- the squared-distance field ----
@@ -682,7 +695,8 @@ def newton_cases(circle_packet):
     disc, _ = generate_synthetic("uniform_ball", n=2, size=200, seed=5)
     tb = 0.1 * 0.3
     net = greedy_net(disc, tb / 2.0)
-    disc_packet = ideal_packet(disc, _net_tangents(disc, net, 1, tb), tau=0.3, cbar12=0.1)
+    disc_packet = ideal_packet(disc, _net_tangents(disc, net, 1, tb), tau=0.3, cbar12=0.1,
+                               net=net)
     cases = []
     for name, ideal, points in (("circle", packet, np.vstack([cloud.points, extra])),
                                 ("disc", disc_packet, disc.points)):
@@ -785,6 +799,29 @@ def test_a_singular_row_fails_alone(circle_packet, monkeypatch):
     assert str(outcomes[8]) == "singular fiber Hessian in the Newton step"
     for got, alone in zip(outcomes[:8] + outcomes[9:], want):
         assert_same_chart(got, alone)
+
+
+def test_an_asymmetric_hessian_ends_only_its_own_row():
+    # near the bump's outer edge the Hessian's rounding asymmetry passes 1e-9
+    disc, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
+    packet = _perturb_packet(disc_packet(), np.random.default_rng(1))
+    rows = distinct_rows(np.vstack([packet.centers, disc.points]))
+    bad = np.array([0.3216, -0.1074])
+    text = "hessian is not symmetric to 1e-9"
+    with pytest.raises(InvalidParameterError, match=text):
+        solve_base_point(packet, bad)
+    want = solve_base_point(packet, rows)
+    at = 200
+    got = solve_base_point(packet, np.vstack([rows[:at], bad, rows[at:]]))
+    assert type(got[at]) is InvalidParameterError and str(got[at]) == text
+    kinds = set()
+    for a, b in zip(got[:at] + got[at + 1:], want):
+        assert_same_outcome(a, b, exact=True)
+        kinds.add(type(b).__name__)
+    assert "BundleChart" in kinds and len(kinds) > 2
+    mesh = extract_putative_manifold(packet, np.vstack([rows, bad]))
+    assert mesh.failures[-1] == (len(rows), f"InvalidParameterError: {text}")
+    assert mesh.size == extract_putative_manifold(packet, rows).size
 
 
 def test_mesh_counts_the_newton_work_of_the_reference_loop(newton_cases):
@@ -1102,8 +1139,8 @@ def disc_packet():
     """The ideal packet of a ball-reject-like 300-point disc."""
     disc, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
     tb = 0.1 * 0.3
-    return ideal_packet(disc, _net_tangents(disc, greedy_net(disc, tb / 2.0), 1, tb),
-                        tau=0.3, cbar12=0.1)
+    net = greedy_net(disc, tb / 2.0)
+    return ideal_packet(disc, _net_tangents(disc, net, 1, tb), tau=0.3, cbar12=0.1, net=net)
 
 
 def sphere_packet():
@@ -1111,7 +1148,8 @@ def sphere_packet():
     sphere, _ = generate_synthetic("sphere", n=3, size=150, seed=7, dim=2, radius=0.5)
     tb = 0.25 * 0.4
     net = greedy_net(sphere, tb / 2.0)
-    return ideal_packet(sphere, _net_tangents(sphere, net, 2, tb), tau=0.4, cbar12=0.25)
+    return ideal_packet(sphere, _net_tangents(sphere, net, 2, tb), tau=0.4, cbar12=0.25,
+                        net=net)
 
 
 def random_packet():
@@ -1200,13 +1238,163 @@ def test_ideal_packet_needs_tangents_for_net_points():
     cloud, tangents = circle_cloud_and_tangents(50)
     partial = {i: t for i, t in tangents.items() if i % 2 == 1}
     with pytest.raises(InvalidParameterError):
-        ideal_packet(cloud, partial, tau=0.5, cbar12=0.1)
+        ideal_packet(cloud, partial, tau=0.5, cbar12=0.1, net=greedy_net(cloud, 0.025))
 
 
 def test_ideal_packet_respects_cylinder_cap():
+    # run_test caps its net; the packet has exactly the capped net's centers
     cloud, tangents = circle_cloud_and_tangents(60)
-    packet = ideal_packet(cloud, tangents, tau=0.5, cbar12=0.1, max_cylinders=10)
+    net = greedy_net(cloud, 0.025)[:10]
+    packet = ideal_packet(cloud, tangents, tau=0.5, cbar12=0.1, net=net)
     assert packet.size == 10
+    assert packet.centers.tobytes() == cloud.points[net].tobytes()
+
+
+# ---- packets built from stacked arrays against the per-cylinder build ----
+
+def proper_rotations(n, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        q, r = np.linalg.qr(rng.normal(size=(n, n)))
+        q *= np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        out.append(q)
+    return np.stack(out), rng.uniform(-0.3, 0.3, (count, n))
+
+
+def cylinder_error(rotation, center, scale, tangent_dim):
+    try:
+        Cylinder(rotation=rotation, center=center, scale=scale, tangent_dim=tangent_dim)
+    except InvalidParameterError as exc:
+        return str(exc)
+    return None
+
+
+def test_a_packet_from_arrays_rejects_its_first_bad_cylinder_as_cylinder_does():
+    rotations, centers = proper_rotations(3, 6, seed=2)
+    skewed = rotations.copy()
+    skewed[:, 0, 0] += 1e-3
+    flipped = -rotations   # det -1 in odd dimension, still orthogonal
+    cases = []
+    for first, later in ((skewed, flipped), (flipped, skewed)):
+        rot = rotations.copy()
+        rot[2], rot[4] = first[2], later[4]
+        cases.append((rot, centers, 0.05, 1))
+    cases += [(rotations[:, :2, :2], centers, 0.05, 1),   # shapes that do not match
+              (rotations, centers, 0.0, 1), (rotations, centers, 0.05, 3)]
+    texts = []
+    for rot, cen, scale, dim in cases:
+        with pytest.raises(InvalidParameterError) as exc:
+            CylinderPacket.from_arrays(cen, rot, scale, dim, tau=0.5, c12=1.0, C_align=10.0)
+        errors = [cylinder_error(r, c, scale, dim) for r, c in zip(rot, cen)]
+        assert str(exc.value) == next(e for e in errors if e is not None)
+        texts.append(str(exc.value))
+    assert texts == ["rotation is not orthogonal to 1e-10", "rotation must be proper (det +1)",
+                     "rotation shape does not match center", "cylinder scale must be positive",
+                     "tangent dimension 3 invalid for ambient 3"]
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (7, 3)])
+def test_a_packet_from_arrays_equals_the_packet_of_its_cylinders(n, d):
+    rotations, centers = proper_rotations(n, 12, seed=n)
+    cyls = [Cylinder(rotation=r, center=c, scale=0.05, tangent_dim=d)
+            for r, c in zip(rotations, centers)]
+    want = CylinderPacket(cyls, tau=0.5, c12=2.0, C_align=12.0)
+    got = CylinderPacket.from_arrays(centers, rotations, 0.05, d, tau=0.5, c12=2.0,
+                                     C_align=12.0)
+    for name in ("centers", "rotations", "center_sq"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert not getattr(got, name).flags.writeable
+    assert centers.flags.writeable   # the caller's arrays are copied, not frozen
+    assert ((got.tau, got.tau_bar, got.c12, got.C_align, got.d, got.n)
+            == (want.tau, want.tau_bar, want.c12, want.C_align, want.d, want.n))
+    assert len(got.cylinders) == len(cyls)
+    for a, b in zip(got.cylinders, cyls):
+        assert a.rotation.tobytes() == b.rotation.tobytes()
+        assert a.center.tobytes() == b.center.tobytes()
+        assert (a.scale, a.tangent_dim) == (b.scale, b.tangent_dim)
+    with pytest.raises(InvalidParameterError, match="too far outside the unit ball"):
+        CylinderPacket.from_arrays(centers * 10.0, rotations, 0.05, d, tau=0.5, c12=2.0,
+                                   C_align=12.0)
+    with pytest.raises(EmptyInputError):
+        CylinderPacket.from_arrays(centers[:0], rotations[:0], 0.05, d, tau=0.5, c12=2.0,
+                                   C_align=12.0)
+
+
+def reference_ideal_packet(cloud, tangents, tau, cbar12):
+    """ideal_packet one cylinder at a time: a greedy net, a frame and a
+    checked Cylinder per net point, constants from the per-pair loop."""
+    tb = cbar12 * tau
+    cyls = [Cylinder(rotation=reference_frame(tangents[idx].basis),
+                     center=cloud.points[idx].copy(), scale=tb,
+                     tangent_dim=tangents[idx].dim)
+            for idx in greedy_net(cloud, tb / 2.0)]
+    packet = CylinderPacket(cyls, tau=tau, c12=1.0, C_align=10.0)
+    c12, C_align = reference_constants(packet)
+    return CylinderPacket(cyls, tau=tau, c12=c12, C_align=C_align)
+
+
+def assert_same_packet(got, want):
+    for name in ("centers", "rotations", "center_sq"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert ((got.tau, got.tau_bar, got.c12, got.C_align, got.d, got.n)
+            == (want.tau, want.tau_bar, want.c12, want.C_align, want.d, want.n))
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (7, 1)])
+def test_ideal_and_perturbed_packets_equal_the_per_cylinder_builds(n, d):
+    if n == 2:
+        cloud, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
+    else:
+        cloud, _ = generate_synthetic("sphere", n=n, size=150, seed=7, dim=d,
+                                      radius=0.5, noise=0.01)
+    tau, cbar12 = (0.3, 0.1) if d == 1 else (0.4, 0.25)
+    tb = tau * cbar12
+    net = greedy_net(cloud, tb / 2.0)
+    tangents = _net_tangents(cloud, net, d, tb)
+    want = reference_ideal_packet(cloud, tangents, tau, cbar12)
+    got = ideal_packet(cloud, tangents, tau=tau, cbar12=cbar12, net=net)
+    assert_same_packet(got, want)
+    assert got.c12 > 1.0 or got.C_align > 10.0   # measured, not a floor
+    perturbed = _perturb_packet(got, np.random.default_rng(1))
+    centers, rotations = reference_perturb_packet(want, np.random.default_rng(1))
+    assert perturbed.centers.tobytes() == centers.tobytes()
+    assert perturbed.rotations.tobytes() == rotations.tobytes()
+    assert (perturbed.c12, perturbed.C_align) == (want.c12, want.C_align)
+
+
+def test_the_coverage_pass_does_not_depend_on_its_chunks(kernel_cases, monkeypatch):
+    for chunk in (1, 1 << 30):
+        monkeypatch.setattr(asdf_bundle, "_COVERAGE_CHUNK", chunk)
+        for name, packet, kwargs in kernel_cases:
+            if name != "sphere":   # slow against the reference; "random" has d = 2
+                assert validate_packet(packet, **kwargs) == reference_validate_packet(
+                    packet, **kwargs), (chunk, name)
+
+
+def test_a_coverage_chunk_holds_at_most_its_bound(kernel_cases, monkeypatch):
+    packet = dict((name, p) for name, p, _ in kernel_cases)["disc"]
+    sizes = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        out = matmul(a, b, *args, **kwargs)
+        if a.ndim == 2 and out.ndim == 3:   # the grid against a chunk's offsets
+            sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "matmul", spy)
+    validate_packet(packet)
+    monkeypatch.undo()
+    tb = packet.tau_bar
+    h = tb * 0.05
+    grid = _ball_grid(np.arange(-3.0 * tb, 3.0 * tb + h / 2.0, h), packet.d, 3.0 * tb)
+    i = asdf_bundle._packet_pairs(packet)[0]
+    per_cylinder = grid.shape[0] * (int(np.bincount(i).max()) + 1)
+    assert len(sizes) > 1 and sum(sizes) == packet.size * per_cylinder
+    assert max(sizes) <= max(1 << 17, per_cylinder)
 
 
 def test_check_asdf_conditions_on_circle(circle_packet):

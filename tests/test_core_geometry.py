@@ -25,6 +25,7 @@ from manifold_test.core_geometry import (
     save_mnfd,
 )
 from manifold_test.errors import (
+    DegenerateNeighborhoodError,
     EmptyInputError,
     InsufficientDataError,
     InvalidParameterError,
@@ -274,6 +275,127 @@ def test_estimate_tangent_parameter_checks():
         estimate_tangent(cloud, 5, radius=0.1, d=1)
     with pytest.raises(InvalidParameterError):
         estimate_tangent(cloud, 0, radius=0.1, d=3)
+
+
+# ---- the stacked tangent ladder and frames against the per-point code ----
+
+def reference_tangent(points, index, radius, d):
+    """The per-point estimate: one norm row, one covariance and one eigh;
+    None for fewer than d+1 neighbours or a zero covariance."""
+    center = points[index]
+    nb = points[np.linalg.norm(points - center, axis=1) <= radius]
+    if nb.shape[0] < d + 1:
+        return None
+    centered = nb - nb.mean(axis=0)
+    cov = centered.T @ centered / nb.shape[0]
+    if float(np.max(np.abs(cov))) < 1e-24:
+        return None
+    return _sign_fix_rows(np.linalg.eigh(cov)[1][:, ::-1][:, :d].T)
+
+
+def reference_frame(basis):
+    """frame_from_tangent of one basis: a completion, a determinant, a flip."""
+    frame = np.vstack([basis, orthonormal_completion(basis, basis.shape[1])]).T
+    if np.linalg.det(frame) < 0:
+        frame = frame.copy()
+        frame[:, -1] = -frame[:, -1]
+    return frame
+
+
+def tangent_clouds():
+    """(points, d): noisy curves and surfaces in 2, 3, 7, 8 and 10 dimensions;
+    the rows of 8 or more coordinates take _row_distances' norm branch."""
+    rng = np.random.default_rng(4)
+    out = []
+    for n, d, size in ((2, 1, 300), (3, 2, 200), (7, 1, 120), (8, 2, 150), (10, 3, 150)):
+        core = rng.normal(size=(size, d + 1))
+        core = 0.5 * core / np.linalg.norm(core, axis=1, keepdims=True)
+        pts = np.zeros((size, n))
+        pts[:, :d + 1] = core
+        out.append((pts + rng.normal(0.0, 0.01, pts.shape), d))
+    return out
+
+
+def test_estimate_tangent_is_bit_equal_to_the_per_point_estimate():
+    served = failed = 0
+    for pts, d in tangent_clouds():
+        cloud = PointCloud.from_points(pts, require_unit_ball=False)
+        for index in range(0, cloud.size, 7):
+            for radius in (0.02, 0.08, 0.3):
+                want = reference_tangent(pts, index, radius, d)
+                if want is None:
+                    with pytest.raises(UnderdeterminedTangentError):
+                        estimate_tangent(cloud, index, radius, d)
+                    failed += 1
+                    continue
+                got = estimate_tangent(cloud, index, radius, d)
+                assert got.basis.tobytes() == want.tobytes(), (pts.shape, index, radius)
+                assert got.base.tobytes() == pts[index].tobytes()
+                served += 1
+    assert served > 200 and failed > 20
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_a_tangent_block_holds_at_most_its_bound(n, monkeypatch):
+    # 2,000 points: in R^10 a block's norm pass holds (centers, N, n) doubles
+    rng = np.random.default_rng(n)
+    core = rng.normal(size=(2000, 3))
+    pts = np.zeros((2000, n))
+    pts[:, :3] = 0.5 * core / np.linalg.norm(core, axis=1, keepdims=True)
+    pts += rng.normal(0.0, 0.01, pts.shape)
+    centers = np.arange(0, 2000, 20)
+    sizes = []
+    row_distances = core_geometry._row_distances
+
+    def spy(a, b):
+        sizes.append(a.shape[0] * b.size if n >= 8 else a.shape[0] * b.shape[0])
+        return row_distances(a, b)
+
+    monkeypatch.setattr(core_geometry, "_row_distances", spy)
+    bases, found, _ = core_geometry._tangent_ladder(pts, centers, (0.1,), 2)
+    assert len(sizes) > 1 and max(sizes) <= core_geometry._TANGENT_BLOCK
+    assert (found == 0).all()
+    for index, basis in zip(centers, bases):
+        assert basis.tobytes() == reference_tangent(pts, index, 0.1, 2).tobytes(), index
+
+
+def test_estimate_tangent_errors_name_the_neighbourhood():
+    pts = np.array([[0.0, 0.0], [0.05, 0.0], [0.9, 0.0], [0.3, 0.3], [0.3, 0.3]])
+    cloud = PointCloud.from_points(pts)
+    with pytest.raises(UnderdeterminedTangentError) as exc:
+        estimate_tangent(cloud, 2, radius=0.1, d=1)
+    assert str(exc.value) == "1 neighbors within radius 0.1, need at least 2"
+    with pytest.raises(DegenerateNeighborhoodError) as exc:
+        estimate_tangent(cloud, 3, radius=0.1, d=1)
+    assert str(exc.value) == "neighborhood covariance is zero"
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (3, 2), (7, 2), (7, 5)])
+def test_stacked_frames_are_bit_equal_to_the_per_tangent_frames(n, d):
+    rng = np.random.default_rng(n * 10 + d)
+    basis = np.stack([np.linalg.qr(rng.normal(size=(n, d)))[0].T for _ in range(40)])
+    want = np.stack([reference_frame(b) for b in basis])
+    got = core_geometry._frames(basis)
+    assert got.tobytes() == want.tobytes()
+    assert got.flags.c_contiguous
+    flips = [np.linalg.det(np.vstack([b, orthonormal_completion(b, n)]).T) < 0 for b in basis]
+    assert 0 < sum(flips) < len(flips)   # both branches are taken
+    for b, frame in zip(basis, want):
+        sub = AffineSubspace(base=np.zeros(n), basis=b)
+        assert frame_from_tangent(sub).tobytes() == frame.tobytes()
+
+
+def test_a_checked_stack_of_subspaces_equals_the_checked_objects():
+    rng = np.random.default_rng(3)
+    bases = rng.normal(size=(6, 4))
+    basis = np.stack([np.linalg.qr(rng.normal(size=(4, 2)))[0].T for _ in range(6)])
+    for got, base, rows in zip(AffineSubspace._checked_stack(bases, basis), bases, basis):
+        want = AffineSubspace(base=base, basis=rows)
+        assert got.base.tobytes() == want.base.tobytes()
+        assert got.basis.tobytes() == want.basis.tobytes()
+    basis[4, 1] *= 1.001
+    with pytest.raises(InvalidParameterError, match="not orthonormal"):
+        AffineSubspace._checked_stack(bases, basis)
 
 
 # ---- Federer reach ----

@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_core_geometry import reference_tangent
 
+import manifold_test.core_geometry as core_geometry
 import manifold_test.pipeline as pipeline
 import manifold_test.whitney_sections as whitney_sections
 from manifold_test.asdf_bundle import Cylinder, CylinderPacket
@@ -254,6 +256,88 @@ def test_perturbed_packet_matches_the_per_cylinder_draws(n, d):
     assert np.array_equal(got.rotations, rotations)
     assert (got.c12, got.C_align, got.tau, got.tau_bar) == (3.0, 20.0, 0.5, 0.05)
     assert not np.array_equal(got.rotations, packet.rotations)
+
+
+# ---- net tangents: one ladder pass against the per-point ladder ----
+
+def reference_net_tangents(cloud, net, d, tau_bar):
+    """_net_tangents one point and one radius at a time: for each net index
+    the ladder position that served it and its basis, or -1 and
+    np.eye(d, n) when no radius serves it."""
+    out = {}
+    for idx in net:
+        out[int(idx)] = (-1, np.eye(d, cloud.ambient_dim))
+        for r, factor in enumerate(pipeline.TANGENT_RADIUS_LADDER):
+            basis = reference_tangent(cloud.points, int(idx), factor * tau_bar, d)
+            if basis is not None:
+                out[int(idx)] = (r, basis)
+                break
+    return out
+
+
+def served_rungs(cloud, net, d, tau_bar):
+    """_net_tangents' bases, checked bit-equal to the reference, and the
+    ladder position that served each net point."""
+    got = pipeline._net_tangents(cloud, net, d, tau_bar)
+    want = reference_net_tangents(cloud, net, d, tau_bar)
+    assert list(got) == list(want)
+    for idx, (_, basis) in want.items():
+        assert got[idx].basis.tobytes() == basis.tobytes(), idx
+        assert got[idx].base.tobytes() == cloud.points[idx].tobytes(), idx
+    radii = [f * tau_bar for f in pipeline.TANGENT_RADIUS_LADDER]
+    found = core_geometry._tangent_ladder(cloud.points, np.asarray(net), radii, d)[1]
+    assert found.tolist() == [r for r, _ in want.values()]
+    return found.tolist()
+
+
+def test_net_tangents_walk_the_ladder_like_the_per_point_loop():
+    # tau_bar = 0.01: the ladder's radii are 0.02, 0.04, 0.08 and 0.16
+    pts = np.array([
+        [0.0, 0.0], [0.03, 0.002], [-0.035, 0.001],        # 0: one point within 0.02
+        [0.5, 0.5], [0.5, 0.5], [0.5, 0.5], [0.53, 0.51],   # 3: duplicates within 0.02
+        [-0.5, -0.5], [-0.5, -0.5], [-0.5, -0.5],           # 7: duplicates at every radius
+        [0.8, -0.3],                                         # 10: alone at every radius
+        [-0.3, 0.6], [-0.29, 0.6], [-0.28, 0.605],          # 11: served at once
+        [0.0, -0.6], [0.1, -0.6], [-0.1, -0.59],            # 14: served at 0.16
+        [0.2, -0.2], [0.2 + 2e-13, -0.2 + 1e-13],           # 17: covariance below 1e-24
+    ])
+    cloud = PointCloud.from_points(pts)
+    net = [0, 3, 7, 10, 11, 14, 12, 17]
+    assert served_rungs(cloud, net, 1, 0.01) == [1, 1, -1, -1, 0, 3, 0, -1]
+    tangents = pipeline._net_tangents(cloud, net, 1, 0.01)
+    assert tangents[7].basis.tobytes() == tangents[10].basis.tobytes() == np.eye(1, 2).tobytes()
+
+
+def test_net_tangents_match_the_per_point_ladder_on_the_samples():
+    disc, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
+    circle, _ = generate_synthetic("sphere", n=2, size=120, seed=3, noise=0.003,
+                                   radius=0.5, even=True)
+    sphere, _ = generate_synthetic("sphere", n=3, size=150, seed=7, dim=2, radius=0.5)
+    rungs = []
+    for cloud, d, tb in ((disc, 1, 0.03), (circle, 1, 0.03), (sphere, 2, 0.1)):
+        rungs += served_rungs(cloud, greedy_net(cloud, tb / 2.0), d, tb)
+    # every point of the disc, more than one block of _tangent_ladder's centers
+    rungs += served_rungs(disc, np.arange(disc.size), 1, 0.01)
+    assert disc.size > core_geometry._MERGE_BLOCK
+    assert {0, 1} <= set(rungs)
+
+
+def test_run_test_builds_no_cylinder_and_one_net_for_its_packets(monkeypatch):
+    built, nets, packet_nets = [], [], []
+    post_init, ideal = Cylinder.__post_init__, pipeline.ideal_packet
+    monkeypatch.setattr(Cylinder, "__post_init__",
+                        lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(pipeline, "greedy_net",
+                        lambda *a: nets.append(greedy_net(*a)) or nets[-1])
+    monkeypatch.setattr(pipeline, "ideal_packet",
+                        lambda *a, net: packet_nets.append(net) or ideal(*a, net=net))
+    cloud, _ = generate_synthetic("uniform_ball", n=2, size=200, seed=5)
+    config = TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1, packet_budget=3, seed=0,
+                        max_cylinders=40)
+    verdict = run_test(cloud, config)
+    assert len(verdict.candidates) == 3 and built == []
+    # the net of the original cloud and the net of the reduced one, capped for the packet
+    assert len(nets) == 2 and len(nets[1]) > 40 and packet_nets == [nets[1][:40]]
 
 
 # ---- verdicts ----

@@ -16,7 +16,7 @@ from manifold_test.asdf_bundle import (
     ideal_packet,
     solve_base_point,
 )
-from manifold_test.core_geometry import AffineSubspace, PointCloud, greedy_merge
+from manifold_test.core_geometry import AffineSubspace, PointCloud, greedy_merge, greedy_net
 from manifold_test.errors import (
     BudgetExceededError,
     DecompositionFailedError,
@@ -557,7 +557,7 @@ def circle_model():
         for i, a in enumerate(ang)
     }
     cloud = PointCloud.from_points(pts)
-    packet = ideal_packet(cloud, tangents, tau=0.5, cbar12=0.1)
+    packet = ideal_packet(cloud, tangents, tau=0.5, cbar12=0.1, net=greedy_net(cloud, 0.025))
     mesh = extract_putative_manifold(packet, pts)
     model = fit_sections(packet, mesh)
     return packet, mesh, model
@@ -571,7 +571,7 @@ def sphere_model():
     for i, p in enumerate(cloud.points):
         frame = np.linalg.svd(np.outer(p, p))[0]   # normal first
         tangents[i] = AffineSubspace(base=p, basis=frame[:, 1:].T)
-    packet = ideal_packet(cloud, tangents, tau=0.4, cbar12=0.25)
+    packet = ideal_packet(cloud, tangents, tau=0.4, cbar12=0.25, net=greedy_net(cloud, 0.05))
     mesh = extract_putative_manifold(packet, np.vstack([packet.centers, cloud.points]))
     return packet, mesh, fit_sections(packet, mesh)
 
@@ -953,6 +953,39 @@ def test_stacked_mfin_distance_matches_the_per_point_body(circle_model, mixed_st
     assert isinstance(found[20], OutOfTubeError)
     assert str(found[-1]).startswith("DecompositionFailedError: fiber offset")
     assert sum(isinstance(out, float) for out in found) == 40
+
+
+def test_an_asymmetric_hessian_fails_only_its_own_row_of_the_loss_pass():
+    # near a cylinder corner of the perturbed disc packet the field's Hessian
+    # is not symmetric to 1e-9; the row that meets it fails alone, and the
+    # loss pass charges it as an out-of-tube point
+    disc, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
+    tb = 0.03
+    net = greedy_net(disc, tb / 2.0)
+    ideal = ideal_packet(disc, pipeline._net_tangents(disc, net, 1, tb), tau=0.3, cbar12=0.1,
+                         net=net)
+    packet = pipeline._perturb_packet(ideal, np.random.default_rng(1))
+    mesh = extract_putative_manifold(packet, np.vstack([packet.centers, disc.points]))
+    model = fit_sections(packet, mesh, eps_bar=50.0)   # loose enough for the disc to fit
+    text = "hessian is not symmetric to 1e-9"
+    rows = disc.points[:60]
+    # the section pass solves from the base point itself
+    found = global_section(model, np.vstack([rows, [0.3216, -0.1074]]))
+    assert type(found[-1]) is InvalidParameterError and str(found[-1]) == text
+    for got, want in zip(found[:-1], global_section(model, rows)):
+        assert type(got) is type(want)
+        if isinstance(want, GlobalSectionValue):
+            assert got.point.tobytes() == want.point.tobytes()
+        else:
+            assert str(got) == str(want)
+    # this point's alternating projection updates its base point onto it
+    found = mfin_distance(model, np.vstack([rows, [0.3238550643322053, -0.10623488147081984]]))
+    assert type(found[-1]) is OutOfTubeError
+    assert str(found[-1]) == ("DecompositionFailedError: base-point update failed: "
+                              f"InvalidParameterError: {text}")
+    alone = mfin_distance(model, rows)
+    assert [str(out) for out in found[:-1]] == [str(out) for out in alone]
+    assert sum(isinstance(out, float) for out in alone) > 30
 
 
 def test_stacked_mfin_distance_on_padded_sections(sphere_model):
