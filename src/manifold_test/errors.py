@@ -84,11 +84,16 @@ class SiteMismatchError(ManifoldTestError):
 
 
 class BudgetExceededError(ManifoldTestError):
-    """Solver hit its oracle budget; carries the best iterate found."""
+    """The section solver ended without certifying; carries the best
+    iterate found and its stop: "budget" (the cut budget ran out), "stall"
+    (no progress on the best iterate), "pinned" (the center is pinned
+    against the older cuts) or "optimum" (the objective's unconstrained
+    optimum lies above the target)."""
 
-    def __init__(self, message: str, best=None):
+    def __init__(self, message: str, best=None, stop: str | None = None):
         super().__init__(message)
         self.best = best
+        self.stop = stop
 
 
 class InfeasibleSectionError(ManifoldTestError):

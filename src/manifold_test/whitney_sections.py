@@ -5,9 +5,10 @@ degree-2 Whitney field: one jet (value, gradient, Hessian) per site, stored
 as a coefficient block in the layout of _monomials. The admissible fields
 form a convex set cut out by coefficient bounds and pairwise
 Taylor-compatibility constraints; fitting minimizes a weighted least-squares
-objective over that set: a local least-squares warm start, its Dykstra
-projection, and an analytic-center cutting-plane method when neither reaches
-the target. The warm starts and projections of all of a packet's fits run as
+objective over that set: a local least-squares warm start, its retraction
+(the warm start scaled back into the set, in closed form), and an
+analytic-center cutting-plane method from the retraction when neither reaches
+the target. The warm starts and retractions of all of a packet's fits run as
 stacked passes; the cutting plane runs fit by fit.
 Local sections are blended into a global section over the extracted mesh.
 """
@@ -224,9 +225,6 @@ class ConstraintSet:
     pair_kinds: np.ndarray   # (K,)
     pair_taylor: np.ndarray  # (K, q)
     pair_betas: np.ndarray   # (K,)
-    # each row's batch; batches have disjoint support and are projected in
-    # a fixed cyclic order
-    pair_group: np.ndarray   # (K,)
 
     @property
     def m(self) -> int:
@@ -264,11 +262,22 @@ class ConstraintSet:
                      for (s, t), kind in zip(self.pair_sites.tolist(),
                                              self.pair_kinds.tolist()))
 
-    @property
+    @functools.cached_property
     def pair_groups(self) -> tuple:
-        """Row indices of each batch, in the cyclic projection order."""
-        return tuple(np.flatnonzero(self.pair_group == g)
-                     for g in range(int(self.pair_group.max(initial=-1)) + 1))
+        """Row indices of each batch, in the cyclic projection order.
+
+        Each row joins the first batch that touches neither of its sites,
+        scanning rows in order, so rows in one batch touch pairwise-disjoint
+        jet blocks and a Dykstra sweep may project a whole batch at once
+        while keeping a fixed cyclic constraint order.
+        """
+        group = np.zeros(self.pair_betas.shape[0], dtype=np.int64)
+        used = np.zeros((group.size, self.m), dtype=bool)
+        for row, (s, t) in enumerate(self.pair_sites.tolist()):
+            g = int(np.argmin(used[:, s] | used[:, t]))
+            group[row] = g
+            used[g, [s, t]] = True
+        return tuple(np.flatnonzero(group == g) for g in range(int(group.max(initial=-1)) + 1))
 
     def violations(self, y: np.ndarray) -> np.ndarray:
         """Per-constraint |A y|^2 - beta, site constraints first."""
@@ -343,9 +352,7 @@ def _constraint_sets(sites, m, M: float, c_w: float, pair_radius: float | None =
                      axis=1).reshape(-1)
     ends = np.repeat(np.stack([s_idx, t_idx], axis=1), 1 + d, axis=0)
     kinds = np.tile(np.arange(1 + d), s_idx.size)
-    counts = np.bincount(cyl, minlength=C) * (1 + d)
-    groups = _row_groups(ends, counts, S)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(cyl, minlength=C) * (1 + d))])
     kappa = whitney_kappa(d, c_w)
     sets = []
     for c in range(C):
@@ -357,33 +364,8 @@ def _constraint_sets(sites, m, M: float, c_w: float, pair_radius: float | None =
         sets.append(ConstraintSet(
             sites=sites[c, :m[c]], M=float(M), c_w=float(c_w), kappa=kappa,
             pair_radius=float(radius[c]), pair_sites=ends[rows], pair_kinds=kinds[rows],
-            pair_taylor=taylor[rows], pair_betas=betas[rows], pair_group=groups[rows]))
+            pair_taylor=taylor[rows], pair_betas=betas[rows]))
     return sets, closest
-
-
-def _row_groups(ends, counts, S: int) -> np.ndarray:
-    """Greedy batches of rows whose site supports do not overlap.
-
-    ends (T, 2) holds the sites of each row of C row sets laid end to end,
-    counts (C,) their sizes. Each row joins the first batch of its set that
-    touches neither of its sites, scanning rows in order, so rows in one
-    batch touch pairwise-disjoint jet blocks and a Dykstra sweep may project
-    a whole batch at once while keeping a fixed cyclic constraint order.
-    The scan runs over the row position, for all sets at once.
-    """
-    C, width = counts.size, int(counts.max(initial=0))
-    starts = np.cumsum(counts) - counts
-    groups = np.zeros(ends.shape[0], dtype=np.int64)
-    used = np.zeros((C, width, S), dtype=bool)
-    for r in range(width):
-        sets = np.flatnonzero(counts > r)
-        rows = starts[sets] + r
-        s, t = ends[rows, 0], ends[rows, 1]
-        g = np.argmin(used[sets, :, s] | used[sets, :, t], axis=1)
-        groups[rows] = g
-        used[sets, g, s] = True
-        used[sets, g, t] = True
-    return groups
 
 
 # ---- objective ----
@@ -490,10 +472,10 @@ class _SectionStack:
     """B section problems in one padded layout.
 
     Problem b has m[b] sites (S the largest count), coefficient bound M[b]
-    and the compact pair rows of its ConstraintSet, padded to R rows
-    (group -1 marks padding). targets and weights (B, S) are zero past a
-    problem's sites, or None for a stack without data. Coefficient vectors
-    are (B, S q); problem b's own vector is the first m[b] q entries.
+    and the compact pair rows of its ConstraintSet, padded to R rows (real
+    marks the rows that are not padding). targets and weights (B, S) are
+    zero past a problem's sites. Coefficient vectors are (B, S q); problem
+    b's own vector is the first m[b] q entries.
     """
 
     sites: np.ndarray     # (B, S, d)
@@ -503,13 +485,13 @@ class _SectionStack:
     kinds: np.ndarray     # (B, R)
     taylor: np.ndarray    # (B, R, q)
     betas: np.ndarray     # (B, R)
-    group: np.ndarray     # (B, R)
-    targets: np.ndarray | None
-    weights: np.ndarray | None
+    real: np.ndarray      # (B, R)
+    targets: np.ndarray   # (B, S)
+    weights: np.ndarray   # (B, S)
 
     @staticmethod
     def build(constraints: Sequence[ConstraintSet],
-              data: Sequence[SketchedData] | None = None) -> _SectionStack:
+              data: Sequence[SketchedData]) -> _SectionStack:
         return _SectionStack(
             sites=_padded([c.sites for c in constraints]),
             m=np.array([c.m for c in constraints]), M=np.array([c.M for c in constraints]),
@@ -517,17 +499,21 @@ class _SectionStack:
             kinds=_padded([c.pair_kinds for c in constraints]),
             taylor=_padded([c.pair_taylor for c in constraints]),
             betas=_padded([c.pair_betas for c in constraints]),
-            group=_padded([c.pair_group for c in constraints], fill=-1),
-            targets=None if data is None else _padded([x.targets for x in data]),
-            weights=None if data is None else _padded([x.weights for x in data]))
-
-    def subset(self, idx) -> _SectionStack:
-        return _SectionStack(**{k: None if v is None else v[idx] for k, v in vars(self).items()})
+            real=_padded([np.ones(c.pair_betas.size, dtype=bool) for c in constraints],
+                         fill=False),
+            targets=_padded([x.targets for x in data]), weights=_padded([x.weights for x in data]))
 
     def objective(self, ys, idx) -> np.ndarray:
         """section_objective of the rows ys (k, S q) of problems idx (k,)."""
         resid = self.targets[idx] - ys.reshape(len(idx), self.sites.shape[1], -1)[:, :, 0]
         return np.sum(self.weights[idx] * resid * resid, axis=1)
+
+    def _pair_values(self, blocks, idx) -> np.ndarray:
+        """Each pair functional alpha . y (k, R) of the jet blocks (k, S, q)
+        of problems idx (k,); arbitrary on padding rows."""
+        ends, each = self.ends[idx], np.arange(len(idx))[:, None]
+        return (np.sum(self.taylor[idx] * blocks[each, ends[:, :, 0]], axis=2)
+                - blocks[each, ends[:, :, 1], self.kinds[idx]])
 
     def feasible(self, ys, idx) -> np.ndarray:
         """ConstraintSet.is_feasible of the rows ys (k, S q) of problems idx (k,)."""
@@ -535,13 +521,33 @@ class _SectionStack:
         bound = self.M[idx, None] ** 2
         sites_ok = np.all(np.sum(blocks * blocks, axis=2) - bound
                           <= bound * FEASIBILITY_REL + FEASIBILITY_ABS, axis=1)
-        ends, each = self.ends[idx], np.arange(len(idx))[:, None]
-        values = (np.sum(self.taylor[idx] * blocks[each, ends[:, :, 0]], axis=2)
-                  - blocks[each, ends[:, :, 1], self.kinds[idx]])
+        values = self._pair_values(blocks, idx)
         betas = self.betas[idx]
         pairs_ok = np.all((values * values - betas <= betas * FEASIBILITY_REL + FEASIBILITY_ABS)
-                          | (self.group[idx] < 0), axis=1)
+                          | ~self.real[idx], axis=1)
         return sites_ok & pairs_ok
+
+    def retract(self, ys, idx) -> np.ndarray:
+        """The retractions lambda ys of the rows ys (k, S q) of problems idx (k,).
+
+        Every constraint is a ball or a slab centred at 0, so lambda y is
+        feasible for lambda up to lambda* = min(1, M / |y_i|, sqrt(beta_k) /
+        |alpha_k . y|), shrunk by 1e-12 to absorb rounding. The objective
+        depends on the value entries y_0 alone, and its minimum over [0,
+        lambda*] is at clip(sum w t y_0 / sum w y_0^2, 0, lambda*), or at 0
+        when y_0 = 0.
+        """
+        blocks = ys.reshape(len(idx), self.sites.shape[1], -1)
+        reach = np.sqrt(np.sum(blocks * blocks, axis=2)) / self.M[idx, None]
+        slab = np.divide(np.abs(self._pair_values(blocks, idx)), np.sqrt(self.betas[idx]),
+                         out=np.zeros(self.betas[idx].shape), where=self.real[idx])
+        top = (1.0 - 1e-12) / np.maximum(1.0, np.maximum(reach.max(axis=1),
+                                                         slab.max(axis=1, initial=0.0)))
+        values, weights = blocks[:, :, 0], self.weights[idx]
+        num = np.sum(weights * self.targets[idx] * values, axis=1)
+        den = np.sum(weights * values * values, axis=1)
+        lam = np.clip(np.divide(num, den, out=np.zeros_like(num), where=den > 0), 0.0, top)
+        return lam[:, None] * ys
 
 
 def _lstsq(a, b, rcond: float) -> np.ndarray:
@@ -587,148 +593,57 @@ def _warm_start(data: SketchedData, constraints: ConstraintSet) -> np.ndarray:
     return _warm_starts(_SectionStack.build([constraints], [data]))[0]
 
 
-# ---- projections (Dykstra) ----
-
-def _dykstra_batches(stack: _SectionStack):
-    """The pair rows of a stack as dense rows, batch by batch, for problems
-    ordered by falling batch count, so that the problems holding batch g
-    are the first n_g.
-
-    Returns, per batch, its rows (n_g, W_g, S q), each problem's batch-g
-    rows in row order and zero rows past them, and the columns of its W_g
-    slots in the per-slot arrays: each row's sqrt(beta) and squared norm
-    (1 on empty slots), and its largest |entry| (0 on empty slots), all
-    (B, slots).
-    """
-    B, S, q = len(stack.m), stack.sites.shape[1], stack.taylor.shape[2]
-    b, r = np.nonzero(stack.group >= 0)
-    g = stack.group[b, r]
-    # rows by batch, then problem, then row order; each row's slot in its batch
-    order = np.lexsort((r, b, g))
-    b, r, g = b[order], r[order], g[order]
-    run = np.flatnonzero(np.diff(g * B + b, prepend=-1))
-    slot = np.arange(b.size) - np.repeat(run, np.diff(np.append(run, b.size)))
-    width = np.zeros(int(g.max(initial=-1)) + 1, dtype=np.int64)
-    np.maximum.at(width, g, slot + 1)
-    first = np.cumsum(width) - width
-    col = first[g] + slot
-    roots, sq, absmax = np.zeros((B, width.sum())), np.ones((B, width.sum())), np.zeros((B, width.sum()))
-    batches = []
-    for rows_g in np.split(np.arange(b.size), np.flatnonzero(np.diff(g)) + 1):
-        if not rows_g.size:
-            continue
-        bb, rr, ww = b[rows_g], r[rows_g], slot[rows_g]
-        rows = np.zeros((bb.max() + 1, width[g[rows_g[0]]], S * q))
-        rows[bb[:, None], ww[:, None], stack.ends[bb, rr, 0][:, None] * q + np.arange(q)] = (
-            stack.taylor[bb, rr])
-        rows[bb, ww, stack.ends[bb, rr, 1] * q + stack.kinds[bb, rr]] = -1.0
-        cols = col[rows_g]
-        roots[bb, cols] = np.sqrt(stack.betas[bb, rr])
-        sq[bb, cols] = np.sum(rows * rows, axis=2)[bb, ww]
-        absmax[bb, cols] = np.max(np.abs(rows), axis=2)[bb, ww]
-        start = first[g[rows_g[0]]]
-        batches.append((rows, slice(start, start + rows.shape[1])))
-    return batches, roots, sq, absmax
-
-
-def _dykstra(stack: _SectionStack, y0: np.ndarray,
-             target: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-             sweeps: int = 400, move_tol: float = 1e-13) -> tuple[np.ndarray, np.ndarray]:
-    """Dykstra's cyclic projections of y0 (B, S q) onto each problem's
-    admissible set, all problems in one masked loop.
-
-    A problem's cycle visits its site balls (all at once), then its pair
-    batches in their fixed order, each batch with one matrix product;
-    batch g of every problem still in the loop is projected together. After
-    each cycle a problem stops if its iterate is feasible and either the
-    cycle moved it less than move_tol or the caller's target holds:
-    target(ys, idx) tests the rows ys of problems idx (None: never). A
-    problem leaves the loop at the cycle where it stops, and the loop ends
-    after `sweeps` cycles. Returns the iterates and why each problem
-    stopped: "move_tol" (converged to the projection), "target" (feasible
-    and good enough for the caller, but not the projection), or "cap" (the
-    sweep cap came first; the iterate may be infeasible).
-    """
-    # problems with more batches first, so that batch g is a prefix of the live set
-    live = np.argsort(-(stack.group.max(axis=1, initial=-1) + 1), kind="stable")
-    batches, roots, sq, absmax = _dykstra_batches(stack.subset(live))
-    B, D = y0.shape
-    q = jet_size(stack.sites.shape[2])
-    out = y0.copy()
-    stops = np.full(B, "cap", dtype=object)
-    y = y0[live].reshape(B, D, 1)
-    bound = stack.M[live, None]
-    site_corr = np.zeros((B, D // q, q))
-    corr = np.zeros(roots.shape)
-
-    def views():
-        """Per batch: its rows and their transpose, and the iterates,
-        corrections, squared norms and roots of the problems holding it, as
-        views into the live arrays. A batch's rows touch disjoint entries, so
-        each entry of rows_t @ delta is one product, in any summation order."""
-        return [(rows, rows.transpose(0, 2, 1), y[:n], corr[:n, cols, None],
-                 sq[:n, cols, None], roots[:n, cols, None])
-                for rows, cols in batches for n in [rows.shape[0]]]
-
-    steps = views()
-    for _ in range(sweeps):
-        if not live.size:
-            break
-        blocks = y.reshape(site_corr.shape) + site_corr
-        norms = np.linalg.norm(blocks, axis=2)
-        scale = np.ones(norms.shape)
-        over = norms > bound
-        scale[over] = np.broadcast_to(bound, over.shape)[over] / norms[over]
-        new_blocks = blocks * scale[:, :, None]
-        site_corr = blocks - new_blocks
-        moved = np.max(np.abs(new_blocks - y.reshape(site_corr.shape)), axis=(1, 2))
-        y[...] = new_blocks.reshape(y.shape)
-        before = corr.copy()
-        for rows, rows_t, y_g, corr_g, sq_g, root_g in steps:
-            # project w = y + corr*alpha onto the slab |alpha . w| <= root;
-            # t minus t clipped to the slab is t - copysign(root, t) outside it, 0 inside
-            t = np.matmul(rows, y_g)
-            t += corr_g * sq_g
-            shift = (t - np.minimum(np.maximum(t, -root_g), root_g)) / sq_g
-            y_g += np.matmul(rows_t, corr_g - shift)
-            corr_g[...] = shift
-        moved = np.maximum(moved, np.max(np.abs(before - corr) * absmax, axis=1, initial=0.0))
-        settled = moved < move_tol
-        check = settled.copy()
-        rest = np.flatnonzero(~settled)
-        if target is not None and rest.size:
-            check[rest] = target(y[rest, :, 0], live[rest])
-        ask = np.flatnonzero(check)
-        if not ask.size:
-            continue
-        done = ask[stack.feasible(y[ask, :, 0], live[ask])]
-        if not done.size:
-            continue
-        out[live[done]] = y[done, :, 0]
-        stops[live[done]] = np.where(settled[done], "move_tol", "target")
-        keep = np.ones(live.size, dtype=bool)
-        keep[done] = False
-        live, y, site_corr, bound, corr, sq, roots, absmax = (
-            a[keep] for a in (live, y, site_corr, bound, corr, sq, roots, absmax))
-        batches = [(rows[kept], cols) for rows, cols in batches
-                   for kept in [keep[:rows.shape[0]]] if kept.any()]
-        steps = views()
-    out[live] = y[:, :, 0]
-    return out, stops
-
+# ---- projection (Dykstra) ----
 
 def _project_constraints(constraints: ConstraintSet, y0: np.ndarray,
                          sweeps: int = 400, move_tol: float = 1e-13,
                          good_enough: Callable[[np.ndarray], bool] | None = None
                          ) -> tuple[np.ndarray, str]:
-    """Dykstra's cyclic projections of one iterate onto the admissible set;
-    a batch of one of _dykstra, with the caller's target `good_enough(y)`.
-    Returns the iterate and why the loop stopped."""
-    target = None if good_enough is None else (
-        lambda ys, _idx: np.array([bool(good_enough(y)) for y in ys]))
-    y, stops = _dykstra(_SectionStack.build([constraints]), y0[None, :], target,
-                        sweeps, move_tol)
-    return y[0], stops[0]
+    """Dykstra's cyclic projections of one iterate onto the admissible set.
+
+    A cycle visits the site balls (all at once), then the pair batches in
+    their fixed order, each batch with one matrix product. After each cycle
+    the loop stops if its iterate is feasible and either the cycle moved it
+    less than move_tol or the caller's target good_enough(y) holds. Returns
+    the iterate and why the loop stopped: "move_tol" (converged to the
+    projection), "target" (feasible and good enough for the caller, but not
+    the projection), or "cap" (the sweep cap came first; the iterate may be
+    infeasible).
+    """
+    m, q, bound = constraints.m, constraints.q, constraints.M
+    rows = constraints.pair_rows
+    sq = np.sum(rows * rows, axis=1)
+    roots = np.sqrt(constraints.pair_betas)
+    absmax = np.max(np.abs(rows), axis=1, initial=0.0)
+    batches = [(g, rows[g], rows[g].T) for g in constraints.pair_groups]
+    y = y0.copy()
+    site_corr = np.zeros((m, q))
+    corr = np.zeros(roots.size)
+    for _ in range(sweeps):
+        blocks = y.reshape(m, q) + site_corr
+        norms = np.linalg.norm(blocks, axis=1)
+        scale = np.ones(m)
+        over = norms > bound
+        scale[over] = bound / norms[over]
+        new_blocks = blocks * scale[:, None]
+        site_corr = blocks - new_blocks
+        moved = float(np.max(np.abs(new_blocks - y.reshape(m, q))))
+        y = new_blocks.reshape(-1)
+        for g, rows_g, rows_t in batches:
+            # project w = y + corr*alpha onto the slab |alpha . w| <= root;
+            # t minus t clipped to the slab is t - copysign(root, t) outside it, 0 inside
+            t = rows_g @ y + corr[g] * sq[g]
+            shift = (t - np.minimum(np.maximum(t, -roots[g]), roots[g])) / sq[g]
+            delta = corr[g] - shift
+            # a batch's rows touch disjoint entries, so each entry is one product
+            y += rows_t @ delta
+            moved = max(moved, float(np.max(np.abs(delta) * absmax[g])))
+            corr[g] = shift
+        settled = moved < move_tol
+        if ((settled or (good_enough is not None and good_enough(y)))
+                and constraints.is_feasible(y)):
+            return y, "move_tol" if settled else "target"
+    return y, "cap"
 
 
 # ---- analytic-center cutting-plane solver ----
@@ -805,9 +720,11 @@ class SectionFitResult:
     """Outcome of one convex section fit.
 
     certified means y is feasible with value <= eps_bar. solver names the
-    path that produced y: "warm-start", "warm-start-projected" or
-    "cutting-plane". projection_stops holds the stop reason of each Dykstra
-    projection the fit made (see _project_constraints), in call order.
+    path that produced y: "warm-start" (the local least-squares jets),
+    "retracted" (the warm start scaled back into the admissible set, see
+    _SectionStack.retract) or "cutting-plane". projection_stops holds the
+    stop reason of each Dykstra projection the cutting plane made (see
+    _project_constraints), in call order.
     """
 
     y: np.ndarray
@@ -819,26 +736,26 @@ class SectionFitResult:
 
 
 # the padded layouts of a front grow with its problems' pair rows times
-# coefficients; _front stacks consecutive runs of problems under this size
-_FRONT_ENTRIES = 1 << 23
+# jet coefficients; _front stacks consecutive runs of problems under this size
+_FRONT_ENTRIES = 1 << 20
 
 
 def _front(data: Sequence[SketchedData], constraints: Sequence[ConstraintSet],
            eps_bar: float) -> list[SectionFitResult]:
-    """The warm-start front of B section fits, in stacked passes.
+    """The closed-form front of B section fits, in stacked passes.
 
     Problem b fits data[b] (one normal component) over constraints[b]. Its
     warm start certifies when it is feasible with objective <= eps_bar;
-    every other problem's warm start is projected in one _dykstra loop,
-    with eps_bar as its target, and certifies on the same test. Returns one
-    SectionFitResult per problem: certified ("warm-start" or
-    "warm-start-projected"), or uncertified with the projected iterate and
-    its stop, from which minimize_section goes on. A problem's outcome does
-    not depend on the rest of its batch, so the problems are stacked in
-    consecutive runs of at most _FRONT_ENTRIES row entries (at least one
-    problem each), which bounds the memory of a large packet's front.
+    every other problem's warm start is retracted (_SectionStack.retract)
+    and certifies on the same test. Returns one SectionFitResult per
+    problem: certified ("warm-start" or "retracted"), or uncertified with
+    the retracted point, the feasible start from which minimize_section
+    goes on. A problem's outcome does not depend on the rest of its batch,
+    so the problems are stacked in consecutive runs of at most
+    _FRONT_ENTRIES pair-row entries (at least one problem each), which
+    bounds the memory of a large packet's front.
     """
-    entries = np.cumsum([c.pair_betas.size * c.dim for c in constraints])
+    entries = np.cumsum([c.pair_betas.size * c.q for c in constraints])
     results: list[SectionFitResult] = []
     while len(results) < len(data):
         start = len(results)
@@ -854,22 +771,16 @@ def _front_pass(data: Sequence[SketchedData], constraints: Sequence[ConstraintSe
     stack = _SectionStack.build(constraints, data)
     every = np.arange(len(data))
     y = _warm_starts(stack)
+    warm = stack.feasible(y, every) & (stack.objective(y, every) <= eps_bar)
+    rest = np.flatnonzero(~warm)
+    if rest.size:
+        y[rest] = stack.retract(y[rest], rest)
     value = stack.objective(y, every)
     certified = stack.feasible(y, every) & (value <= eps_bar)
-    stops = np.full(len(data), None, dtype=object)
-    rest = np.flatnonzero(~certified)
-    if rest.size:
-        sub = stack.subset(rest)
-        y[rest], stops[rest] = _dykstra(
-            sub, y[rest], lambda ys, idx: sub.objective(ys, idx) <= eps_bar)
-        every = np.arange(rest.size)
-        value[rest] = sub.objective(y[rest], every)
-        certified[rest] = sub.feasible(y[rest], every) & (value[rest] <= eps_bar)
     q = jet_size(stack.sites.shape[2])
     return [SectionFitResult(y=y[b, :stack.m[b] * q], value=float(value[b]), iterations=0,
                              certified=bool(certified[b]),
-                             solver="warm-start" if stops[b] is None else "warm-start-projected",
-                             projection_stops=() if stops[b] is None else (stops[b],))
+                             solver="warm-start" if warm[b] else "retracted")
             for b in range(len(data))]
 
 
@@ -878,12 +789,13 @@ def minimize_section(data: SketchedData, constraints: ConstraintSet,
                      start: SectionFitResult | None = None) -> SectionFitResult:
     """Minimize the section objective over the admissible set.
 
-    Tries the warm start, then its projection (the front, see _front),
-    then the cutting-plane solver with `budget` cuts. Returns as soon as a
-    feasible field with objective <= eps_bar is found (the objective is
-    nonnegative, so such a field certifies the minimum up to eps_bar).
-    Raises BudgetExceededError carrying the best feasible iterate when the
-    budget or a stall is hit first, also on a problem whose objective lower
+    Tries the warm start, then its retraction (the front, see _front),
+    then the cutting-plane solver with `budget` cuts, from the retraction.
+    Returns as soon as a feasible field with objective <= eps_bar is found
+    (the objective is nonnegative, so such a field certifies the minimum
+    up to eps_bar). Raises BudgetExceededError carrying the best feasible
+    iterate and naming its stop (see _solve_cutting_plane) when the
+    cutting plane ends first, also on a problem whose objective lower
     bound already exceeds eps_bar: a caller that wants the bound's proof
     checks it first, as _fit_cylinders does. start is this problem's front
     outcome when a stacked front already ran (fit_sections passes it);
@@ -911,12 +823,26 @@ def minimize_section(data: SketchedData, constraints: ConstraintSet,
         return section_objective(data, constraints, y) <= eps_bar
 
     feasible = start.y if constraints.is_feasible(start.y) else None
-    return _solve_cutting_plane(data, constraints, eps_bar, budget, feasible,
-                                meets_target, list(start.projection_stops))
+    return _solve_cutting_plane(data, constraints, eps_bar, budget, feasible, meets_target)
 
 
-def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start,
-                         meets_target, stops):
+# why a cutting-plane search that did not certify stopped: BudgetExceededError.stop
+_STOPS = {"budget": "its cut budget ran out",
+          "stall": "its best objective stalled",
+          "pinned": "its center is pinned against the older cuts",
+          "optimum": "the unconstrained optimum lies above the target"}
+
+
+def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start, meets_target):
+    """Analytic-center cutting planes from y = 0, at most `budget` cuts.
+
+    Returns the first feasible iterate with objective <= eps_bar. Otherwise
+    raises BudgetExceededError with the best feasible iterate and the stop
+    (see _STOPS): the budget; a stall, more than `patience` feasible
+    iterates without progress on the best; a center pinned against the
+    older cuts; or a feasible point where the objective's gradient vanishes
+    and its value is still above eps_bar.
+    """
     dim = constraints.dim
     box = constraints.M
     cut_g = np.zeros((0, dim))
@@ -932,6 +858,8 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start,
     patience = 40
     harvest_every = 20
     done = 0
+    stops: list[str] = []
+    stop = "budget"
 
     def offer(candidate) -> bool:
         """Score a feasible candidate; True once the best meets eps_bar."""
@@ -960,7 +888,8 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start,
             grad = section_objective_gradient(data, constraints, y)
             gn = float(np.linalg.norm(grad))
             if gn < 1e-14:
-                break  # unconstrained optimum reached and still above eps_bar
+                stop = "optimum"
+                break
             normal = grad / gn
             offset = float(normal @ y)
         else:
@@ -969,12 +898,12 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start,
             if done % harvest_every == 0:
                 # feasibility cuts can dominate for a long stretch; project
                 # the current center so best-so-far still makes progress
-                proj, stop = _project_constraints(constraints, y,
-                                                  good_enough=meets_target)
-                stops.append(stop)
+                proj, why = _project_constraints(constraints, y, good_enough=meets_target)
+                stops.append(why)
                 if constraints.is_feasible(proj) and offer(proj):
                     return result(certified=True)
         if stall > patience:
+            stop = "stall"
             break
         cut_g = np.vstack([cut_g, normal])
         cut_c = np.append(cut_c, offset)
@@ -989,13 +918,14 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start,
                 cut_c[-1] = float(normal @ y)
                 t_req = 0.0
                 if not (t_max > 1e-13):
-                    break  # center pinned against the older cuts
+                    stop = "pinned"
+                    break
             y = y - (t_req + 0.5 * min(t_max - t_req, box)) * normal
         y = _analytic_center(box, cut_g, cut_c, y)
     raise BudgetExceededError(
-        f"cutting-plane search stopped after {done} cuts "
+        f"cutting-plane search stopped after {done} cuts: {_STOPS[stop]} "
         f"(best objective {best_val:.6g}, target {eps_bar:.6g})",
-        best=None if best_y is None else result(certified=False))
+        best=None if best_y is None else result(certified=False), stop=stop)
 
 
 # ---- local sections over cylinders ----
@@ -1134,7 +1064,7 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
     cylinder order, raises InfeasibleSectionError before any constraint
     set, front or solver runs, even when an earlier cylinder would fail
     its setup or stall on a feasible problem. Otherwise the constraint
-    sets and the warm-start front (_front) run as stacked passes too, and
+    sets and the closed-form front (_front) run as stacked passes too, and
     each component goes through minimize_section with its front outcome,
     cylinder by cylinder, so the first failing cylinder raises its own
     error, from the setup or from the solver.

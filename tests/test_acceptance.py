@@ -427,6 +427,16 @@ def test_the_certificate_records_its_sample_size_against_the_guarantee(ball_resu
         json.dumps(cert, allow_nan=False)
 
 
+def test_criterion_11_sections_fit_in_closed_form(noisy_circle_result):
+    # every section fit certifies from its warm start or its retraction:
+    # none reaches the cutting plane or a capped projection
+    _, verdict, _ = noisy_circle_result
+    for candidate in verdict.certificate["candidates"]:
+        assert "cutting-plane" not in candidate["section_paths"]
+        assert "cap" not in candidate["projection_stops"]
+    assert any("retracted" in c["section_paths"] for c in verdict.certificate["candidates"])
+
+
 def test_criterion_12_patched_loss_within_constant_of_optimal(noisy_circle_result):
     cloud, verdict, _ = noisy_circle_result
     # the best manifold for this sample is the unit circle itself

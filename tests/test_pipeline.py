@@ -497,7 +497,7 @@ def test_certificate_counts_section_fits_by_solver_path(circle_verdict, ball_ver
     _, verdict = circle_verdict
     paths = verdict.certificate["candidates"][0]["section_paths"]
     assert list(paths) == sorted(paths)
-    assert set(paths) <= {"warm-start", "warm-start-projected", "cutting-plane"}
+    assert set(paths) <= {"warm-start", "retracted", "cutting-plane"}
     fits = sum(s.codim for s in verdict.model.sections if not s.is_empty)
     assert sum(paths.values()) == fits > 0
     _, failed = ball_verdict
@@ -508,21 +508,25 @@ def test_certificate_counts_projection_stops_by_reason(circle_verdict, ball_verd
                                                        monkeypatch):
     cloud, verdict = circle_verdict
     seen = []
-    project = whitney_sections._dykstra
+    project = whitney_sections._project_constraints
 
     def spy(*args, **kwargs):
         out = project(*args, **kwargs)
-        seen.extend(out[1])
+        seen.append(out[1])
         return out
 
-    # every projection, stacked or alone, runs in _dykstra
-    monkeypatch.setattr(whitney_sections, "_dykstra", spy)
-    # the ideal packet's sections all certify from the warm start; the
-    # perturbed packet's need projections
-    ideal, perturbed = run_test(cloud, replace(CIRCLE_CONFIG, packet_budget=2)
-                                ).certificate["candidates"]
+    # the cutting plane's harvest is the only projection a fit makes
+    monkeypatch.setattr(whitney_sections, "_project_constraints", spy)
+    config = replace(CIRCLE_CONFIG, packet_budget=2)
+    # every section certifies in the closed-form front, so nothing projects
+    ideal, perturbed = run_test(cloud, config).certificate["candidates"]
     assert ideal == verdict.certificate["candidates"][0]
-    assert ideal["projection_stops"] == {}
+    assert ideal["projection_stops"] == perturbed["projection_stops"] == {}
+    assert not seen
+    # at a tighter target some perturbed fits go on to the cutting plane,
+    # and the certificate counts its projections
+    ideal, perturbed = run_test(cloud, replace(config, eps_bar=1e-5)).certificate["candidates"]
+    assert ideal["projection_stops"] == {} and "cutting-plane" in perturbed["section_paths"]
     stops = perturbed["projection_stops"]
     assert list(stops) == sorted(stops) and set(stops) <= {"cap", "move_tol", "target"}
     assert stops == dict(Counter(seen)) and sum(stops.values()) == len(seen) > 0

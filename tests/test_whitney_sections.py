@@ -327,12 +327,19 @@ def test_clean_data_certifies_through_the_warm_start():
 
 
 def test_small_noise_certifies_through_projection():
+    # the projection here is the radial one: the warm start scaled back
+    # into the admissible set
     data, cons = line_fixture(sigma=0.005)
+    y0 = ws._warm_start(data, cons)
+    assert not cons.is_feasible(y0)
     res = minimize_section(data, cons, eps_bar=0.01)
-    assert res.solver == "warm-start-projected"
+    assert res.solver == "retracted"
     assert res.certified
     assert res.value <= 0.01
     assert cons.is_feasible(res.y)
+    lam = float(res.y @ y0) / float(y0 @ y0)
+    assert 0.0 < lam < 1.0
+    np.testing.assert_allclose(res.y, lam * y0, rtol=0.0, atol=1e-15)
 
 
 def test_cutting_plane_reaches_a_noisy_target():
@@ -381,9 +388,11 @@ def test_warm_start_projection_stops_at_the_callers_target():
     y_target, stop = ws._project_constraints(
         cons, y0, good_enough=lambda y: section_objective(data, cons, y) <= 0.01)
     assert stop == "target"
+    assert cons.is_feasible(y_target)
+    assert section_objective(data, cons, y_target) <= 0.01
+    # a fit needs no projection here: the retraction already certifies
     res = minimize_section(data, cons, eps_bar=0.01)
-    assert res.solver == "warm-start-projected"
-    np.testing.assert_array_equal(res.y, y_target)
+    assert (res.solver, res.projection_stops) == ("retracted", ())
     assert cons.is_feasible(res.y)
     assert res.value <= 0.01
     assert res.value == section_objective(data, cons, res.y)
@@ -391,21 +400,21 @@ def test_warm_start_projection_stops_at_the_callers_target():
 
 def test_a_fit_reports_the_stop_of_every_projection(monkeypatch):
     seen = []
-    project = ws._dykstra
+    project = ws._project_constraints
 
     def spy(*args, **kwargs):
         out = project(*args, **kwargs)
-        seen.extend(out[1])
+        seen.append(out[1])
         return out
 
-    # every projection, the front's and the cutting plane's, runs in _dykstra
-    monkeypatch.setattr(ws, "_dykstra", spy)
+    # the cutting plane's harvest is the only projection a fit makes
+    monkeypatch.setattr(ws, "_project_constraints", spy)
     assert minimize_section(*line_fixture(), eps_bar=1e-3).projection_stops == ()
     assert not seen
-    # the Dykstra cap bites here although the objective meets the target
-    res = minimize_section(*line_fixture(sigma=0.02, seed=0), eps_bar=0.01)
-    assert res.solver == "cutting-plane"
-    assert res.projection_stops[0] == "cap"
+    # the first harvests reach the Dykstra cap, later ones converge
+    res = minimize_section(*line_fixture(sigma=0.2), eps_bar=0.02)
+    assert res.solver == "cutting-plane" and res.certified
+    assert res.projection_stops[0] == "cap" and "move_tol" in res.projection_stops
     assert res.projection_stops == tuple(seen)
 
 
@@ -542,6 +551,137 @@ def test_no_section_is_certified_above_its_target():
     assert not best.certified
     assert best.value > 1e-3
     assert cons.is_feasible(best.y)
+
+
+def one_site(target: float, M: float):
+    data = sketch(np.zeros((1, 1)), np.array([target]), 0.0)
+    return data, build_constraints(data.sites, M=M)
+
+
+STOP_FIXTURES = {
+    "budget": (lambda: line_fixture(sigma=0.2), 1e-9, 25),
+    "stall": (lambda: _five_site_fixture(1), 1e-3, None),
+    # the target lies outside the coefficient ball
+    "pinned": (lambda: one_site(1.0, 0.5), 1e-3, None),
+    # at this scale the objective's gradient at y = 0 is below the solver's
+    # 1e-14 floor while its value is above the target
+    "optimum": (lambda: one_site(2e-16, 1e-16), 1e-40, None),
+}
+
+
+@pytest.mark.parametrize("stop", list(STOP_FIXTURES))
+def test_budget_exceeded_names_its_stop(stop):
+    make, eps_bar, budget = STOP_FIXTURES[stop]
+    data, cons = make()
+    with pytest.raises(BudgetExceededError) as excinfo:
+        minimize_section(data, cons, eps_bar, budget)
+    error = excinfo.value
+    assert error.stop == stop
+    assert ws._STOPS[stop] in str(error)
+    best = error.best
+    assert best.solver == "cutting-plane" and not best.certified
+    assert cons.is_feasible(best.y) and best.value > eps_bar
+    assert f"best objective {best.value:.6g}" in str(error)
+
+
+# ---- the retraction ----
+
+def retract_stack(problems, ys):
+    """The retractions of the rows ys of a stack of problems, each checked:
+    it passes is_feasible, its objective is at most the flat section's
+    (lambda = 0), and it equals the per-problem reference."""
+    stack = ws._SectionStack.build([c for _, c in problems], [d for d, _ in problems])
+    out = stack.retract(ys, np.arange(len(problems)))
+    for b, (data, cons) in enumerate(problems):
+        y, y0 = out[b, :cons.dim], ys[b, :cons.dim]
+        assert cons.is_feasible(y)
+        assert not np.any(out[b, cons.dim:])
+        flat = section_objective(data, cons, np.zeros(cons.dim))
+        assert section_objective(data, cons, y) <= flat
+        np.testing.assert_allclose(y, reference_retract(data, cons, y0), rtol=0.0,
+                                   atol=1e-14 * float(np.max(np.abs(y0), initial=0.0)))
+    return out
+
+
+def random_problems(seed: int, d: int, count: int = 16):
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(count):
+        m = int(rng.integers(1, 9))
+        data = sketch(rng.uniform(-1.0, 1.0, (m, d)), rng.normal(0.0, 0.4, m), 0.0)
+        problems.append((data, build_constraints(data.sites, M=float(rng.uniform(0.1, 0.6)))))
+    return problems
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_retraction_is_feasible_and_no_worse_than_the_flat_section(d):
+    problems = random_problems(50 + d, d)
+    stack = ws._SectionStack.build([c for _, c in problems], [x for x, _ in problems])
+    warm = ws._warm_starts(stack)
+    noise = np.random.default_rng(d).normal(0.0, 0.5, warm.shape)
+    for ys in (warm, warm + noise * (warm != 0), 3.0 * warm):
+        out = retract_stack(problems, ys)
+        infeasible = [not c.is_feasible(y[:c.dim]) for (_, c), y in zip(problems, ys)]
+        assert any(infeasible) and np.any(out)
+
+
+def test_degenerate_retractions():
+    data, cons = line_fixture()
+    problems = [(data, cons)]
+    zero = np.zeros((1, cons.dim))
+    np.testing.assert_array_equal(retract_stack(problems, zero), zero)
+    # no value entry: the objective does not depend on lambda, which stays 0
+    ys = np.random.default_rng(3).normal(0.0, 1.0, (1, cons.m, cons.q))
+    ys[:, :, 0] = 0.0
+    np.testing.assert_array_equal(retract_stack(problems, ys.reshape(1, -1)), zero)
+    # a feasible start above the target: lambda* = 1, and the objective's
+    # minimum lies past it
+    half = 0.5 * ws._warm_start(data, cons)[None]
+    assert cons.is_feasible(half[0]) and section_objective(data, cons, half[0]) > 1e-3
+    out = retract_stack(problems, half)
+    np.testing.assert_allclose(out, (1.0 - 1e-12) * half, rtol=1e-15, atol=0.0)
+    # lambda* set by a site ball: the block ends on the ball
+    data, cons = one_site(5.0, 0.5)
+    out = retract_stack([(data, cons)], np.array([[1.0, 0.0, 0.0]]))
+    assert 0.5 * (1.0 - 1e-11) <= float(np.linalg.norm(out)) <= 0.5
+    # lambda* set by the value slab of two sites 0.1 apart: it ends on the slab
+    data = sketch(np.array([[0.0], [0.1]]), np.array([0.9, -0.9]), 0.0)
+    cons = build_constraints(data.sites, M=1.0)
+    out = retract_stack([(data, cons)], np.array([[0.9, 0.0, 0.0, -0.9, 0.0, 0.0]]))
+    ratio = np.abs(cons.pair_rows @ out[0]) / np.sqrt(cons.pair_betas)
+    assert 1.0 - 1e-11 <= float(ratio.max()) <= 1.0
+    assert float(np.max(np.linalg.norm(out.reshape(2, 3), axis=1))) < 0.1
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_the_front_fits_each_problem_as_it_does_alone(d, monkeypatch):
+    problems = random_problems(60 + d, d, count=24)
+    if d == 1:
+        problems += [line_fixture(sigma=sigma, seed=1) for sigma in (0.0, 0.005, 0.02, 0.2)]
+    data, cons = [x for x, _ in problems], [c for _, c in problems]
+    alone = [ws._front([x], [c], 0.1)[0] for x, c in problems]
+    assert {(f.solver, f.certified) for f in alone} == {
+        ("warm-start", True), ("retracted", True), ("retracted", False)}
+    for entries in (1, 64, ws._FRONT_ENTRIES):
+        monkeypatch.setattr(ws, "_FRONT_ENTRIES", entries)
+        for got, want in zip(ws._front(data, cons, 0.1), alone):
+            assert (got.solver, got.certified, got.projection_stops) == (
+                want.solver, want.certified, ())
+            np.testing.assert_allclose(got.y, want.y, rtol=0.0, atol=1e-12)
+
+
+def test_a_fit_whose_projection_caps_certifies_in_the_retraction(monkeypatch):
+    # a lone projection of this warm start runs to the Dykstra cap with no
+    # feasible iterate (see test_the_front_reports_the_honest_cap_and_falls_through)
+    calls = []
+    monkeypatch.setattr(ws, "_project_constraints", lambda *a, **k: calls.append("projection"))
+    monkeypatch.setattr(ws, "_solve_cutting_plane", lambda *a, **k: calls.append("cutting"))
+    data, cons = line_fixture(sigma=0.02, seed=0)
+    res = minimize_section(data, cons, eps_bar=0.01)
+    assert (res.solver, res.certified, res.iterations, res.projection_stops) == (
+        "retracted", True, 0, ())
+    assert cons.is_feasible(res.y) and res.value <= 0.01
+    assert calls == []
 
 
 # ---- local sections and patching ----
@@ -1155,28 +1295,43 @@ def reference_project(cons, y0, sweeps=400, move_tol=1e-13, good_enough=None):
     return y, "cap"
 
 
+def reference_retract(data, cons, y0):
+    """lambda y0 at the objective's minimum over [0, lambda*], lambda* the
+    largest scale that keeps every site ball and slab, one by one, shrunk
+    by 1e-12."""
+    top = 1.0
+    for block in y0.reshape(cons.m, cons.q):
+        norm = float(np.linalg.norm(block))
+        if norm > 0.0:
+            top = min(top, cons.M / norm)
+    for alpha, beta in zip(cons.pair_rows, cons.pair_betas):
+        value = abs(float(alpha @ y0))
+        if value > 0.0:
+            top = min(top, math.sqrt(beta) / value)
+    top *= 1.0 - 1e-12
+    values = y0.reshape(cons.m, cons.q)[:, 0]
+    den = float(np.sum(data.weights * values * values))
+    if den == 0.0:
+        return 0.0 * y0
+    return min(max(float(np.sum(data.weights * data.targets * values)) / den, 0.0), top) * y0
+
+
 def reference_minimize(data, cons, eps_bar, budget):
-    """The per-problem fit: warm start, its projection, the cutting plane."""
+    """The per-problem fit: warm start, its retraction, the cutting plane."""
     if budget is None:
         budget = min(120 + 4 * cons.dim, 700)
     y0 = old_warm_start(data, cons)
-    if cons.is_feasible(y0):
-        val = section_objective(data, cons, y0)
-        if val <= eps_bar:
-            return ws.SectionFitResult(y=y0, value=val, iterations=0, certified=True,
-                                       solver="warm-start")
+    for solver, y in (("warm-start", y0), ("retracted", reference_retract(data, cons, y0))):
+        val = section_objective(data, cons, y)
+        if cons.is_feasible(y) and val <= eps_bar:
+            return ws.SectionFitResult(y=y, value=val, iterations=0, certified=True,
+                                       solver=solver)
 
     def meets_target(y):
         return section_objective(data, cons, y) <= eps_bar
 
-    y0, stop = reference_project(cons, y0, good_enough=meets_target)
-    start = y0 if cons.is_feasible(y0) else None
-    if start is not None:
-        val = section_objective(data, cons, start)
-        if val <= eps_bar:
-            return ws.SectionFitResult(y=start, value=val, iterations=0, certified=True,
-                                       solver="warm-start-projected", projection_stops=(stop,))
-    return ws._solve_cutting_plane(data, cons, eps_bar, budget, start, meets_target, [stop])
+    start = y if cons.is_feasible(y) else None
+    return ws._solve_cutting_plane(data, cons, eps_bar, budget, start, meets_target)
 
 
 def reference_bound(targets, mult, M):
@@ -1289,7 +1444,7 @@ def test_stacked_fit_matches_the_per_cylinder_reference(pipeline_packets, name):
     if name == "circle-ideal":
         assert paths == {"warm-start"}
     elif name == "circle-perturbed":
-        assert "warm-start-projected" in paths
+        assert paths == {"warm-start", "retracted"}
     elif name == "sphere":
         assert paths == {"warm-start", "cutting-plane"}
     else:
@@ -1302,7 +1457,7 @@ def test_stacked_fit_matches_the_per_cylinder_reference(pipeline_packets, name):
 def test_a_cylinder_fits_alone_as_in_its_packet(pipeline_packets):
     packet, mesh, eps_bar, budget = pipeline_packets["circle-perturbed"]
     model = fit_sections(packet, mesh, eps_bar, budget=budget)
-    assert any("warm-start-projected" in s.solver_paths for s in model.sections)
+    assert any("retracted" in s.solver_paths for s in model.sections)
     for j, inside in enumerate(model.sections):
         alone = fit_local_section(packet, mesh, j, eps_bar, budget=budget)
         assert alone.is_empty == inside.is_empty
@@ -1324,7 +1479,7 @@ def test_a_front_stacked_in_runs_fits_as_one_pass(pipeline_packets, monkeypatch)
         return front_pass(data, constraints, eps)
 
     monkeypatch.setattr(ws, "_front_pass", spy)
-    monkeypatch.setattr(ws, "_FRONT_ENTRIES", 2000)
+    monkeypatch.setattr(ws, "_FRONT_ENTRIES", 200)
     split = fit_sections(packet, mesh, eps_bar, budget=budget).section_table
     assert len(runs) > 10 and sum(runs) == int(np.count_nonzero(~whole.empty))
     assert split.solver_paths == whole.solver_paths
@@ -1337,33 +1492,24 @@ def test_a_short_projection_ignores_a_long_tail_in_its_batch():
     # a 25-site problem whose projection meets its target in a few dozen
     # sweeps, and a 29-site one that runs to the 400-sweep cap
     problems = [line_fixture(sigma=0.01, seed=1), line_fixture(sigma=0.02, m=29, seed=0)]
+    sweeps = []
 
-    def project(chosen):
-        data = [problems[i][0] for i in chosen]
-        cons = [problems[i][1] for i in chosen]
-        stack = ws._SectionStack.build(cons, data)
-        sweeps = [0] * len(chosen)
+    def project(data, cons):
+        def target(y):
+            sweeps[-1] += 1
+            return section_objective(data, cons, y) <= 0.01
+        sweeps.append(0)
+        return ws._project_constraints(cons, ws._warm_start(data, cons), good_enough=target)[1]
 
-        def target(ys, idx):
-            for i in idx:
-                sweeps[i] += 1
-            return stack.objective(ys, idx) <= 0.01
-
-        y, stops = ws._dykstra(stack, ws._warm_starts(stack), target)
-        return [(stops[b], sweeps[b], y[b, :cons[b].dim]) for b in range(len(chosen))]
-
-    (short_alone,) = project([0])
-    short, tail = project([0, 1])
-    assert tail[:2] == ("cap", 400)
-    assert short_alone[0] == "target" and 1 < short_alone[1] < 400
-    assert short[:2] == short_alone[:2]
-    np.testing.assert_allclose(short[2], short_alone[2], rtol=0.0, atol=1e-12)
+    assert [project(*p) for p in problems] == ["target", "cap"]
+    assert 1 < sweeps[0] < 400 and sweeps[1] == 400
+    # the front retracts each problem as it does alone, and certifies both
     fronts = ws._front([p[0] for p in problems], [p[1] for p in problems], 0.01)
-    alone = ws._front([problems[0][0]], [problems[0][1]], 0.01)[0]
-    assert (fronts[0].solver, fronts[0].projection_stops) == (
-        alone.solver, alone.projection_stops) == ("warm-start-projected", ("target",))
-    assert fronts[0].certified and not fronts[1].certified
-    np.testing.assert_allclose(fronts[0].y, alone.y, rtol=0.0, atol=1e-12)
+    for (data, cons), front in zip(problems, fronts):
+        alone = ws._front([data], [cons], 0.01)[0]
+        assert (front.solver, front.certified) == (alone.solver, alone.certified) == (
+            "retracted", True)
+        np.testing.assert_allclose(front.y, alone.y, rtol=0.0, atol=1e-12)
 
 
 def test_an_earlier_failing_cylinder_raises_before_any_later_one(pipeline_packets,
@@ -1529,14 +1675,21 @@ def test_parameter_errors_come_before_any_bound(pipeline_packets, bad, monkeypat
 
 
 def test_the_front_reports_the_honest_cap_and_falls_through():
-    # the objective meets the target on every sweep, but no iterate passes
-    # the feasibility slack before the cap; the fit must say so and go on
+    # a lone projection of this warm start meets the target on every sweep
+    # but passes the feasibility slack on none before the cap, and says so
     data, cons = line_fixture(sigma=0.02, seed=0)
-    front = ws._front([data], [cons], 0.01)[0]
-    assert not front.certified and front.projection_stops == ("cap",)
-    assert front.value <= 0.01 and not cons.is_feasible(front.y)
-    res = minimize_section(data, cons, eps_bar=0.01, start=front)
-    assert res.solver == "cutting-plane" and res.projection_stops[0] == "cap"
+    y, stop = ws._project_constraints(
+        cons, ws._warm_start(data, cons),
+        good_enough=lambda y: section_objective(data, cons, y) <= 0.01)
+    assert stop == "cap" and not cons.is_feasible(y)
+    # a front that cannot certify hands its feasible retraction on, and the
+    # fit goes on from it in the cutting plane
+    data, cons = line_fixture(sigma=0.2)
+    front = ws._front([data], [cons], 0.02)[0]
+    assert (front.solver, front.certified, front.projection_stops) == ("retracted", False, ())
+    assert cons.is_feasible(front.y) and front.value > 0.02
+    res = minimize_section(data, cons, eps_bar=0.02, start=front)
+    assert res.solver == "cutting-plane" and res.certified and res.value < front.value
     assert ws.FEASIBILITY_REL == 2e-6
-    defaults = inspect.signature(ws._dykstra).parameters
+    defaults = inspect.signature(ws._project_constraints).parameters
     assert defaults["sweeps"].default == 400 and defaults["move_tol"].default == 1e-13
