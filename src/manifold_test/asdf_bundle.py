@@ -931,14 +931,21 @@ def bundle_coordinates(packet: CylinderPacket, context, z,
     """Alternating projection of z onto (base point, fiber offset).
 
     context is a BundleChart or a PutativeMesh (each row starts at its
-    nearest chart). The fiber offset must stay within cbar10 * tau_bar / 2.
+    nearest chart). A round solves each moving row's base point from a
+    seed: b + t on the row's first round, t the tangential residual at base
+    point b, and after it the Anderson(1) step b + t - gamma (db + dt) (the
+    secant method when d = 1), db and dt the changes since the row's last
+    round and gamma = dt.t / |dt|^2, or b + t where gamma is not finite. A
+    row whose extrapolated seed fails is solved again from b + t in the
+    same round. The fiber offset must stay within cbar10 * tau_bar / 2.
     z of shape (n,) returns its FiberDecomposition or raises
     DecompositionFailedError. z of shape (m, n) returns a RowOutcomes tuple
     of m outcomes, each a FiberDecomposition or the DecompositionFailedError
     of the row, with counts "rounds" (stacked base-point solves), "solved"
-    (rows they solved) and "evaluations" (field-kernel rows). Each round
-    solves every row still moving as one stack, and a row leaves once it
-    converges or fails, so no row depends on the other rows.
+    (rows they solved, re-solves included) and "evaluations" (field-kernel
+    rows). Each round solves every row still moving as one stack, a row
+    leaves once it converges or fails, and each row keeps its own history,
+    so no row depends on the other rows.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape[-1:] != (packet.n,) or z.ndim not in (1, 2):
@@ -965,6 +972,7 @@ def bundle_coordinates(packet: CylinderPacket, context, z,
     shift_tol = max(tol, 1e-13) * max(1.0, packet.tau_bar)
     vmax = constants.cbar10 * packet.tau_bar / 2.0
     counts = {"rounds": 0, "solved": 0, "evaluations": 0}
+    last_base, last_t = np.full((m, packet.n), np.nan), np.full((m, packet.n), np.nan)
     active = np.arange(m)
     for _ in range(max_iters):
         r = z[active] - base[active]
@@ -986,11 +994,26 @@ def bundle_coordinates(packet: CylinderPacket, context, z,
         active, t = active[~done], t[~done]
         if not active.size:
             break
-        solved = solve_base_point(packet, base[active] + t, newton_tol, constants=constants)
+        b = base[active]
+        plain, dt = b + t, t - last_t[active]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gamma = (dt * t).sum(1) / (dt * dt).sum(1)
+            secant = np.isfinite(gamma)   # False on a first round or where |dt| = 0
+            seed = np.where(secant[:, None],
+                            plain - gamma[:, None] * (b - last_base[active] + dt), plain)
+        last_base[active], last_t[active] = b, t
+        solved = solve_base_point(packet, seed, newton_tol, constants=constants)
+        outs = list(solved)
+        retry = [i for i in np.nonzero(secant)[0] if isinstance(outs[i], Exception)]
         counts["rounds"] += 1
-        counts["solved"] += active.size
+        counts["solved"] += active.size + len(retry)
         counts["evaluations"] += solved.counts["evaluations"]
-        for row, out in zip(active, solved):
+        if retry:
+            again = solve_base_point(packet, plain[retry], newton_tol, constants=constants)
+            counts["evaluations"] += again.counts["evaluations"]
+            for i, out in zip(retry, again):
+                outs[i] = out
+        for row, out in zip(active, outs):
             if isinstance(out, BundleChart):
                 charts[row], base[row], proj[row] = out, out.base_point, out.projector_hi
             else:

@@ -313,6 +313,7 @@ class PacketCandidate:
     mesh_size: int
     empty_sections: int
     out_of_tube: int
+    out_of_tube_causes: dict[str, int]   # out-of-tube points by cause, TUBE_CAUSES
     seed_failures: dict[str, int]   # failed mesh seeds by error kind
     section_paths: dict[str, int]   # section fits by solver path
     mesh_newton: dict[str, int]     # seeds, distinct rows solved, field rows evaluated
@@ -340,37 +341,54 @@ class TestVerdict:
     config: TestConfig
 
 
+# why a point is out of the tube: its alternation reached max_iters, its
+# fiber offset passed cbar10 * tau_bar / 2, a base-point solve failed, or no
+# section covers its base point; read from the start of the error text
+TUBE_CAUSES = ("cap", "offset", "base_point", "uncovered")
+_CAUSE_TEXTS = {"DecompositionFailedError: no convergence": "cap",
+                "DecompositionFailedError: fiber offset": "offset",
+                "UncoveredPointError": "uncovered"}
+
+
+def _tube_cause(error: OutOfTubeError) -> str:
+    return next((cause for head, cause in _CAUSE_TEXTS.items()
+                 if str(error).startswith(head)), "base_point")
+
+
 def point_residuals(model: SectionModel, reduced: ReducedCloud,
-                    out_of_tube_factor: float) -> tuple[np.ndarray, np.ndarray, dict]:
+                    out_of_tube_factor: float) -> tuple[np.ndarray, list, dict]:
     """Squared ambient distance of every sample point to the patched manifold.
 
     Within the reduced span the distance is mfin_distance, one stacked pass
     over the sample; a point outside the bundle's tube is charged
     out_of_tube_factor times its distance to the nearest mesh point instead.
     The squared distance off the span is added. Returns the squared
-    distances, the out-of-tube mask and the pass's Newton counts.
+    distances, each point's out-of-tube cause (a TUBE_CAUSES entry, None in
+    the tube) and the pass's Newton counts.
     """
     points = reduced.cloud.points
     found = mfin_distance(model, points)
-    out = np.array([isinstance(r, OutOfTubeError) for r in found], dtype=bool)
+    causes = [_tube_cause(r) if isinstance(r, OutOfTubeError) else None for r in found]
+    out = np.array([c is not None for c in causes], dtype=bool)
     dist = np.array([0.0 if o else r for r, o in zip(found, out)])
     if out.any():
         gaps = np.linalg.norm(points[out][:, None, :] - model.mesh.base_points, axis=2)
         dist[out] = out_of_tube_factor * gaps.min(axis=1)
-    return dist * dist + reduced.perp_sq, out, dict(found.counts)
+    return dist * dist + reduced.perp_sq, causes, dict(found.counts)
 
 
 def _packet_loss(model: SectionModel, reduced: ReducedCloud,
-                 config: TestConfig) -> tuple[float, int, dict]:
+                 config: TestConfig) -> tuple[float, dict, dict]:
     """Weighted squared-distance loss of the data to the patched manifold,
-    the out-of-tube count and the loss pass's Newton counts."""
-    sq, out, newton = point_residuals(model, reduced, config.out_of_tube_factor)
+    the out-of-tube points by cause and the loss pass's Newton counts."""
+    sq, causes, newton = point_residuals(model, reduced, config.out_of_tube_factor)
+    tube = {cause: causes.count(cause) for cause in TUBE_CAUSES}
     total = 0.0
     # a sequential sum in sample order; np.sum's pairwise order would move
     # the last bits of every reported loss
     for w, r in zip(reduced.cloud.weights, sq):
         total += w * r
-    return total, int(out.sum()), newton
+    return total, tube, newton
 
 
 def _sample_complexity(config: TestConfig) -> float | None:
@@ -430,14 +448,15 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             mesh_newton = dict(mesh.newton)
             model = fit_sections(packet, mesh, config.eps_bar,
                                  budget=config.solver_budget)
-            loss, out_count, loss_newton = _packet_loss(model, reduced, config)
+            loss, tube, loss_newton = _packet_loss(model, reduced, config)
             paths = Counter(p for s in model.sections for p in s.solver_paths)
             stops = Counter(p for s in model.sections for p in s.projection_stops)
             candidates.append(PacketCandidate(
                 index=index, kind=kind, loss=loss, reason=None,
                 packet_failures=packet_failures, mesh_size=mesh.size,
                 empty_sections=sum(1 for s in model.sections if s.is_empty),
-                out_of_tube=out_count, seed_failures=seed_failures,
+                out_of_tube=sum(tube.values()), out_of_tube_causes=tube,
+                seed_failures=seed_failures,
                 section_paths=dict(sorted(paths.items())), mesh_newton=mesh_newton,
                 projection_stops=dict(sorted(stops.items())), loss_newton=loss_newton))
             if best is None or (loss, index) < best:
@@ -447,7 +466,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             candidates.append(PacketCandidate(
                 index=index, kind=kind, loss=math.inf,
                 reason=f"{type(exc).__name__}: {exc}", packet_failures=packet_failures,
-                mesh_size=0, empty_sections=0, out_of_tube=0,
+                mesh_size=0, empty_sections=0, out_of_tube=0, out_of_tube_causes={},
                 seed_failures=seed_failures, section_paths={},
                 mesh_newton=mesh_newton, projection_stops={}, loss_newton={}))
     best_loss = best[0] if best is not None else math.inf
@@ -470,6 +489,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 "mesh_size": c.mesh_size,
                 "empty_sections": c.empty_sections,
                 "out_of_tube": c.out_of_tube,
+                "out_of_tube_causes": c.out_of_tube_causes,
                 "seed_failures": c.seed_failures,
                 "section_paths": c.section_paths,
                 "mesh_newton": c.mesh_newton,

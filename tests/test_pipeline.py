@@ -11,7 +11,7 @@ from test_core_geometry import reference_tangent
 import manifold_test.core_geometry as core_geometry
 import manifold_test.pipeline as pipeline
 import manifold_test.whitney_sections as whitney_sections
-from manifold_test.asdf_bundle import Cylinder, CylinderPacket
+from manifold_test.asdf_bundle import Cylinder, CylinderPacket, RowOutcomes
 from manifold_test.complexity_bounds import BoundParams, sample_complexity
 from manifold_test.core_geometry import PointCloud, federer_reach, greedy_net
 from manifold_test.errors import (
@@ -19,6 +19,7 @@ from manifold_test.errors import (
     InsufficientDataError,
     InvalidParameterError,
     NoValidPacketError,
+    OutOfTubeError,
 )
 from manifold_test.pipeline import (
     BudgetEstimate,
@@ -374,8 +375,8 @@ def test_circle_certificate_contents(circle_verdict):
     entry = cert["candidates"][0]
     for key in ("index", "kind", "loss", "reason", "packet_conditions_ok",
                 "packet_failures", "mesh_size", "empty_sections", "out_of_tube",
-                "seed_failures", "section_paths", "mesh_newton", "projection_stops",
-                "loss_newton"):
+                "out_of_tube_causes", "seed_failures", "section_paths", "mesh_newton",
+                "projection_stops", "loss_newton"):
         assert key in entry
     assert entry["packet_conditions_ok"] is True
     assert entry["packet_failures"] == {"angle": 0, "rotation": 0, "offset": 0, "coverage": 0}
@@ -558,8 +559,50 @@ def test_certificate_counts_the_loss_pass_newton_work(circle_verdict, ball_verdi
     # clean circle each point starts at its own chart, so no round is needed
     assert counts["solved"] >= counts["points"] - entry["out_of_tube"]
     assert counts["evaluations"] >= counts["solved"] and 0 <= counts["rounds"] <= 60
+    assert entry["out_of_tube_causes"] == dict.fromkeys(pipeline.TUBE_CAUSES, 0)
     _, failed = ball_verdict
     assert [c["loss_newton"] for c in failed.certificate["candidates"]] == [{}, {}]
+    assert [c["out_of_tube_causes"] for c in failed.certificate["candidates"]] == [{}, {}]
+
+
+def test_certificate_tallies_out_of_tube_points_by_cause(circle_verdict, monkeypatch):
+    cloud, verdict = circle_verdict
+    texts = {
+        0: "DecompositionFailedError: no convergence in 60 alternations",
+        1: "DecompositionFailedError: fiber offset 0.2 exceeds 0.1",
+        2: ("DecompositionFailedError: base-point update failed: "
+            "NoConvergenceError: no convergence in 60 Newton steps"),
+        3: "InsufficientGapError: spectral gap 0.001 below tolerance 0.01",
+        4: "UncoveredPointError: every member cylinder failed the fiber solve",
+    }
+    distance = pipeline.mfin_distance
+
+    def failing_distance(*args, **kwargs):
+        found = distance(*args, **kwargs)
+        outcomes = [OutOfTubeError(texts[i]) if i in texts else out
+                    for i, out in enumerate(found)]
+        return RowOutcomes(outcomes, **found.counts)
+
+    monkeypatch.setattr(pipeline, "mfin_distance", failing_distance)
+    (entry,) = run_test(cloud, CIRCLE_CONFIG).certificate["candidates"]
+    assert list(entry["out_of_tube_causes"]) == list(pipeline.TUBE_CAUSES)
+    assert entry["out_of_tube_causes"] == {"cap": 1, "offset": 1, "base_point": 2,
+                                           "uncovered": 1}
+    assert entry["out_of_tube"] == 5
+    assert entry["loss"] > verdict.certificate["candidates"][0]["loss"]
+
+
+def test_the_loss_pass_converges_in_few_alternation_rounds():
+    # the circle-search bench sample: the plain alternation took 9 rounds on
+    # the ideal packet and 44 on the perturbed one
+    cloud, _ = generate_synthetic("sphere", n=2, size=120, noise=0.003, radius=0.5,
+                                  even=True, seed=3)
+    verdict = run_test(cloud, TestConfig(d=1, V=7.0, tau=0.3, eps=3.6e-5, delta=0.1, C=4.0,
+                                         packet_budget=2, seed=0))
+    ideal, perturbed = verdict.certificate["candidates"]
+    assert verdict.case == "one" and ideal["out_of_tube"] == perturbed["out_of_tube"] == 0
+    assert ideal["loss_newton"]["rounds"] <= 4
+    assert perturbed["loss_newton"]["rounds"] <= 10
 
 
 def test_a_candidate_that_fails_before_extraction_has_no_counts(circle_verdict,
@@ -573,7 +616,7 @@ def test_a_candidate_that_fails_before_extraction_has_no_counts(circle_verdict,
     (entry,) = run_test(cloud, CIRCLE_CONFIG).certificate["candidates"]
     assert entry["reason"] == "InvalidParameterError: packet rejected"
     for key in ("seed_failures", "section_paths", "mesh_newton", "projection_stops",
-                "loss_newton"):
+                "loss_newton", "out_of_tube_causes"):
         assert entry[key] == {}
     assert entry["packet_failures"] is None and entry["packet_conditions_ok"] is None
 

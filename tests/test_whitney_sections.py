@@ -1,6 +1,7 @@
 """The jet layout, sketching, the convex section solver, and partition-of-unity patching."""
 import inspect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -936,26 +937,69 @@ def test_section_model_reports(circle_model):
 
 # ---- the stacked loss pass against the per-point bodies it replaced ----
 
-def reference_bundle_coordinates(packet, mesh, z, tol=1e-11, max_iters=60):
-    """The per-point alternation that the stacked bundle_coordinates replaced."""
+def _per_point_decomposition(packet, z, chart, v):
+    vmax = 4.0 * packet.tau_bar / 2.0
+    vnorm = math.sqrt(v @ v)
+    if vnorm > vmax + 1e-12:
+        raise DecompositionFailedError(f"fiber offset {vnorm:.4g} exceeds {vmax:.4g}")
+    owner = packet.cylinders[chart.owning_cylinder]
+    return FiberDecomposition(x=owner.to_local(chart.base_point)[:packet.d], v=v,
+                              base_point=chart.base_point.copy(), chart=chart)
+
+
+def _base_point_update(packet, seed, newton_tol):
+    try:
+        return solve_base_point(packet, seed, newton_tol)
+    except BASE_POINT_ERRORS as exc:
+        raise DecompositionFailedError(
+            f"base-point update failed: {type(exc).__name__}: {exc}")
+
+
+def reference_bundle_coordinates(packet, mesh, z, tol=1e-11, max_iters=60, work=None):
+    """The per-point form of the stacked bundle_coordinates: each round after
+    the first seeds at the Anderson(1) step b + t - gamma (db + dt), and a
+    seed whose solve fails is solved again from b + t. A given Counter work
+    counts the base-point solves ("solved") and the re-solves ("fallbacks")."""
+    work = Counter() if work is None else work
+    chart = mesh.charts[int(np.argmin(np.linalg.norm(mesh.base_points - z, axis=1)))]
+    shift_tol = max(tol, 1e-13) * max(1.0, packet.tau_bar)
+    last = None
+    for _ in range(max_iters):
+        v = chart.projector_hi @ (z - chart.base_point)
+        t = (z - chart.base_point) - v
+        if math.sqrt(t @ t) <= shift_tol:
+            return _per_point_decomposition(packet, z, chart, v)
+        base, plain = chart.base_point, chart.base_point + t
+        seed = plain
+        if last is not None:
+            db, dt = base - last[0], t - last[1]
+            gamma = (dt @ t) / (dt @ dt) if dt @ dt > 0 else math.nan
+            if math.isfinite(gamma):
+                seed = plain - gamma * (db + dt)
+        last = (base, t)
+        work["solved"] += 1
+        try:
+            chart = _base_point_update(packet, seed, mesh.tolerance)
+        except DecompositionFailedError:
+            if seed is plain:
+                raise
+            work["solved"] += 1
+            work["fallbacks"] += 1
+            chart = _base_point_update(packet, plain, mesh.tolerance)
+    raise DecompositionFailedError(f"no convergence in {max_iters} alternations")
+
+
+def reference_plain_alternation(packet, mesh, z, tol=1e-11, max_iters=60):
+    """The per-point alternation without the Anderson step: every round
+    seeds at b + t."""
     chart = mesh.charts[int(np.argmin(np.linalg.norm(mesh.base_points - z, axis=1)))]
     shift_tol = max(tol, 1e-13) * max(1.0, packet.tau_bar)
     for _ in range(max_iters):
         v = chart.projector_hi @ (z - chart.base_point)
         t = (z - chart.base_point) - v
         if math.sqrt(t @ t) <= shift_tol:
-            vmax = 4.0 * packet.tau_bar / 2.0
-            vnorm = math.sqrt(v @ v)
-            if vnorm > vmax + 1e-12:
-                raise DecompositionFailedError(f"fiber offset {vnorm:.4g} exceeds {vmax:.4g}")
-            owner = packet.cylinders[chart.owning_cylinder]
-            return FiberDecomposition(x=owner.to_local(chart.base_point)[:packet.d], v=v,
-                                      base_point=chart.base_point.copy(), chart=chart)
-        try:
-            chart = solve_base_point(packet, chart.base_point + t, mesh.tolerance)
-        except BASE_POINT_ERRORS as exc:
-            raise DecompositionFailedError(
-                f"base-point update failed: {type(exc).__name__}: {exc}")
+            return _per_point_decomposition(packet, z, chart, v)
+        chart = _base_point_update(packet, chart.base_point + t, mesh.tolerance)
     raise DecompositionFailedError(f"no convergence in {max_iters} alternations")
 
 
@@ -1095,18 +1139,46 @@ def test_stacked_mfin_distance_matches_the_per_point_body(circle_model, mixed_st
     assert sum(isinstance(out, float) for out in found) == 40
 
 
-def test_an_asymmetric_hessian_fails_only_its_own_row_of_the_loss_pass():
-    # near a cylinder corner of the perturbed disc packet the field's Hessian
-    # is not symmetric to 1e-9; the row that meets it fails alone, and the
-    # loss pass charges it as an out-of-tube point
+def test_accelerated_base_points_are_the_plain_alternations_to_newton_tol(circle_model,
+                                                                         mixed_stack):
+    # the plain alternation run to tol 1e-13 as the limit both converge to
+    packet, mesh, _ = circle_model
+    found = bundle_coordinates(packet, mesh, mixed_stack)
+    kinds = set()
+    for z, got in zip(mixed_stack, found):
+        want = reference_outcome(reference_plain_alternation, packet, mesh, z, 1e-13)
+        assert type(got) is type(want)
+        kinds.add(type(want))
+        if isinstance(want, FiberDecomposition):
+            assert np.abs(got.base_point - want.base_point).max() <= mesh.tolerance == 1e-10
+    assert FiberDecomposition in kinds and DecompositionFailedError in kinds
+
+
+@pytest.fixture(scope="module")
+def disc_model():
+    """The perturbed (default_rng(1)) packet of a 300-point disc, its mesh,
+    and a model loose enough for the disc to fit. The mesh has one more
+    seed, which converges to a chart next to a cylinder corner: the nearest
+    chart of the disc's own seeds is 0.063 from it, and from those charts
+    the first round of none of 200,000 points drawn uniformly over the disc
+    met the corner's asymmetric Hessian."""
     disc, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
     tb = 0.03
     net = greedy_net(disc, tb / 2.0)
     ideal = ideal_packet(disc, pipeline._net_tangents(disc, net, 1, tb), tau=0.3, cbar12=0.1,
                          net=net)
     packet = pipeline._perturb_packet(ideal, np.random.default_rng(1))
-    mesh = extract_putative_manifold(packet, np.vstack([packet.centers, disc.points]))
-    model = fit_sections(packet, mesh, eps_bar=50.0)   # loose enough for the disc to fit
+    corner_seed = np.array([0.3187, -0.1021])
+    mesh = extract_putative_manifold(packet,
+                                     np.vstack([packet.centers, disc.points, corner_seed]))
+    return disc, packet, mesh, fit_sections(packet, mesh, eps_bar=50.0), corner_seed
+
+
+def test_an_asymmetric_hessian_fails_only_its_own_row_of_the_loss_pass(disc_model):
+    # near a cylinder corner of the perturbed disc packet the field's Hessian
+    # is not symmetric to 1e-9; the row that meets it fails alone, and the
+    # loss pass charges it as an out-of-tube point
+    disc, packet, mesh, model, corner_seed = disc_model
     text = "hessian is not symmetric to 1e-9"
     rows = disc.points[:60]
     # the section pass solves from the base point itself
@@ -1118,14 +1190,51 @@ def test_an_asymmetric_hessian_fails_only_its_own_row_of_the_loss_pass():
             assert got.point.tobytes() == want.point.tobytes()
         else:
             assert str(got) == str(want)
-    # this point's alternating projection updates its base point onto it
-    found = mfin_distance(model, np.vstack([rows, [0.3238550643322053, -0.10623488147081984]]))
+    # the first round, which is never extrapolated, seeds a point at its
+    # start chart plus its tangential residual: along the tangent line of the
+    # chart next to the corner, 0.005 off it along the fiber, the first
+    # point whose first round meets the asymmetric Hessian
+    chart = mesh.chart(int(np.argmin(np.linalg.norm(mesh.base_points - corner_seed, axis=1))))
+    line = (chart.base_point + 0.005 * chart.fiber_basis[0]
+            + np.linspace(-0.02, 0.02, 4001)[:, None] * chart.tangent_basis[0])
+    first = bundle_coordinates(packet, mesh, line, max_iters=1)
+    point = next(z for z, out in zip(line, first) if str(out).endswith(text))
+    found = mfin_distance(model, np.vstack([rows, point]))
     assert type(found[-1]) is OutOfTubeError
     assert str(found[-1]) == ("DecompositionFailedError: base-point update failed: "
                               f"InvalidParameterError: {text}")
     alone = mfin_distance(model, rows)
     assert [str(out) for out in found[:-1]] == [str(out) for out in alone]
     assert sum(isinstance(out, float) for out in alone) > 30
+
+
+def test_a_row_whose_extrapolated_seed_fails_solves_again_from_the_plain_seed(disc_model):
+    disc, packet, mesh, _, _ = disc_model
+    found = bundle_coordinates(packet, mesh, disc.points)
+    work = Counter()
+    kinds = set()
+    for z, got in zip(disc.points, found):
+        want = reference_outcome(reference_bundle_coordinates, packet, mesh, z, 1e-11, 60, work)
+        assert_same_kind(got, want)
+        kinds.add(str(want).split(" ", 1)[0] if isinstance(want, Exception) else "decomposed")
+        if isinstance(want, FiberDecomposition):
+            np.testing.assert_allclose(got.base_point, want.base_point, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.v, want.v, rtol=0, atol=1e-12)
+    assert work["fallbacks"] > 0 and {"decomposed", "base-point", "no"} <= kinds
+    # the re-solves count among the rows solved
+    assert found.counts["solved"] == work["solved"]
+
+
+def test_the_loss_pass_out_of_tube_causes_on_the_disc(disc_model):
+    disc, packet, mesh, model, _ = disc_model
+    decomps = bundle_coordinates(packet, mesh, disc.points)
+    found = mfin_distance(model, disc.points)
+    causes = Counter(pipeline._tube_cause(out) for out in found
+                     if isinstance(out, OutOfTubeError))
+    assert set(causes) <= set(pipeline.TUBE_CAUSES)
+    # each alternation that reached max_iters is one "cap" row
+    assert causes["cap"] == sum(str(out).startswith("no convergence") for out in decomps) > 0
+    assert causes["base_point"] >= sum(str(out).startswith("base-point") for out in decomps) > 0
 
 
 def test_stacked_mfin_distance_on_padded_sections(sphere_model):
