@@ -9,10 +9,11 @@ putative manifold mesh.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -244,22 +245,60 @@ class _StoredCylinders(Sequence):
                         tangent_dim=p.d)
 
 
-def _member_pairs(packet: CylinderPacket, points: np.ndarray, factor: float = 2.0,
+def _member_pairs(packet: CylinderPacket | _PacketStack, points: np.ndarray, factor: float = 2.0,
                   slack: float = MEMBERSHIP_SLACK):
     """(point row, cylinder, local coordinates) of each pair whose dilated
     cylinder holds the point, by row, then cylinder. A member is within lim
-    tangentially and normally, so within 2 lim^2 squared of its center."""
+    tangentially and normally, so within 2 lim^2 squared of its center: a
+    dense (points, cylinders) prefilter. For a _PacketStack a row's pairs run
+    over its own packet's cylinders only, numbered as in the stack, and the
+    prefilter runs per packet over that packet's rows."""
     lim = factor * packet.tau_bar + slack
-    sq = points @ packet.centers.T   # one (P, K) array, updated in place
-    sq *= -2.0
-    sq += (points * points).sum(1)[:, None]
-    sq += packet.center_sq
-    pi, ki = np.nonzero(sq <= 2.0 * lim * lim * (1.0 + 1e-6) + 1e-12)
+    bound = 2.0 * lim * lim * (1.0 + 1e-6) + 1e-12
+    stacked = isinstance(packet, _PacketStack)
+    pairs = []
+    for g, (part, first) in enumerate(zip(packet.packets, packet.first) if stacked
+                                      else [(packet, 0)]):
+        rows = np.flatnonzero(packet.group == g) if stacked else np.arange(points.shape[0])
+        pts = points[rows]
+        sq = pts @ part.centers.T   # one (P, K) array, updated in place
+        sq *= -2.0
+        sq += (pts * pts).sum(1)[:, None]
+        sq += part.center_sq
+        pi, ki = np.divmod(np.flatnonzero(sq <= bound), part.size)
+        del sq   # one (P, K) array at a time
+        pairs.append((rows[pi], ki + first))
+    pi, ki = (np.concatenate(a) for a in zip(*pairs))
+    if stacked:   # each packet's pairs are by row, then cylinder: merge them by row
+        order = np.argsort(pi, kind="stable")
+        pi, ki = pi[order], ki[order]
     w = np.einsum("kji,kj->ki", packet.rotations[ki], points[pi] - packet.centers[ki])
     tan, nor = w[:, :packet.d], w[:, packet.d:]
     inside = np.nonzero((np.sqrt((tan * tan).sum(1)) <= lim)
                         & (np.sqrt((nor * nor).sum(1)) <= lim))[0]
     return pi[inside], ki[inside], w[inside]
+
+
+class _PacketStack:
+    """Packets that share tau_bar, d and n, taken by the field kernel as one
+    packet: point row i belongs to packet group[i], and its field runs over
+    that packet's cylinders only. The stack numbers the cylinders through
+    the packets in order, packet g's from first[g] on."""
+
+    def __init__(self, packets: Sequence[CylinderPacket], group: np.ndarray):
+        p = packets[0]
+        if any((q.tau_bar, q.d, q.n) != (p.tau_bar, p.d, p.n) for q in packets):
+            raise InvalidParameterError("stacked packets must share tau_bar, d and n")
+        self.packets, self.group = tuple(packets), group
+        self.tau_bar, self.d, self.n = p.tau_bar, p.d, p.n
+        self.first = np.cumsum([0] + [q.size for q in packets[:-1]])
+        self.centers = np.concatenate([q.centers for q in packets])
+        self.rotations = np.concatenate([q.rotations for q in packets])
+
+    def take(self, rows) -> _PacketStack:   # the stack for the points at these rows
+        stack = copy.copy(self)
+        stack.group = self.group[rows]
+        return stack
 
 
 def packet_to_json(packet: CylinderPacket) -> str:
@@ -463,14 +502,15 @@ def _field_error(status: int) -> Exception:
     return DegenerateCoverError("all bump weights vanish at the query point")
 
 
-def _asdf_terms(packet: CylinderPacket, points: np.ndarray, order: int):
+def _asdf_terms(packet: CylinderPacket | _PacketStack, points: np.ndarray, order: int):
     """Field at the rows of points (P, n); order is 0 (value) or 2 (with derivatives).
 
     F = sum_k theta_k phi_k / sum_k theta_k over each point's member cylinders
     k at factor 2 (_member_pairs). Sums run over each point's own member
     run, so no row depends on another. Returns value, grad, hess (None for
-    order 0), owner (the member of largest bump weight, the first of equals)
-    and status (0, or the _field_error code of the row).
+    order 0), owner (the member of largest bump weight, the first of equals,
+    numbered within the row's own packet for a _PacketStack) and status (0,
+    or the _field_error code of the row).
     """
     d = packet.d
     two_tb = 2.0 * packet.tau_bar
@@ -492,6 +532,8 @@ def _asdf_terms(packet: CylinderPacket, points: np.ndarray, order: int):
     b_val = np.where(b_val > 0.0, b_val, 1.0)   # the rows of status 2 are discarded
     value[rows] = np.add.reduceat(phi * theta, starts) / b_val
     owner[rows] = ki[np.lexsort((-theta, pi))[starts]]   # stable: the first of equals
+    if isinstance(packet, _PacketStack):   # numbered within the row's own packet
+        owner[rows] -= packet.first[packet.group[rows]]
     if order < 2:
         return value, grad, hess, owner, status
 
@@ -621,16 +663,18 @@ class BundleChart:
                           self.fiber_basis.shape[0])
 
     @classmethod
-    def _checked_stack(cls, fields: Sequence[dict]) -> list[BundleChart]:
-        """Charts from the field values of a stacked solve, their projectors
+    def _checked_stack(cls, base_points, projectors, fibers, owners, residuals,
+                       eigenvalues) -> list[BundleChart]:
+        """Charts from stacked field arrays, a row per chart, their projectors
         checked once, as one stack, not chart by chart."""
-        if fields:
-            _check_projectors(np.stack([f["projector_hi"] for f in fields]),
-                              fields[0]["fiber_basis"].shape[0])
+        if len(projectors):
+            _check_projectors(projectors, fibers.shape[1])
         charts = []
-        for f in fields:
+        for b, p, f, o, r, e in zip(base_points, projectors, fibers, owners.tolist(),
+                                    residuals.tolist(), eigenvalues.tolist()):
             chart = object.__new__(cls)
-            chart.__dict__.update(f)
+            chart.__dict__.update(base_point=b, projector_hi=p, fiber_basis=f,
+                                  owning_cylinder=o, residual=r, eigenvalues=tuple(e))
             charts.append(chart)
         return charts
 
@@ -685,8 +729,8 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x, singular
 
 
-def solve_base_point(packet: CylinderPacket, z0, newton_tol: float = 1e-10,
-                     max_steps: int = 60,
+def solve_base_point(packet: CylinderPacket | Sequence[CylinderPacket], z0,
+                     newton_tol: float = 1e-10, max_steps: int = 60,
                      constants: BundleConstants = DEFAULT_CONSTANTS):
     """Damped Newton for a zero of Pi_hi grad F along the current fiber.
 
@@ -696,30 +740,51 @@ def solve_base_point(packet: CylinderPacket, z0, newton_tol: float = 1e-10,
     z0 of shape (n,) returns its BundleChart or raises. z0 of shape (m, n)
     returns a RowOutcomes tuple of m outcomes, each a BundleChart or the
     BASE_POINT_ERRORS instance that ended the row (InvalidParameterError
-    for a row whose Hessian is not symmetric to 1e-9), with counts["evaluations"]
-    the field evaluations of a halving search: each row's first point and,
-    per step, its trials up to and including the accepted one (all 21 when
-    none is). The trials the stacked ladder computes past a row's accepted
-    one are not counted. The rows are solved in one masked loop (each row
-    keeps its own iterate and step count), and a row's outcome does not
-    depend on the other rows.
+    for a row whose Hessian is not symmetric to 1e-9), with counts
+    "evaluations" (the field evaluations of a halving search: each row's
+    first point and, per step, its trials up to and including the accepted
+    one, all 21 when none is; the trials the stacked ladder computes past a
+    row's accepted one are not counted), "steps" (the Newton steps of the
+    slowest row) and "capped" (the rows stopped at max_steps). The rows are
+    solved in one masked loop (each row keeps its own iterate and step
+    count), and a row's outcome does not depend on the other rows.
+
+    packet may also be a sequence of packets that share tau_bar, d and n,
+    and z0 one (m_g, n) array per packet: their rows are solved in that one
+    loop, each over its own packet's cylinders only. The call then returns
+    an iterator over each packet's RowOutcomes, equal to its lone call, and
+    builds a packet's charts only when it reaches the packet.
     """
-    z0 = np.asarray(z0, dtype=np.float64)
-    if z0.shape[-1:] != (packet.n,) or z0.ndim not in (1, 2):
-        raise InvalidParameterError(
-            f"point of shape {z0.shape} does not match ambient dim {packet.n}")
-    if z0.ndim == 1:
-        return first_or_raise(_newton(packet, z0[None, :], newton_tol, max_steps, constants))
-    return _newton(packet, z0, newton_tol, max_steps, constants)
+    lone = isinstance(packet, CylinderPacket)
+    packets, z0 = ((packet,), [z0]) if lone else (tuple(packet), list(z0))
+    if not packets or len(packets) != len(z0):
+        raise InvalidParameterError("need one point array per packet")
+    for g, p in enumerate(packets):
+        z = z0[g] = np.asarray(z0[g], dtype=np.float64)
+        if z.shape[-1:] != (p.n,) or z.ndim not in ((1, 2) if lone else (2,)):
+            raise InvalidParameterError(
+                f"point of shape {z.shape} does not match ambient dim {p.n}")
+    one = lone and z0[0].ndim == 1
+    solved = _newton(packets, [z0[0][None, :]] if one else z0, newton_tol, max_steps, constants)
+    if not lone:
+        return solved
+    outcomes = next(solved)
+    return first_or_raise(outcomes) if one else outcomes
 
 
-def _newton(packet, z0, newton_tol, max_steps, constants) -> RowOutcomes:
+def _newton(packets, z0, newton_tol, max_steps, constants) -> Iterator[RowOutcomes]:
+    sizes = [z.shape[0] for z in z0]
+    group = np.repeat(np.arange(len(packets)), sizes)
+    packet = packets[0] if len(packets) == 1 else _PacketStack(packets, group)
     codim = packet.n - packet.d
-    z = z0.copy()
+    z = np.concatenate(z0)
     _, grad, hess, owner, status = _asdf_terms(packet, z, order=2)
-    evaluations = z.shape[0]
+    evaluations = np.ones(z.shape[0], dtype=np.int64)   # per row
+    steps = np.zeros(z.shape[0], dtype=np.int64)
     outcomes = [_field_error(s) if s else None for s in status]
-    converged: dict = {}   # row -> the fields of its chart
+    done = np.zeros(z.shape[0], dtype=bool)   # a converged row's chart: z, owner and these
+    fibers, residual, spectra = (np.empty((z.shape[0],) + shape)
+                                 for shape in ((codim, packet.n), (), (packet.n,)))
     active = np.nonzero(status == 0)[0]
     for _ in range(max_steps):
         if not active.size:
@@ -737,12 +802,9 @@ def _newton(packet, z0, newton_tol, max_steps, constants) -> RowOutcomes:
         for i in np.nonzero(narrow)[0]:
             outcomes[active[i]] = InsufficientGapError(
                 f"spectral gap {gap[i]:.6g} below tolerance {constants.gap_tol:.6g}")
-        for i in np.nonzero(~narrow & (rnorm <= newton_tol))[0]:
-            r, fib = active[i], fiber[i].copy()
-            converged[r] = dict(
-                base_point=z[r].copy(), projector_hi=fib.T @ fib, fiber_basis=fib,
-                owning_cylinder=int(owner[r]), residual=float(rnorm[i]),
-                eigenvalues=tuple(evals[i].tolist()))
+        ok = ~narrow & (rnorm <= newton_tol)
+        at = active[ok]
+        done[at], fibers[at], residual[at], spectra[at] = True, fiber[ok], rnorm[ok], evals[ok]
         going = ~narrow & (rnorm > newton_tol)
         active, h, fiber, resid, rnorm = (a[going] for a in (active, h, fiber, resid, rnorm))
         if not active.size:
@@ -754,9 +816,9 @@ def _newton(packet, z0, newton_tol, max_steps, constants) -> RowOutcomes:
                 outcomes[r] = NoConvergenceError("singular fiber Hessian in the Newton step")
             active, fiber, rnorm, delta = (a[~singular] for a in (active, fiber, rnorm, delta))
         step = np.matmul(fiber.transpose(0, 2, 1), delta[:, :, None])[:, :, 0]
-        pending, exits, counted = _damped_steps(packet, active, z, grad, hess, owner,
-                                                step, fiber, rnorm)
-        evaluations += counted
+        steps[active] += 1
+        pending, exits = _damped_steps(packet, active, z, grad, hess, owner, step, fiber,
+                                       rnorm, evaluations)
         for i, exited in zip(pending, exits):
             outcomes[active[i]] = (
                 EscapedDomainError("every damped step left the packet domain")
@@ -766,9 +828,20 @@ def _newton(packet, z0, newton_tol, max_steps, constants) -> RowOutcomes:
             active = np.delete(active, pending)
     for r in active:
         outcomes[r] = NoConvergenceError(f"no convergence in {max_steps} Newton steps")
-    for r, chart in zip(converged, BundleChart._checked_stack(list(converged.values()))):
-        outcomes[r] = chart
-    return RowOutcomes(outcomes, evaluations=evaluations)
+    capped = np.bincount(group[active], minlength=len(packets))
+
+    def packet_outcomes(g, lo, hi):   # packet g's rows lo:hi, its charts built only now
+        mine, rows = outcomes[lo:hi], np.flatnonzero(done[lo:hi]) + lo
+        fib = fibers[rows]
+        charts = BundleChart._checked_stack(z[rows], np.matmul(fib.transpose(0, 2, 1), fib),
+                                            fib, owner[rows], residual[rows], spectra[rows])
+        for r, chart in zip(rows.tolist(), charts):
+            mine[r - lo] = chart
+        return RowOutcomes(mine, evaluations=int(evaluations[lo:hi].sum()),
+                           steps=int(steps[lo:hi].max(initial=0)), capped=int(capped[g]))
+
+    ends = np.cumsum(sizes)
+    return (packet_outcomes(g, lo, hi) for g, (lo, hi) in enumerate(zip(ends - sizes, ends)))
 
 
 # a damped step tries lambda = 1, 1/2, ..., 2^-20
@@ -777,7 +850,7 @@ _TRIALS = 21
 _TRIAL_CHUNK = 1 << 12
 
 
-def _damped_steps(packet, active, z, grad, hess, owner, step, fiber, rnorm):
+def _damped_steps(packet, active, z, grad, hess, owner, step, fiber, rnorm, evaluations):
     """One damped step of each active row: the row moves to its first trial
     z + lambda step, lambda = 1, 1/2, ..., 2^-20, whose fixed-frame residual
     |fiber grad F| is below rnorm, and z, grad, hess, owner take that
@@ -788,13 +861,14 @@ def _damped_steps(packet, active, z, grad, hess, owner, step, fiber, rnorm):
     calls of at most _TRIAL_CHUNK points. lambda = 2^-k is exact, so every
     trial point, and with it every row's outcome, is bit-equal to a halving
     loop's. Returns the positions (into active) of the rows no trial
-    served, their domain exits among the 21 trials, and the trials up to
-    and including each row's accepted one (all 21 for a row not served):
-    the kernel rows a halving loop would have evaluated.
+    served and their domain exits among the 21 trials; adds to each row's
+    evaluations its trials up to and including its accepted one (all 21
+    for a row not served): the kernel rows a halving loop would have
+    evaluated.
     """
     left = np.arange(active.size)
     exits = np.zeros(active.size, dtype=np.int64)
-    counted = 0
+    stacked = isinstance(packet, _PacketStack)
     for lam in (np.ones(1), np.ldexp(1.0, -np.arange(1, _TRIALS))):
         per_call = max(1, _TRIAL_CHUNK // lam.size)
         served = np.zeros(left.size, dtype=bool)
@@ -803,7 +877,8 @@ def _damped_steps(packet, active, z, grad, hess, owner, step, fiber, rnorm):
             rows = active[part]
             cand = (z[rows][:, None, :] + lam[:, None] * step[part][:, None, :]
                     ).reshape(-1, z.shape[1])
-            _, g2, h2, o2, s2 = _asdf_terms(packet, cand, order=2)
+            trials = packet.take(np.repeat(rows, lam.size)) if stacked else packet
+            _, g2, h2, o2, s2 = _asdf_terms(trials, cand, order=2)
             r2 = np.matmul(np.repeat(fiber[part], lam.size, axis=0), g2[:, :, None])
             lower = ((s2 == 0) & (np.sqrt((r2 * r2).sum((1, 2)))
                                   < np.repeat(rnorm[part], lam.size))).reshape(part.size, -1)
@@ -812,11 +887,11 @@ def _damped_steps(packet, active, z, grad, hess, owner, step, fiber, rnorm):
             pick = np.flatnonzero(hit) * lam.size + first[hit]
             won = rows[hit]
             z[won], grad[won], hess[won], owner[won] = cand[pick], g2[pick], h2[pick], o2[pick]
-            counted += int(np.where(hit, first + 1, lam.size).sum())
+            evaluations[rows] += np.where(hit, first + 1, lam.size)
             exits[part] += np.where(hit, 0, (s2 != 0).reshape(part.size, -1).sum(axis=1))
             served[lo:lo + part.size] = hit
         left = left[~served]
-    return left, exits[left], counted
+    return left, exits[left]
 
 
 class PutativeMesh:
@@ -856,24 +931,31 @@ class PutativeMesh:
     def size(self) -> int:
         return self.base_points.shape[0]
 
-    def _fields(self, i: int) -> dict:
-        return dict(base_point=self.base_points[i], projector_hi=self.projectors[i],
-                    fiber_basis=self._fibers[i], owning_cylinder=int(self._owners[i]),
-                    residual=float(self._residuals[i]),
-                    eigenvalues=tuple(self._eigenvalues[i].tolist()))
+    def _charts(self, rows) -> list[BundleChart]:
+        return BundleChart._checked_stack(*(a[rows] for a in (
+            self.base_points, self.projectors, self._fibers, self._owners, self._residuals,
+            self._eigenvalues)))
 
     def chart(self, i: int) -> BundleChart:
-        return BundleChart(**self._fields(i))
+        return self._charts([i])[0]
 
     @property
     def charts(self) -> tuple[BundleChart, ...]:
-        return tuple(BundleChart._checked_stack([self._fields(i) for i in range(self.size)]))
+        return tuple(self._charts(slice(None)))
 
 
-def extract_putative_manifold(packet: CylinderPacket, seeds,
-                              newton_tol: float = 1e-10,
-                              dedup_fraction: float = 0.01,
-                              constants: BundleConstants = DEFAULT_CONSTANTS) -> PutativeMesh:
+class MeshOutcomes(RowOutcomes):
+    """Per packet of a stacked extraction, its PutativeMesh or EmptyMeshError;
+    `charts` holds every mesh's charts, in packet order."""
+
+    @property
+    def charts(self) -> tuple[BundleChart, ...]:
+        return tuple(c for mesh in self if isinstance(mesh, PutativeMesh) for c in mesh.charts)
+
+
+def extract_putative_manifold(packet: CylinderPacket | Sequence[CylinderPacket], seeds,
+                              newton_tol: float = 1e-10, dedup_fraction: float = 0.01,
+                              constants: BundleConstants = DEFAULT_CONSTANTS):
     """Run the base-point solver from every seed and deduplicate the results.
 
     The distinct seed rows, in order of first appearance, are solved in one
@@ -881,35 +963,44 @@ def extract_putative_manifold(packet: CylinderPacket, seeds,
     kind and text) in seed order. Base points closer than
     tau_bar * dedup_fraction are merged by a sequential pass over the
     lexicographically sorted points. mesh.newton counts the seeds, the
-    distinct rows solved and the field evaluations of their halving search
-    (solve_base_point's counts["evaluations"]).
+    distinct rows solved, and solve_base_point's counts of them: the field
+    evaluations of their halving search, the Newton steps of the slowest
+    row and the rows capped at its step limit.
+
+    packet may also be a sequence of packets, and seeds one seed array per
+    packet: one stacked solve_base_point call then solves every packet's
+    rows, and the call returns a MeshOutcomes tuple of their lone results.
     """
-    seeds = np.asarray(seeds, dtype=np.float64)
-    if seeds.ndim != 2 or seeds.shape[0] == 0:
+    lone = isinstance(packet, CylinderPacket)
+    packets, seeds = ((packet,), (seeds,)) if lone else (tuple(packet), tuple(seeds))
+    seeds = [np.asarray(s, dtype=np.float64) for s in seeds]
+    if not seeds or any(s.ndim != 2 or s.shape[0] == 0 for s in seeds):
         raise EmptyInputError("need a nonempty (m, n) array of seeds")
-    slots: dict[bytes, int] = {}
-    slot = np.array([slots.setdefault(seed.tobytes(), len(slots)) for seed in seeds])
-    rows = seeds[np.unique(slot, return_index=True)[1]]
-    solved = solve_base_point(packet, rows, newton_tol, constants=constants)
-    charts = []
-    failures = []
-    for s, j in enumerate(slot):
-        out = solved[j]
-        if isinstance(out, BundleChart):
-            charts.append(out)
+    slots, rows = [], []
+    for s in seeds:
+        first: dict[bytes, int] = {}
+        slots.append(np.array([first.setdefault(seed.tobytes(), len(first)) for seed in s]))
+        rows.append(s[np.unique(slots[-1], return_index=True)[1]])
+    solved = (iter([solve_base_point(packet, rows[0], newton_tol, constants=constants)])
+              if lone else solve_base_point(packets, rows, newton_tol, constants=constants))
+    meshes = []
+    for p, slot, distinct, outs in zip(packets, slots, rows, solved):
+        charts = [outs[j] for j in slot if isinstance(outs[j], BundleChart)]
+        failures = [(s, f"{type(outs[j]).__name__}: {outs[j]}") for s, j in enumerate(slot)
+                    if not isinstance(outs[j], BundleChart)]
+        if charts:
+            kept = lexsort_dedup(np.stack([c.base_point for c in charts]),
+                                 p.tau_bar * dedup_fraction)
+            meshes.append(PutativeMesh(
+                charts=tuple(charts[i] for i in kept), tolerance=newton_tol, packet=p,
+                failures=tuple(failures),
+                newton={"seeds": len(slot), "solved": len(distinct), **outs.counts}))
         else:
-            failures.append((s, f"{type(out).__name__}: {out}"))
-    if not charts:
-        raise EmptyMeshError(
-            f"no seed converged ({len(failures)} failures, "
-            f"first: {failures[0][1] if failures else 'none'})")
-    kept = lexsort_dedup(np.stack([c.base_point for c in charts]),
-                         packet.tau_bar * dedup_fraction)
-    return PutativeMesh(charts=tuple(charts[i] for i in kept),
-                        tolerance=newton_tol, packet=packet,
-                        failures=tuple(failures),
-                        newton={"seeds": len(seeds), "solved": len(rows),
-                                "evaluations": solved.counts["evaluations"]})
+            meshes.append(EmptyMeshError(
+                f"no seed converged ({len(failures)} failures, first: {failures[0][1]})"))
+        outs = charts = None   # the mesh holds its charts as arrays: free the objects
+    meshes = MeshOutcomes(meshes)
+    return first_or_raise(meshes) if lone else meshes
 
 
 # ---- bundle coordinates ----

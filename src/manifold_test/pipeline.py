@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -310,15 +310,16 @@ class PacketCandidate:
     loss: float               # +inf when the packet failed
     reason: str | None
     packet_failures: dict[str, int] | None   # failures by condition, once validated
-    mesh_size: int
-    empty_sections: int
-    out_of_tube: int
-    out_of_tube_causes: dict[str, int]   # out-of-tube points by cause, TUBE_CAUSES
-    seed_failures: dict[str, int]   # failed mesh seeds by error kind
-    section_paths: dict[str, int]   # section fits by solver path
-    mesh_newton: dict[str, int]     # seeds, distinct rows solved, field rows evaluated
-    projection_stops: dict[str, int]   # section-fit Dykstra projections by stop reason
-    loss_newton: dict[str, int]     # points, alternation rounds, rows solved, field rows
+    mesh_size: int = 0
+    empty_sections: int = 0
+    out_of_tube: int = 0
+    out_of_tube_causes: dict[str, int] = field(default_factory=dict)   # by cause, TUBE_CAUSES
+    seed_failures: dict[str, int] = field(default_factory=dict)   # failed seeds by error kind
+    section_paths: dict[str, int] = field(default_factory=dict)   # section fits by solver path
+    # seeds, distinct rows solved, field rows evaluated, slowest row's steps, capped rows
+    mesh_newton: dict[str, int] = field(default_factory=dict)
+    projection_stops: dict[str, int] = field(default_factory=dict)   # projections by stop
+    loss_newton: dict[str, int] = field(default_factory=dict)   # points, rounds, rows, field rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,6 +409,9 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
     fails or exceeds the threshold. The certificate records the sample size
     N next to sample_complexity(BoundParams(d, V, tau, eps, delta, C)), the
     size the loss guarantee asks for; neither changes the verdict.
+
+    Stages: build and validate every packet; one stacked extraction of the
+    meshes of the packets that got through; sections and loss per packet.
     """
     if cloud.size == 0:
         raise EmptyInputError("cannot test an empty sample")
@@ -423,14 +427,11 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
     rnet = full_net[:config.cylinder_cap]
     tangents = _net_tangents(rcloud, rnet, config.d, tb)
 
-    candidates: list[PacketCandidate] = []
-    best: tuple[float, int] | None = None
-    best_model: SectionModel | None = None
+    # build and validate every packet; a packet that raised keeps its error
+    staged = []   # (index, packet or error, packet failures once validated)
     base_packet: CylinderPacket | None = None
     for index in range(config.packet_budget):
-        kind = "ideal" if index == 0 else "perturbed"
-        seed_failures, mesh_newton = {}, {}   # set once the mesh exists
-        packet_failures = None                 # set once the packet is validated
+        packet_failures = None
         try:
             if index == 0:
                 packet = ideal_packet(rcloud, tangents, config.tau, config.cbar12, net=rnet)
@@ -441,20 +442,44 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 rng = np.random.default_rng(_packet_seed(config.seed, index))
                 packet = _perturb_packet(base_packet, rng)
             packet_failures = validate_packet(packet).failure_counts
-            seeds = np.vstack([packet.centers, rcloud.points])
-            mesh = extract_putative_manifold(packet, seeds, config.newton_tol)
+        except ManifoldTestError as exc:
+            packet = exc
+        staged.append((index, packet, packet_failures))
+    # one stacked mesh extraction for every packet that got through
+    ready = {index: p for index, p, _ in staged if isinstance(p, CylinderPacket)}
+    meshes: dict = {}
+    if ready:
+        try:
+            found = extract_putative_manifold(
+                list(ready.values()), [np.vstack([p.centers, rcloud.points])
+                                       for p in ready.values()], config.newton_tol)
+        except ManifoldTestError as exc:   # an error of the whole stack is every packet's
+            found = [exc] * len(ready)
+        meshes = dict(zip(ready, found))
+    # then the sections and the loss, packet by packet
+    candidates: list[PacketCandidate] = []
+    best: tuple[float, int] | None = None
+    best_model: SectionModel | None = None
+    for index, packet, packet_failures in staged:
+        kind = "ideal" if index == 0 else "perturbed"
+        seed_failures, mesh_newton = {}, {}   # set once the mesh exists
+        try:
+            mesh = meshes.get(index, packet)   # the packet's error when it has no mesh
+            if isinstance(mesh, ManifoldTestError):
+                raise mesh
             kinds = Counter(text.split(":", 1)[0] for _, text in mesh.failures)
             seed_failures = dict(sorted(kinds.items()))
             mesh_newton = dict(mesh.newton)
             model = fit_sections(packet, mesh, config.eps_bar,
                                  budget=config.solver_budget)
             loss, tube, loss_newton = _packet_loss(model, reduced, config)
-            paths = Counter(p for s in model.sections for p in s.solver_paths)
-            stops = Counter(p for s in model.sections for p in s.projection_stops)
+            table = model.section_table
+            paths = Counter(p for labels in table.solver_paths for p in labels)
+            stops = Counter(p for labels in table.projection_stops for p in labels)
             candidates.append(PacketCandidate(
                 index=index, kind=kind, loss=loss, reason=None,
                 packet_failures=packet_failures, mesh_size=mesh.size,
-                empty_sections=sum(1 for s in model.sections if s.is_empty),
+                empty_sections=int(table.empty.sum()),
                 out_of_tube=sum(tube.values()), out_of_tube_causes=tube,
                 seed_failures=seed_failures,
                 section_paths=dict(sorted(paths.items())), mesh_newton=mesh_newton,
@@ -466,9 +491,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             candidates.append(PacketCandidate(
                 index=index, kind=kind, loss=math.inf,
                 reason=f"{type(exc).__name__}: {exc}", packet_failures=packet_failures,
-                mesh_size=0, empty_sections=0, out_of_tube=0, out_of_tube_causes={},
-                seed_failures=seed_failures, section_paths={},
-                mesh_newton=mesh_newton, projection_stops={}, loss_newton={}))
+                seed_failures=seed_failures, mesh_newton=mesh_newton))
     best_loss = best[0] if best is not None else math.inf
     case = "one" if best_loss <= config.threshold else "two"
     estimate = budget_estimate(config, cloud.ambient_dim)

@@ -397,12 +397,14 @@ def test_case_two_candidates_keep_their_reasons_and_counts(ball_result):
         {"reason": "InfeasibleSectionError: cylinder 193 component 0 cannot certify: "
                    "objective lower bound 0.573488 exceeds eps_bar 0.5",
          "seed_failures": {"InsufficientGapError": 2},
-         "mesh_newton": {"seeds": 593, "solved": 300, "evaluations": 1332},
+         "mesh_newton": {"seeds": 593, "solved": 300, "evaluations": 1332, "steps": 58,
+                         "capped": 0},
          "packet_failures": {"angle": 720, "rotation": 0, "offset": 0, "coverage": 184}},
         {"reason": "InfeasibleSectionError: cylinder 195 component 0 cannot certify: "
                    "objective lower bound 0.523525 exceeds eps_bar 0.5",
          "seed_failures": {"InsufficientGapError": 11, "NoConvergenceError": 22},
-         "mesh_newton": {"seeds": 593, "solved": 593, "evaluations": 6429},
+         "mesh_newton": {"seeds": 593, "solved": 593, "evaluations": 6429, "steps": 60,
+                         "capped": 3},
          "packet_failures": {"angle": 792, "rotation": 0, "offset": 0, "coverage": 199}},
     ]
     assert verdict.best_loss == math.inf and verdict.model is None

@@ -8,6 +8,7 @@ from test_core_geometry import reference_frame
 from test_pipeline import reference_perturb_packet
 
 import manifold_test.asdf_bundle as asdf_bundle
+import manifold_test.pipeline as pipeline
 from manifold_test.asdf_bundle import (
     BASE_POINT_ERRORS,
     DEFAULT_CONSTANTS,
@@ -43,13 +44,20 @@ from manifold_test.errors import (
     DecompositionFailedError,
     DegenerateCoverError,
     EmptyInputError,
+    EmptyMeshError,
     EscapedDomainError,
     InsufficientGapError,
     InvalidParameterError,
     NoConvergenceError,
     OutOfDomainError,
 )
-from manifold_test.pipeline import _net_tangents, _perturb_packet, generate_synthetic
+from manifold_test.pipeline import (
+    TestConfig,
+    _net_tangents,
+    _perturb_packet,
+    generate_synthetic,
+    run_test,
+)
 
 FD_STEP = 4e-6
 
@@ -832,19 +840,94 @@ def test_mesh_counts_the_newton_work_of_the_reference_loop(newton_cases):
         reference_outcome(packet, z, counter)
     mesh = extract_putative_manifold(packet, seeds)
     assert mesh.newton == {"seeds": len(seeds), "solved": len(rows),
-                           "evaluations": counter[0]}
+                           "evaluations": counter[0], "steps": 37, "capped": 0}
     assert counter[0] > 3 * len(rows)
+
+
+# ---- every packet's mesh in one stacked extraction ----
+
+@pytest.fixture(scope="module")
+def searched_packets():
+    """(name, packets, seeds) that run_test hands its one stacked extraction,
+    on the samples and configs of the circle-search and ball-reject
+    benchmark workloads."""
+    runs = (("circle-search",
+             dict(kind="sphere", n=2, size=120, noise=0.003, radius=0.5, even=True, seed=3),
+             TestConfig(d=1, V=7.0, tau=0.3, eps=3.6e-5, delta=0.1, packet_budget=2)),
+            ("ball-reject", dict(kind="uniform_ball", n=2, size=300, seed=5),
+             TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1, packet_budget=3)))
+    cases, extract = [], pipeline.extract_putative_manifold
+    with pytest.MonkeyPatch.context() as mp:
+        for name, sample, config in runs:
+            seen = []
+            mp.setattr(pipeline, "extract_putative_manifold",
+                       lambda packets, seeds, *a: seen.append((packets, seeds))
+                       or extract(packets, seeds, *a))
+            run_test(generate_synthetic(**sample)[0], config)
+            ((packets, seeds),) = seen
+            assert len(packets) == config.packet_budget
+            cases.append((name, packets, seeds))
+    return cases
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["in-order", "reversed"])
+def test_a_stacked_extraction_equals_each_lone_extraction(searched_packets, reverse):
+    for name, packets, seeds in searched_packets:
+        # one more packet, whose seeds all leave the domain
+        packets = [*packets, packets[0]]
+        seeds = [*seeds, np.array([[3.0, 3.0], [-3.0, 0.5], [3.0, 3.0]])]
+        if reverse:
+            packets, seeds = packets[::-1], seeds[::-1]
+        stacked = extract_putative_manifold(packets, seeds)
+        assert len(stacked) == len(packets)
+        empty = 0
+        for packet, rows, got in zip(packets, seeds, stacked):
+            try:
+                want = extract_putative_manifold(packet, rows)
+            except EmptyMeshError as exc:
+                assert type(got) is EmptyMeshError and str(got) == str(exc), name
+                empty += 1
+                continue
+            assert got.packet is packet and got.newton == want.newton, name
+            assert got.failures == want.failures and got.size == want.size, name
+            for a, b in zip(got.charts, want.charts, strict=True):
+                assert_same_chart(a, b)
+        assert empty == 1
+        assert len(stacked.charts) == sum(m.size for m in stacked if isinstance(m, PutativeMesh))
+
+
+def test_member_pairs_of_a_mixed_stack_are_each_packets_lone_pairs(searched_packets):
+    _name, packets, seeds = searched_packets[1]
+    rng = np.random.default_rng(0)
+    group = np.repeat(np.arange(len(packets)), [len(s) for s in seeds])
+    order = rng.permutation(group.size)   # the packets' rows interleaved
+    points, group = np.concatenate(seeds)[order], group[order]
+    points[::7] += rng.normal(scale=0.02, size=points[::7].shape)
+    stack = asdf_bundle._PacketStack(packets, group)
+    pi, ki, w = asdf_bundle._member_pairs(stack, points)
+    assert np.all(np.diff(pi) >= 0)
+    terms = asdf_bundle._asdf_terms(stack, points, 2)
+    for g, packet in enumerate(packets):
+        mine, sel = np.flatnonzero(group == g), group[pi] == g
+        lone_pi, lone_ki, lone_w = asdf_bundle._member_pairs(packet, points[mine])
+        assert np.array_equal(pi[sel], mine[lone_pi])
+        assert np.array_equal(ki[sel] - stack.first[g], lone_ki)
+        assert w[sel].tobytes() == lone_w.tobytes()
+        # the field, owners numbered within the row's packet
+        for got, want in zip(terms, asdf_bundle._asdf_terms(packet, points[mine], 2)):
+            assert got[mine].tobytes() == want.tobytes()
 
 
 # ---- the stacked halving ladder against the halving loop ----
 
 def reference_newton(packet, z0, newton_tol=1e-10, max_steps=60,
                      constants=DEFAULT_CONSTANTS):
-    """Reference: the masked Newton with one field-kernel call per halving."""
+    """Reference: the masked Newton with one field-kernel call per halving,
+    and its counts: field evaluations, steps of the slowest row, capped rows."""
     codim = packet.n - packet.d
     z = z0.copy()
     _, grad, hess, owner, status = asdf_bundle._asdf_terms(packet, z, order=2)
-    evaluations = z.shape[0]
+    evaluations, steps = z.shape[0], 0
     outcomes = [asdf_bundle._field_error(s) if s else None for s in status]
     converged: dict = {}
     active = np.nonzero(status == 0)[0]
@@ -876,6 +959,7 @@ def reference_newton(packet, z0, newton_tol=1e-10, max_steps=60,
                 outcomes[r] = NoConvergenceError("singular fiber Hessian in the Newton step")
             active, fiber, rnorm, delta = (a[~singular] for a in (active, fiber, rnorm, delta))
         step = np.matmul(fiber.transpose(0, 2, 1), delta[:, :, None])[:, :, 0]
+        steps += bool(active.size)
         lam = np.ones(active.size)
         exits = np.zeros(active.size, dtype=np.int64)
         pending = np.arange(active.size)
@@ -904,7 +988,7 @@ def reference_newton(packet, z0, newton_tol=1e-10, max_steps=60,
         outcomes[r] = NoConvergenceError(f"no convergence in {max_steps} Newton steps")
     for r, fields in converged.items():
         outcomes[r] = BundleChart(**fields)
-    return outcomes, evaluations
+    return outcomes, {"evaluations": evaluations, "steps": steps, "capped": len(active)}
 
 
 def fenced_kernel(kernel):
@@ -943,9 +1027,9 @@ def test_stacked_halvings_match_the_halving_loop(ladder_cases, monkeypatch):
         if name.endswith("fenced"):
             monkeypatch.setattr(asdf_bundle, "_asdf_terms", fenced_kernel(kernel))
         got = solve_base_point(packet, rows, max_steps=steps)
-        want, evaluations = reference_newton(packet, rows, max_steps=steps)
+        want, counts = reference_newton(packet, rows, max_steps=steps)
         monkeypatch.undo()
-        assert got.counts == {"evaluations": evaluations}, name
+        assert got.counts == counts, name
         for i, (a, b) in enumerate(zip(got, want, strict=True)):
             assert type(a) is type(b), (name, i)
             if isinstance(b, BundleChart):

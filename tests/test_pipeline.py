@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from test_core_geometry import reference_tangent
 
+import manifold_test.asdf_bundle as asdf_bundle
 import manifold_test.core_geometry as core_geometry
 import manifold_test.pipeline as pipeline
 import manifold_test.whitney_sections as whitney_sections
@@ -482,7 +483,7 @@ def test_certificate_counts_seed_failures_by_kind(monkeypatch):
     config = TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1,
                         packet_budget=1, seed=0)
     entry = run_test(cloud, config).certificate["candidates"][0]
-    (mesh,) = meshes
+    ((mesh,),) = meshes
     assert entry["mesh_newton"] == mesh.newton
     assert mesh.newton["seeds"] == mesh.packet.size + cloud.size
     counts = entry["seed_failures"]
@@ -492,6 +493,23 @@ def test_certificate_counts_seed_failures_by_kind(monkeypatch):
     for kind, count in counts.items():
         assert count == sum(1 for _, text in mesh.failures
                             if text.startswith(kind + ":"))
+
+
+def test_run_test_solves_every_packets_mesh_in_one_call(monkeypatch):
+    calls = []
+    solve = asdf_bundle.solve_base_point
+
+    def spy(packet, z0, *args, **kwargs):
+        calls.append(packet)
+        return solve(packet, z0, *args, **kwargs)
+
+    monkeypatch.setattr(asdf_bundle, "solve_base_point", spy)
+    cloud, _ = generate_synthetic("uniform_ball", n=2, size=200, seed=5)
+    verdict = run_test(cloud, TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1,
+                                         packet_budget=3, seed=0))
+    assert [len(c["mesh_newton"]) for c in verdict.certificate["candidates"]] == [5, 5, 5]
+    (packets,) = calls
+    assert len(packets) == 3
 
 
 def test_certificate_counts_section_fits_by_solver_path(circle_verdict, ball_verdict):
