@@ -10,6 +10,7 @@ putative manifold mesh.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -378,7 +379,7 @@ class PacketValidation:
     worst_opnorm: float          # largest ||Id - U|| over neighbor pairs
     worst_normal_offset: float   # largest |Tr(0)|
     worst_coverage_gap: float    # largest distance from a grid point to the covers
-    failures: tuple[str, ...]
+    failures: Sequence[str]      # a tuple of texts; validate_packet's formats on first read
     failure_counts: dict[str, int]   # pairs failing 1-3, cylinders failing 4
 
     @property
@@ -430,30 +431,55 @@ def validate_packet(packet: CylinderPacket,
         worst[lo:lo + per] = d2.min(axis=2).max(axis=1)
     gaps = np.sqrt(np.maximum(worst, 0.0))
     uncovered = gaps > tb + 1e-12
-    failures: list[str] = []
-    bad_at = np.flatnonzero(bad)
-    ends = np.searchsorted(bad_at, cut)   # cylinder k's: bad_at[ends[k]:ends[k + 1]]
-    for k in np.union1d(i[bad], np.flatnonzero(uncovered)).tolist():
-        for p in bad_at[ends[k]:ends[k + 1]].tolist():
-            if bad1[p]:
-                failures.append(f"cyl {k} nbr {j[p]}: principal angle {float(theta[p]):.4f}")
-            if bad2[p]:
-                failures.append(
-                    f"cyl {k} nbr {j[p]}: ||Id-U|| {float(opnorm[p]):.4g} > {bound2:.4g}")
-            if bad3[p]:
-                failures.append(
-                    f"cyl {k} nbr {j[p]}: |Tr(0)| {float(normal[p]):.4g} > {bound3:.4g}")
-        if uncovered[k]:
-            failures.append(f"cyl {k}: coverage gap {float(gaps[k]):.4g} > tau_bar {tb:.4g}")
+
+    def texts():
+        bad_at = np.flatnonzero(bad)
+        ends = np.searchsorted(bad_at, cut)   # cylinder k's: bad_at[ends[k]:ends[k + 1]]
+        for k in np.union1d(i[bad], np.flatnonzero(uncovered)).tolist():
+            for p in bad_at[ends[k]:ends[k + 1]].tolist():
+                if bad1[p]:
+                    yield f"cyl {k} nbr {j[p]}: principal angle {float(theta[p]):.4f}"
+                if bad2[p]:
+                    yield f"cyl {k} nbr {j[p]}: ||Id-U|| {float(opnorm[p]):.4g} > {bound2:.4g}"
+                if bad3[p]:
+                    yield f"cyl {k} nbr {j[p]}: |Tr(0)| {float(normal[p]):.4g} > {bound3:.4g}"
+            if uncovered[k]:
+                yield f"cyl {k}: coverage gap {float(gaps[k]):.4g} > tau_bar {tb:.4g}"
+
+    counts = {"angle": int(bad1.sum()), "rotation": int(bad2.sum()),
+              "offset": int(bad3.sum()), "coverage": int(uncovered.sum())}
     return PacketValidation(
         condition1_ok=not bad1.any(), condition2_ok=not bad2.any(),
         condition3_ok=not bad3.any(), condition4_ok=not uncovered.any(),
         worst_angle=float(theta.max(initial=0.0)),
         worst_opnorm=float(opnorm.max(initial=0.0)),
         worst_normal_offset=float(normal.max(initial=0.0)),
-        worst_coverage_gap=float(gaps.max()), failures=tuple(failures),
-        failure_counts={"angle": int(bad1.sum()), "rotation": int(bad2.sum()),
-                        "offset": int(bad3.sum()), "coverage": int(uncovered.sum())})
+        worst_coverage_gap=float(gaps.max()),
+        failures=_LazyTexts(texts, sum(counts.values())), failure_counts=counts)
+
+
+class _LazyTexts(Sequence):
+    """The size texts that make() yields, formatted on first read; compares
+    as their tuple."""
+
+    def __init__(self, make, size: int):
+        self._make, self._size = make, size
+
+    @functools.cached_property
+    def texts(self) -> tuple[str, ...]:
+        return tuple(self._make())
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, k):
+        return self.texts[k]
+
+    def __eq__(self, other) -> bool:
+        return self.texts == getattr(other, "texts", other)
+
+    def __repr__(self) -> str:
+        return repr(self.texts)
 
 
 def ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace],
@@ -706,10 +732,12 @@ class RowOutcomes(tuple):
 
 
 def first_or_raise(outcomes: RowOutcomes):
-    """The one outcome of a batch of one, raised when it is an error."""
+    """The one outcome of a batch of one. An error is raised as a fresh one of
+    its type and text (each row error takes its text alone): the stored one
+    would tie the traceback's frames, which hold it, into a cycle."""
     out = outcomes[0]
     if isinstance(out, Exception):
-        raise out
+        raise type(out)(*out.args)
     return out
 
 
@@ -752,8 +780,9 @@ def solve_base_point(packet: CylinderPacket | Sequence[CylinderPacket], z0,
     packet may also be a sequence of packets that share tau_bar, d and n,
     and z0 one (m_g, n) array per packet: their rows are solved in that one
     loop, each over its own packet's cylinders only. The call then returns
-    an iterator over each packet's RowOutcomes, equal to its lone call, and
-    builds a packet's charts only when it reaches the packet.
+    the solve's arrays (_Solved), which build no chart; iterating them
+    yields each packet's RowOutcomes, equal to its lone call, and builds a
+    packet's charts only when it reaches the packet.
     """
     lone = isinstance(packet, CylinderPacket)
     packets, z0 = ((packet,), [z0]) if lone else (tuple(packet), list(z0))
@@ -768,11 +797,11 @@ def solve_base_point(packet: CylinderPacket | Sequence[CylinderPacket], z0,
     solved = _newton(packets, [z0[0][None, :]] if one else z0, newton_tol, max_steps, constants)
     if not lone:
         return solved
-    outcomes = next(solved)
+    outcomes = next(iter(solved))
     return first_or_raise(outcomes) if one else outcomes
 
 
-def _newton(packets, z0, newton_tol, max_steps, constants) -> Iterator[RowOutcomes]:
+def _newton(packets, z0, newton_tol, max_steps, constants) -> _Solved:
     sizes = [z.shape[0] for z in z0]
     group = np.repeat(np.arange(len(packets)), sizes)
     packet = packets[0] if len(packets) == 1 else _PacketStack(packets, group)
@@ -828,20 +857,36 @@ def _newton(packets, z0, newton_tol, max_steps, constants) -> Iterator[RowOutcom
             active = np.delete(active, pending)
     for r in active:
         outcomes[r] = NoConvergenceError(f"no convergence in {max_steps} Newton steps")
-    capped = np.bincount(group[active], minlength=len(packets))
+    return _Solved(sizes, z=z, owner=owner, done=done, fibers=fibers, residual=residual,
+                   spectra=spectra, errors=outcomes, evaluations=evaluations, steps=steps,
+                   capped=np.bincount(group[active], minlength=len(packets)))
 
-    def packet_outcomes(g, lo, hi):   # packet g's rows lo:hi, its charts built only now
-        mine, rows = outcomes[lo:hi], np.flatnonzero(done[lo:hi]) + lo
-        fib = fibers[rows]
-        charts = BundleChart._checked_stack(z[rows], np.matmul(fib.transpose(0, 2, 1), fib),
-                                            fib, owner[rows], residual[rows], spectra[rows])
-        for r, chart in zip(rows.tolist(), charts):
-            mine[r - lo] = chart
-        return RowOutcomes(mine, evaluations=int(evaluations[lo:hi].sum()),
-                           steps=int(steps[lo:hi].max(initial=0)), capped=int(capped[g]))
 
-    ends = np.cumsum(sizes)
-    return (packet_outcomes(g, lo, hi) for g, (lo, hi) in enumerate(zip(ends - sizes, ends)))
+class _Solved:
+    """A stacked solve's rows as arrays, over its packets (sizes rows each):
+    z, done, and a converged row's owner, fibers, residual and spectra;
+    errors (None, or the row's error); evaluations and steps per row; capped
+    per packet. Iterating yields each packet's RowOutcomes, built then."""
+
+    def __init__(self, sizes, **rows):
+        self.sizes = sizes
+        vars(self).update(rows)
+
+    def fields(self, rows) -> tuple:
+        """The chart fields of the converged rows, as BundleChart._checked_stack takes them."""
+        fib = self.fibers[rows]
+        return (self.z[rows], np.matmul(fib.transpose(0, 2, 1), fib), fib, self.owner[rows],
+                self.residual[rows], self.spectra[rows])
+
+    def __iter__(self) -> Iterator[RowOutcomes]:
+        ends = np.cumsum(self.sizes)
+        for g, (lo, hi) in enumerate(zip(ends - self.sizes, ends)):
+            mine, rows = self.errors[lo:hi], np.flatnonzero(self.done[lo:hi]) + lo
+            for r, chart in zip(rows.tolist(), BundleChart._checked_stack(*self.fields(rows))):
+                mine[r - lo] = chart
+            yield RowOutcomes(mine, evaluations=int(self.evaluations[lo:hi].sum()),
+                              steps=int(self.steps[lo:hi].max(initial=0)),
+                              capped=int(self.capped[g]))
 
 
 # a damped step tries lambda = 1, 1/2, ..., 2^-20
@@ -917,24 +962,23 @@ class PutativeMesh:
         self.packet = packet
         self.failures = tuple(failures)
         self.newton = dict(newton or {})   # seeds, solved, evaluations
-        self.base_points = np.stack([c.base_point for c in charts])   # (k, n)
-        self.projectors = np.stack([c.projector_hi for c in charts])   # (k, n, n)
-        self._fibers = np.stack([c.fiber_basis for c in charts])
-        self._owners = np.array([c.owning_cylinder for c in charts])
-        self._residuals = np.array([c.residual for c in charts])
-        self._eigenvalues = np.array([c.eigenvalues for c in charts])
-        for arr in (self.base_points, self.projectors, self._fibers, self._owners,
-                    self._residuals, self._eigenvalues):
+        # the chart fields, as BundleChart._checked_stack takes them
+        self._fields = (np.stack([c.base_point for c in charts]),
+                        np.stack([c.projector_hi for c in charts]),
+                        np.stack([c.fiber_basis for c in charts]),
+                        np.array([c.owning_cylinder for c in charts]),
+                        np.array([c.residual for c in charts]),
+                        np.array([c.eigenvalues for c in charts]))
+        for arr in self._fields:
             arr.flags.writeable = False
+        self.base_points, self.projectors = self._fields[:2]   # (k, n), (k, n, n)
 
     @property
     def size(self) -> int:
         return self.base_points.shape[0]
 
     def _charts(self, rows) -> list[BundleChart]:
-        return BundleChart._checked_stack(*(a[rows] for a in (
-            self.base_points, self.projectors, self._fibers, self._owners, self._residuals,
-            self._eigenvalues)))
+        return BundleChart._checked_stack(*(a[rows] for a in self._fields))
 
     def chart(self, i: int) -> BundleChart:
         return self._charts([i])[0]
@@ -1036,52 +1080,79 @@ def bundle_coordinates(packet: CylinderPacket, context, z,
     (rows they solved, re-solves included) and "evaluations" (field-kernel
     rows). Each round solves every row still moving as one stack, a row
     leaves once it converges or fails, and each row keeps its own history,
-    so no row depends on the other rows.
+    so no row depends on the other rows. The rounds run on arrays
+    (_alternate); objects are built for the decomposed rows only.
     """
     z = np.asarray(z, dtype=np.float64)
+    errors, fields, offset, counts = _alternate(packet, context, z, tol, max_iters,
+                                                newton_tol, constants)
+    outcomes = list(errors)
+    rows = np.flatnonzero([e is None for e in errors])
+    for row, chart in zip(rows.tolist(),
+                          BundleChart._checked_stack(*(a[rows] for a in fields))):
+        k = chart.owning_cylinder
+        outcomes[row] = FiberDecomposition(
+            x=(packet.rotations[k].T @ (chart.base_point - packet.centers[k]))[:packet.d],
+            v=offset[row].copy(), base_point=chart.base_point.copy(), chart=chart)
+    outcomes = RowOutcomes(outcomes, **counts)
+    return first_or_raise(outcomes) if z.ndim == 1 else outcomes
+
+
+def _alternate(packet: CylinderPacket, context, z: np.ndarray, tol: float = 1e-11,
+               max_iters: int = 60, newton_tol: float = 1e-10,
+               constants: BundleConstants = DEFAULT_CONSTANTS):
+    """bundle_coordinates' rounds on arrays. Returns per row its error or
+    None, the chart fields of its last base point (in the argument order of
+    BundleChart._checked_stack) and its fiber offset, and the counts. Each
+    round's projectors are checked as one stack."""
     if z.shape[-1:] != (packet.n,) or z.ndim not in (1, 2):
         raise InvalidParameterError(
             f"point of shape {z.shape} does not match ambient dim {packet.n}")
-    if not isinstance(context, (PutativeMesh, BundleChart)):
-        raise InvalidParameterError("context must be a BundleChart or PutativeMesh")
-    if z.ndim == 1:
-        return first_or_raise(bundle_coordinates(packet, context, z[None, :], tol,
-                                                 max_iters, newton_tol, constants))
-    m = z.shape[0]
+    z = z.reshape(-1, packet.n)
+    m, codim = z.shape[0], packet.n - packet.d
     if isinstance(context, PutativeMesh):
         sq = np.zeros((m, context.size))
         for axis in range(packet.n):   # one (m, k) array, not an (m, k, n) one
             sq += (z[:, axis, None] - context.base_points[:, axis]) ** 2
-        start = np.argmin(sq, axis=1)
-        base, proj = context.base_points[start], context.projectors[start]
-        charts: list = [None] * m   # a row's start chart is built only if it ends there
+        start, charts = np.argmin(sq, axis=1), context._fields
+    elif isinstance(context, BundleChart):
+        start, charts = np.zeros(m, dtype=np.int64), [np.asarray(a)[None] for a in (
+            context.base_point, context.projector_hi, context.fiber_basis,
+            context.owning_cylinder, context.residual, context.eigenvalues)]
     else:
-        base = np.tile(context.base_point, (m, 1))
-        proj = np.tile(context.projector_hi, (m, 1, 1))
-        charts = [context] * m
-    outcomes: list = [None] * m
+        raise InvalidParameterError("context must be a BundleChart or PutativeMesh")
+    fields = [a[start] for a in charts]   # each row starts at its nearest chart
+    base, proj = fields[:2]
+    errors: list = [None] * m
+    offset = np.zeros(z.shape)
     shift_tol = max(tol, 1e-13) * max(1.0, packet.tau_bar)
     vmax = constants.cbar10 * packet.tau_bar / 2.0
     counts = {"rounds": 0, "solved": 0, "evaluations": 0}
-    last_base, last_t = np.full((m, packet.n), np.nan), np.full((m, packet.n), np.nan)
+    last_base, last_t = np.full(z.shape, np.nan), np.full(z.shape, np.nan)
+
+    def update(found, rows):   # rows[i] moves to found's row i where that converged
+        ok = np.flatnonzero(found.done)
+        if ok.size:
+            new = found.fields(ok)
+            _check_projectors(new[1], codim)
+            for a, b in zip(fields, new):
+                a[rows[ok]] = b
+
     active = np.arange(m)
     for _ in range(max_iters):
         r = z[active] - base[active]
         v = np.matmul(proj[active], r[:, :, None])[:, :, 0]
         t = r - v
         done = np.sqrt((t * t).sum(1)) <= shift_tol
-        for i in np.nonzero(done)[0]:
-            row, vnorm = active[i], math.sqrt(v[i] @ v[i])
-            chart = charts[row] or context.chart(int(start[row]))
-            if vnorm > vmax + 1e-12:
-                outcomes[row] = DecompositionFailedError(
-                    f"fiber offset {vnorm:.4g} exceeds {vmax:.4g}")
-                continue
-            k = chart.owning_cylinder
-            outcomes[row] = FiberDecomposition(
-                x=(packet.rotations[k].T @ (chart.base_point - packet.centers[k]))[:packet.d],
-                v=v[i].copy(),
-                base_point=chart.base_point.copy(), chart=chart)
+        if done.any():
+            at = active[done]
+            offset[at] = v[done]
+            # each offset's dot with itself, as math.sqrt(v @ v) takes it
+            vnorm = np.sqrt(np.matmul(v[done][:, None, :], v[done][:, :, None])[:, 0, 0])
+            for row, size in zip(at.tolist(), vnorm.tolist()):
+                if size > vmax + 1e-12:
+                    errors[row] = DecompositionFailedError(
+                        f"fiber offset {size:.4g} exceeds {vmax:.4g}")
         active, t = active[~done], t[~done]
         if not active.size:
             break
@@ -1093,27 +1164,28 @@ def bundle_coordinates(packet: CylinderPacket, context, z,
             seed = np.where(secant[:, None],
                             plain - gamma[:, None] * (b - last_base[active] + dt), plain)
         last_base[active], last_t[active] = b, t
-        solved = solve_base_point(packet, seed, newton_tol, constants=constants)
-        outs = list(solved)
-        retry = [i for i in np.nonzero(secant)[0] if isinstance(outs[i], Exception)]
+        # the multi-packet form: its arrays, no chart objects
+        found = solve_base_point([packet], [seed], newton_tol, constants=constants)
+        update(found, active)
+        failed = list(found.errors)
+        retry = np.flatnonzero(secant & ~found.done)
         counts["rounds"] += 1
-        counts["solved"] += active.size + len(retry)
-        counts["evaluations"] += solved.counts["evaluations"]
-        if retry:
-            again = solve_base_point(packet, plain[retry], newton_tol, constants=constants)
-            counts["evaluations"] += again.counts["evaluations"]
-            for i, out in zip(retry, again):
-                outs[i] = out
-        for row, out in zip(active, outs):
-            if isinstance(out, BundleChart):
-                charts[row], base[row], proj[row] = out, out.base_point, out.projector_hi
-            else:
-                outcomes[row] = DecompositionFailedError(
-                    f"base-point update failed: {type(out).__name__}: {out}")
-        active = np.array([row for row in active if outcomes[row] is None], dtype=np.int64)
-    for row in active:
-        outcomes[row] = DecompositionFailedError(f"no convergence in {max_iters} alternations")
-    return RowOutcomes(outcomes, **counts)
+        counts["solved"] += active.size + retry.size
+        counts["evaluations"] += int(found.evaluations.sum())
+        if retry.size:
+            again = solve_base_point([packet], [plain[retry]], newton_tol, constants=constants)
+            update(again, active[retry])
+            counts["evaluations"] += int(again.evaluations.sum())
+            for i, err in zip(retry.tolist(), again.errors):
+                failed[i] = err
+        ended = np.flatnonzero([err is not None for err in failed])
+        for i in ended.tolist():
+            errors[active[i]] = DecompositionFailedError(
+                f"base-point update failed: {type(failed[i]).__name__}: {failed[i]}")
+        active = np.delete(active, ended)
+    for row in active.tolist():
+        errors[row] = DecompositionFailedError(f"no convergence in {max_iters} alternations")
+    return errors, fields, offset, counts
 
 
 # ---- ASDF condition checking ----

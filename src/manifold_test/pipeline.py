@@ -40,7 +40,7 @@ from .errors import (
     NoValidPacketError,
     OutOfTubeError,
 )
-from .whitney_sections import SectionModel, fit_sections, mfin_distance
+from .whitney_sections import SectionModel, _shepard_blend, fit_sections, mfin_distance
 
 TANGENT_RADIUS_LADDER = (2.0, 4.0, 8.0, 16.0)
 
@@ -443,7 +443,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 packet = _perturb_packet(base_packet, rng)
             packet_failures = validate_packet(packet).failure_counts
         except ManifoldTestError as exc:
-            packet = exc
+            packet = exc.with_traceback(None)   # a kept error holds no frame
         staged.append((index, packet, packet_failures))
     # one stacked mesh extraction for every packet that got through
     ready = {index: p for index, p, _ in staged if isinstance(p, CylinderPacket)}
@@ -454,7 +454,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 list(ready.values()), [np.vstack([p.centers, rcloud.points])
                                        for p in ready.values()], config.newton_tol)
         except ManifoldTestError as exc:   # an error of the whole stack is every packet's
-            found = [exc] * len(ready)
+            found = [exc.with_traceback(None)] * len(ready)
         meshes = dict(zip(ready, found))
     # then the sections and the loss, packet by packet
     candidates: list[PacketCandidate] = []
@@ -465,8 +465,8 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
         seed_failures, mesh_newton = {}, {}   # set once the mesh exists
         try:
             mesh = meshes.get(index, packet)   # the packet's error when it has no mesh
-            if isinstance(mesh, ManifoldTestError):
-                raise mesh
+            if isinstance(mesh, ManifoldTestError):   # raised fresh: no cycle through this frame
+                raise type(mesh)(*mesh.args)
             kinds = Counter(text.split(":", 1)[0] for _, text in mesh.failures)
             seed_failures = dict(sorted(kinds.items()))
             mesh_newton = dict(mesh.newton)
@@ -577,26 +577,26 @@ def _dense_manifold_sample(model: SectionModel, per_axis: int = 5,
     different graphs; points closer than merge_fraction * tau_bar are
     dropped so near-duplicates cannot dominate a reach estimate. The merge
     visits points in generation order (section, then grid point), so a
-    rigid motion of the model keeps the same points.
+    rigid motion of the model keeps the same points. Every non-empty
+    section is evaluated at the grid in one Shepard blend over the model's
+    section table, and the tangent frames are one stacked QR.
     """
-    packet = model.packet
+    packet, table = model.packet, model.section_table
     d = packet.d
     tb = packet.tau_bar
     grid = _ball_grid(np.linspace(-extent, extent, per_axis), d, extent)
-    eye = np.broadcast_to(np.eye(d), (grid.shape[0], d, d))
-    points = []
-    frames = []
-    for j, section in enumerate(model.sections):
-        if section.is_empty:
-            continue
-        rotation = packet.rotations[j]
-        vals, jac = section.evaluate(grid)
-        local = np.concatenate([tb * grid, tb * vals], axis=1)
-        points.append(np.matmul(rotation, local[:, :, None])[:, :, 0] + packet.centers[j])
-        frames.append(np.linalg.qr(np.matmul(rotation, np.concatenate([eye, jac], axis=1)))[0])
-    pts, frames = np.concatenate(points), np.concatenate(frames)
+    g = grid.shape[0]
+    ks = np.repeat(np.flatnonzero(~table.empty), g)   # (section, grid point) order
+    u = np.tile(grid, (ks.size // g, 1))
+    vals, jac = _shepard_blend(u[:, None, :] - table.sites[ks], table.coefficients[ks],
+                               table.radius[ks], table.valid[ks])
+    rotation = packet.rotations[ks]
+    local = np.concatenate([tb * u, tb * vals], axis=1)
+    pts = np.matmul(rotation, local[:, :, None])[:, :, 0] + packet.centers[ks]
+    eye = np.broadcast_to(np.eye(d), (ks.size, d, d))
+    frames = np.linalg.qr(np.matmul(rotation, np.concatenate([eye, jac], axis=1)))[0]
     kept = greedy_merge(pts, merge_fraction * tb)
-    return pts[kept], [AffineSubspace(base=pts[i], basis=frames[i].T) for i in kept]
+    return pts[kept], AffineSubspace._checked_stack(pts[kept], frames[kept].transpose(0, 2, 1))
 
 
 def verify_output(verdict: TestVerdict, cloud: PointCloud,
@@ -631,8 +631,9 @@ def verify_output(verdict: TestVerdict, cloud: PointCloud,
         flags.append(f"loss recheck {loss:.4g} vs reported {reported:.4g}")
 
     bound = 2.0 * model.packet.tau_bar / model.packet.tau
-    coeff_ok = all(bool(np.all(np.linalg.norm(s.coefficients, axis=2) <= bound + 1e-9))
-                   for s in model.sections)
+    # one reduction over the padded table: its padding entries are zero
+    coeff_ok = bool(np.all(np.linalg.norm(model.section_table.coefficients, axis=3)
+                           <= bound + 1e-9))
     if not coeff_ok:
         flags.append("a jet block exceeds its coefficient bound")
 

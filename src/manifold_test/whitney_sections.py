@@ -26,10 +26,11 @@ from .asdf_bundle import (
     CylinderPacket,
     PutativeMesh,
     RowOutcomes,
+    _alternate,
     _member_pairs,
     _solve_rows,
     bump_profile,
-    bundle_coordinates,
+    bundle_coordinates,   # kept bound here: bench/tracer.py wraps it
     first_or_raise,
     solve_base_point,
 )
@@ -1354,38 +1355,46 @@ def global_section(model: SectionModel, x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         return first_or_raise(global_section(model, x[None, :]))
+    outcomes, points, runs, solved = _global_section(model, x)
+    for row, (indices, weights) in runs.items():
+        outcomes[row] = GlobalSectionValue(point=points[row], base=solved.z[row].copy(),
+                                           offset=points[row] - solved.z[row],
+                                           indices=indices, weights=weights)
+    return RowOutcomes(outcomes, solved=x.shape[0], evaluations=int(solved.evaluations.sum()))
+
+
+def _global_section(model: SectionModel, x: np.ndarray):
+    """global_section's stacked pass on arrays, with no per-row object: the
+    base-point solve of the rows of x (the multi-packet form, which builds
+    no chart), then the blend. Returns per row its error or None, the
+    blended points, per blended row its (cylinders, weights), and the solve."""
     packet = model.packet
-    solved = solve_base_point(packet, x, model.mesh.tolerance)
-    outcomes = [out if isinstance(out, Exception) else None for out in solved]
+    solved = solve_base_point([packet], [x], model.mesh.tolerance)
+    errors = list(solved.errors)
     pi, ki, wts, status = _partition(packet, x, model.section_table.empty)
     for row in np.nonzero(status)[0]:
-        if outcomes[row] is None:
-            outcomes[row] = _uncovered(status[row])
-    live = np.array([out is None for out in outcomes], dtype=bool)
+        if errors[row] is None:
+            errors[row] = _uncovered(status[row])
+    live = np.array([e is None for e in errors], dtype=bool)
     pairs = live[pi]
     pi, ki, wts = pi[pairs], ki[pairs], wts[pairs]
     rows = np.nonzero(live)[0]
-    base = np.zeros(x.shape)
-    fiber = np.zeros((x.shape[0], packet.n - packet.d, packet.n))
-    for row in rows:
-        base[row], fiber[row] = solved[row].base_point, solved[row].fiber_basis
     tangent_rows = np.zeros((x.shape[0], packet.d, packet.n))
-    tangent_rows[rows] = orthonormal_completion(fiber[rows], packet.n)
-    points, hit = _fiber_intersection(model, ki, tangent_rows[pi], base[pi])
+    tangent_rows[rows] = orthonormal_completion(solved.fibers[rows], packet.n)
+    points, hit = _fiber_intersection(model, ki, tangent_rows[pi], solved.z[pi])
     pi, ki, wts, points = pi[hit], ki[hit], wts[hit], points[hit]
     count = np.bincount(pi, minlength=x.shape[0])
     ends = np.cumsum(count)
-    for row in rows:
+    blended, runs = np.zeros(x.shape), {}
+    for row in rows.tolist():
         run = slice(ends[row] - count[row], ends[row])
         if not count[row]:
-            outcomes[row] = UncoveredPointError("every member cylinder failed the fiber solve")
+            errors[row] = UncoveredPointError("every member cylinder failed the fiber solve")
             continue
         w = wts[run] / wts[run].sum()
-        blended = np.einsum("k,kn->n", w, points[run])
-        outcomes[row] = GlobalSectionValue(point=blended, base=base[row].copy(),
-                                           offset=blended - base[row],
-                                           indices=ki[run], weights=w)
-    return RowOutcomes(outcomes, solved=x.shape[0], evaluations=solved.counts["evaluations"])
+        blended[row] = np.einsum("k,kn->n", w, points[run])
+        runs[row] = (ki[run], w)
+    return errors, blended, runs, solved
 
 
 def mfin_distance(model: SectionModel, z):
@@ -1394,30 +1403,30 @@ def mfin_distance(model: SectionModel, z):
     z is decomposed as base + fiber offset, the global section is evaluated
     over the base, and the distance is to the blended point. z of shape
     (n,) returns the distance, or raises OutOfTubeError where the bundle
-    machinery cannot handle it. z of shape (m, n) is one pass: one stacked
-    bundle_coordinates and one stacked global_section call, returning a
-    RowOutcomes tuple of m outcomes (a float or the row's OutOfTubeError)
-    with counts "points", "rounds" (alternation rounds), "solved" (rows of
-    base-point solves) and "evaluations" (field-kernel rows).
+    machinery cannot handle it. z of shape (m, n) is one pass on arrays
+    (bundle_coordinates' and global_section's stacked passes, no per-row
+    object), returning a RowOutcomes tuple of m outcomes (a float or the
+    row's OutOfTubeError) with counts "points", "rounds" (alternation
+    rounds), "solved" (rows of base-point solves) and "evaluations"
+    (field-kernel rows).
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim == 1:
         return first_or_raise(mfin_distance(model, z[None, :]))
-    decomps = bundle_coordinates(model.packet, model.mesh, z,
-                                 newton_tol=model.mesh.tolerance)
-    counts = {"points": z.shape[0], **decomps.counts}
-    outcomes: list = list(decomps)
-    rows = [i for i, out in enumerate(decomps) if not isinstance(out, Exception)]
-    if rows:
-        values = global_section(model, np.stack([decomps[i].base_point for i in rows]))
-        counts["solved"] += values.counts["solved"]
-        counts["evaluations"] += values.counts["evaluations"]
-        for i, out in zip(rows, values):
-            outcomes[i] = out
-    for i, out in enumerate(outcomes):
+    errors, fields, _, counts = _alternate(model.packet, model.mesh, z,
+                                           newton_tol=model.mesh.tolerance)
+    outcomes: list = list(errors)
+    rows = np.flatnonzero([e is None for e in errors])
+    if rows.size:
+        found, points, _, solved = _global_section(model, fields[0][rows])
+        counts["solved"] += rows.size
+        counts["evaluations"] += int(solved.evaluations.sum())
+        diff = z[rows] - points
+        # each row's dot with itself, as math.sqrt(diff @ diff) takes it
+        dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+        for row, err, d in zip(rows.tolist(), found, dist.tolist()):
+            outcomes[row] = d if err is None else err
+    for row, out in enumerate(outcomes):
         if isinstance(out, Exception):
-            outcomes[i] = OutOfTubeError(f"{type(out).__name__}: {out}")
-        else:
-            diff = z[i] - out.point
-            outcomes[i] = math.sqrt(diff @ diff)
-    return RowOutcomes(outcomes, **counts)
+            outcomes[row] = OutOfTubeError(f"{type(out).__name__}: {out}")
+    return RowOutcomes(outcomes, points=z.shape[0], **counts)

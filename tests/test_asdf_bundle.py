@@ -1,4 +1,5 @@
 """Cylinder packets, the approximate squared-distance field, and its bundle."""
+import gc
 import json
 import math
 
@@ -532,6 +533,35 @@ def test_equal_seeds_share_one_solve(circle_packet, monkeypatch):
     assert len(mesh.charts) == len(want_charts)
     for got, want in zip(mesh.charts, want_charts):
         assert_same_chart(got, want)
+
+
+def unreachable_after(call, times: int = 100) -> int:
+    """The objects left to the cyclic collector by `times` failing calls."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(times):
+            try:
+                call()
+            except (*BASE_POINT_ERRORS, EmptyMeshError, DecompositionFailedError):
+                pass
+            else:
+                raise AssertionError("the call did not fail")
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_failed_one_point_calls_leave_no_reference_cycle(circle_packet, circle_mesh):
+    # a failed one-point call raises a fresh error: the stored one, held by
+    # the frames of its traceback, would tie them into a cycle (1,400
+    # unreachable objects per 100 failed solves when it was raised itself)
+    packet = circle_packet[0]
+    outside = np.array([5.0, 5.0])
+    assert unreachable_after(lambda: solve_base_point(packet, outside)) == 0
+    assert unreachable_after(lambda: extract_putative_manifold(packet, outside[None])) == 0
+    assert unreachable_after(
+        lambda: bundle_coordinates(packet, circle_mesh, np.array([0.05, 0.05]))) == 0
 
 
 def owner_at(packet, z):
@@ -1299,6 +1329,16 @@ def test_validate_packet_matches_the_per_pair_loop(kernel_cases):
     assert single.failures == (f"cyl 0: coverage gap {single.worst_coverage_gap:.4g} "
                                f"> tau_bar {tb:.4g}",)
     assert single.failure_counts == {"angle": 0, "rotation": 0, "offset": 0, "coverage": 1}
+
+
+def test_validate_packet_formats_its_failure_texts_when_read(kernel_cases):
+    (packet, kwargs), = [(p, k) for name, p, k in kernel_cases if name == "disc"]
+    got = validate_packet(packet, **kwargs)
+    # the count needs no text; the texts are formatted at the first read
+    assert len(got.failures) == sum(got.failure_counts.values()) > 900
+    assert "texts" not in vars(got.failures)
+    want = reference_validate_packet(packet, **kwargs).failures
+    assert tuple(got.failures) == want and vars(got.failures)["texts"] == want
 
 
 def test_ideal_packet_constants_match_the_per_pair_loop(kernel_cases):

@@ -1,4 +1,5 @@
 """End-to-end decision pipeline: data generation, reduction, search, verdicts."""
+import gc
 import json
 import math
 from collections import Counter
@@ -637,6 +638,28 @@ def test_a_candidate_that_fails_before_extraction_has_no_counts(circle_verdict,
                 "loss_newton", "out_of_tube_causes"):
         assert entry[key] == {}
     assert entry["packet_failures"] is None and entry["packet_conditions_ok"] is None
+
+
+def test_failed_packets_leave_no_reference_cycle(circle_verdict, monkeypatch):
+    # run_test keeps a failed packet's error without its traceback and raises
+    # a fresh copy: a kept error's traceback would hold run_test's frame,
+    # whose locals hold the error (935 unreachable objects after these five
+    # runs when it kept and raised the error itself)
+    cloud, _ = circle_verdict
+
+    def failing_validation(packet):
+        raise InvalidParameterError("packet rejected")
+
+    monkeypatch.setattr(pipeline, "validate_packet", failing_validation)
+    config = replace(CIRCLE_CONFIG, packet_budget=2)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            assert run_test(cloud, config).case == "two"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_failed_candidates_keep_their_packet_failure_counts(monkeypatch):

@@ -17,7 +17,13 @@ from manifold_test.asdf_bundle import (
     ideal_packet,
     solve_base_point,
 )
-from manifold_test.core_geometry import AffineSubspace, PointCloud, greedy_merge, greedy_net
+from manifold_test.core_geometry import (
+    AffineSubspace,
+    PointCloud,
+    _ball_grid,
+    greedy_merge,
+    greedy_net,
+)
 from manifold_test.errors import (
     BudgetExceededError,
     DecompositionFailedError,
@@ -30,6 +36,7 @@ from manifold_test.errors import (
     SiteMismatchError,
     UncoveredPointError,
 )
+import manifold_test.asdf_bundle as asdf_bundle
 import manifold_test.pipeline as pipeline
 from manifold_test.pipeline import TestConfig, generate_synthetic, run_test
 import manifold_test.whitney_sections as ws
@@ -1256,20 +1263,111 @@ def test_stacked_mfin_distance_on_padded_sections(sphere_model):
     assert sum(isinstance(out, float) for out in found) > 20
 
 
-def test_stacked_global_section_drops_empty_sections():
+def empty_section_model():
+    """Two cylinders; only the first holds mesh points, so the second's
+    section is empty."""
     tb = 0.05
     cyls = [Cylinder(rotation=np.eye(2), center=np.array([c, 0.0]), scale=tb,
                      tangent_dim=1) for c in (0.0, 0.9)]
     packet = CylinderPacket(cyls, tau=0.5, c12=1.0, C_align=10.0)
     xs = np.linspace(-0.03, 0.03, 9)
     mesh = extract_putative_manifold(packet, np.stack([xs, np.zeros(9)], axis=1))
-    model = fit_sections(packet, mesh)
+    return fit_sections(packet, mesh)
+
+
+def test_stacked_global_section_drops_empty_sections():
+    model = empty_section_model()
     assert model.sections[1].is_empty
     stack = np.array([[0.01, 0.001], [0.9, 0.001]])
     found = global_section(model, stack)
     for x, got in zip(stack, found):
         assert_same_kind(got, reference_outcome(reference_global_section, model, x))
     assert str(found[1]) == "no full cylinder with a section contains the point"
+
+
+def test_global_section_wraps_its_array_pass(circle_model, mixed_stack):
+    _, _, model = circle_model
+    charts = solve_base_point(model.packet, mixed_stack, model.mesh.tolerance)
+    errors, points, runs, solved = ws._global_section(model, mixed_stack)
+    found = global_section(model, mixed_stack)
+    assert found.counts == {"solved": len(mixed_stack),
+                            "evaluations": charts.counts["evaluations"]}
+    kinds = set()
+    for row, (got, chart) in enumerate(zip(found, charts)):
+        kinds.add(type(got))
+        if row in runs:
+            # the blend over the solve's own chart
+            assert solved.z[row].tobytes() == chart.base_point.tobytes()
+            assert solved.fibers[row].tobytes() == chart.fiber_basis.tobytes()
+            assert got.point.tobytes() == points[row].tobytes()
+            assert got.base.tobytes() == chart.base_point.tobytes()
+            assert got.offset.tobytes() == (points[row] - chart.base_point).tobytes()
+            assert got.indices.tobytes() == runs[row][0].tobytes()
+            assert got.weights.tobytes() == runs[row][1].tobytes()
+        else:
+            assert type(got) is type(errors[row]) and str(got) == str(errors[row])
+    assert GlobalSectionValue in kinds and len(kinds) > 1
+
+
+def test_the_loss_pass_solves_the_alternations_rows_then_each_base_once(disc_model,
+                                                                         monkeypatch):
+    # mfin_distance's solves are the alternation's rounds and plain-seed
+    # re-solves, row for row, then one stacked solve of global_section from
+    # the base points the alternation converged to
+    disc, packet, mesh, model, _ = disc_model
+    calls = {"asdf": [], "whitney": []}
+    for module, key in ((asdf_bundle, "asdf"), (ws, "whitney")):
+        def spy(p, z0, *args, _solve=module.solve_base_point, _key=key, **kwargs):
+            calls[_key].append(np.vstack(z0))
+            return _solve(p, z0, *args, **kwargs)
+
+        monkeypatch.setattr(module, "solve_base_point", spy)
+    found = mfin_distance(model, disc.points)
+    in_loss, calls["asdf"] = calls["asdf"], []
+    (bases,) = calls["whitney"]
+    decomps = bundle_coordinates(packet, mesh, disc.points)
+    assert [rows.tobytes() for rows in in_loss] == [rows.tobytes() for rows in calls["asdf"]]
+    assert bases.tobytes() == np.stack([d.base_point for d in decomps
+                                        if isinstance(d, FiberDecomposition)]).tobytes()
+    assert found.counts["rounds"] == decomps.counts["rounds"]
+    assert found.counts["solved"] == decomps.counts["solved"] + len(bases)
+    # the disc's rows take plain-seed re-solves, each round's in one call
+    assert len(in_loss) > found.counts["rounds"] > 0
+    assert sum(len(rows) for rows in in_loss) == decomps.counts["solved"]
+
+
+def reference_dense_sample(model, per_axis=5, extent=0.8, merge_fraction=0.25):
+    """The per-section dense sample that the stacked pass replaced."""
+    packet, d, tb = model.packet, model.packet.d, model.packet.tau_bar
+    grid = _ball_grid(np.linspace(-extent, extent, per_axis), d, extent)
+    eye = np.broadcast_to(np.eye(d), (grid.shape[0], d, d))
+    points, frames = [], []
+    for j, section in enumerate(model.sections):
+        if section.is_empty:
+            continue
+        rotation = packet.rotations[j]
+        vals, jac = section.evaluate(grid)
+        local = np.concatenate([tb * grid, tb * vals], axis=1)
+        points.append(np.matmul(rotation, local[:, :, None])[:, :, 0] + packet.centers[j])
+        frames.append(np.linalg.qr(np.matmul(rotation, np.concatenate([eye, jac], axis=1)))[0])
+    pts, frames = np.concatenate(points), np.concatenate(frames)
+    kept = greedy_merge(pts, merge_fraction * tb)
+    return pts[kept], [AffineSubspace(base=pts[i], basis=frames[i].T) for i in kept]
+
+
+@pytest.mark.parametrize("which", ["circle", "sphere", "empty section"])
+def test_dense_sample_is_the_per_section_sample_bit_for_bit(which, circle_model,
+                                                            sphere_model):
+    model = {"circle": circle_model[2], "sphere": sphere_model[2],
+             "empty section": empty_section_model()}[which]
+    assert model.section_table.empty.any() == (which == "empty section")
+    for fraction in (0.0, 2.0):   # every graph point, then the verify's merge
+        got, got_tangents = pipeline._dense_manifold_sample(model, merge_fraction=fraction)
+        want, want_tangents = reference_dense_sample(model, merge_fraction=fraction)
+        assert got.tobytes() == want.tobytes() and len(got_tangents) == len(want_tangents)
+        for a, b in zip(got_tangents, want_tangents):
+            assert a.base.tobytes() == b.base.tobytes()
+            assert a.basis.tobytes() == b.basis.tobytes()
 
 
 def test_singular_fiber_steps_fail_their_pairs_only(circle_model, mixed_stack, monkeypatch):
