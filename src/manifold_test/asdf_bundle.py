@@ -261,13 +261,7 @@ def _member_pairs(packet: CylinderPacket | _PacketStack, points: np.ndarray, fac
     for g, (part, first) in enumerate(zip(packet.packets, packet.first) if stacked
                                       else [(packet, 0)]):
         rows = np.flatnonzero(packet.group == g) if stacked else np.arange(points.shape[0])
-        pts = points[rows]
-        sq = pts @ part.centers.T   # one (P, K) array, updated in place
-        sq *= -2.0
-        sq += (pts * pts).sum(1)[:, None]
-        sq += part.center_sq
-        pi, ki = np.divmod(np.flatnonzero(sq <= bound), part.size)
-        del sq   # one (P, K) array at a time
+        pi, ki = _close_pairs(points[rows], part.centers, part.center_sq, bound)
         pairs.append((rows[pi], ki + first))
     pi, ki = (np.concatenate(a) for a in zip(*pairs))
     if stacked:   # each packet's pairs are by row, then cylinder: merge them by row
@@ -278,6 +272,17 @@ def _member_pairs(packet: CylinderPacket | _PacketStack, points: np.ndarray, fac
     inside = np.nonzero((np.sqrt((tan * tan).sum(1)) <= lim)
                         & (np.sqrt((nor * nor).sum(1)) <= lim))[0]
     return pi[inside], ki[inside], w[inside]
+
+
+def _close_pairs(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray, bound: float):
+    """(i, j) of the rows a[i] and b[j] whose squared distance, taken from
+    one Gram-based (A, B) array, is at most bound (the caller's slack covers
+    its rounding), by i, then j. b_sq holds each row of b's squared norm."""
+    sq = a @ b.T   # one (A, B) array, updated in place
+    sq *= -2.0
+    sq += (a * a).sum(1)[:, None]
+    sq += b_sq
+    return np.divmod(np.flatnonzero(sq <= bound), b.shape[0])
 
 
 class _PacketStack:
@@ -710,6 +715,11 @@ class BundleChart:
         return orthonormal_completion(self.fiber_basis, self.fiber_basis.shape[1])
 
 
+# BundleChart's fields in the argument order of BundleChart._checked_stack
+_CHART_FIELDS = ("base_point", "projector_hi", "fiber_basis", "owning_cylinder", "residual",
+                 "eigenvalues")
+
+
 def _check_projectors(p: np.ndarray, codim: int) -> None:
     """Raise unless every projector of the stack p (k, n, n) is symmetric
     and idempotent to PROJECTOR_TOL, with trace codim to TRACE_TOL."""
@@ -798,6 +808,7 @@ def solve_base_point(packet: CylinderPacket | Sequence[CylinderPacket], z0,
     if not lone:
         return solved
     outcomes = next(iter(solved))
+    outcomes.arrays = solved   # the solve's arrays, which a lone extract_putative_manifold reads
     return first_or_raise(outcomes) if one else outcomes
 
 
@@ -878,15 +889,20 @@ class _Solved:
         return (self.z[rows], np.matmul(fib.transpose(0, 2, 1), fib), fib, self.owner[rows],
                 self.residual[rows], self.spectra[rows])
 
+    def counts(self, g: int) -> dict[str, int]:
+        """Packet g's work counts, as its RowOutcomes holds them."""
+        lo = sum(self.sizes[:g])
+        return {"evaluations": int(self.evaluations[lo:lo + self.sizes[g]].sum()),
+                "steps": int(self.steps[lo:lo + self.sizes[g]].max(initial=0)),
+                "capped": int(self.capped[g])}
+
     def __iter__(self) -> Iterator[RowOutcomes]:
         ends = np.cumsum(self.sizes)
         for g, (lo, hi) in enumerate(zip(ends - self.sizes, ends)):
             mine, rows = self.errors[lo:hi], np.flatnonzero(self.done[lo:hi]) + lo
             for r, chart in zip(rows.tolist(), BundleChart._checked_stack(*self.fields(rows))):
                 mine[r - lo] = chart
-            yield RowOutcomes(mine, evaluations=int(self.evaluations[lo:hi].sum()),
-                              steps=int(self.steps[lo:hi].max(initial=0)),
-                              capped=int(self.capped[g]))
+            yield RowOutcomes(mine, **self.counts(g))
 
 
 # a damped step tries lambda = 1, 1/2, ..., 2^-20
@@ -954,21 +970,20 @@ class PutativeMesh:
         charts = tuple(charts)
         if not charts:
             raise EmptyMeshError("a putative mesh needs at least one chart")
-        for chart in charts:
-            if chart.residual > tolerance * (1.0 + 1e-9) + 1e-15:
-                raise InvalidParameterError(
-                    f"chart residual {chart.residual:.3g} exceeds tolerance")
+        self._store(tuple(np.array([getattr(c, f) for c in charts]) for f in _CHART_FIELDS),
+                    tolerance, packet, failures, newton)
+
+    def _store(self, fields, tolerance, packet, failures=(), newton=None) -> None:
+        """Keep the chart fields (as BundleChart._checked_stack takes them)."""
+        over = fields[4] > tolerance * (1.0 + 1e-9) + 1e-15
+        if over.any():
+            raise InvalidParameterError(
+                f"chart residual {fields[4][over.argmax()]:.3g} exceeds tolerance")
         self.tolerance = tolerance
         self.packet = packet
         self.failures = tuple(failures)
         self.newton = dict(newton or {})   # seeds, solved, evaluations
-        # the chart fields, as BundleChart._checked_stack takes them
-        self._fields = (np.stack([c.base_point for c in charts]),
-                        np.stack([c.projector_hi for c in charts]),
-                        np.stack([c.fiber_basis for c in charts]),
-                        np.array([c.owning_cylinder for c in charts]),
-                        np.array([c.residual for c in charts]),
-                        np.array([c.eigenvalues for c in charts]))
+        self._fields = fields
         for arr in self._fields:
             arr.flags.writeable = False
         self.base_points, self.projectors = self._fields[:2]   # (k, n), (k, n, n)
@@ -1006,14 +1021,16 @@ def extract_putative_manifold(packet: CylinderPacket | Sequence[CylinderPacket],
     batched call; every seed gets its row's chart or failure (the error
     kind and text) in seed order. Base points closer than
     tau_bar * dedup_fraction are merged by a sequential pass over the
-    lexicographically sorted points. mesh.newton counts the seeds, the
-    distinct rows solved, and solve_base_point's counts of them: the field
-    evaluations of their halving search, the Newton steps of the slowest
-    row and the rows capped at its step limit.
+    lexicographically sorted points (lexsort_dedup). mesh.newton counts the
+    seeds, the distinct rows solved, and solve_base_point's counts of them:
+    the field evaluations of their halving search, the Newton steps of the
+    slowest row and the rows capped at its step limit.
 
     packet may also be a sequence of packets, and seeds one seed array per
     packet: one stacked solve_base_point call then solves every packet's
     rows, and the call returns a MeshOutcomes tuple of their lone results.
+    Each mesh is built from the solve's arrays (_Solved), with no chart
+    object: the converged rows' projectors are checked as one stack.
     """
     lone = isinstance(packet, CylinderPacket)
     packets, seeds = ((packet,), (seeds,)) if lone else (tuple(packet), tuple(seeds))
@@ -1025,24 +1042,27 @@ def extract_putative_manifold(packet: CylinderPacket | Sequence[CylinderPacket],
         first: dict[bytes, int] = {}
         slots.append(np.array([first.setdefault(seed.tobytes(), len(first)) for seed in s]))
         rows.append(s[np.unique(slots[-1], return_index=True)[1]])
-    solved = (iter([solve_base_point(packet, rows[0], newton_tol, constants=constants)])
+    solved = (solve_base_point(packet, rows[0], newton_tol, constants=constants).arrays
               if lone else solve_base_point(packets, rows, newton_tol, constants=constants))
-    meshes = []
-    for p, slot, distinct, outs in zip(packets, slots, rows, solved):
-        charts = [outs[j] for j in slot if isinstance(outs[j], BundleChart)]
-        failures = [(s, f"{type(outs[j]).__name__}: {outs[j]}") for s, j in enumerate(slot)
-                    if not isinstance(outs[j], BundleChart)]
-        if charts:
-            kept = lexsort_dedup(np.stack([c.base_point for c in charts]),
-                                 p.tau_bar * dedup_fraction)
-            meshes.append(PutativeMesh(
-                charts=tuple(charts[i] for i in kept), tolerance=newton_tol, packet=p,
-                failures=tuple(failures),
-                newton={"seeds": len(slot), "solved": len(distinct), **outs.counts}))
+    meshes, lo = [], 0
+    for g, (p, slot) in enumerate(zip(packets, slots)):
+        hi = lo + len(rows[g])
+        errors, done = solved.errors[lo:hi], solved.done[lo:hi]   # a row converged or erred
+        failures = tuple((s, f"{type(errors[j]).__name__}: {errors[j]}")
+                         for s, j in enumerate(slot.tolist()) if errors[j] is not None)
+        if done.any():
+            fields = solved.fields(np.flatnonzero(done) + lo)
+            _check_projectors(fields[1], p.n - p.d)
+            at = (np.cumsum(done) - 1)[slot[done[slot]]]   # each converged seed's field row
+            keep = at[lexsort_dedup(fields[0][at], p.tau_bar * dedup_fraction)]
+            mesh = object.__new__(PutativeMesh)
+            mesh._store(tuple(a[keep] for a in fields), newton_tol, p, failures,
+                        {"seeds": len(slot), "solved": len(rows[g]), **solved.counts(g)})
+            meshes.append(mesh)
         else:
             meshes.append(EmptyMeshError(
                 f"no seed converged ({len(failures)} failures, first: {failures[0][1]})"))
-        outs = charts = None   # the mesh holds its charts as arrays: free the objects
+        lo = hi
     meshes = MeshOutcomes(meshes)
     return first_or_raise(meshes) if lone else meshes
 
@@ -1116,9 +1136,8 @@ def _alternate(packet: CylinderPacket, context, z: np.ndarray, tol: float = 1e-1
             sq += (z[:, axis, None] - context.base_points[:, axis]) ** 2
         start, charts = np.argmin(sq, axis=1), context._fields
     elif isinstance(context, BundleChart):
-        start, charts = np.zeros(m, dtype=np.int64), [np.asarray(a)[None] for a in (
-            context.base_point, context.projector_hi, context.fiber_basis,
-            context.owning_cylinder, context.residual, context.eigenvalues)]
+        start = np.zeros(m, dtype=np.int64)
+        charts = [np.array([getattr(context, f)]) for f in _CHART_FIELDS]
     else:
         raise InvalidParameterError("context must be a BundleChart or PutativeMesh")
     fields = [a[start] for a in charts]   # each row starts at its nearest chart

@@ -199,16 +199,21 @@ def dist_to_affine(x, sub: AffineSubspace) -> float:
 
 def _row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances (A, B) between the rows of a (A, n) and b (B, n), each
-    bit-equal to np.linalg.norm(a[i] - b[j]). numpy sums fewer than 8
-    squares left to right, as the loop over coordinates does; longer rows
-    it sums pairwise, so those go through np.linalg.norm itself. The loop
-    is the faster of the two: a stacked norm over a short last axis takes
-    about three times as long on a block of points in the plane."""
-    if a.shape[1] >= 8:
-        return np.linalg.norm(a[:, None, :] - b[None], axis=2)
-    sq = np.zeros((a.shape[0], b.shape[0]))
-    for k in range(a.shape[1]):
-        diff = a[:, k, None] - b[None, :, k]
+    bit-equal to np.linalg.norm(a[i] - b[j]) (see _distances)."""
+    return _distances(a[:, None, :], b[None])
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between the points of a and b, broadcast against each other
+    (coordinates on the last axis), each bit-equal to np.linalg.norm of the
+    difference: numpy sums fewer than 8 squares left to right, as the loop
+    over coordinates does (about three times as fast as a stacked norm over
+    a short last axis), and longer rows pairwise, as np.linalg.norm does."""
+    if a.shape[-1] >= 8:
+        return np.linalg.norm(a - b, axis=-1)
+    sq = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1])
+    for k in range(a.shape[-1]):
+        diff = a[..., k] - b[..., k]
         sq += diff * diff
     return np.sqrt(sq)
 
@@ -270,11 +275,37 @@ def lexsort_dedup(points, radius: float) -> list[int]:
 
     Points are visited sorted by their coordinates, the first most
     significant; a point is kept when it lies at least radius from every
-    point kept before it.
+    point kept before it. Only pairs within a window of the sorted first
+    coordinates, with slack, can be closer than radius: they are measured
+    with greedy_merge's arithmetic, one pass per distance in visiting order,
+    and the close ones decided in waves (a point with an earlier kept
+    neighbour is dropped, one whose earlier neighbours are all dropped is
+    kept).
     """
     points = np.asarray(points, dtype=np.float64)
     order = np.lexsort(points.T[::-1])
-    return [int(order[k]) for k in greedy_merge(points[order], radius)]
+    pts = points[order]
+    x = pts[:, 0]
+    window = radius + 1e-9 * (abs(radius) + np.abs(x).max(initial=0.0))
+    # how many points after each one lie in the window of its first coordinate
+    later = np.searchsorted(x, x + window, side="right") - np.arange(x.size) - 1
+    i, j = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for k in range(1, int(later.max(initial=0)) + 1):   # the pairs k points apart
+        rows = np.flatnonzero(later >= k)
+        close = rows[~(_distances(pts[rows + k], pts[rows]) >= radius)]
+        i.append(close)
+        j.append(close + k)
+    i, j = np.concatenate(i), np.concatenate(j)
+    state = np.zeros(x.size, dtype=np.int8)   # 0 undecided, 1 kept, 2 dropped
+    while True:   # a wave decides at least the first undecided point
+        state[j[state[i] == 1]] = 2
+        free = state == 0
+        free[j[state[i] == 0]] = False
+        state[free] = 1
+        pending = state[j] == 0
+        if not pending.any():
+            return order[state == 1].tolist()
+        i, j = i[pending], j[pending]
 
 
 def _ball_grid(axis: np.ndarray, d: int, radius: float) -> np.ndarray:

@@ -27,6 +27,7 @@ from .asdf_bundle import (
     PutativeMesh,
     RowOutcomes,
     _alternate,
+    _close_pairs,
     _member_pairs,
     _solve_rows,
     bump_profile,
@@ -155,18 +156,21 @@ def sketch(sites, values, radius: float) -> SketchedData:
         raise InvalidParameterError("values and sites must align")
     if not (radius >= 0):
         raise InvalidParameterError("sketch radius must be nonnegative")
-    data = _sketches(sites[None], values.reshape(1, sites.shape[0], -1),
-                     np.array([sites.shape[0]]), radius)[0]
+    data = _sketch_at(_sketches(sites[None], values.reshape(1, sites.shape[0], -1),
+                                np.array([sites.shape[0]]), radius), 0, sites.shape[0])
     if values.ndim == 1:
         data = data.component(0)
     return data
 
 
-def _sketches(sites, values, count, radius: float) -> list[SketchedData]:
+def _sketches(sites, values, count, radius: float):
     """The sketches of C site sets at once: sites (C, P, d) and values
     (C, P, c) padded past each set's count (C,) of real sites, each at
     least 1. The greedy merge runs as one masked scan over the site
-    position, with the arithmetic of greedy_merge."""
+    position, with the arithmetic of greedy_merge. Returns padded arrays,
+    zero past each set's m (C,) representatives: the representatives
+    (C, P, d), their averaged targets (C, P, c) and multiplicities (C, P),
+    then each site's representative (C, P) and m."""
     C, P, _ = sites.shape
     real = np.arange(P) < count[:, None]
     dist = np.linalg.norm(sites[:, :, None, :] - sites[:, None, :, :], axis=3)
@@ -182,7 +186,6 @@ def _sketches(sites, values, count, radius: float) -> list[SketchedData]:
     # each site joins the first representative within radius; representatives own themselves
     first = np.argmax((dist < radius) & kept[:, None, :], axis=2)
     owners = np.where(kept, rank, np.take_along_axis(rank, first, axis=1))
-    m = kept.sum(axis=1)
     cyl, pos = np.nonzero(real)
     slot = cyl * P + owners[cyl, pos]
     mult = np.bincount(slot, minlength=C * P).reshape(C, P)
@@ -192,9 +195,14 @@ def _sketches(sites, values, count, radius: float) -> list[SketchedData]:
     reps = np.zeros_like(sites)
     rc, rp = np.nonzero(kept)
     reps[rc, rank[rc, rp]] = sites[rc, rp]
-    return [SketchedData(sites=reps[c, :m[c]], targets=targets[c, :m[c]],
-                         multiplicities=mult[c, :m[c]], owners=owners[c, :count[c]])
-            for c in range(C)]
+    return reps, targets, mult, owners, kept.sum(axis=1)
+
+
+def _sketch_at(sketches, c: int, count: int) -> SketchedData:
+    """Set c of _sketches' arrays, which had count real sites."""
+    reps, targets, mult, owners, m = sketches
+    return SketchedData(sites=reps[c, :m[c]], targets=targets[c, :m[c]],
+                        multiplicities=mult[c, :m[c]], owners=owners[c, :count])
 
 
 # ---- constraint sets ----
@@ -1020,31 +1028,37 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
                           sketch_radius)[0]
 
 
-# mesh points times cylinders whose local coordinates _inside_points holds at once
-_LOCAL_CHUNK = 1 << 13
+# (cylinder, mesh point) squared distances _inside_points' candidate pass holds at once
+_LOCAL_CHUNK = 1 << 16
 
 
 def _inside_points(packet: CylinderPacket, mesh: PutativeMesh, cylinders: np.ndarray):
     """The mesh base points inside each of the given full cylinders: their
     counts (C,) and their local coordinates over tau_bar in mesh order,
-    (C, P, n) zero-padded past each count. The coordinates are computed a
-    chunk of cylinders at a time, which bounds the memory they take."""
+    (C, P, n) zero-padded past each count. A point inside lies within
+    sqrt(2) (tau_bar + 1e-12) of the center: the candidate pairs come from
+    one squared-distance pass with slack (_close_pairs, a chunk of
+    cylinders at a time), and each candidate's local coordinates are its
+    (1, n) @ (n, n) product, for n <= 3 bit-equal to a (mesh, n) @ (n, n)
+    product over every mesh point."""
     tb, d = packet.tau_bar, packet.d
+    lim, points = tb + 1e-12, mesh.base_points
+    points_sq, pairs = np.sum(points * points, axis=1), []
     step = max(1, _LOCAL_CHUNK // mesh.size)
-    found, counts = [], []
     for lo in range(0, cylinders.size, step):
-        part = cylinders[lo:lo + step]
-        local = np.matmul(mesh.base_points - packet.centers[part][:, None, :],
-                          packet.rotations[part])
-        inside = ((np.linalg.norm(local[:, :, :d], axis=2) <= tb + 1e-12)
-                  & (np.linalg.norm(local[:, :, d:], axis=2) <= tb + 1e-12))
-        found.append(local[inside] / tb)
-        counts.append(inside.sum(axis=1))
-    count = np.concatenate(counts)
+        c, p = _close_pairs(packet.centers[cylinders[lo:lo + step]], points, points_sq,
+                            2.0 * lim * lim * (1.0 + 1e-6) + 1e-12)
+        pairs.append((c + lo, p))
+    ci, pi = (np.concatenate(a) for a in zip(*pairs))
+    k = cylinders[ci]
+    local = np.matmul((points[pi] - packet.centers[k])[:, None, :], packet.rotations[k])[:, 0, :]
+    inside = ((np.linalg.norm(local[:, :d], axis=1) <= lim)
+              & (np.linalg.norm(local[:, d:], axis=1) <= lim))
+    count = np.bincount(ci[inside], minlength=cylinders.size)
     real = np.arange(int(count.max(initial=0))) < count[:, None]
-    points = np.zeros(real.shape + (packet.n,))
-    points[real] = np.concatenate(found)
-    return count, points
+    found = np.zeros(real.shape + (packet.n,))
+    found[real] = local[inside] / tb
+    return count, found
 
 
 def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_bar: float,
@@ -1086,17 +1100,18 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
     if filled.size:
         points = points[filled]
         sketches = _sketches(points[:, :, :d], points[:, :, d:], count[filled], sketch_radius)
-        bound = _objective_bounds(_padded([s.targets for s in sketches]),
-                                  _padded([s.weights for s in sketches]), M)
+        reps, targets, mult, _, m = sketches
+        S = int(m.max())   # the padded width of the largest sketch, as the bounds sum over it
+        bound = _objective_bounds(targets[:, :S], mult[:, :S] / mult.sum(axis=1)[:, None], M)
         over = np.argwhere(bound > eps_bar * (1.0 + 1e-9))
         if over.size:
             k, c = over[0].tolist()
             raise InfeasibleSectionError(int(cylinders[filled[k]]), c, float(bound[k, c]),
                                          eps_bar)
-        sets, closest = _constraint_sets(_padded([s.sites for s in sketches]),
-                                         np.array([s.size for s in sketches]), M, c_w)
-        for j, data, cons, sep in zip(filled.tolist(), sketches, sets, closest.tolist()):
-            setup[j] = cons if isinstance(cons, Exception) else (data, cons, sep)
+        sets, closest = _constraint_sets(reps[:, :S], m, M, c_w)
+        for k, (j, cons, sep) in enumerate(zip(filled.tolist(), sets, closest.tolist())):
+            setup[j] = cons if isinstance(cons, Exception) else (
+                _sketch_at(sketches, k, count[j]), cons, sep)
     problems = [(j, c) for j, out in setup.items() if isinstance(out, tuple)
                 for c in range(codim)]
     fronts: dict = {}

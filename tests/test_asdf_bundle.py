@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from test_core_geometry import reference_frame
+from test_core_geometry import reference_frame, reference_lexsort_dedup
 from test_pipeline import reference_perturb_packet
 
 import manifold_test.asdf_bundle as asdf_bundle
@@ -924,6 +924,57 @@ def test_a_stacked_extraction_equals_each_lone_extraction(searched_packets, reve
                 assert_same_chart(a, b)
         assert empty == 1
         assert len(stacked.charts) == sum(m.size for m in stacked if isinstance(m, PutativeMesh))
+
+
+def chart_object_mesh(packet, seeds, newton_tol=1e-10, dedup_fraction=0.01):
+    """Reference: the mesh built from chart objects. One lone solve of the
+    distinct seed rows (in order of first appearance), each seed's chart or
+    failure text, the greedy scan over the lexsorted charts' base points,
+    then PutativeMesh(charts=...)."""
+    first: dict = {}
+    slot = [first.setdefault(seed.tobytes(), len(first)) for seed in seeds]
+    rows = np.array([seeds[slot.index(k)] for k in range(len(first))])
+    outs = solve_base_point(packet, rows, newton_tol)
+    charts = [outs[j] for j in slot if isinstance(outs[j], BundleChart)]
+    failures = tuple((s, f"{type(outs[j]).__name__}: {outs[j]}") for s, j in enumerate(slot)
+                     if not isinstance(outs[j], BundleChart))
+    if not charts:
+        return EmptyMeshError(f"no seed converged ({len(failures)} failures, "
+                              f"first: {failures[0][1]})")
+    kept = reference_lexsort_dedup(np.stack([c.base_point for c in charts]),
+                                   packet.tau_bar * dedup_fraction)
+    return PutativeMesh(charts=[charts[i] for i in kept], tolerance=newton_tol, packet=packet,
+                        failures=failures,
+                        newton={"seeds": len(seeds), "solved": len(rows), **outs.counts})
+
+
+def assert_same_mesh(got, want):
+    if isinstance(want, EmptyMeshError):
+        assert type(got) is EmptyMeshError and str(got) == str(want)
+        return
+    assert got.packet is want.packet and got.tolerance == want.tolerance
+    assert got.failures == want.failures and got.newton == want.newton
+    for a, b in zip(got._fields, want._fields, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_the_array_mesh_equals_the_chart_object_mesh(searched_packets):
+    for name, packets, seeds in searched_packets:
+        # repeated seeds, a seed outside the domain, and one more packet
+        # whose seeds all leave it
+        packets = [*packets, packets[0]]
+        seeds = [*(np.vstack([s, s[::5], [[2.5, -2.5]], s[:3]]) for s in seeds),
+                 np.array([[3.0, 3.0], [-3.0, 0.5], [3.0, 3.0]])]
+        want = [chart_object_mesh(p, s) for p, s in zip(packets, seeds)]
+        assert [type(w) for w in want].count(EmptyMeshError) == 1, name
+        assert all(any(text.startswith("OutOfDomainError:") for _, text in w.failures)
+                   for w in want[:-1]), name
+        for got in (list(extract_putative_manifold(packets, seeds)),
+                    [extract_putative_manifold(p, s) if isinstance(w, PutativeMesh)
+                     else pytest.raises(EmptyMeshError, extract_putative_manifold, p, s).value
+                     for p, s, w in zip(packets, seeds, want)]):
+            for a, b in zip(got, want, strict=True):
+                assert_same_mesh(a, b)
 
 
 def test_member_pairs_of_a_mixed_stack_are_each_packets_lone_pairs(searched_packets):

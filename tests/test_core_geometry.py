@@ -251,6 +251,49 @@ def test_lexsort_dedup_matches_the_plain_merge_loop():
         assert lexsort_dedup(pts, radius) == kept
 
 
+def reference_lexsort_dedup(points, r):
+    """Reference: the point-by-point greedy scan over the lexsorted points."""
+    order = np.lexsort(points.T[::-1])
+    return [int(order[k]) for k in reference_greedy_merge(points[order], r)]
+
+
+def test_lexsort_dedup_matches_the_greedy_scan():
+    # duplicate rows, integer grids at distance exactly r (many points in
+    # one window), and rows of 8 and 12 coordinates whose distance a left to
+    # right sum rounds below r
+    for pts, radii in merge_cases():
+        for r in radii + [0.0]:
+            assert lexsort_dedup(pts, r) == reference_lexsort_dedup(pts, r), (pts.shape, r)
+
+
+def test_lexsort_dedup_decides_chains_ties_and_duplicates():
+    # a chain a-b-c: b lies within r of a and c, but c is r or more from a,
+    # so the scan keeps a and c; a later point d within r of c only is dropped
+    chain = np.array([[0.0, 0.0], [0.6, 0.0], [1.2, 0.0], [1.2, 0.5]])
+    assert lexsort_dedup(chain, 1.0) == [0, 2]
+    assert lexsort_dedup(chain[::-1], 1.0) == [3, 1]
+    # ties at exactly r are kept, exact duplicates merge into their first row
+    assert lexsort_dedup(np.array([[3.0, 4.0], [0.0, 0.0]]), 5.0) == [1, 0]
+    assert lexsort_dedup(np.array([[3.0, 4.0], [0.0, 0.0]]), 5.0 + 1e-12) == [1]
+    dupes = np.array([[0.3, 0.3], [0.1, 0.9], [0.3, 0.3], [0.3, 0.3]])
+    assert lexsort_dedup(dupes, 1e-12) == [1, 0]
+    assert lexsort_dedup(dupes, 0.0) == [1, 0, 2, 3]
+    assert lexsort_dedup(np.zeros((0, 2)), 0.5) == []
+
+
+def test_lexsort_dedup_measures_pairs_at_the_window_edge():
+    # q's first coordinate is p's plus r, rounded: the rounded difference,
+    # which is their distance, lies below, at or above r
+    rng = np.random.default_rng(5)
+    below = 0
+    for p0, p1, r in zip(rng.uniform(-1.0, 1.0, 200), rng.uniform(-1.0, 1.0, 200),
+                         rng.uniform(1e-3, 0.3, 200)):
+        pts = np.array([[p0 + r, p1], [p0, p1]])
+        assert lexsort_dedup(pts, r) == reference_lexsort_dedup(pts, r)
+        below += (pts[0, 0] - p0) < r
+    assert 0 < below < 200
+
+
 # ---- tangent estimation ----
 
 def test_estimate_tangent_recovers_a_line():

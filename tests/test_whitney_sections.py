@@ -2,6 +2,7 @@
 import inspect
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1762,6 +1763,58 @@ def test_an_earlier_failing_cylinder_raises_before_any_later_one(pipeline_packet
         with pytest.raises(DuplicateSiteError, match="injected"):
             fit_sections(packet, mesh, eps_bar, budget=budget)
         assert calls == {"sets": [filled], "front": [filled - 1], "fits": position}
+
+
+def dense_inside_points(packet, mesh, cylinders):
+    """Reference: the local coordinates of every (cylinder, mesh point)
+    pair, one (mesh, n) @ (n, n) product per cylinder, then the norm test."""
+    tb, d = packet.tau_bar, packet.d
+    local = np.matmul(mesh.base_points - packet.centers[cylinders][:, None, :],
+                      packet.rotations[cylinders])
+    inside = ((np.linalg.norm(local[:, :, :d], axis=2) <= tb + 1e-12)
+              & (np.linalg.norm(local[:, :, d:], axis=2) <= tb + 1e-12))
+    count = inside.sum(axis=1)
+    real = np.arange(int(count.max(initial=0))) < count[:, None]
+    points = np.zeros(real.shape + (packet.n,))
+    points[real] = local[inside] / tb
+    return count, points
+
+
+def assert_same_inside_points(packet, mesh, cylinders):
+    got, want = (f(packet, mesh, cylinders) for f in (ws._inside_points, dense_inside_points))
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
+    return got[0]
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 1])
+@pytest.mark.parametrize("name", ["circle-ideal", "circle-perturbed", "disc", "sphere"])
+def test_inside_points_equal_the_dense_pass(pipeline_packets, name, chunk, monkeypatch):
+    # the sphere is sphere-d2's sample (n = 3); one distance pass a cylinder with chunk 1
+    monkeypatch.setattr(ws, "_LOCAL_CHUNK", chunk)
+    packet, mesh, _, _ = pipeline_packets[name]
+    every = np.arange(packet.size)
+    assert assert_same_inside_points(packet, mesh, every).sum() > packet.size
+    assert_same_inside_points(packet, mesh, every[::-3])
+
+
+def test_inside_points_on_the_cylinder_boundary():
+    tb, angle = 0.05, 0.3
+    rotation = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    center = np.array([0.1, -0.2])
+    packet = CylinderPacket([Cylinder(rotation=np.eye(2), center=np.zeros(2), scale=tb,
+                                      tangent_dim=1),
+                             Cylinder(rotation=rotation, center=center, scale=tb,
+                                      tangent_dim=1)], tau=0.5, c12=1.0, C_align=10.0)
+    # local points on the edges and corners of the cylinder, and just past them
+    edge = np.array([tb, tb + 1e-12, tb + 3e-12, tb * (1.0 + 1e-15)])
+    local = np.concatenate([np.stack([edge, np.zeros(4)], axis=1),
+                            np.stack([np.zeros(4), -edge], axis=1),
+                            np.stack([edge, edge], axis=1)])
+    points = np.vstack([local, local @ rotation.T + center])
+    mesh = SimpleNamespace(base_points=points, size=len(points))
+    count = assert_same_inside_points(packet, mesh, np.arange(2))
+    assert count[0] == 9   # the first cylinder's rotation is exact: tb + 3e-12 lies outside
 
 
 def failing_problem(packet, mesh, eps_bar, budget):
