@@ -48,28 +48,21 @@ MEMBERSHIP_SLACK = 1e-12
 BUMP_INNER = 0.25   # theta == 1 inside this radius
 BUMP_OUTER = 1.0    # theta == 0 from this radius on
 
+# The construction's constants, by the paper's symbols where it has them
+CBAR2 = 0.5     # cbar2: accepted top-eigenvalue interval [CBAR2, CBAR3], lower edge
+CBAR3 = 4.0     # Cbar3: its upper edge
+GAP_TOL = 0.25  # least spectral gap of a fiber projector
+CBAR10 = 4.0    # cbar10: a fiber offset is at most CBAR10 * tau_bar / 2
+C1_FLOOR = 0.1          # empirical lower ellipticity threshold
+C1_CEILING = 10.0       # empirical upper ellipticity threshold
+DERIV_CEILING = 10.0    # empirical derivative magnitude threshold
+DEDUP_FRACTION = 0.01   # mesh base points closer than DEDUP_FRACTION * tau_bar merge
+SHIFT_TOL = 1e-11       # an alternation row stops at a shift within SHIFT_TOL * max(1, tau_bar)
+
 # Base-point solver failures that reject one seed or point, not the input;
 # InvalidParameterError ends a row whose Hessian is not symmetric to 1e-9.
 BASE_POINT_ERRORS = (OutOfDomainError, DegenerateCoverError, InsufficientGapError,
                      EscapedDomainError, NoConvergenceError, InvalidParameterError)
-
-
-@dataclass(frozen=True)
-class BundleConstants:
-    """Numeric constants of the bundle machinery, kept in one record."""
-
-    cbar2: float = 0.5          # accepted top-eigenvalue interval, lower edge
-    Cbar3: float = 4.0          # accepted top-eigenvalue interval, upper edge
-    gap_tol: float = 0.25       # minimal spectral gap for the fiber projector
-    smoothness_order: int = 4   # derivative order tracked by the ASDF conditions
-    membership_slack: float = MEMBERSHIP_SLACK
-    cbar10: float = 4.0         # fiber offset bound is cbar10 * tau_bar / 2
-    c1_floor: float = 0.1       # empirical lower ellipticity threshold
-    C1_ceiling: float = 10.0    # empirical upper ellipticity threshold
-    deriv_ceiling: float = 10.0
-
-
-DEFAULT_CONSTANTS = BundleConstants()
 
 
 # ---- bump function ----
@@ -129,10 +122,10 @@ class Cylinder:
     def to_ambient(self, w: np.ndarray) -> np.ndarray:
         return self.rotation @ np.asarray(w, dtype=np.float64) + self.center
 
-    def contains(self, z, factor: float = 1.0, slack: float = MEMBERSHIP_SLACK) -> bool:
+    def contains(self, z, factor: float = 1.0) -> bool:
         w = self.to_local(z)
         d = self.tangent_dim
-        lim = factor * self.scale + slack
+        lim = factor * self.scale + MEMBERSHIP_SLACK
         return (np.linalg.norm(w[:d]) <= lim) and (np.linalg.norm(w[d:]) <= lim)
 
 
@@ -220,12 +213,10 @@ class CylinderPacket:
         most of it."""
         return _StoredCylinders(self)
 
-    def members(self, z: np.ndarray, factor: float = 2.0,
-                slack: float = MEMBERSHIP_SLACK) -> tuple[np.ndarray, np.ndarray]:
+    def members(self, z: np.ndarray, factor: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the cylinders containing z at the given dilation factor,
         and the local coordinates of z in each of them, shape (members, n)."""
-        _, idx, w = _member_pairs(self, np.asarray(z, dtype=np.float64)[None, :],
-                                  factor, slack)
+        _, idx, w = _member_pairs(self, np.asarray(z, dtype=np.float64)[None, :], factor)
         return idx, w
 
 
@@ -246,15 +237,14 @@ class _StoredCylinders(Sequence):
                         tangent_dim=p.d)
 
 
-def _member_pairs(packet: CylinderPacket | _PacketStack, points: np.ndarray, factor: float = 2.0,
-                  slack: float = MEMBERSHIP_SLACK):
+def _member_pairs(packet: CylinderPacket | _PacketStack, points: np.ndarray, factor: float = 2.0):
     """(point row, cylinder, local coordinates) of each pair whose dilated
     cylinder holds the point, by row, then cylinder. A member is within lim
     tangentially and normally, so within 2 lim^2 squared of its center: a
     dense (points, cylinders) prefilter. For a _PacketStack a row's pairs run
     over its own packet's cylinders only, numbered as in the stack, and the
     prefilter runs per packet over that packet's rows."""
-    lim = factor * packet.tau_bar + slack
+    lim = factor * packet.tau_bar + MEMBERSHIP_SLACK
     bound = 2.0 * lim * lim * (1.0 + 1e-6) + 1e-12
     stacked = isinstance(packet, _PacketStack)
     pairs = []
@@ -488,16 +478,14 @@ class _LazyTexts(Sequence):
 
 
 def ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace],
-                 tau: float, cbar12: float = 0.1,
-                 c12: float | None = None, C_align: float | None = None, *,
-                 net) -> CylinderPacket:
+                 tau: float, cbar12: float = 0.1, *, net) -> CylinderPacket:
     """Data-driven ideal packet: centers at the cloud points net (a
     tau_bar/2-net, such as run_test's capped greedy_net), tangent frames
     (_frames).
 
-    tangents must cover every center. When the alignment constants are not
-    given they are measured from the built packet (envelope times 1.25, with
-    floors 1.0 and 10.0).
+    tangents must cover every center. The alignment constants c12 and C are
+    measured from the built packet (envelope times 1.25, with floors 1.0
+    and 10.0).
     """
     if cloud.size == 0:
         raise EmptyInputError("cannot build a packet from an empty cloud")
@@ -511,16 +499,11 @@ def ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace],
     if len({b.shape for b in bases}) > 1:
         raise InvalidParameterError("all cylinders must share (d, n)")
     basis = np.stack(bases) if bases else np.zeros((0, 1, cloud.ambient_dim))
-    packet = CylinderPacket.from_arrays(
-        cloud.points[net], _frames(basis), tau_bar, basis.shape[1], tau=tau,
-        c12=1.0 if c12 is None else c12, C_align=10.0 if C_align is None else C_align)
-    if c12 is None or C_align is None:
-        _, _, opnorm, normal, _ = _packet_pairs(packet)
-        if c12 is None:
-            packet.c12 = max(float(opnorm.max(initial=0.0)) * 1.25 / tau_bar, 1.0)
-        if C_align is None:
-            packet.C_align = max(float(normal.max(initial=0.0)) * 1.25 * tau / tau_bar ** 2,
-                                 10.0)
+    packet = CylinderPacket.from_arrays(cloud.points[net], _frames(basis), tau_bar,
+                                        basis.shape[1], tau=tau, c12=1.0, C_align=10.0)
+    _, _, opnorm, normal, _ = _packet_pairs(packet)
+    packet.c12 = max(float(opnorm.max(initial=0.0)) * 1.25 / tau_bar, 1.0)
+    packet.C_align = max(float(normal.max(initial=0.0)) * 1.25 * tau / tau_bar ** 2, 10.0)
     return packet
 
 
@@ -627,7 +610,7 @@ class PiHiResult:
     fiber_basis: np.ndarray     # (codim, n) orthonormal rows, top eigenvalue first
     eigenvalues: np.ndarray     # all eigenvalues, ascending
     gap: float                  # eigenvalue gap between low and top blocks
-    interval_ok: bool           # all top eigenvalues inside [cbar2, Cbar3]
+    interval_ok: bool           # all top eigenvalues inside [CBAR2, CBAR3]
 
 
 def _top_eigenspaces(hess: np.ndarray, codim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -652,12 +635,11 @@ def _asymmetric(hess: np.ndarray) -> np.ndarray:
     return dev.max(axis=1) > PROJECTOR_TOL
 
 
-def pi_hi(hessian, codim: int, gap_tol: float = DEFAULT_CONSTANTS.gap_tol,
-          constants: BundleConstants = DEFAULT_CONSTANTS) -> PiHiResult:
+def pi_hi(hessian, codim: int) -> PiHiResult:
     """Projector onto the span of the top `codim` Hessian eigenvectors.
 
     The spectrum is sorted ascending; the gap between positions n-codim-1
-    and n-codim must be at least gap_tol, otherwise InsufficientGapError.
+    and n-codim must be at least GAP_TOL, otherwise InsufficientGapError.
     """
     h = np.asarray(hessian, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -669,11 +651,10 @@ def pi_hi(hessian, codim: int, gap_tol: float = DEFAULT_CONSTANTS.gap_tol,
         raise InvalidParameterError("hessian is not symmetric to 1e-9")
     evals, top, gap = _top_eigenspaces(h[None], codim)
     evals, top, gap = evals[0], top[0], float(gap[0])
-    if gap < gap_tol:
-        raise InsufficientGapError(f"spectral gap {gap:.6g} below tolerance {gap_tol:.6g}")
+    if gap < GAP_TOL:
+        raise InsufficientGapError(f"spectral gap {gap:.6g} below tolerance {GAP_TOL:.6g}")
     top_vals = evals[n - codim:]
-    interval_ok = bool(np.all(top_vals >= constants.cbar2)
-                       and np.all(top_vals <= constants.Cbar3))
+    interval_ok = bool(np.all(top_vals >= CBAR2) and np.all(top_vals <= CBAR3))
     return PiHiResult(projector=top.T @ top, fiber_basis=top,
                       eigenvalues=evals, gap=gap, interval_ok=interval_ok)
 
@@ -768,8 +749,7 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_base_point(packet: CylinderPacket | Sequence[CylinderPacket], z0,
-                     newton_tol: float = 1e-10, max_steps: int = 60,
-                     constants: BundleConstants = DEFAULT_CONSTANTS):
+                     newton_tol: float = 1e-10, max_steps: int = 60):
     """Damped Newton for a zero of Pi_hi grad F along the current fiber.
 
     Steps move only inside the span of the top Hessian eigenvectors; a row
@@ -804,15 +784,14 @@ def solve_base_point(packet: CylinderPacket | Sequence[CylinderPacket], z0,
             raise InvalidParameterError(
                 f"point of shape {z.shape} does not match ambient dim {p.n}")
     one = lone and z0[0].ndim == 1
-    solved = _newton(packets, [z0[0][None, :]] if one else z0, newton_tol, max_steps, constants)
+    solved = _newton(packets, [z0[0][None, :]] if one else z0, newton_tol, max_steps)
     if not lone:
         return solved
     outcomes = next(iter(solved))
-    outcomes.arrays = solved   # the solve's arrays, which a lone extract_putative_manifold reads
     return first_or_raise(outcomes) if one else outcomes
 
 
-def _newton(packets, z0, newton_tol, max_steps, constants) -> _Solved:
+def _newton(packets, z0, newton_tol, max_steps) -> _Solved:
     sizes = [z.shape[0] for z in z0]
     group = np.repeat(np.arange(len(packets)), sizes)
     packet = packets[0] if len(packets) == 1 else _PacketStack(packets, group)
@@ -838,10 +817,10 @@ def _newton(packets, z0, newton_tol, max_steps, constants) -> _Solved:
         evals, fiber, gap = _top_eigenspaces(h, codim)
         resid = np.matmul(fiber, grad[active][:, :, None])
         rnorm = np.sqrt((resid * resid).sum((1, 2)))
-        narrow = gap < constants.gap_tol
+        narrow = gap < GAP_TOL
         for i in np.nonzero(narrow)[0]:
             outcomes[active[i]] = InsufficientGapError(
-                f"spectral gap {gap[i]:.6g} below tolerance {constants.gap_tol:.6g}")
+                f"spectral gap {gap[i]:.6g} below tolerance {GAP_TOL:.6g}")
         ok = ~narrow & (rnorm <= newton_tol)
         at = active[ok]
         done[at], fibers[at], residual[at], spectra[at] = True, fiber[ok], rnorm[ok], evals[ok]
@@ -1013,24 +992,23 @@ class MeshOutcomes(RowOutcomes):
 
 
 def extract_putative_manifold(packet: CylinderPacket | Sequence[CylinderPacket], seeds,
-                              newton_tol: float = 1e-10, dedup_fraction: float = 0.01,
-                              constants: BundleConstants = DEFAULT_CONSTANTS):
+                              newton_tol: float = 1e-10):
     """Run the base-point solver from every seed and deduplicate the results.
 
     The distinct seed rows, in order of first appearance, are solved in one
     batched call; every seed gets its row's chart or failure (the error
     kind and text) in seed order. Base points closer than
-    tau_bar * dedup_fraction are merged by a sequential pass over the
+    tau_bar * DEDUP_FRACTION are merged by a sequential pass over the
     lexicographically sorted points (lexsort_dedup). mesh.newton counts the
     seeds, the distinct rows solved, and solve_base_point's counts of them:
     the field evaluations of their halving search, the Newton steps of the
     slowest row and the rows capped at its step limit.
 
     packet may also be a sequence of packets, and seeds one seed array per
-    packet: one stacked solve_base_point call then solves every packet's
-    rows, and the call returns a MeshOutcomes tuple of their lone results.
-    Each mesh is built from the solve's arrays (_Solved), with no chart
-    object: the converged rows' projectors are checked as one stack.
+    packet; the call then returns a MeshOutcomes tuple of their lone
+    results. Both forms solve in one multi-packet solve_base_point call and
+    build each mesh from its arrays (_Solved), with no chart object: the
+    converged rows' projectors are checked as one stack.
     """
     lone = isinstance(packet, CylinderPacket)
     packets, seeds = ((packet,), (seeds,)) if lone else (tuple(packet), tuple(seeds))
@@ -1042,8 +1020,7 @@ def extract_putative_manifold(packet: CylinderPacket | Sequence[CylinderPacket],
         first: dict[bytes, int] = {}
         slots.append(np.array([first.setdefault(seed.tobytes(), len(first)) for seed in s]))
         rows.append(s[np.unique(slots[-1], return_index=True)[1]])
-    solved = (solve_base_point(packet, rows[0], newton_tol, constants=constants).arrays
-              if lone else solve_base_point(packets, rows, newton_tol, constants=constants))
+    solved = solve_base_point(packets, rows, newton_tol)
     meshes, lo = [], 0
     for g, (p, slot) in enumerate(zip(packets, slots)):
         hi = lo + len(rows[g])
@@ -1054,7 +1031,7 @@ def extract_putative_manifold(packet: CylinderPacket | Sequence[CylinderPacket],
             fields = solved.fields(np.flatnonzero(done) + lo)
             _check_projectors(fields[1], p.n - p.d)
             at = (np.cumsum(done) - 1)[slot[done[slot]]]   # each converged seed's field row
-            keep = at[lexsort_dedup(fields[0][at], p.tau_bar * dedup_fraction)]
+            keep = at[lexsort_dedup(fields[0][at], p.tau_bar * DEDUP_FRACTION)]
             mesh = object.__new__(PutativeMesh)
             mesh._store(tuple(a[keep] for a in fields), newton_tol, p, failures,
                         {"seeds": len(slot), "solved": len(rows[g]), **solved.counts(g)})
@@ -1079,10 +1056,7 @@ class FiberDecomposition:
     chart: BundleChart
 
 
-def bundle_coordinates(packet: CylinderPacket, context, z,
-                       tol: float = 1e-11, max_iters: int = 60,
-                       newton_tol: float = 1e-10,
-                       constants: BundleConstants = DEFAULT_CONSTANTS):
+def bundle_coordinates(packet: CylinderPacket, context, z, max_iters: int = 60):
     """Alternating projection of z onto (base point, fiber offset).
 
     context is a BundleChart or a PutativeMesh (each row starts at its
@@ -1092,7 +1066,8 @@ def bundle_coordinates(packet: CylinderPacket, context, z,
     secant method when d = 1), db and dt the changes since the row's last
     round and gamma = dt.t / |dt|^2, or b + t where gamma is not finite. A
     row whose extrapolated seed fails is solved again from b + t in the
-    same round. The fiber offset must stay within cbar10 * tau_bar / 2.
+    same round. A row stops at a tangential shift within SHIFT_TOL *
+    max(1, tau_bar), and its fiber offset must stay within CBAR10 * tau_bar / 2.
     z of shape (n,) returns its FiberDecomposition or raises
     DecompositionFailedError. z of shape (m, n) returns a RowOutcomes tuple
     of m outcomes, each a FiberDecomposition or the DecompositionFailedError
@@ -1104,8 +1079,7 @@ def bundle_coordinates(packet: CylinderPacket, context, z,
     (_alternate); objects are built for the decomposed rows only.
     """
     z = np.asarray(z, dtype=np.float64)
-    errors, fields, offset, counts = _alternate(packet, context, z, tol, max_iters,
-                                                newton_tol, constants)
+    errors, fields, offset, counts = _alternate(packet, context, z, max_iters)
     outcomes = list(errors)
     rows = np.flatnonzero([e is None for e in errors])
     for row, chart in zip(rows.tolist(),
@@ -1118,9 +1092,8 @@ def bundle_coordinates(packet: CylinderPacket, context, z,
     return first_or_raise(outcomes) if z.ndim == 1 else outcomes
 
 
-def _alternate(packet: CylinderPacket, context, z: np.ndarray, tol: float = 1e-11,
-               max_iters: int = 60, newton_tol: float = 1e-10,
-               constants: BundleConstants = DEFAULT_CONSTANTS):
+def _alternate(packet: CylinderPacket, context, z: np.ndarray, max_iters: int = 60,
+               newton_tol: float = 1e-10):
     """bundle_coordinates' rounds on arrays. Returns per row its error or
     None, the chart fields of its last base point (in the argument order of
     BundleChart._checked_stack) and its fiber offset, and the counts. Each
@@ -1144,8 +1117,8 @@ def _alternate(packet: CylinderPacket, context, z: np.ndarray, tol: float = 1e-1
     base, proj = fields[:2]
     errors: list = [None] * m
     offset = np.zeros(z.shape)
-    shift_tol = max(tol, 1e-13) * max(1.0, packet.tau_bar)
-    vmax = constants.cbar10 * packet.tau_bar / 2.0
+    shift_tol = SHIFT_TOL * max(1.0, packet.tau_bar)
+    vmax = CBAR10 * packet.tau_bar / 2.0
     counts = {"rounds": 0, "solved": 0, "evaluations": 0}
     last_base, last_t = np.full(z.shape, np.nan), np.full(z.shape, np.nan)
 
@@ -1184,7 +1157,7 @@ def _alternate(packet: CylinderPacket, context, z: np.ndarray, tol: float = 1e-1
                             plain - gamma[:, None] * (b - last_base[active] + dt), plain)
         last_base[active], last_t[active] = b, t
         # the multi-packet form: its arrays, no chart objects
-        found = solve_base_point([packet], [seed], newton_tol, constants=constants)
+        found = solve_base_point([packet], [seed], newton_tol)
         update(found, active)
         failed = list(found.errors)
         retry = np.flatnonzero(secant & ~found.done)
@@ -1192,7 +1165,7 @@ def _alternate(packet: CylinderPacket, context, z: np.ndarray, tol: float = 1e-1
         counts["solved"] += active.size + retry.size
         counts["evaluations"] += int(found.evaluations.sum())
         if retry.size:
-            again = solve_base_point([packet], [plain[retry]], newton_tol, constants=constants)
+            again = solve_base_point([packet], [plain[retry]], newton_tol)
             update(again, active[retry])
             counts["evaluations"] += int(again.evaluations.sum())
             for i, err in zip(retry.tolist(), again.errors):
@@ -1239,21 +1212,19 @@ def _unit_cylinder_grid(d: int, codim: int) -> np.ndarray:
 
 
 def check_asdf_conditions(packet: CylinderPacket, sample: PointCloud,
-                          tangents: Mapping[int, AffineSubspace],
-                          rho: float | None = None,
-                          constants: BundleConstants = DEFAULT_CONSTANTS) -> AsdfConditionsReport:
+                          tangents: Mapping[int, AffineSubspace]) -> AsdfConditionsReport:
     """Probe the rescaled field F_hat around manifold samples.
 
     For each sample z with tangent frame Theta the field
     F_hat(w) = F(z + tau_bar Theta w) / tau_bar^2 is probed on a grid in the
     unit cylinder; the report collects the empirical ellipticity ratios
-    (F_hat + rho^2) / (|y|^2 + rho^2) and the derivative magnitudes.
+    (F_hat + rho^2) / (|y|^2 + rho^2), rho = tau_bar / tau, and the
+    derivative magnitudes, against C1_FLOOR, C1_CEILING and DERIV_CEILING.
     """
     if sample.size == 0:
         raise EmptyInputError("need at least one sample point")
     tb = packet.tau_bar
-    if rho is None:
-        rho = tb / packet.tau
+    rho = tb / packet.tau
     grid = _unit_cylinder_grid(packet.d, packet.n - packet.d)
     denom = np.sum(grid[:, packet.d:] ** 2, axis=1) + rho ** 2
     c1, c_up, max_grad, max_hess, evaluated = math.inf, 0.0, 0.0, 0.0, 0
@@ -1274,11 +1245,11 @@ def check_asdf_conditions(packet: CylinderPacket, sample: PointCloud,
     violations = []
     if evaluated == 0:
         violations.append("no probe point landed inside the packet domain")
-    if c1 < constants.c1_floor:
-        violations.append(f"lower ellipticity {c1:.4g} below {constants.c1_floor}")
-    if c_up > constants.C1_ceiling:
-        violations.append(f"upper ellipticity {c_up:.4g} above {constants.C1_ceiling}")
-    if max(max_grad, max_hess) > constants.deriv_ceiling:
+    if c1 < C1_FLOOR:
+        violations.append(f"lower ellipticity {c1:.4g} below {C1_FLOOR}")
+    if c_up > C1_CEILING:
+        violations.append(f"upper ellipticity {c_up:.4g} above {C1_CEILING}")
+    if max(max_grad, max_hess) > DERIV_CEILING:
         violations.append("derivative magnitude exceeds the ceiling")
     return AsdfConditionsReport(
         c1_empirical=c1 if evaluated else math.nan,
@@ -1307,8 +1278,7 @@ def save_mesh(mesh: PutativeMesh, csv_path: str, sidecar_path: str) -> None:
         json.dump(payload, fh, sort_keys=True)
 
 
-def load_mesh(packet: CylinderPacket, csv_path: str, sidecar_path: str,
-              constants: BundleConstants = DEFAULT_CONSTANTS) -> PutativeMesh:
+def load_mesh(packet: CylinderPacket, csv_path: str, sidecar_path: str) -> PutativeMesh:
     """Rebuild a mesh from disk, recomputing charts against the packet.
 
     Every chart is re-derived at the stored base point and cross-checked
@@ -1318,7 +1288,7 @@ def load_mesh(packet: CylinderPacket, csv_path: str, sidecar_path: str,
     with open(sidecar_path) as fh:
         payload = json.load(fh)
     # an infinite tolerance stops every row's Newton at its stored point
-    charts = solve_base_point(packet, pts, math.inf, constants=constants)
+    charts = solve_base_point(packet, pts, math.inf)
     for chart, stored in zip(charts, payload["charts"]):
         if not isinstance(chart, BundleChart):
             raise chart

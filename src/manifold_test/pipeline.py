@@ -43,6 +43,7 @@ from .errors import (
 from .whitney_sections import SectionModel, _shepard_blend, fit_sections, mfin_distance
 
 TANGENT_RADIUS_LADDER = (2.0, 4.0, 8.0, 16.0)
+RANK_TOL = 1e-10   # reduce_dimension's singular-value cut, relative to the largest
 
 
 @dataclass(frozen=True)
@@ -214,12 +215,11 @@ class ReducedCloud:
         return np.asarray(reduced_points, dtype=np.float64) @ self.basis
 
 
-def reduce_dimension(cloud: PointCloud, net_indices, extra_dim: int = 5,
-                     rank_tol: float = 1e-10) -> ReducedCloud:
+def reduce_dimension(cloud: PointCloud, net_indices, extra_dim: int = 5) -> ReducedCloud:
     """Project onto the linear span of the net points plus residual modes.
 
     The basis starts with the span of the net points (rank determined by
-    singular values above rank_tol relative to the largest) and is extended
+    singular values above RANK_TOL relative to the largest) and is extended
     by up to extra_dim principal directions of the remaining residuals.
     """
     if cloud.size == 0:
@@ -231,7 +231,7 @@ def reduce_dimension(cloud: PointCloud, net_indices, extra_dim: int = 5,
     net_pts = cloud.points[net_indices]
     _u, sv, vt = np.linalg.svd(net_pts, full_matrices=False)
     if sv.size and sv[0] > 0:
-        rank = int(np.sum(sv > rank_tol * sv[0]))
+        rank = int(np.sum(sv > RANK_TOL * sv[0]))
     else:
         rank = 0
     rows = [vt[:rank]] if rank else []
@@ -239,7 +239,7 @@ def reduce_dimension(cloud: PointCloud, net_indices, extra_dim: int = 5,
     if extra_dim > 0 and rank < n:
         resid = cloud.points - (cloud.points @ basis.T) @ basis
         _u2, sv2, vt2 = np.linalg.svd(resid, full_matrices=False)
-        keep = int(np.sum(sv2 > max(rank_tol * (sv[0] if sv.size else 1.0), 1e-14)))
+        keep = int(np.sum(sv2 > max(RANK_TOL * (sv[0] if sv.size else 1.0), 1e-14)))
         rows.append(vt2[:min(extra_dim, keep)])
         basis = np.vstack([b for b in rows if b.size]) if rows else basis
         # re-orthonormalize to wash out roundoff between the two blocks
@@ -599,9 +599,8 @@ def _dense_manifold_sample(model: SectionModel, per_axis: int = 5,
     return pts[kept], AffineSubspace._checked_stack(pts[kept], frames[kept].transpose(0, 2, 1))
 
 
-def verify_output(verdict: TestVerdict, cloud: PointCloud,
-                  config: TestConfig | None = None) -> VerificationReport:
-    """Re-derive the case-one evidence from the verdict's model.
+def verify_output(verdict: TestVerdict, cloud: PointCloud) -> VerificationReport:
+    """Re-derive the case-one evidence from the verdict's model and config.
 
     Checks: the dense sample of the patched manifold has Federer reach at
     least c_rec * tau; the loss recomputes to within 10 percent (or eps) of
@@ -609,7 +608,7 @@ def verify_output(verdict: TestVerdict, cloud: PointCloud,
     """
     if verdict.model is None:
         raise InvalidParameterError("the verdict carries no manifold model")
-    config = config or verdict.config
+    config = verdict.config
     model = verdict.model
     flags: list[str] = []
 

@@ -47,7 +47,7 @@ from .errors import (
     UncoveredPointError,
 )
 
-C_W_DEFAULT = 3.0
+C_W = 3.0   # the Whitney constant of the pair constraints
 DUPLICATE_SITE_TOL = 1e-12
 # squared-form slack: overshooting a slab by ~1e-6 of its half-width counts
 # as feasible, which iterative projections reach quickly and the Whitney
@@ -207,9 +207,9 @@ def _sketch_at(sketches, c: int, count: int) -> SketchedData:
 
 # ---- constraint sets ----
 
-def whitney_kappa(d: int, c_w: float = C_W_DEFAULT) -> float:
+def whitney_kappa(d: int) -> float:
     """Conditioning factor between jet-coefficient and Whitney norms."""
-    return max(1.0, d / c_w, 2.0 * math.sqrt(d) / c_w)
+    return max(1.0, d / C_W, 2.0 * math.sqrt(d) / C_W)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +227,6 @@ class ConstraintSet:
 
     sites: np.ndarray        # (m, d)
     M: float
-    c_w: float
-    kappa: float
     pair_radius: float
     pair_sites: np.ndarray   # (K, 2) the sites (s, t) of each row
     pair_kinds: np.ndarray   # (K,)
@@ -312,14 +310,13 @@ class ConstraintSet:
         return bool(np.all(self.violations(y) <= self.feasibility_tol()))
 
 
-def build_constraints(sites, M: float, c_w: float = C_W_DEFAULT,
-                      pair_radius: float | None = None) -> ConstraintSet:
+def build_constraints(sites, M: float) -> ConstraintSet:
     """Admissible set for degree-2 Whitney fields on the given sites.
 
-    Pairs closer than pair_radius (default: four times the largest
-    nearest-neighbor distance) must agree to second order: the Taylor value
-    of one jet at the other site within c_w M |h|^2 and each gradient
-    component within c_w M |h|, in both directions. A batch of one of
+    Pairs no farther apart than pair_radius, four times the largest
+    nearest-neighbor distance, must agree to second order: the Taylor value
+    of one jet at the other site within C_W M |h|^2 and each gradient
+    component within C_W M |h|, in both directions. A batch of one of
     _constraint_sets.
     """
     sites = np.asarray(sites, dtype=np.float64)
@@ -327,14 +324,13 @@ def build_constraints(sites, M: float, c_w: float = C_W_DEFAULT,
         raise EmptyInputError("need a nonempty (m, d) site array")
     if not (M > 0):
         raise InvalidParameterError("coefficient bound M must be positive")
-    out = _constraint_sets(sites[None], np.array([sites.shape[0]]), M, c_w,
-                           pair_radius)[0][0]
+    out = _constraint_sets(sites[None], np.array([sites.shape[0]]), M)[0][0]
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def _constraint_sets(sites, m, M: float, c_w: float, pair_radius: float | None = None):
+def _constraint_sets(sites, m, M: float):
     """The constraint sets of C site sets at once, sites (C, S, d) padded
     past each set's count m (C,), and each set's smallest site separation
     (inf for one site). A set with coinciding sites gets its
@@ -345,11 +341,8 @@ def _constraint_sets(sites, m, M: float, c_w: float, pair_radius: float | None =
     off = np.where(real[:, :, None] & real[:, None, :] & ~np.eye(S, dtype=bool), dist, np.inf)
     closest_at = off.reshape(C, -1).argmin(axis=1)
     closest = off.reshape(C, -1)[np.arange(C), closest_at]
-    if pair_radius is None:
-        nn = np.where(real, off.min(axis=2), -np.inf)
-        radius = np.where(m > 1, 4.0 * nn.max(axis=1, initial=-np.inf), 0.0)
-    else:
-        radius = np.full(C, float(pair_radius))
+    nn = np.where(real, off.min(axis=2), -np.inf)
+    radius = np.where(m > 1, 4.0 * nn.max(axis=1, initial=-np.inf), 0.0)
     cyl, s_idx, t_idx = np.nonzero(np.isfinite(off) & (off <= radius[:, None, None]))
     # per pair (s, t): the value row, then one gradient row per axis; each
     # holds the Taylor functional of jet s at x_t minus jet t's own entry
@@ -357,12 +350,11 @@ def _constraint_sets(sites, m, M: float, c_w: float, pair_radius: float | None =
     hn = dist[cyl, s_idx, t_idx]
     taylor = np.concatenate([_monomials(h)[:, None, :], _monomial_gradients(h)],
                             axis=1).reshape(-1, jet_size(d))
-    betas = np.stack([(c_w * M * hn * hn) ** 2] + d * [(c_w * M * hn) ** 2],
+    betas = np.stack([(C_W * M * hn * hn) ** 2] + d * [(C_W * M * hn) ** 2],
                      axis=1).reshape(-1)
     ends = np.repeat(np.stack([s_idx, t_idx], axis=1), 1 + d, axis=0)
     kinds = np.tile(np.arange(1 + d), s_idx.size)
     bounds = np.concatenate([[0], np.cumsum(np.bincount(cyl, minlength=C) * (1 + d))])
-    kappa = whitney_kappa(d, c_w)
     sets = []
     for c in range(C):
         if closest[c] < DUPLICATE_SITE_TOL:
@@ -371,8 +363,8 @@ def _constraint_sets(sites, m, M: float, c_w: float, pair_radius: float | None =
             continue
         rows = slice(bounds[c], bounds[c + 1])
         sets.append(ConstraintSet(
-            sites=sites[c, :m[c]], M=float(M), c_w=float(c_w), kappa=kappa,
-            pair_radius=float(radius[c]), pair_sites=ends[rows], pair_kinds=kinds[rows],
+            sites=sites[c, :m[c]], M=float(M), pair_radius=float(radius[c]),
+            pair_sites=ends[rows], pair_kinds=kinds[rows],
             pair_taylor=taylor[rows], pair_betas=betas[rows]))
     return sets, closest
 
@@ -595,11 +587,6 @@ def _warm_starts(stack: _SectionStack) -> np.ndarray:
         coeff[over] *= (limit[over] / norm[over])[:, None]
         y[sel, :m] = coeff
     return y.reshape(B, S * q)
-
-
-def _warm_start(data: SketchedData, constraints: ConstraintSet) -> np.ndarray:
-    """Local least-squares jets of one problem; a batch of one of _warm_starts."""
-    return _warm_starts(_SectionStack.build([constraints], [data]))[0]
 
 
 # ---- projection (Dykstra) ----
@@ -1017,14 +1004,13 @@ def _shepard_blend(offs, coefficients, radius, valid=None) -> tuple[np.ndarray, 
 
 def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
                       cylinder_index: int, eps_bar: float = 0.5,
-                      M: float | None = None, c_w: float = C_W_DEFAULT,
-                      budget: int | None = None,
+                      M: float | None = None, budget: int | None = None,
                       sketch_radius: float = 0.02) -> LocalSection:
     """Fit the graph section of one cylinder from the mesh points inside it;
     a batch of one of _fit_cylinders."""
     if not (0 <= cylinder_index < packet.size):
         raise InvalidParameterError(f"no cylinder {cylinder_index} in the packet")
-    return _fit_cylinders(packet, mesh, [cylinder_index], eps_bar, M, c_w, budget,
+    return _fit_cylinders(packet, mesh, [cylinder_index], eps_bar, M, budget,
                           sketch_radius)[0]
 
 
@@ -1062,7 +1048,7 @@ def _inside_points(packet: CylinderPacket, mesh: PutativeMesh, cylinders: np.nda
 
 
 def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_bar: float,
-                   M: float | None, c_w: float, budget: int | None,
+                   M: float | None, budget: int | None,
                    sketch_radius: float) -> list[LocalSection]:
     """Fit the graph sections of the given cylinders, in order.
 
@@ -1108,7 +1094,7 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
             k, c = over[0].tolist()
             raise InfeasibleSectionError(int(cylinders[filled[k]]), c, float(bound[k, c]),
                                          eps_bar)
-        sets, closest = _constraint_sets(reps[:, :S], m, M, c_w)
+        sets, closest = _constraint_sets(reps[:, :S], m, M)
         for k, (j, cons, sep) in enumerate(zip(filled.tolist(), sets, closest.tolist())):
             setup[j] = cons if isinstance(cons, Exception) else (
                 _sketch_at(sketches, k, count[j]), cons, sep)
@@ -1287,8 +1273,7 @@ class _StoredSections(Sequence):
 
 
 def fit_sections(packet: CylinderPacket, mesh: PutativeMesh,
-                 eps_bar: float = 0.5, M: float | None = None,
-                 c_w: float = C_W_DEFAULT, budget: int | None = None,
+                 eps_bar: float = 0.5, M: float | None = None, budget: int | None = None,
                  sketch_radius: float = 0.02) -> SectionModel:
     """Fit every cylinder's local section (see _fit_cylinders) and assemble
     the model. Raises InvalidParameterError for eps_bar <= 0, M <= 0 or a
@@ -1296,7 +1281,7 @@ def fit_sections(packet: CylinderPacket, mesh: PutativeMesh,
     objective lower bound exceeds eps_bar, reported before any earlier
     cylinder's setup error or solver stop; else the first failing
     cylinder's own error."""
-    sections = _fit_cylinders(packet, mesh, range(packet.size), eps_bar, M, c_w, budget,
+    sections = _fit_cylinders(packet, mesh, range(packet.size), eps_bar, M, budget,
                               sketch_radius)
     return SectionModel(packet=packet, mesh=mesh, sections=sections,
                         eps_bar=eps_bar)

@@ -107,7 +107,7 @@ def solver_fixture(sigma: float, seed: int = 0):
     if sigma > 0:
         targets = truth + sigma * np.random.default_rng(seed).standard_normal(25)
     data = sketch(sites, targets, 0.0)
-    constraints = build_constraints(data.sites, M=0.5, c_w=3.0)
+    constraints = build_constraints(data.sites, M=0.5)
     return data, constraints
 
 
@@ -317,7 +317,7 @@ def test_criterion_09_sketching_contracts_and_objective_gap():
     np.fill_diagonal(sep, np.inf)
     assert float(sep.min()) >= eps_bar
 
-    constraints = build_constraints(sk.sites, M=0.5, c_w=3.0)
+    constraints = build_constraints(sk.sites, M=0.5)
     res = minimize_section(sk, constraints, eps_bar=1e-3)
     assert res.certified
     sketched_value = res.value

@@ -12,7 +12,6 @@ import manifold_test.asdf_bundle as asdf_bundle
 import manifold_test.pipeline as pipeline
 from manifold_test.asdf_bundle import (
     BASE_POINT_ERRORS,
-    DEFAULT_CONSTANTS,
     BundleChart,
     Cylinder,
     CylinderPacket,
@@ -514,15 +513,19 @@ def test_equal_seeds_share_one_solve(circle_packet, monkeypatch):
                        cloud.points[:3], np.array([[0.9, 0.05]])])
     want_charts, want_failures = one_solve_per_seed(packet, seeds)
 
-    calls = []
-    solve = asdf_bundle.solve_base_point
+    calls, built = [], []
+    solve, stack = asdf_bundle.solve_base_point, BundleChart._checked_stack
 
-    def spy(packet, z0, *args, **kwargs):
-        calls.append(np.array(z0))
-        return solve(packet, z0, *args, **kwargs)
+    def spy(packets, z0, *args, **kwargs):
+        (z,) = z0   # the multi-packet form, with this packet alone
+        calls.append(np.array(z))
+        return solve(packets, z0, *args, **kwargs)
 
     monkeypatch.setattr(asdf_bundle, "solve_base_point", spy)
+    monkeypatch.setattr(BundleChart, "_checked_stack",
+                        classmethod(lambda cls, *fields: built.append(1) or stack(*fields)))
     mesh = extract_putative_manifold(packet, seeds)
+    assert not built   # the lone call builds no BundleChart
     (rows,) = calls
     first_seen = np.vstack([cloud.points[:20], outside, np.array([[0.9, 0.05]])])
     assert rows.shape == (22, 2) and rows.tobytes() == first_seen.tobytes()
@@ -571,11 +574,11 @@ def owner_at(packet, z):
     return int(idx[int(np.argmax(bump_profile(radii)[0]))])
 
 
-def chart_from_scratch(packet, z, constants=DEFAULT_CONSTANTS):
+def chart_from_scratch(packet, z):
     """Reference: every piece of a chart derived again at its base point."""
     codim = packet.n - packet.d
     _, grad, hess = asdf_grad_hess(packet, z)
-    res = pi_hi(hess, codim, constants.gap_tol, constants)
+    res = pi_hi(hess, codim)
     residual = float(np.linalg.norm(res.fiber_basis @ grad))
     return BundleChart(
         base_point=z.copy(), projector_hi=res.projector, fiber_basis=res.fiber_basis,
@@ -662,14 +665,13 @@ def reference_asdf_terms(packet, z, order, counter=None):
     return value, grad, hess, owner
 
 
-def reference_solve(packet, z0, newton_tol=1e-10, max_steps=60,
-                    constants=DEFAULT_CONSTANTS, counter=None):
+def reference_solve(packet, z0, newton_tol=1e-10, max_steps=60, counter=None):
     """Reference: the per-point damped Newton; counter[0] counts kernel calls."""
     z = np.asarray(z0, dtype=np.float64).copy()
     codim = packet.n - packet.d
     _, grad, hess, owner = reference_asdf_terms(packet, z, 2, counter)
     for _ in range(max_steps):
-        res = pi_hi(hess, codim, constants.gap_tol, constants)
+        res = pi_hi(hess, codim)
         fiber = res.fiber_basis
         resid = fiber @ grad
         rnorm = math.sqrt(resid @ resid)
@@ -1001,8 +1003,7 @@ def test_member_pairs_of_a_mixed_stack_are_each_packets_lone_pairs(searched_pack
 
 # ---- the stacked halving ladder against the halving loop ----
 
-def reference_newton(packet, z0, newton_tol=1e-10, max_steps=60,
-                     constants=DEFAULT_CONSTANTS):
+def reference_newton(packet, z0, newton_tol=1e-10, max_steps=60):
     """Reference: the masked Newton with one field-kernel call per halving,
     and its counts: field evaluations, steps of the slowest row, capped rows."""
     codim = packet.n - packet.d
@@ -1019,10 +1020,10 @@ def reference_newton(packet, z0, newton_tol=1e-10, max_steps=60,
         evals, fiber, gap = asdf_bundle._top_eigenspaces(h, codim)
         resid = np.matmul(fiber, grad[active][:, :, None])
         rnorm = np.sqrt((resid * resid).sum((1, 2)))
-        narrow = gap < constants.gap_tol
+        narrow = gap < asdf_bundle.GAP_TOL
         for i in np.nonzero(narrow)[0]:
             outcomes[active[i]] = InsufficientGapError(
-                f"spectral gap {gap[i]:.6g} below tolerance {constants.gap_tol:.6g}")
+                f"spectral gap {gap[i]:.6g} below tolerance {asdf_bundle.GAP_TOL:.6g}")
         for i in np.nonzero(~narrow & (rnorm <= newton_tol))[0]:
             r, fib = active[i], fiber[i].copy()
             converged[r] = dict(

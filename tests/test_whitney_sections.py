@@ -72,8 +72,13 @@ def line_fixture(sigma: float = 0.0, m: int = 25, seed: int = 0):
     if sigma > 0:
         targets = targets + sigma * np.random.default_rng(seed).standard_normal(m)
     data = sketch(sites, targets, 0.0)
-    constraints = build_constraints(data.sites, M=0.5, c_w=3.0)
+    constraints = build_constraints(data.sites, M=0.5)
     return data, constraints
+
+
+def warm_start(data, cons):
+    """The local least-squares jets of one problem: a batch of one of _warm_starts."""
+    return ws._warm_starts(ws._SectionStack.build([cons], [data]))[0]
 
 
 # ---- jets ----
@@ -210,7 +215,7 @@ def test_sketch_matches_the_sequential_loop(d):
 # ---- constraints ----
 
 def test_constraint_rows_match_hand_taylor():
-    cons = build_constraints(np.array([[0.0], [0.5]]), M=1.0, c_w=3.0)
+    cons = build_constraints(np.array([[0.0], [0.5]]), M=1.0)
     assert cons.m == 2 and cons.q == 3 and cons.dim == 6
     assert cons.pair_rows.shape == (4, 6)
     np.testing.assert_allclose(cons.pair_rows[0], [1.0, 0.5, 0.125, -1.0, 0.0, 0.0])
@@ -256,7 +261,7 @@ def test_pair_groups_partition_all_rows():
 
 
 def test_violations_hand_value():
-    cons = build_constraints(np.array([[0.0], [0.5]]), M=1.0, c_w=3.0)
+    cons = build_constraints(np.array([[0.0], [0.5]]), M=1.0)
     y = np.zeros(6)
     y[0] = 2.0  # value at the first site only
     v = cons.violations(y)
@@ -339,7 +344,7 @@ def test_small_noise_certifies_through_projection():
     # the projection here is the radial one: the warm start scaled back
     # into the admissible set
     data, cons = line_fixture(sigma=0.005)
-    y0 = ws._warm_start(data, cons)
+    y0 = warm_start(data, cons)
     assert not cons.is_feasible(y0)
     res = minimize_section(data, cons, eps_bar=0.01)
     assert res.solver == "retracted"
@@ -377,11 +382,11 @@ def test_budget_exceeded_carries_best_cutting_plane():
 def test_projection_reports_why_it_stopped():
     data, cons = line_fixture(sigma=0.01, seed=1)
     # the constraints depend only on the sites, which the noise leaves alone
-    feasible = ws._warm_start(*line_fixture())
+    feasible = warm_start(*line_fixture())
     y, stop = ws._project_constraints(cons, feasible)
     assert stop == "move_tol"
     np.testing.assert_array_equal(y, feasible)
-    y0 = ws._warm_start(data, cons)
+    y0 = warm_start(data, cons)
     assert not cons.is_feasible(y0)
     _, stop = ws._project_constraints(cons, y0, sweeps=1)
     assert stop == "cap"
@@ -389,7 +394,7 @@ def test_projection_reports_why_it_stopped():
 
 def test_warm_start_projection_stops_at_the_callers_target():
     data, cons = line_fixture(sigma=0.01, seed=1)
-    y0 = ws._warm_start(data, cons)
+    y0 = warm_start(data, cons)
     assert not cons.is_feasible(y0)
     # without a target the projection runs to its sweep cap here
     _, stop = ws._project_constraints(cons, y0)
@@ -429,7 +434,7 @@ def test_a_fit_reports_the_stop_of_every_projection(monkeypatch):
 
 def test_unreachable_target_leaves_the_projection_unchanged():
     data, cons = line_fixture(sigma=0.01, seed=1)
-    y0 = ws._warm_start(data, cons)
+    y0 = warm_start(data, cons)
     calls = []
 
     def never(y):
@@ -505,11 +510,11 @@ def test_pair_rows_and_warm_start_match_the_old_loops(d):
     targets = 0.3 * np.sin(2.0 * sites.sum(axis=1)) + 0.01 * rng.standard_normal(9)
     data = sketch(sites, targets, 0.0)
     # M at the median unscaled block norm, so the warm start takes both branches
-    loose = ws._warm_start(data, build_constraints(data.sites, M=1e9))
+    loose = warm_start(data, build_constraints(data.sites, M=1e9))
     cons = build_constraints(data.sites, M=float(np.median(
-        np.linalg.norm(loose.reshape(9, -1), axis=1))), c_w=3.0)
+        np.linalg.norm(loose.reshape(9, -1), axis=1))))
     assert cons.pair_rows.shape[0] > 0
-    rows, betas = old_pair_rows(data.sites, cons.M, cons.c_w, cons.pair_radius)
+    rows, betas = old_pair_rows(data.sites, cons.M, ws.C_W, cons.pair_radius)
     np.testing.assert_array_equal(cons.pair_rows, rows)
     # |h| comes from the pairwise distance matrix, which can round the last
     # bit differently from the norm of one offset when d >= 2; the value
@@ -517,7 +522,7 @@ def test_pair_rows_and_warm_start_match_the_old_loops(d):
     np.testing.assert_allclose(cons.pair_betas, betas, rtol=2e-15, atol=0.0)
     if d == 1:
         np.testing.assert_array_equal(cons.pair_betas, betas)
-    y = ws._warm_start(data, cons)
+    y = warm_start(data, cons)
     np.testing.assert_array_equal(y, old_warm_start(data, cons))
     norms = np.linalg.norm(y.reshape(cons.m, cons.q), axis=1)
     assert np.any(np.isclose(norms, cons.M)) and np.any(norms < 0.99 * cons.M)
@@ -547,7 +552,7 @@ def _five_site_fixture(seed: int):
     sites = np.linspace(-1.0, 1.0, 5).reshape(-1, 1)
     targets = np.random.default_rng(seed).uniform(-0.4, 0.4, 5)
     data = sketch(sites, targets, 0.0)
-    return data, build_constraints(data.sites, M=0.5, c_w=3.0)
+    return data, build_constraints(data.sites, M=0.5)
 
 
 def test_no_section_is_certified_above_its_target():
@@ -645,7 +650,7 @@ def test_degenerate_retractions():
     np.testing.assert_array_equal(retract_stack(problems, ys.reshape(1, -1)), zero)
     # a feasible start above the target: lambda* = 1, and the objective's
     # minimum lies past it
-    half = 0.5 * ws._warm_start(data, cons)[None]
+    half = 0.5 * warm_start(data, cons)[None]
     assert cons.is_feasible(half[0]) and section_objective(data, cons, half[0]) > 1e-3
     out = retract_stack(problems, half)
     np.testing.assert_allclose(out, (1.0 - 1e-12) * half, rtol=1e-15, atol=0.0)
@@ -1707,7 +1712,7 @@ def test_a_short_projection_ignores_a_long_tail_in_its_batch():
             sweeps[-1] += 1
             return section_objective(data, cons, y) <= 0.01
         sweeps.append(0)
-        return ws._project_constraints(cons, ws._warm_start(data, cons), good_enough=target)[1]
+        return ws._project_constraints(cons, warm_start(data, cons), good_enough=target)[1]
 
     assert [project(*p) for p in problems] == ["target", "cap"]
     assert 1 < sweeps[0] < 400 and sweeps[1] == 400
@@ -1939,7 +1944,7 @@ def test_the_front_reports_the_honest_cap_and_falls_through():
     # but passes the feasibility slack on none before the cap, and says so
     data, cons = line_fixture(sigma=0.02, seed=0)
     y, stop = ws._project_constraints(
-        cons, ws._warm_start(data, cons),
+        cons, warm_start(data, cons),
         good_enough=lambda y: section_objective(data, cons, y) <= 0.01)
     assert stop == "cap" and not cons.is_feasible(y)
     # a front that cannot certify hands its feasible retraction on, and the
