@@ -14,7 +14,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -211,7 +211,9 @@ class CylinderPacket:
         """The cylinders, rebuilt from the stacked centers and rotations on
         access: a verdict keeps its packet, and one object per cylinder was
         most of it."""
-        return _StoredCylinders(self)
+        return _RowView(self.size, lambda j: Cylinder(
+            rotation=self.rotations[j], center=self.centers[j], scale=self.tau_bar,
+            tangent_dim=self.d))
 
     def members(self, z: np.ndarray, factor: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the cylinders containing z at the given dilation factor,
@@ -220,21 +222,19 @@ class CylinderPacket:
         return idx, w
 
 
-class _StoredCylinders(Sequence):
-    """A packet's cylinders, rebuilt from its arrays on access."""
+class _RowView(Sequence):
+    """A read-only sequence of size items, item j built by row(j) on access."""
 
-    def __init__(self, packet: CylinderPacket):
-        self._packet = packet
+    def __init__(self, size: int, row: Callable[[int], object]):
+        self._size, self._row = size, row
 
     def __len__(self) -> int:
-        return self._packet.size
+        return self._size
 
     def __getitem__(self, j):
         if isinstance(j, slice):
-            return tuple(self[i] for i in range(len(self))[j])
-        p, j = self._packet, range(len(self))[j]
-        return Cylinder(rotation=p.rotations[j], center=p.centers[j], scale=p.tau_bar,
-                        tangent_dim=p.d)
+            return tuple(self[i] for i in range(self._size)[j])
+        return self._row(range(self._size)[j])
 
 
 def _member_pairs(packet: CylinderPacket | _PacketStack, points: np.ndarray, factor: float = 2.0):

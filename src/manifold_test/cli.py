@@ -92,8 +92,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if verdict.model is None:
             print("no model available; residuals not written", file=sys.stderr)
         else:
-            sq = point_residuals(verdict.model, verdict.reduction,
-                                 config.out_of_tube_factor)[0]
+            sq = point_residuals(verdict.model, verdict.reduction)[0]
             arr = np.column_stack([np.arange(sq.size), np.sqrt(sq)])
             np.savetxt(args.residuals, arr, delimiter=",", fmt=["%d", "%.17g"],
                        header="index,distance", comments="")

@@ -44,6 +44,8 @@ from .whitney_sections import SectionModel, _shepard_blend, fit_sections, mfin_d
 
 TANGENT_RADIUS_LADDER = (2.0, 4.0, 8.0, 16.0)
 RANK_TOL = 1e-10   # reduce_dimension's singular-value cut, relative to the largest
+OUT_OF_TUBE_FACTOR = 1.5   # point_residuals' charge per unit of distance to the mesh
+C_REC = 0.5   # verify_output's reach floor, as a fraction of tau
 
 
 @dataclass(frozen=True)
@@ -66,11 +68,8 @@ class TestConfig:
     seed: int = 0
     eps_bar: float = 0.5
     extra_dim: int = 5
-    out_of_tube_factor: float = 1.5
-    c_rec: float = 0.5
     max_cylinders: int | None = None
     solver_budget: int | None = None
-    newton_tol: float = 1e-10
 
     def __post_init__(self):
         if self.d < 1:
@@ -356,13 +355,12 @@ def _tube_cause(error: OutOfTubeError) -> str:
                  if str(error).startswith(head)), "base_point")
 
 
-def point_residuals(model: SectionModel, reduced: ReducedCloud,
-                    out_of_tube_factor: float) -> tuple[np.ndarray, list, dict]:
+def point_residuals(model: SectionModel, reduced: ReducedCloud) -> tuple[np.ndarray, list, dict]:
     """Squared ambient distance of every sample point to the patched manifold.
 
     Within the reduced span the distance is mfin_distance, one stacked pass
     over the sample; a point outside the bundle's tube is charged
-    out_of_tube_factor times its distance to the nearest mesh point instead.
+    OUT_OF_TUBE_FACTOR times its distance to the nearest mesh point instead.
     The squared distance off the span is added. Returns the squared
     distances, each point's out-of-tube cause (a TUBE_CAUSES entry, None in
     the tube) and the pass's Newton counts.
@@ -374,15 +372,14 @@ def point_residuals(model: SectionModel, reduced: ReducedCloud,
     dist = np.array([0.0 if o else r for r, o in zip(found, out)])
     if out.any():
         gaps = np.linalg.norm(points[out][:, None, :] - model.mesh.base_points, axis=2)
-        dist[out] = out_of_tube_factor * gaps.min(axis=1)
+        dist[out] = OUT_OF_TUBE_FACTOR * gaps.min(axis=1)
     return dist * dist + reduced.perp_sq, causes, dict(found.counts)
 
 
-def _packet_loss(model: SectionModel, reduced: ReducedCloud,
-                 config: TestConfig) -> tuple[float, dict, dict]:
+def _packet_loss(model: SectionModel, reduced: ReducedCloud) -> tuple[float, dict, dict]:
     """Weighted squared-distance loss of the data to the patched manifold,
     the out-of-tube points by cause and the loss pass's Newton counts."""
-    sq, causes, newton = point_residuals(model, reduced, config.out_of_tube_factor)
+    sq, causes, newton = point_residuals(model, reduced)
     tube = {cause: causes.count(cause) for cause in TUBE_CAUSES}
     total = 0.0
     # a sequential sum in sample order; np.sum's pairwise order would move
@@ -452,7 +449,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
         try:
             found = extract_putative_manifold(
                 list(ready.values()), [np.vstack([p.centers, rcloud.points])
-                                       for p in ready.values()], config.newton_tol)
+                                       for p in ready.values()])
         except ManifoldTestError as exc:   # an error of the whole stack is every packet's
             found = [exc.with_traceback(None)] * len(ready)
         meshes = dict(zip(ready, found))
@@ -472,7 +469,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             mesh_newton = dict(mesh.newton)
             model = fit_sections(packet, mesh, config.eps_bar,
                                  budget=config.solver_budget)
-            loss, tube, loss_newton = _packet_loss(model, reduced, config)
+            loss, tube, loss_newton = _packet_loss(model, reduced)
             table = model.section_table
             paths = Counter(p for labels in table.solver_paths for p in labels)
             stops = Counter(p for labels in table.projection_stops for p in labels)
@@ -603,7 +600,7 @@ def verify_output(verdict: TestVerdict, cloud: PointCloud) -> VerificationReport
     """Re-derive the case-one evidence from the verdict's model and config.
 
     Checks: the dense sample of the patched manifold has Federer reach at
-    least c_rec * tau; the loss recomputes to within 10 percent (or eps) of
+    least C_REC * tau; the loss recomputes to within 10 percent (or eps) of
     the reported value; every jet block respects its coefficient bound.
     """
     if verdict.model is None:
@@ -617,13 +614,13 @@ def verify_output(verdict: TestVerdict, cloud: PointCloud) -> VerificationReport
     dense, tangents = _dense_manifold_sample(model, merge_fraction=2.0)
     dense_cloud = PointCloud.from_points(dense, require_unit_ball=False)
     reach = federer_reach(dense_cloud, dict(enumerate(tangents)))
-    reach_floor = config.c_rec * config.tau
+    reach_floor = C_REC * config.tau
     reach_ok = reach.value >= reach_floor
     if not reach_ok:
         flags.append(f"reach {reach.value:.4g} below {reach_floor:.4g}")
 
     reduced = verdict.reduction
-    loss = _packet_loss(model, reduced, config)[0]
+    loss = _packet_loss(model, reduced)[0]
     reported = verdict.best_loss
     loss_ok = abs(loss - reported) <= 0.1 * max(reported, config.eps)
     if not loss_ok:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -26,6 +26,7 @@ from .asdf_bundle import (
     CylinderPacket,
     PutativeMesh,
     RowOutcomes,
+    _RowView,
     _alternate,
     _close_pairs,
     _member_pairs,
@@ -206,11 +207,6 @@ def _sketch_at(sketches, c: int, count: int) -> SketchedData:
 
 
 # ---- constraint sets ----
-
-def whitney_kappa(d: int) -> float:
-    """Conditioning factor between jet-coefficient and Whitney norms."""
-    return max(1.0, d / C_W, 2.0 * math.sqrt(d) / C_W)
-
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSet:
@@ -928,7 +924,8 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start, mee
 
 @dataclass(frozen=True, eq=False, slots=True)
 class LocalSection:
-    """Fitted graph section of one cylinder, in rescaled coordinates.
+    """Fitted graph section of one cylinder, in rescaled coordinates: a view
+    of one row of a SectionTable (SectionTable.section).
 
     Sites and values are tangential/normal local coordinates divided by
     tau_bar. coefficients[c, i] is the jet block (see _monomials) of normal
@@ -943,9 +940,9 @@ class LocalSection:
     coefficients: np.ndarray   # (codim, m, q)
     fit_values: tuple[float, ...]
     shepard_radius: float
-    is_empty: bool = False
-    solver_paths: tuple[str, ...] = ()   # SectionFitResult.solver per normal component
-    projection_stops: tuple[str, ...] = ()   # every component's projection stops, in order
+    is_empty: bool
+    solver_paths: tuple[str, ...]   # SectionFitResult.solver per normal component
+    projection_stops: tuple[str, ...]   # every component's projection stops, in order
 
     @property
     def codim(self) -> int:
@@ -1011,7 +1008,7 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
     if not (0 <= cylinder_index < packet.size):
         raise InvalidParameterError(f"no cylinder {cylinder_index} in the packet")
     return _fit_cylinders(packet, mesh, [cylinder_index], eps_bar, M, budget,
-                          sketch_radius)[0]
+                          sketch_radius).section(0)
 
 
 # (cylinder, mesh point) squared distances _inside_points' candidate pass holds at once
@@ -1048,9 +1045,9 @@ def _inside_points(packet: CylinderPacket, mesh: PutativeMesh, cylinders: np.nda
 
 
 def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_bar: float,
-                   M: float | None, budget: int | None,
-                   sketch_radius: float) -> list[LocalSection]:
-    """Fit the graph sections of the given cylinders, in order.
+                   M: float | None, budget: int | None, sketch_radius: float) -> SectionTable:
+    """Fit the graph sections of the given cylinders, in order, into the
+    rows of one SectionTable.
 
     Mesh base points inside a full cylinder give sites (tangential local
     coordinates over tau_bar) and per-component targets (normal coordinates
@@ -1068,9 +1065,11 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
     sets and the closed-form front (_front) run as stacked passes too, and
     each component goes through minimize_section with its front outcome,
     cylinder by cylinder, so the first failing cylinder raises its own
-    error, from the setup or from the solver.
+    error, from the setup or from the solver. The table's sites are the
+    sketches' representatives, with Shepard radii just below their
+    smallest separation (0 for one site).
     """
-    d, tb, codim = packet.d, packet.tau_bar, packet.n - packet.d
+    d, tb, codim, q = packet.d, packet.tau_bar, packet.n - packet.d, jet_size(packet.d)
     if M is None:
         M = 2.0 * tb / packet.tau
     if not (eps_bar > 0):
@@ -1079,14 +1078,16 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
         raise InvalidParameterError("sketch radius must be nonnegative")
     if not (M > 0):
         raise InvalidParameterError("coefficient bound M must be positive")
-    cylinders = np.asarray(cylinders, dtype=np.int64)
+    cylinders = np.array(cylinders, dtype=np.int64)   # a copy: the table freezes it
     count, points = _inside_points(packet, mesh, cylinders)
     filled = np.flatnonzero(count)
-    setup: dict = {}   # filled cylinder position -> (data, constraints, separation) or error
+    m, S = np.zeros(cylinders.size, dtype=np.int64), 0
+    sites, radius = np.zeros((cylinders.size, 0, d)), np.zeros(cylinders.size)
+    setup: dict = {}   # filled cylinder position -> its problems [(data, constraints)] or error
     if filled.size:
         points = points[filled]
         sketches = _sketches(points[:, :, :d], points[:, :, d:], count[filled], sketch_radius)
-        reps, targets, mult, _, m = sketches
+        reps, targets, mult, _, m[filled] = sketches   # m: each sketch's representatives
         S = int(m.max())   # the padded width of the largest sketch, as the bounds sum over it
         bound = _objective_bounds(targets[:, :S], mult[:, :S] / mult.sum(axis=1)[:, None], M)
         over = np.argwhere(bound > eps_bar * (1.0 + 1e-9))
@@ -1094,36 +1095,35 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
             k, c = over[0].tolist()
             raise InfeasibleSectionError(int(cylinders[filled[k]]), c, float(bound[k, c]),
                                          eps_bar)
-        sets, closest = _constraint_sets(reps[:, :S], m, M)
-        for k, (j, cons, sep) in enumerate(zip(filled.tolist(), sets, closest.tolist())):
-            setup[j] = cons if isinstance(cons, Exception) else (
-                _sketch_at(sketches, k, count[j]), cons, sep)
-    problems = [(j, c) for j, out in setup.items() if isinstance(out, tuple)
-                for c in range(codim)]
-    fronts: dict = {}
-    if problems:
-        fronts = dict(zip(problems, _front([setup[j][0].component(c) for j, c in problems],
-                                           [setup[j][1] for j, _ in problems], eps_bar)))
-    sections = []
-    for j, cylinder in enumerate(cylinders.tolist()):
-        if not count[j]:
-            sections.append(LocalSection(cylinder_index=cylinder, sites=np.zeros((0, d)),
-                                         coefficients=np.zeros((0, 0, jet_size(d))),
-                                         fit_values=(), shepard_radius=0.0, is_empty=True))
-            continue
+        sets, closest = _constraint_sets(reps[:, :S], m[filled], M)
+        sites = np.zeros((cylinders.size, S, d))
+        sites[filled] = reps[:, :S]
+        radius[filled] = np.where(m[filled] > 1, 0.999 * closest, 0.0)
+        for k, (j, cons) in enumerate(zip(filled.tolist(), sets)):
+            data = _sketch_at(sketches, k, count[j])
+            setup[j] = cons if isinstance(cons, Exception) else [
+                (data.component(c), cons) for c in range(codim)]
+    # the fronts of every cylinder with a setup, in cylinder order
+    problems = [p for out in setup.values() if isinstance(out, list) for p in out]
+    fronts = iter(_front([p[0] for p in problems], [p[1] for p in problems], eps_bar))
+    coefficients = np.zeros((cylinders.size, codim, S, q))
+    fit_values = np.full((cylinders.size, codim), np.nan)
+    paths, stops = [()] * cylinders.size, [()] * cylinders.size
+    for j in filled.tolist():
         if isinstance(setup[j], Exception):
             raise setup[j]
-        data, cons, sep = setup[j]
-        fits = [minimize_section(data.component(c), cons, eps_bar, budget,
-                                 start=fronts.get((j, c))) for c in range(codim)]
-        sections.append(LocalSection(
-            cylinder_index=cylinder, sites=data.sites,
-            coefficients=np.stack([f.y.reshape(data.size, cons.q) for f in fits]),
-            fit_values=tuple(f.value for f in fits),
-            shepard_radius=0.999 * sep if data.size > 1 else 0.0,
-            solver_paths=tuple(f.solver for f in fits),
-            projection_stops=tuple(stop for f in fits for stop in f.projection_stops)))
-    return sections
+        fits = [minimize_section(data, cons, eps_bar, budget, start=next(fronts))
+                for data, cons in setup[j]]
+        coefficients[j, :, :m[j]] = np.stack([f.y.reshape(m[j], q) for f in fits])
+        fit_values[j] = [f.value for f in fits]
+        paths[j] = tuple(f.solver for f in fits)
+        stops[j] = tuple(stop for f in fits for stop in f.projection_stops)
+    shared: dict = {}   # one object per distinct tuple of labels
+    return SectionTable(
+        sites=sites, coefficients=coefficients, valid=np.arange(S) < m[:, None],
+        radius=radius, empty=count == 0, index=cylinders, fit_values=fit_values,
+        solver_paths=tuple(shared.setdefault(p, p) for p in paths),
+        projection_stops=tuple(shared.setdefault(p, p) for p in stops))
 
 
 # ---- partition of unity and the global section ----
@@ -1173,35 +1173,12 @@ def _partition(packet: CylinderPacket, x: np.ndarray, empty: np.ndarray | None =
 
 
 @dataclass(frozen=True, eq=False)
-class SectionModel:
-    """A packet, its extracted mesh, and one fitted section per cylinder.
-
-    The sections are stored once, in the padded layout of `section_table`;
-    `sections` rebuilds LocalSection objects from it on access. A verdict
-    keeps its model, and one object per section was a large part of it.
-    """
-
-    packet: CylinderPacket
-    mesh: PutativeMesh
-    sections: Sequence[LocalSection]
-    eps_bar: float
-    section_table: SectionTable = field(init=False, repr=False)
-
-    def __post_init__(self):
-        sections = tuple(self.sections)
-        if len(sections) != self.packet.size:
-            raise InvalidParameterError("need one section per cylinder")
-        table = SectionTable.build(self.packet, sections)
-        object.__setattr__(self, "section_table", table)
-        object.__setattr__(self, "sections", _StoredSections(table))
-
-
-@dataclass(frozen=True, eq=False)
 class SectionTable:
     """The sections of a model in one padded layout, for stacked evaluation:
     sites (K, S, d), coefficients (K, codim, S, q), valid (K, S) marking
     real sites, and per cylinder its Shepard radius, empty flag, section
-    index, fit values (K, codim), solver paths and projection stops."""
+    index, fit values (K, codim), solver paths and projection stops. The
+    arrays are frozen on construction."""
 
     sites: np.ndarray
     coefficients: np.ndarray
@@ -1213,63 +1190,47 @@ class SectionTable:
     solver_paths: tuple
     projection_stops: tuple
 
-    @staticmethod
-    def build(packet: CylinderPacket, sections: Sequence[LocalSection]) -> SectionTable:
-        d, codim, q = packet.d, packet.n - packet.d, jet_size(packet.d)
-        size = max(s.sites.shape[0] for s in sections)
-        sites = np.zeros((len(sections), size, d))
-        coefficients = np.zeros((len(sections), codim, size, q))
-        valid = np.zeros((len(sections), size), dtype=bool)
-        fit_values = np.full((len(sections), codim), np.nan)
-        for j, section in enumerate(sections):
-            if section.is_empty:
-                continue
-            m = section.sites.shape[0]
-            sites[j, :m], valid[j, :m] = section.sites, True
-            coefficients[j, :, :m] = section.coefficients
-            fit_values[j] = section.fit_values
-        shared: dict = {}   # one object per distinct tuple of labels
-        table = SectionTable(
-            sites=sites, coefficients=coefficients, valid=valid,
-            radius=np.array([s.shepard_radius for s in sections]),
-            empty=np.array([s.is_empty for s in sections]),
-            index=np.array([s.cylinder_index for s in sections]), fit_values=fit_values,
-            solver_paths=tuple(shared.setdefault(s.solver_paths, s.solver_paths)
-                               for s in sections),
-            projection_stops=tuple(shared.setdefault(s.projection_stops, s.projection_stops)
-                                   for s in sections))
-        for arr in vars(table).values():
+    def __post_init__(self):
+        for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
-        return table
 
     def section(self, j: int) -> LocalSection:
         """The LocalSection stored at position j."""
-        labels = dict(cylinder_index=int(self.index[j]), solver_paths=self.solver_paths[j],
-                      projection_stops=self.projection_stops[j])
+        labels = dict(cylinder_index=int(self.index[j]), is_empty=bool(self.empty[j]),
+                      solver_paths=self.solver_paths[j], projection_stops=self.projection_stops[j])
         if self.empty[j]:
             return LocalSection(sites=np.zeros((0, self.sites.shape[2])),
                                 coefficients=np.zeros((0, 0, self.coefficients.shape[3])),
-                                fit_values=(), shepard_radius=0.0, is_empty=True, **labels)
+                                fit_values=(), shepard_radius=0.0, **labels)
         m = int(np.count_nonzero(self.valid[j]))
         return LocalSection(sites=self.sites[j, :m], coefficients=self.coefficients[j, :, :m],
                             fit_values=tuple(self.fit_values[j].tolist()),
                             shepard_radius=float(self.radius[j]), **labels)
 
 
-class _StoredSections(Sequence):
-    """A model's sections, rebuilt from its SectionTable on access."""
+@dataclass(frozen=True, eq=False)
+class SectionModel:
+    """A packet, its extracted mesh, and one fitted section per cylinder.
 
-    def __init__(self, table: SectionTable):
-        self._table = table
+    The sections are stored once, in the padded layout of `section_table`;
+    `sections` views its rows as LocalSection objects, built on access. A
+    verdict keeps its model, and one object per section was a large part
+    of it.
+    """
 
-    def __len__(self) -> int:
-        return self._table.radius.shape[0]
+    packet: CylinderPacket
+    mesh: PutativeMesh
+    section_table: SectionTable
+    eps_bar: float
 
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(self[i] for i in range(len(self))[j])
-        return self._table.section(range(len(self))[j])
+    def __post_init__(self):
+        if self.section_table.radius.shape[0] != self.packet.size:
+            raise InvalidParameterError("need one section per cylinder")
+
+    @property
+    def sections(self) -> Sequence[LocalSection]:
+        return _RowView(self.section_table.radius.shape[0], self.section_table.section)
 
 
 def fit_sections(packet: CylinderPacket, mesh: PutativeMesh,
@@ -1281,10 +1242,8 @@ def fit_sections(packet: CylinderPacket, mesh: PutativeMesh,
     objective lower bound exceeds eps_bar, reported before any earlier
     cylinder's setup error or solver stop; else the first failing
     cylinder's own error."""
-    sections = _fit_cylinders(packet, mesh, range(packet.size), eps_bar, M, budget,
-                              sketch_radius)
-    return SectionModel(packet=packet, mesh=mesh, sections=sections,
-                        eps_bar=eps_bar)
+    table = _fit_cylinders(packet, mesh, range(packet.size), eps_bar, M, budget, sketch_radius)
+    return SectionModel(packet=packet, mesh=mesh, section_table=table, eps_bar=eps_bar)
 
 
 @dataclass(frozen=True, eq=False)

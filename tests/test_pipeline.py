@@ -409,17 +409,17 @@ def test_verify_flags_a_jet_block_over_its_bound(circle_verdict):
     cloud, verdict = circle_verdict
     model = verdict.model
     bound = 2.0 * model.packet.tau_bar / model.packet.tau
-    section = model.sections[0]
-    # one block of norm 1.05 bound spread evenly over its q entries, the
-    # section's other blocks zero: no single coefficient, and no coefficient's
+    table = model.section_table
+    # one block of norm 1.05 bound spread evenly over its q entries, section
+    # 0's other blocks zero: no single coefficient, and no coefficient's
     # norm across sites or components, exceeds the bound; only the block does
-    coefficients = np.zeros_like(section.coefficients)
-    q = coefficients.shape[2]
-    coefficients[0, 0] = 1.05 * bound / math.sqrt(q)
-    assert np.linalg.norm(coefficients[0, 0]) > bound
-    sections = (replace(section, coefficients=coefficients),) + model.sections[1:]
-    report = verify_output(replace(verdict, model=replace(model, sections=sections)),
-                           cloud)
+    coefficients = table.coefficients.copy()
+    coefficients[0] = 0.0
+    q = coefficients.shape[3]
+    coefficients[0, 0, 0] = 1.05 * bound / math.sqrt(q)
+    assert np.linalg.norm(coefficients[0, 0, 0]) > bound
+    over = replace(model, section_table=replace(table, coefficients=coefficients))
+    report = verify_output(replace(verdict, model=over), cloud)
     assert not report.coefficients_ok
     assert not report.passed
     assert "a jet block exceeds its coefficient bound" in report.flags

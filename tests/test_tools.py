@@ -1,5 +1,7 @@
-"""The repository's tools: the certificate dump and the option count."""
+"""The repository's tools: the certificate dump, the option count and the
+traffic coverage."""
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +31,17 @@ def test_count_options_ends_with_its_total():
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1].split()
     assert last[0] == "total" and int(last[1]) > 0
+
+
+def test_traffic_coverage_lists_the_functions_no_input_ran():
+    proc = run_tool("tools/traffic_coverage.py", "--src", "src", "smoke:1")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert re.fullmatch(r"total \d+ lines in \d+ functions", lines[-1])
+    names = set()
+    for line in lines[:-1]:
+        found = re.fullmatch(r"(\w+\.py):\d+ ([\w.]+) \(\d+ lines\)", line)
+        assert found, line
+        names.add(found[2])
+    assert not names & {"run_test", "fit_sections", "mfin_distance"}
+    assert "fit_kplanes" in names   # the k-planes baseline is no part of the test

@@ -1770,6 +1770,47 @@ def test_an_earlier_failing_cylinder_raises_before_any_later_one(pipeline_packet
         assert calls == {"sets": [filled], "front": [filled - 1], "fits": position}
 
 
+def test_fit_sections_writes_the_table_that_sections_view(pipeline_packets, monkeypatch):
+    packet, mesh, eps_bar, budget = pipeline_packets["circle-perturbed"]
+    built = []
+    local_section = ws.LocalSection
+
+    def counted(*args, **kwargs):
+        built.append(kwargs["cylinder_index"])
+        return local_section(*args, **kwargs)
+
+    monkeypatch.setattr(ws, "LocalSection", counted)
+    model = fit_sections(packet, mesh, eps_bar, budget=budget)
+    assert built == []   # the fit fills the table and builds no section object
+    table = model.section_table
+    assert len(model.sections) == packet.size
+    for j, section in enumerate(model.sections):
+        m = int(np.count_nonzero(table.valid[j]))
+        assert table.valid[j, :m].all()
+        assert section.cylinder_index == table.index[j] == j
+        assert section.is_empty == table.empty[j] == (m == 0)
+        assert section.solver_paths == table.solver_paths[j]
+        assert section.projection_stops == table.projection_stops[j]
+        if section.is_empty:
+            assert section.fit_values == () and section.shepard_radius == table.radius[j] == 0.0
+            continue
+        assert section.sites.tobytes() == table.sites[j, :m].tobytes()
+        assert section.coefficients.tobytes() == table.coefficients[j, :, :m].tobytes()
+        assert section.fit_values == tuple(table.fit_values[j].tolist())
+        assert section.shepard_radius == table.radius[j]
+    assert built == list(range(packet.size))   # one view a row, on access
+    for name, arr in vars(table).items():
+        if isinstance(arr, np.ndarray):
+            assert not arr.flags.writeable, name
+    cylinders = np.arange(3)
+    assert not ws._fit_cylinders(packet, mesh, cylinders, eps_bar, None, budget,
+                                 0.02).index.flags.writeable
+    assert cylinders.flags.writeable   # the table froze its own copy
+    short = ws.SectionTable(**{k: v[:-1] for k, v in vars(table).items()})
+    with pytest.raises(InvalidParameterError, match="one section per cylinder"):
+        SectionModel(packet=packet, mesh=mesh, section_table=short, eps_bar=eps_bar)
+
+
 def dense_inside_points(packet, mesh, cylinders):
     """Reference: the local coordinates of every (cylinder, mesh point)
     pair, one (mesh, n) @ (n, n) product per cylinder, then the norm test."""
