@@ -7,6 +7,8 @@ fit jet-constrained graph sections, and compare the patched manifold's
 empirical loss against the decision threshold.
 """
 
+import importlib
+
 from .errors import (
     BudgetExceededError,
     DecompositionFailedError,
@@ -62,15 +64,6 @@ from .complexity_bounds import (
     sample_complexity,
     sauer_shelah,
 )
-from .kplanes import (
-    DeviationReport,
-    KPlanesModel,
-    deviation_experiment,
-    fit_kplanes,
-    kplanes_loss,
-    model_from_json,
-    model_to_json,
-)
 from .asdf_bundle import (
     BundleChart,
     Cylinder,
@@ -125,3 +118,19 @@ from .pipeline import (
 )
 
 __version__ = "0.1.0"
+
+# kplanes' exports, loaded on first use: a decision never needs them
+_KPLANES = ("DeviationReport", "KPlanesModel", "deviation_experiment", "fit_kplanes",
+            "kplanes_loss", "model_from_json", "model_to_json")
+
+
+def __getattr__(name: str):
+    if name == "kplanes" or name in _KPLANES:
+        kplanes = importlib.import_module(".kplanes", __name__)
+        return kplanes if name == "kplanes" else getattr(kplanes, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:   # as if kplanes were imported with the rest
+    return sorted(set(globals()) - {"importlib", "_KPLANES", "__getattr__", "__dir__"}
+                  | {"kplanes", *_KPLANES})

@@ -347,7 +347,9 @@ def _packet_pairs(packet: CylinderPacket):
     keep = np.linalg.norm(c[j] - c[i], axis=1) <= lim
     i, j = i[keep], j[keep]
     rot_t = rot[i].transpose(0, 2, 1)
-    sig = np.linalg.svd((rot_t @ rot[j])[:, :d, :d], compute_uv=False)
+    block = (rot_t @ rot[j])[:, :d, :d]
+    # a 1 x 1 block's singular value is its absolute value, as LAPACK returns it
+    sig = np.abs(block[:, 0]) if d == 1 else np.linalg.svd(block, compute_uv=False)
     # math's acos and sin: numpy's may differ in the last bit, and the
     # measured constants set every later step of a run
     opnorm = np.array([2.0 * math.sin(math.acos(x) / 2.0)
@@ -358,8 +360,71 @@ def _packet_pairs(packet: CylinderPacket):
     return i, j, opnorm, normal, p[:, :d]
 
 
-# doubles one chunk of validate_packet's coverage pass holds, or one cylinder's if more
+# doubles one chunk of validate_packet's coverage pass holds, or one cylinder's
+# (one cell's, in the fine pass) if more
 _COVERAGE_CHUNK = 1 << 17
+# grid steps per side of a coverage cell
+_COVERAGE_STRIDE = 5
+
+
+def _nearest_sq(grid2, grid_sq, off, off_sq) -> np.ndarray:
+    """Squared distance from each grid row to its nearest offset, one row of
+    the result per cylinder: grid2 holds twice the rows (shared, or one block
+    per cylinder) and off each cylinder's offsets. Every distance is
+    |g|^2 - (2g) . o + |o|^2 through one batched matmul (a contiguous block of
+    rows against each cylinder's offsets), so it does not depend on the
+    other rows or cylinders of the call."""
+    d2 = np.matmul(grid2, off.transpose(0, 2, 1))
+    np.subtract(grid_sq[..., None], d2, out=d2)
+    d2 += off_sq[:, None, :]
+    return d2.min(axis=2)
+
+
+def _coverage_worst(grid: np.ndarray, steps: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each cylinder's largest squared distance from a grid point to its
+    nearest offset, equal to the dense pass's: see validate_packet. steps
+    holds each grid point's integer position on the lattice, offsets the
+    (cylinders, width, d) offsets padded with zero rows."""
+    m, width, d = offsets.shape
+    grid2, grid_sq = 2.0 * grid, np.sum(grid * grid, axis=1)
+    off_sq = np.sum(offsets * offsets, axis=2)
+    # cells: blocks of _COVERAGE_STRIDE steps a side, by block, then grid row
+    block = steps // _COVERAGE_STRIDE
+    cid = np.ravel_multi_index(tuple(block.T), tuple(block.max(axis=0) + 1))
+    order = np.argsort(cid, kind="stable")
+    _, first, size = np.unique(cid[order], return_index=True, return_counts=True)
+    cell = np.repeat(np.arange(first.size), size)
+    # each cell's representative: its member nearest the middle of its extent
+    at = steps[order]
+    mid2 = np.minimum.reduceat(at, first) + np.maximum.reduceat(at, first)
+    key = np.sum((2 * at - mid2[cell]) ** 2, axis=1)
+    rep = order[np.lexsort((key, cell))[first]]
+    # each cell's rows, padded to _COVERAGE_STRIDE^d with its representative,
+    # and its radius: the farthest member from the representative
+    rows = np.repeat(rep[:, None], _COVERAGE_STRIDE ** d, axis=1)
+    rows[cell, np.arange(order.size) - first[cell]] = order
+    radius = np.sqrt(np.sum((grid[rows] - grid[rep][:, None, :]) ** 2, axis=2)).max(axis=1)
+    # the representatives, against every cylinder
+    near = np.empty((m, rep.size))
+    rep2, rep_sq = grid2[rep], grid_sq[rep]
+    per = max(1, _COVERAGE_CHUNK // (rep.size * width))
+    for lo in range(0, m, per):
+        near[lo:lo + per] = _nearest_sq(rep2, rep_sq, offsets[lo:lo + per],
+                                        off_sq[lo:lo + per])
+    worst = near.max(axis=1)
+    # a cell's bound on its members' gaps, with validate_packet's rounding slack
+    reach = math.sqrt(float(grid_sq.max())) + math.sqrt(float(off_sq.max(initial=0.0)))
+    slack = 4.0 * math.sqrt((d + 3) * 2.0 ** -53) * reach
+    bound = np.sqrt(np.maximum(near, 0.0)) + (radius + slack)
+    fine = ~(bound < np.sqrt(np.maximum(worst, 0.0))[:, None]) & (size > 1)
+    # the cells whose bound reaches the cylinder's worst, member by member
+    kk, cc = np.nonzero(fine)
+    per = max(1, _COVERAGE_CHUNK // (rows.shape[1] * width))
+    for lo in range(0, kk.size, per):
+        k, r = kk[lo:lo + per], rows[cc[lo:lo + per]]
+        np.maximum.at(worst, k, _nearest_sq(grid2[r], grid_sq[r], offsets[k],
+                                            off_sq[k]).max(axis=1))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -397,33 +462,45 @@ def validate_packet(packet: CylinderPacket,
     B_d(0, 3 tau_bar), checked on a grid of spacing tau_bar / 20 by default.
     Failures are listed by cylinder, then neighbour, conditions 1 to 3 for
     each pair, and a cylinder's coverage failure after its pairs.
+
+    Condition 4 runs coarse to fine, with the values of a dense pass over
+    every grid point. A grid point's gap (its distance to the nearest
+    offset) is 1-Lipschitz, so a cell of the grid (_COVERAGE_STRIDE steps a
+    side) has no gap above its representative's plus the cell's radius.
+    The pass measures every representative, then every point of the cells
+    whose bound reaches the cylinder's worst so far. The bound adds a
+    rounding slack: a computed squared distance is within
+    (d + 3) u (|g| + |o|)^2 of the exact one (u = 2^-53, g a grid point, o an
+    offset), so a computed gap is within sqrt((d + 3) u) (|g| + |o|) of the
+    exact one; the slack is twice that (the representative and the member)
+    at the largest |g| and |o|, doubled for the bound's own rounding. Each
+    point measured takes the dense pass's arithmetic, so each cylinder's
+    worst gap is the dense pass's, bit for bit.
     """
+    return _validate_packet(packet, _packet_pairs(packet), spacing_fraction, angle_limit)
+
+
+def _validate_packet(packet: CylinderPacket, pairs: tuple, spacing_fraction: float = 0.05,
+                     angle_limit: float = 1.0) -> PacketValidation:
+    """validate_packet on the packet's _packet_pairs(packet)."""
     tb, d = packet.tau_bar, packet.d
     bound2 = packet.c12 * tb
     bound3 = packet.C_align * tb * tb / packet.tau
     h = tb * spacing_fraction
-    grid = _ball_grid(np.arange(-3.0 * tb, 3.0 * tb + h / 2.0, h), d, 3.0 * tb)
-    grid_sq = np.sum(grid * grid, axis=1)[:, None]
-    grid2 = 2.0 * grid
+    axis = np.arange(-3.0 * tb, 3.0 * tb + h / 2.0, h)
+    grid = _ball_grid(axis, d, 3.0 * tb)
 
-    i, j, opnorm, normal, tangential = _packet_pairs(packet)
+    i, j, opnorm, normal, tangential = pairs
     theta = 2.0 * np.array([math.asin(x) for x in np.minimum(opnorm / 2.0, 1.0).tolist()])
     bad1, bad2, bad3 = theta > angle_limit, opnorm > bound2, normal > bound3
     bad = bad1 | bad2 | bad3
     cut = np.searchsorted(i, np.arange(packet.size + 1))
-    # condition 4 in chunks: each cylinder's offsets after the zero one, padded
-    # with it; max(., 0) and sqrt are monotone, so they come after min and max
+    # condition 4: each cylinder's offsets after the zero one, padded with it;
+    # max(., 0) and sqrt are monotone, so they come after min and max
     width = int(np.diff(cut).max(initial=0)) + 1
     offsets = np.zeros((packet.size, width, d))
     offsets[i, np.arange(i.size) - cut[i] + 1] = tangential
-    per = max(1, _COVERAGE_CHUNK // (grid.shape[0] * width))
-    worst = np.empty(packet.size)
-    for lo in range(0, packet.size, per):
-        off = offsets[lo:lo + per]
-        d2 = np.matmul(grid2, off.transpose(0, 2, 1))
-        np.subtract(grid_sq, d2, out=d2)
-        d2 += np.sum(off * off, axis=2)[:, None, :]
-        worst[lo:lo + per] = d2.min(axis=2).max(axis=1)
+    worst = _coverage_worst(grid, np.rint((grid - axis[0]) / h).astype(np.int64), offsets)
     gaps = np.sqrt(np.maximum(worst, 0.0))
     uncovered = gaps > tb + 1e-12
 
@@ -487,6 +564,13 @@ def ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace],
     measured from the built packet (envelope times 1.25, with floors 1.0
     and 10.0).
     """
+    return _ideal_packet(cloud, tangents, tau, cbar12, net=net)[0]
+
+
+def _ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace], tau: float,
+                  cbar12: float, *, net) -> tuple[CylinderPacket, tuple]:
+    """ideal_packet, and the packet's _packet_pairs it measured the constants
+    from: _validate_packet takes them in place of a second pass."""
     if cloud.size == 0:
         raise EmptyInputError("cannot build a packet from an empty cloud")
     if not (0 < cbar12 < 1):
@@ -501,10 +585,11 @@ def ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace],
     basis = np.stack(bases) if bases else np.zeros((0, 1, cloud.ambient_dim))
     packet = CylinderPacket.from_arrays(cloud.points[net], _frames(basis), tau_bar,
                                         basis.shape[1], tau=tau, c12=1.0, C_align=10.0)
-    _, _, opnorm, normal, _ = _packet_pairs(packet)
+    pairs = _packet_pairs(packet)
+    _, _, opnorm, normal, _ = pairs
     packet.c12 = max(float(opnorm.max(initial=0.0)) * 1.25 / tau_bar, 1.0)
     packet.C_align = max(float(normal.max(initial=0.0)) * 1.25 * tau / tau_bar ** 2, 10.0)
-    return packet
+    return packet, pairs
 
 
 # ---- the approximate squared-distance field ----

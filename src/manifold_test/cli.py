@@ -16,7 +16,6 @@ import numpy as np
 from .complexity_bounds import BoundParams, covering_bound, sample_complexity
 from .core_geometry import PointCloud, load_csv, save_csv
 from .errors import ManifoldTestError
-from .kplanes import fit_kplanes, kplanes_loss, model_to_json
 from .pipeline import (TestConfig, budget_estimate, generate_synthetic,
                        point_residuals, run_test)
 
@@ -132,6 +131,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_kplanes(args: argparse.Namespace) -> int:
+    from .kplanes import fit_kplanes, kplanes_loss, model_to_json   # loaded on first use
+
     cloud = load_csv(args.input)
     model = fit_kplanes(cloud, args.k, args.dim, restarts=args.restarts,
                         max_iters=args.max_iters, seed=args.seed)

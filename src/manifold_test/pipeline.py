@@ -17,8 +17,10 @@ import numpy as np
 
 from .asdf_bundle import (
     CylinderPacket,
+    _ideal_packet,
+    _validate_packet,
     extract_putative_manifold,
-    ideal_packet,
+    ideal_packet,   # kept bound here: bench/tracer.py wraps pipeline.ideal_packet
     validate_packet,
 )
 from .complexity_bounds import BoundParams, sample_complexity
@@ -265,25 +267,29 @@ def _perturb_packet(packet: CylinderPacket, rng: np.random.Generator) -> Cylinde
     """Jittered centers and near-identity twists, drawn at the scales of the
     packet conditions (shifts up to 0.1 C tau_bar^2 / tau, Cayley twists of
     2-norm 0.3 c12 tau_bar) but not checked against them: a pair of
-    perturbed neighbours can exceed its bounds. Each cylinder draws its shift
-    and twist generator in turn; the twists are solved as one stack."""
-    tb, n = packet.tau_bar, packet.n
+    perturbed neighbours can exceed its bounds. Each cylinder draws in turn
+    its shift direction, its shift length (only when the direction is not
+    zero) and its twist generator; the shifts are scaled and the twists
+    solved as one stack."""
+    tb, n, m = packet.tau_bar, packet.n, packet.size
     center_scale = min(0.1 * packet.C_align * tb * tb / packet.tau, 0.25 * tb)
-    shifts, gens = [], []
-    for _ in range(packet.size):
-        shift = rng.normal(size=n)
-        nrm = float(np.linalg.norm(shift))
-        if nrm > 0:
-            shift = shift / nrm * center_scale * rng.uniform(0.0, 1.0)
-        shifts.append(shift)
-        gens.append(rng.normal(size=(n, n)))
-    gens = np.stack(gens)
+    shifts, gens = np.empty((m, n)), np.empty((m, n, n))
+    sq, lengths = np.empty(m), np.empty(m)
+    for k in range(m):
+        shifts[k] = rng.normal(size=n)
+        sq[k] = shifts[k].dot(shifts[k])   # as np.linalg.norm takes it
+        if sq[k] > 0:
+            lengths[k] = rng.uniform(0.0, 1.0)
+        gens[k] = rng.normal(size=(n, n))
+    moved = sq > 0
+    shifts[moved] = (shifts[moved] / np.sqrt(sq[moved])[:, None] * center_scale
+                     * lengths[moved, None])
     s = gens - gens.transpose(0, 2, 1)
     norms = np.linalg.norm(s, 2, axis=(1, 2))   # a vanishing generator: no twist
     s *= (0.3 * packet.c12 * tb / np.where(norms < 1e-300, np.inf, norms))[:, None, None]
     eye = np.eye(n)
     rotations = np.linalg.solve(eye - 0.5 * s, eye + 0.5 * s) @ packet.rotations
-    return CylinderPacket.from_arrays(packet.centers + np.stack(shifts), rotations, tb,
+    return CylinderPacket.from_arrays(packet.centers + shifts, rotations, tb,
                                       packet.d, tau=packet.tau, c12=packet.c12,
                                       C_align=packet.C_align)
 
@@ -430,15 +436,18 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
     for index in range(config.packet_budget):
         packet_failures = None
         try:
-            if index == 0:
-                packet = ideal_packet(rcloud, tangents, config.tau, config.cbar12, net=rnet)
+            if index == 0:   # its pairs serve its constants and its validation
+                packet, pairs = _ideal_packet(rcloud, tangents, config.tau, config.cbar12,
+                                              net=rnet)
                 base_packet = packet
+                validation = _validate_packet(packet, pairs)
             else:
                 if base_packet is None:
                     raise NoValidPacketError("no base packet to perturb")
                 rng = np.random.default_rng(_packet_seed(config.seed, index))
                 packet = _perturb_packet(base_packet, rng)
-            packet_failures = validate_packet(packet).failure_counts
+                validation = validate_packet(packet)
+            packet_failures = validation.failure_counts
         except ManifoldTestError as exc:
             packet = exc.with_traceback(None)   # a kept error holds no frame
         staged.append((index, packet, packet_failures))

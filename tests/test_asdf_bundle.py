@@ -1551,26 +1551,95 @@ def test_the_coverage_pass_does_not_depend_on_its_chunks(kernel_cases, monkeypat
 
 
 def test_a_coverage_chunk_holds_at_most_its_bound(kernel_cases, monkeypatch):
-    packet = dict((name, p) for name, p, _ in kernel_cases)["disc"]
-    sizes = []
-    matmul = np.matmul
+    cases = {name: (packet, kwargs) for name, packet, kwargs in kernel_cases}
+    stride, matmul = asdf_bundle._COVERAGE_STRIDE, np.matmul
+    for name in ("disc", "sphere"):
+        packet, kwargs = cases[name]
+        width = int(np.bincount(asdf_bundle._packet_pairs(packet)[0]).max()) + 1
+        tb = packet.tau_bar
+        h = tb * kwargs.get("spacing_fraction", 0.05)
+        grid = _ball_grid(np.arange(-3.0 * tb, 3.0 * tb + h / 2.0, h), packet.d, 3.0 * tb)
+        for chunk in (1 << 10, 1 << 17):
+            calls = []
 
-    def spy(a, b, *args, **kwargs):
-        out = matmul(a, b, *args, **kwargs)
-        if a.ndim == 2 and out.ndim == 3:   # the grid against a chunk's offsets
-            sizes.append(out.size)
-        return out
+            def spy(a, b, *args, **kw):
+                out = matmul(a, b, *args, **kw)
+                if out.ndim == 3 and out.shape[2] == width:   # grid rows against offsets
+                    calls.append((a.ndim, out.shape))
+                return out
 
-    monkeypatch.setattr(np, "matmul", spy)
-    validate_packet(packet)
-    monkeypatch.undo()
-    tb = packet.tau_bar
-    h = tb * 0.05
-    grid = _ball_grid(np.arange(-3.0 * tb, 3.0 * tb + h / 2.0, h), packet.d, 3.0 * tb)
-    i = asdf_bundle._packet_pairs(packet)[0]
-    per_cylinder = grid.shape[0] * (int(np.bincount(i).max()) + 1)
-    assert len(sizes) > 1 and sum(sizes) == packet.size * per_cylinder
-    assert max(sizes) <= max(1 << 17, per_cylinder)
+            monkeypatch.setattr(asdf_bundle, "_COVERAGE_CHUNK", chunk)
+            monkeypatch.setattr(np, "matmul", spy)
+            validate_packet(packet, **kwargs)
+            monkeypatch.setattr(np, "matmul", matmul)
+            # the cells' representatives against chunks of cylinders, then
+            # cells (rows padded to stride^d) against their cylinder's offsets
+            coarse = [shape for ndim, shape in calls if ndim == 2]
+            fine = [shape for ndim, shape in calls if ndim == 3]
+            reps = coarse[0][1]
+            assert sum(shape[0] for shape in coarse) == packet.size, (name, chunk)
+            assert all(shape[1] == reps for shape in coarse) and reps < grid.shape[0]
+            assert fine and all(shape[1] == stride ** packet.d for shape in fine)
+            sizes = [math.prod(shape) for _, shape in calls]
+            assert max(sizes) <= max(chunk, reps * width, stride ** packet.d * width)
+            assert len(coarse) > 1 or chunk > 1 << 10
+            # the fine pass measures a part of the dense pass's grid
+            assert sum(sizes) < packet.size * grid.shape[0] * width / 2, (name, chunk)
+
+
+@pytest.mark.parametrize("setting", ["chunk-1", "sphere-default-spacing", "ragged-axis",
+                                     "single"])
+def test_the_coverage_pass_at_its_edges(kernel_cases, monkeypatch, setting):
+    cases = [(name, packet, kwargs) for name, packet, kwargs in kernel_cases
+             if setting != "single" or name == "single"]
+    if setting == "chunk-1":   # one cylinder, and one cell, at a time
+        monkeypatch.setattr(asdf_bundle, "_COVERAGE_CHUNK", 1)
+    elif setting == "sphere-default-spacing":   # sphere-d2's grid
+        cases = [(name, packet, {}) for name, packet, _ in cases if name == "sphere"]
+        tb = cases[0][1].tau_bar
+        axis = np.arange(-3.0 * tb, 3.0 * tb + tb / 40.0, tb / 20.0)
+        assert _ball_grid(axis, 2, 3.0 * tb).shape[0] == 11289
+    elif setting == "ragged-axis":   # the last cell along each axis holds two steps
+        cases = [(name, packet, {**kwargs, "spacing_fraction": 0.07})
+                 for name, packet, kwargs in cases if name != "sphere"]
+        tb = cases[0][1].tau_bar
+        axis = np.arange(-3.0 * tb, 3.0 * tb + 0.035 * tb, 0.07 * tb)
+        assert axis.size % asdf_bundle._COVERAGE_STRIDE == 2
+    for name, packet, kwargs in cases:
+        got = validate_packet(packet, **kwargs)
+        want = reference_validate_packet(packet, **kwargs)
+        assert got == want, (setting, name)
+        assert got.failures == want.failures, (setting, name)
+    if setting == "single":   # the zero offset alone: the gap is 3 tau_bar, the grid's far end
+        tb = packet.tau_bar
+        far = float(np.arange(-3.0 * tb, 3.0 * tb + tb / 40.0, tb / 20.0)[-1])
+        assert got.worst_coverage_gap == far and abs(far - 3.0 * tb) < 1e-15
+
+
+def test_the_ideal_packet_validates_on_the_pairs_it_measured(monkeypatch):
+    circle, circle_tangents = circle_cloud_and_tangents()
+    disc, _ = generate_synthetic("uniform_ball", n=2, size=300, seed=5)
+    disc_net = greedy_net(disc, 0.015)
+    builds = {"circle": (circle, circle_tangents, 0.5, greedy_net(circle, 0.025)),
+              "disc": (disc, _net_tangents(disc, disc_net, 1, 0.03), 0.3, disc_net)}
+    for name, (cloud, tangents, tau, net) in builds.items():
+        packet, pairs = asdf_bundle._ideal_packet(cloud, tangents, tau, 0.1, net=net)
+        assert_same_packet(packet, ideal_packet(cloud, tangents, tau, 0.1, net=net))
+        got, want = asdf_bundle._validate_packet(packet, pairs), validate_packet(packet)
+        assert got == want, name   # field for field
+        assert tuple(got.failures) == tuple(want.failures), name
+    # run_test validates its ideal packet on the pairs, with validate_packet's counts
+    seen, check = [], pipeline._validate_packet
+    monkeypatch.setattr(pipeline, "_validate_packet",
+                        lambda packet, pairs: seen.append((packet, check(packet, pairs)))
+                        or seen[-1][1])
+    verdict = run_test(disc, TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1,
+                                        packet_budget=2, seed=0))
+    (packet, got), = seen
+    want = validate_packet(packet)
+    assert got == want and tuple(got.failures) == tuple(want.failures)
+    assert verdict.candidates[0].packet_failures == want.failure_counts
+    assert sum(want.failure_counts.values()) > 0
 
 
 def test_check_asdf_conditions_on_circle(circle_packet):

@@ -1,5 +1,9 @@
 """Piecewise-linear baseline: alternating fits and the deviation experiment."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,3 +137,19 @@ def test_deviation_experiment_validation():
     with pytest.raises(InvalidParameterError):
         deviation_experiment(lambda c, r: np.zeros((c, 2)), k=1, d=1, s=0,
                              trials=1, seed=0)
+
+
+def test_the_package_loads_kplanes_on_first_use():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import sys, manifold_test as mt\n"
+        "names = dir(mt)\n"
+        "print('manifold_test.kplanes' in sys.modules)\n"
+        "fit = mt.fit_kplanes\n"
+        "print('manifold_test.kplanes' in sys.modules, fit is mt.kplanes.fit_kplanes)\n"
+        "print(dir(mt) == names, {'kplanes', 'fit_kplanes', 'KPlanesModel'} <= set(names))\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True", "True", "True"]

@@ -261,6 +261,44 @@ def test_perturbed_packet_matches_the_per_cylinder_draws(n, d):
     assert not np.array_equal(got.rotations, packet.rotations)
 
 
+def perturb_packet_loop(packet, rng):
+    """(centers, rotations) of _perturb_packet as one loop over the cylinders
+    that normalises and scales each shift as it draws it, twists stacked."""
+    tb, n = packet.tau_bar, packet.n
+    center_scale = min(0.1 * packet.C_align * tb * tb / packet.tau, 0.25 * tb)
+    shifts, gens = [], []
+    for _ in range(packet.size):
+        shift = rng.normal(size=n)
+        nrm = float(np.linalg.norm(shift))
+        if nrm > 0:
+            shift = shift / nrm * center_scale * rng.uniform(0.0, 1.0)
+        shifts.append(shift)
+        gens.append(rng.normal(size=(n, n)))
+    gens = np.stack(gens)
+    s = gens - gens.transpose(0, 2, 1)
+    norms = np.linalg.norm(s, 2, axis=(1, 2))
+    s *= (0.3 * packet.c12 * tb / np.where(norms < 1e-300, np.inf, norms))[:, None, None]
+    eye = np.eye(n)
+    rotations = np.linalg.solve(eye - 0.5 * s, eye + 0.5 * s) @ packet.rotations
+    return packet.centers + np.stack(shifts), rotations
+
+
+@pytest.mark.parametrize("name", ["circle", "disc", "sphere", "random"])
+def test_perturbed_packet_matches_the_draw_loop(name):
+    import test_asdf_bundle as packets   # it imports this module: load it once both exist
+    if name == "circle":
+        cloud, tangents = packets.circle_cloud_and_tangents()
+        packet = asdf_bundle.ideal_packet(cloud, tangents, tau=0.5, cbar12=0.1,
+                                          net=greedy_net(cloud, 0.025))
+    else:
+        packet = getattr(packets, f"{name}_packet")()
+    for seed in range(1, 6):
+        got = pipeline._perturb_packet(packet, np.random.default_rng(seed))
+        centers, rotations = perturb_packet_loop(packet, np.random.default_rng(seed))
+        assert np.array_equal(got.centers, centers), (name, seed)
+        assert np.array_equal(got.rotations, rotations), (name, seed)
+
+
 # ---- net tangents: one ladder pass against the per-point ladder ----
 
 def reference_net_tangents(cloud, net, d, tau_bar):
@@ -327,12 +365,12 @@ def test_net_tangents_match_the_per_point_ladder_on_the_samples():
 
 def test_run_test_builds_no_cylinder_and_one_net_for_its_packets(monkeypatch):
     built, nets, packet_nets = [], [], []
-    post_init, ideal = Cylinder.__post_init__, pipeline.ideal_packet
+    post_init, ideal = Cylinder.__post_init__, pipeline._ideal_packet
     monkeypatch.setattr(Cylinder, "__post_init__",
                         lambda self: built.append(self) or post_init(self))
     monkeypatch.setattr(pipeline, "greedy_net",
                         lambda *a: nets.append(greedy_net(*a)) or nets[-1])
-    monkeypatch.setattr(pipeline, "ideal_packet",
+    monkeypatch.setattr(pipeline, "_ideal_packet",
                         lambda *a, net: packet_nets.append(net) or ideal(*a, net=net))
     cloud, _ = generate_synthetic("uniform_ball", n=2, size=200, seed=5)
     config = TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1, packet_budget=3, seed=0,
@@ -628,10 +666,11 @@ def test_a_candidate_that_fails_before_extraction_has_no_counts(circle_verdict,
                                                                 monkeypatch):
     cloud, _ = circle_verdict
 
-    def failing_validation(packet):
+    def failing_validation(packet, *pairs):
         raise InvalidParameterError("packet rejected")
 
     monkeypatch.setattr(pipeline, "validate_packet", failing_validation)
+    monkeypatch.setattr(pipeline, "_validate_packet", failing_validation)
     (entry,) = run_test(cloud, CIRCLE_CONFIG).certificate["candidates"]
     assert entry["reason"] == "InvalidParameterError: packet rejected"
     for key in ("seed_failures", "section_paths", "mesh_newton", "projection_stops",
@@ -647,10 +686,11 @@ def test_failed_packets_leave_no_reference_cycle(circle_verdict, monkeypatch):
     # runs when it kept and raised the error itself)
     cloud, _ = circle_verdict
 
-    def failing_validation(packet):
+    def failing_validation(packet, *pairs):
         raise InvalidParameterError("packet rejected")
 
     monkeypatch.setattr(pipeline, "validate_packet", failing_validation)
+    monkeypatch.setattr(pipeline, "_validate_packet", failing_validation)
     config = replace(CIRCLE_CONFIG, packet_budget=2)
     gc.collect()
     gc.disable()
@@ -666,13 +706,15 @@ def test_failed_candidates_keep_their_packet_failure_counts(monkeypatch):
     # the uniform-ball fixture: every packet fails its section fit, after
     # validation has found it inadmissible
     reports = []
-    validate = pipeline.validate_packet
 
-    def recording_validate(packet):
-        reports.append(validate(packet))
-        return reports[-1]
+    def recording(validate):   # the ideal packet's validation takes its pairs
+        def record(*args):
+            reports.append(validate(*args))
+            return reports[-1]
+        return record
 
-    monkeypatch.setattr(pipeline, "validate_packet", recording_validate)
+    monkeypatch.setattr(pipeline, "validate_packet", recording(pipeline.validate_packet))
+    monkeypatch.setattr(pipeline, "_validate_packet", recording(pipeline._validate_packet))
     cloud, _ = generate_synthetic("uniform_ball", n=2, size=200, seed=5)
     verdict = run_test(cloud, TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1,
                                          packet_budget=2, seed=0))
