@@ -66,7 +66,6 @@ from .complexity_bounds import (
 )
 from .asdf_bundle import (
     BundleChart,
-    Cylinder,
     CylinderPacket,
     FiberDecomposition,
     PacketValidation,

@@ -58,6 +58,10 @@ C1_CEILING = 10.0       # empirical upper ellipticity threshold
 DERIV_CEILING = 10.0    # empirical derivative magnitude threshold
 DEDUP_FRACTION = 0.01   # mesh base points closer than DEDUP_FRACTION * tau_bar merge
 SHIFT_TOL = 1e-11       # an alternation row stops at a shift within SHIFT_TOL * max(1, tau_bar)
+COVERAGE_SPACING = 0.05  # condition 4's grid spacing, as a fraction of tau_bar
+ANGLE_LIMIT = 1.0        # condition 1: largest principal angle between neighbours (radians)
+NEWTON_STEPS = 60        # base-point Newton steps a row takes at most
+ALTERNATIONS = 60        # bundle_coordinates' rounds a row takes at most
 
 # Base-point solver failures that reject one seed or point, not the input;
 # InvalidParameterError ends a row whose Hessian is not symmetric to 1e-9.
@@ -92,48 +96,11 @@ def bump_profile(radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 # ---- cylinders and packets ----
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Cylinder:
-    """Rigid placement of tau_bar * (B_d x B_{n-d}) in R^n.
-
-    rotation columns are the local axes (first tangent_dim tangential),
-    center is the image of the origin, scale is tau_bar.
-    """
-
-    rotation: np.ndarray   # (n, n), proper orthogonal
-    center: np.ndarray     # (n,)
-    scale: float           # tau_bar
-    tangent_dim: int       # d
-
-    def __post_init__(self):
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        cen = np.asarray(self.center, dtype=np.float64)
-        _check_cylinders(cen[None], rot[None], self.scale, self.tangent_dim)
-        object.__setattr__(self, "rotation", np.ascontiguousarray(rot))
-        object.__setattr__(self, "center", cen)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.center.shape[0]
-
-    def to_local(self, z: np.ndarray) -> np.ndarray:
-        return self.rotation.T @ (np.asarray(z, dtype=np.float64) - self.center)
-
-    def to_ambient(self, w: np.ndarray) -> np.ndarray:
-        return self.rotation @ np.asarray(w, dtype=np.float64) + self.center
-
-    def contains(self, z, factor: float = 1.0) -> bool:
-        w = self.to_local(z)
-        d = self.tangent_dim
-        lim = factor * self.scale + MEMBERSHIP_SLACK
-        return (np.linalg.norm(w[:d]) <= lim) and (np.linalg.norm(w[d:]) <= lim)
-
-
 def _check_cylinders(centers: np.ndarray, rotations: np.ndarray, scale: float,
                      tangent_dim: int) -> None:
-    """Cylinder's checks on the stack of cylinders (rotations[k], centers[k]),
-    one array pass: raise the text of the first cylinder that fails one, for
-    its first failing check."""
+    """The packet's input checks on the stack of cylinders (rotations[k],
+    centers[k]), one array pass: raise the text of the first cylinder that
+    fails one, for its first failing check."""
     if centers.ndim != 2 or rotations.shape != centers.shape + centers.shape[1:]:
         raise InvalidParameterError("rotation shape does not match center")
     m, n = centers.shape
@@ -149,36 +116,20 @@ def _check_cylinders(centers: np.ndarray, rotations: np.ndarray, scale: float,
 
 
 class CylinderPacket:
-    """A family of congruent cylinders with recorded alignment constants."""
+    """A family of congruent cylinders with recorded alignment constants.
 
-    def __init__(self, cylinders: Sequence[Cylinder], tau: float,
+    Cylinder k is the rigid placement of tau_bar * (B_d x B_{n-d}) in R^n
+    whose local axes are the columns of rotations[k] (the first d
+    tangential, a proper rotation) and whose center, the image of the
+    origin, is centers[k]. The packet keeps its cylinders only as these
+    stacks, copied and read-only.
+    """
+
+    def __init__(self, centers, rotations, tau_bar: float, d: int, tau: float,
                  c12: float, C_align: float):
-        cylinders = tuple(cylinders)
-        if not cylinders:
-            raise EmptyInputError("a packet needs at least one cylinder")
-        first = cylinders[0]
-        for cyl in cylinders:
-            if abs(cyl.scale - first.scale) > 1e-12:
-                raise InvalidParameterError("all cylinders must share one scale")
-            if cyl.tangent_dim != first.tangent_dim or cyl.ambient_dim != first.ambient_dim:
-                raise InvalidParameterError("all cylinders must share (d, n)")
-        self._store(np.stack([c.center for c in cylinders]),
-                    np.stack([c.rotation for c in cylinders]), first.scale,
-                    first.tangent_dim, tau, c12, C_align)
-
-    @classmethod
-    def from_arrays(cls, centers, rotations, scale: float, tangent_dim: int, tau: float,
-                    c12: float, C_align: float) -> CylinderPacket:
-        """The packet of the cylinders (rotations[k], centers[k], scale,
-        tangent_dim), checked as one stack (_check_cylinders)."""
         centers = np.array(centers, dtype=np.float64)   # copies: the packet freezes them
         rotations = np.array(rotations, dtype=np.float64, order="C")
-        _check_cylinders(centers, rotations, scale, tangent_dim)
-        packet = object.__new__(cls)
-        packet._store(centers, rotations, scale, tangent_dim, tau, c12, C_align)
-        return packet
-
-    def _store(self, centers, rotations, tau_bar, d, tau, c12, C_align) -> None:
+        _check_cylinders(centers, rotations, tau_bar, d)
         if not centers.shape[0]:
             raise EmptyInputError("a packet needs at least one cylinder")
         if not (0 < tau < 1):
@@ -196,7 +147,6 @@ class CylinderPacket:
         self.tau_bar = float(tau_bar)
         self.d = d
         self.n = centers.shape[1]
-        # the packet keeps its cylinders only as these read-only stacks
         self.centers, self.rotations = centers, rotations
         self.center_sq = np.sum(self.centers * self.centers, axis=1)
         for arr in (self.centers, self.rotations, self.center_sq):
@@ -205,15 +155,6 @@ class CylinderPacket:
     @property
     def size(self) -> int:
         return self.centers.shape[0]
-
-    @property
-    def cylinders(self) -> Sequence[Cylinder]:
-        """The cylinders, rebuilt from the stacked centers and rotations on
-        access: a verdict keeps its packet, and one object per cylinder was
-        most of it."""
-        return _RowView(self.size, lambda j: Cylinder(
-            rotation=self.rotations[j], center=self.centers[j], scale=self.tau_bar,
-            tangent_dim=self.d))
 
     def members(self, z: np.ndarray, factor: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
         """Indices of the cylinders containing z at the given dilation factor,
@@ -323,7 +264,7 @@ def packet_from_json(text: str) -> CylinderPacket:
         raise InvalidParameterError("rotation shape does not match center")
     rotations = [np.asarray(c["rotation"], dtype=np.float64).reshape(n, n)
                  for c in payload["cylinders"]]
-    return CylinderPacket.from_arrays(
+    return CylinderPacket(
         np.array(centers).reshape(-1, n), np.array(rotations).reshape(-1, n, n),
         float(payload["tau_bar"]), int(payload["d"]), tau=float(payload["tau"]),
         c12=float(payload["c12"]), C_align=float(payload["C"]))
@@ -448,18 +389,16 @@ class PacketValidation:
                 and self.condition3_ok and self.condition4_ok)
 
 
-def validate_packet(packet: CylinderPacket,
-                    spacing_fraction: float = 0.05,
-                    angle_limit: float = 1.0) -> PacketValidation:
+def validate_packet(packet: CylinderPacket) -> PacketValidation:
     """Check the four packet conditions against the stored constants.
 
     Neighbours are the cylinders whose centers lie within 4 sqrt(2) tau_bar
     of each other (see _packet_pairs). Condition 1: tangent spans of
-    neighbors can be aligned (largest principal angle below angle_limit).
+    neighbors can be aligned (largest principal angle at most ANGLE_LIMIT).
     Condition 2: the aligning rotation satisfies ||Id - U|| <= c12 tau_bar.
     Condition 3: the residual translation has norm <= C tau_bar^2 / tau.
     Condition 4: the aligned tangential translates of the neighbors cover
-    B_d(0, 3 tau_bar), checked on a grid of spacing tau_bar / 20 by default.
+    B_d(0, 3 tau_bar), checked on a grid of spacing COVERAGE_SPACING * tau_bar.
     Failures are listed by cylinder, then neighbour, conditions 1 to 3 for
     each pair, and a cylinder's coverage failure after its pairs.
 
@@ -477,22 +416,21 @@ def validate_packet(packet: CylinderPacket,
     point measured takes the dense pass's arithmetic, so each cylinder's
     worst gap is the dense pass's, bit for bit.
     """
-    return _validate_packet(packet, _packet_pairs(packet), spacing_fraction, angle_limit)
+    return _validate_packet(packet, _packet_pairs(packet))
 
 
-def _validate_packet(packet: CylinderPacket, pairs: tuple, spacing_fraction: float = 0.05,
-                     angle_limit: float = 1.0) -> PacketValidation:
+def _validate_packet(packet: CylinderPacket, pairs: tuple) -> PacketValidation:
     """validate_packet on the packet's _packet_pairs(packet)."""
     tb, d = packet.tau_bar, packet.d
     bound2 = packet.c12 * tb
     bound3 = packet.C_align * tb * tb / packet.tau
-    h = tb * spacing_fraction
+    h = tb * COVERAGE_SPACING
     axis = np.arange(-3.0 * tb, 3.0 * tb + h / 2.0, h)
     grid = _ball_grid(axis, d, 3.0 * tb)
 
     i, j, opnorm, normal, tangential = pairs
     theta = 2.0 * np.array([math.asin(x) for x in np.minimum(opnorm / 2.0, 1.0).tolist()])
-    bad1, bad2, bad3 = theta > angle_limit, opnorm > bound2, normal > bound3
+    bad1, bad2, bad3 = theta > ANGLE_LIMIT, opnorm > bound2, normal > bound3
     bad = bad1 | bad2 | bad3
     cut = np.searchsorted(i, np.arange(packet.size + 1))
     # condition 4: each cylinder's offsets after the zero one, padded with it;
@@ -583,8 +521,8 @@ def _ideal_packet(cloud: PointCloud, tangents: Mapping[int, AffineSubspace], tau
     if len({b.shape for b in bases}) > 1:
         raise InvalidParameterError("all cylinders must share (d, n)")
     basis = np.stack(bases) if bases else np.zeros((0, 1, cloud.ambient_dim))
-    packet = CylinderPacket.from_arrays(cloud.points[net], _frames(basis), tau_bar,
-                                        basis.shape[1], tau=tau, c12=1.0, C_align=10.0)
+    packet = CylinderPacket(cloud.points[net], _frames(basis), tau_bar, basis.shape[1],
+                            tau=tau, c12=1.0, C_align=10.0)
     pairs = _packet_pairs(packet)
     _, _, opnorm, normal, _ = pairs
     packet.c12 = max(float(opnorm.max(initial=0.0)) * 1.25 / tau_bar, 1.0)
@@ -781,11 +719,6 @@ class BundleChart:
         return orthonormal_completion(self.fiber_basis, self.fiber_basis.shape[1])
 
 
-# BundleChart's fields in the argument order of BundleChart._checked_stack
-_CHART_FIELDS = ("base_point", "projector_hi", "fiber_basis", "owning_cylinder", "residual",
-                 "eigenvalues")
-
-
 def _check_projectors(p: np.ndarray, codim: int) -> None:
     """Raise unless every projector of the stack p (k, n, n) is symmetric
     and idempotent to PROJECTOR_TOL, with trace codim to TRACE_TOL."""
@@ -834,7 +767,7 @@ def _solve_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_base_point(packet: CylinderPacket | Sequence[CylinderPacket], z0,
-                     newton_tol: float = 1e-10, max_steps: int = 60):
+                     newton_tol: float = 1e-10):
     """Damped Newton for a zero of Pi_hi grad F along the current fiber.
 
     Steps move only inside the span of the top Hessian eigenvectors; a row
@@ -848,7 +781,7 @@ def solve_base_point(packet: CylinderPacket | Sequence[CylinderPacket], z0,
     first point and, per step, its trials up to and including the accepted
     one, all 21 when none is; the trials the stacked ladder computes past a
     row's accepted one are not counted), "steps" (the Newton steps of the
-    slowest row) and "capped" (the rows stopped at max_steps). The rows are
+    slowest row) and "capped" (the rows stopped at NEWTON_STEPS). The rows are
     solved in one masked loop (each row keeps its own iterate and step
     count), and a row's outcome does not depend on the other rows.
 
@@ -869,14 +802,14 @@ def solve_base_point(packet: CylinderPacket | Sequence[CylinderPacket], z0,
             raise InvalidParameterError(
                 f"point of shape {z.shape} does not match ambient dim {p.n}")
     one = lone and z0[0].ndim == 1
-    solved = _newton(packets, [z0[0][None, :]] if one else z0, newton_tol, max_steps)
+    solved = _newton(packets, [z0[0][None, :]] if one else z0, newton_tol)
     if not lone:
         return solved
     outcomes = next(iter(solved))
     return first_or_raise(outcomes) if one else outcomes
 
 
-def _newton(packets, z0, newton_tol, max_steps) -> _Solved:
+def _newton(packets, z0, newton_tol) -> _Solved:
     sizes = [z.shape[0] for z in z0]
     group = np.repeat(np.arange(len(packets)), sizes)
     packet = packets[0] if len(packets) == 1 else _PacketStack(packets, group)
@@ -890,7 +823,7 @@ def _newton(packets, z0, newton_tol, max_steps) -> _Solved:
     fibers, residual, spectra = (np.empty((z.shape[0],) + shape)
                                  for shape in ((codim, packet.n), (), (packet.n,)))
     active = np.nonzero(status == 0)[0]
-    for _ in range(max_steps):
+    for _ in range(NEWTON_STEPS):
         if not active.size:
             break
         h = hess[active]
@@ -931,7 +864,7 @@ def _newton(packets, z0, newton_tol, max_steps) -> _Solved:
         if pending.size:
             active = np.delete(active, pending)
     for r in active:
-        outcomes[r] = NoConvergenceError(f"no convergence in {max_steps} Newton steps")
+        outcomes[r] = NoConvergenceError(f"no convergence in {NEWTON_STEPS} Newton steps")
     return _Solved(sizes, z=z, owner=owner, done=done, fibers=fibers, residual=residual,
                    spectra=spectra, errors=outcomes, evaluations=evaluations, steps=steps,
                    capped=np.bincount(group[active], minlength=len(packets)))
@@ -1024,21 +957,19 @@ class PutativeMesh:
 
     The charts are kept as stacked read-only arrays, one per chart field,
     not as one object per chart: a verdict keeps its model's mesh, and
-    per-chart objects were the largest part of a kept verdict. `chart(i)`
-    and `charts` rebuild BundleChart objects from the arrays.
+    per-chart objects were the largest part of a kept verdict. fields holds
+    them in the argument order of BundleChart._checked_stack, a row per
+    chart: base points (k, n), projectors (k, n, n), fiber bases
+    (k, codim, n), owning cylinders (k,), residuals (k,) and spectra (k, n).
+    `chart(i)` and `charts` rebuild BundleChart objects from the arrays.
     """
 
-    def __init__(self, charts, tolerance: float, packet: CylinderPacket,
+    def __init__(self, fields, tolerance: float, packet: CylinderPacket,
                  failures: tuple[tuple[int, str], ...] = (),
                  newton: Mapping[str, int] | None = None):
-        charts = tuple(charts)
-        if not charts:
+        fields = tuple(np.array(a) for a in fields)   # copies: the mesh freezes them
+        if not fields[0].shape[0]:
             raise EmptyMeshError("a putative mesh needs at least one chart")
-        self._store(tuple(np.array([getattr(c, f) for c in charts]) for f in _CHART_FIELDS),
-                    tolerance, packet, failures, newton)
-
-    def _store(self, fields, tolerance, packet, failures=(), newton=None) -> None:
-        """Keep the chart fields (as BundleChart._checked_stack takes them)."""
         over = fields[4] > tolerance * (1.0 + 1e-9) + 1e-15
         if over.any():
             raise InvalidParameterError(
@@ -1117,10 +1048,9 @@ def extract_putative_manifold(packet: CylinderPacket | Sequence[CylinderPacket],
             _check_projectors(fields[1], p.n - p.d)
             at = (np.cumsum(done) - 1)[slot[done[slot]]]   # each converged seed's field row
             keep = at[lexsort_dedup(fields[0][at], p.tau_bar * DEDUP_FRACTION)]
-            mesh = object.__new__(PutativeMesh)
-            mesh._store(tuple(a[keep] for a in fields), newton_tol, p, failures,
-                        {"seeds": len(slot), "solved": len(rows[g]), **solved.counts(g)})
-            meshes.append(mesh)
+            meshes.append(PutativeMesh(
+                tuple(a[keep] for a in fields), newton_tol, p, failures,
+                {"seeds": len(slot), "solved": len(rows[g]), **solved.counts(g)}))
         else:
             meshes.append(EmptyMeshError(
                 f"no seed converged ({len(failures)} failures, first: {failures[0][1]})"))
@@ -1141,18 +1071,18 @@ class FiberDecomposition:
     chart: BundleChart
 
 
-def bundle_coordinates(packet: CylinderPacket, context, z, max_iters: int = 60):
+def bundle_coordinates(packet: CylinderPacket, mesh: PutativeMesh, z):
     """Alternating projection of z onto (base point, fiber offset).
 
-    context is a BundleChart or a PutativeMesh (each row starts at its
-    nearest chart). A round solves each moving row's base point from a
-    seed: b + t on the row's first round, t the tangential residual at base
-    point b, and after it the Anderson(1) step b + t - gamma (db + dt) (the
-    secant method when d = 1), db and dt the changes since the row's last
-    round and gamma = dt.t / |dt|^2, or b + t where gamma is not finite. A
-    row whose extrapolated seed fails is solved again from b + t in the
-    same round. A row stops at a tangential shift within SHIFT_TOL *
-    max(1, tau_bar), and its fiber offset must stay within CBAR10 * tau_bar / 2.
+    Each row starts at its nearest chart of the mesh. A round solves each
+    moving row's base point from a seed: b + t on the row's first round, t
+    the tangential residual at base point b, and after it the Anderson(1)
+    step b + t - gamma (db + dt) (the secant method when d = 1), db and dt
+    the changes since the row's last round and gamma = dt.t / |dt|^2, or
+    b + t where gamma is not finite. A row whose extrapolated seed fails is
+    solved again from b + t in the same round. A row stops at a tangential
+    shift within SHIFT_TOL * max(1, tau_bar), within ALTERNATIONS rounds,
+    and its fiber offset must stay within CBAR10 * tau_bar / 2.
     z of shape (n,) returns its FiberDecomposition or raises
     DecompositionFailedError. z of shape (m, n) returns a RowOutcomes tuple
     of m outcomes, each a FiberDecomposition or the DecompositionFailedError
@@ -1164,7 +1094,7 @@ def bundle_coordinates(packet: CylinderPacket, context, z, max_iters: int = 60):
     (_alternate); objects are built for the decomposed rows only.
     """
     z = np.asarray(z, dtype=np.float64)
-    errors, fields, offset, counts = _alternate(packet, context, z, max_iters)
+    errors, fields, offset, counts = _alternate(packet, mesh, z)
     outcomes = list(errors)
     rows = np.flatnonzero([e is None for e in errors])
     for row, chart in zip(rows.tolist(),
@@ -1177,28 +1107,24 @@ def bundle_coordinates(packet: CylinderPacket, context, z, max_iters: int = 60):
     return first_or_raise(outcomes) if z.ndim == 1 else outcomes
 
 
-def _alternate(packet: CylinderPacket, context, z: np.ndarray, max_iters: int = 60,
+def _alternate(packet: CylinderPacket, mesh: PutativeMesh, z: np.ndarray,
                newton_tol: float = 1e-10):
-    """bundle_coordinates' rounds on arrays. Returns per row its error or
-    None, the chart fields of its last base point (in the argument order of
-    BundleChart._checked_stack) and its fiber offset, and the counts. Each
-    round's projectors are checked as one stack."""
+    """bundle_coordinates' rounds on arrays, at most ALTERNATIONS of them.
+    Returns per row its error or None, the chart fields of its last base
+    point (in the argument order of BundleChart._checked_stack) and its
+    fiber offset, and the counts. Each round's projectors are checked as
+    one stack."""
     if z.shape[-1:] != (packet.n,) or z.ndim not in (1, 2):
         raise InvalidParameterError(
             f"point of shape {z.shape} does not match ambient dim {packet.n}")
     z = z.reshape(-1, packet.n)
     m, codim = z.shape[0], packet.n - packet.d
-    if isinstance(context, PutativeMesh):
-        sq = np.zeros((m, context.size))
-        for axis in range(packet.n):   # one (m, k) array, not an (m, k, n) one
-            sq += (z[:, axis, None] - context.base_points[:, axis]) ** 2
-        start, charts = np.argmin(sq, axis=1), context._fields
-    elif isinstance(context, BundleChart):
-        start = np.zeros(m, dtype=np.int64)
-        charts = [np.array([getattr(context, f)]) for f in _CHART_FIELDS]
-    else:
-        raise InvalidParameterError("context must be a BundleChart or PutativeMesh")
-    fields = [a[start] for a in charts]   # each row starts at its nearest chart
+    if not isinstance(mesh, PutativeMesh):
+        raise InvalidParameterError("mesh must be a PutativeMesh")
+    sq = np.zeros((m, mesh.size))
+    for axis in range(packet.n):   # one (m, k) array, not an (m, k, n) one
+        sq += (z[:, axis, None] - mesh.base_points[:, axis]) ** 2
+    fields = [a[np.argmin(sq, axis=1)] for a in mesh._fields]   # each row's nearest chart
     base, proj = fields[:2]
     errors: list = [None] * m
     offset = np.zeros(z.shape)
@@ -1216,7 +1142,7 @@ def _alternate(packet: CylinderPacket, context, z: np.ndarray, max_iters: int = 
                 a[rows[ok]] = b
 
     active = np.arange(m)
-    for _ in range(max_iters):
+    for _ in range(ALTERNATIONS):
         r = z[active] - base[active]
         v = np.matmul(proj[active], r[:, :, None])[:, :, 0]
         t = r - v
@@ -1261,7 +1187,7 @@ def _alternate(packet: CylinderPacket, context, z: np.ndarray, max_iters: int = 
                 f"base-point update failed: {type(failed[i]).__name__}: {failed[i]}")
         active = np.delete(active, ended)
     for row in active.tolist():
-        errors[row] = DecompositionFailedError(f"no convergence in {max_iters} alternations")
+        errors[row] = DecompositionFailedError(f"no convergence in {ALTERNATIONS} alternations")
     return errors, fields, offset, counts
 
 
@@ -1366,19 +1292,24 @@ def save_mesh(mesh: PutativeMesh, csv_path: str, sidecar_path: str) -> None:
 def load_mesh(packet: CylinderPacket, csv_path: str, sidecar_path: str) -> PutativeMesh:
     """Rebuild a mesh from disk, recomputing charts against the packet.
 
-    Every chart is re-derived at the stored base point and cross-checked
-    against the stored projector to 1e-8.
+    Every chart is re-derived at the stored base point, as extraction
+    derives it (the multi-packet solve_base_point's arrays): a row that
+    fails raises a fresh error of its type and text. Each projector is
+    checked, then cross-checked against the stored one to 1e-8.
     """
     pts = np.loadtxt(csv_path, delimiter=",", ndmin=2)
     with open(sidecar_path) as fh:
         payload = json.load(fh)
     # an infinite tolerance stops every row's Newton at its stored point
-    charts = solve_base_point(packet, pts, math.inf)
-    for chart, stored in zip(charts, payload["charts"]):
-        if not isinstance(chart, BundleChart):
-            raise chart
+    solved = solve_base_point([packet], [pts], math.inf)
+    for error in solved.errors:
+        if error is not None:
+            raise type(error)(*error.args)
+    mesh = PutativeMesh(solved.fields(np.arange(pts.shape[0])), float(payload["tolerance"]),
+                        packet)
+    _check_projectors(mesh.projectors, packet.n - packet.d)
+    for projector, stored in zip(mesh.projectors, payload["charts"]):
         saved = np.asarray(stored["projector"], dtype=np.float64).reshape(packet.n, packet.n)
-        if float(np.max(np.abs(chart.projector_hi - saved))) > 1e-8:
+        if float(np.max(np.abs(projector - saved))) > 1e-8:
             raise InvalidParameterError("stored projector disagrees with the packet")
-    return PutativeMesh(charts=tuple(charts), tolerance=float(payload["tolerance"]),
-                        packet=packet)
+    return mesh

@@ -42,7 +42,8 @@ from .errors import (
     NoValidPacketError,
     OutOfTubeError,
 )
-from .whitney_sections import SectionModel, _shepard_blend, fit_sections, mfin_distance
+from .whitney_sections import (SectionModel, _coefficient_bound, _shepard_blend, fit_sections,
+                               mfin_distance)
 
 TANGENT_RADIUS_LADDER = (2.0, 4.0, 8.0, 16.0)
 RANK_TOL = 1e-10   # reduce_dimension's singular-value cut, relative to the largest
@@ -289,9 +290,8 @@ def _perturb_packet(packet: CylinderPacket, rng: np.random.Generator) -> Cylinde
     s *= (0.3 * packet.c12 * tb / np.where(norms < 1e-300, np.inf, norms))[:, None, None]
     eye = np.eye(n)
     rotations = np.linalg.solve(eye - 0.5 * s, eye + 0.5 * s) @ packet.rotations
-    return CylinderPacket.from_arrays(packet.centers + shifts, rotations, tb,
-                                      packet.d, tau=packet.tau, c12=packet.c12,
-                                      C_align=packet.C_align)
+    return CylinderPacket(packet.centers + shifts, rotations, tb, packet.d, tau=packet.tau,
+                          c12=packet.c12, C_align=packet.C_align)
 
 
 def _net_tangents(cloud: PointCloud, net, d: int,
@@ -347,7 +347,7 @@ class TestVerdict:
     config: TestConfig
 
 
-# why a point is out of the tube: its alternation reached max_iters, its
+# why a point is out of the tube: its alternation ran ALTERNATIONS rounds, its
 # fiber offset passed cbar10 * tau_bar / 2, a base-point solve failed, or no
 # section covers its base point; read from the start of the error text
 TUBE_CAUSES = ("cap", "offset", "base_point", "uncovered")
@@ -635,7 +635,7 @@ def verify_output(verdict: TestVerdict, cloud: PointCloud) -> VerificationReport
     if not loss_ok:
         flags.append(f"loss recheck {loss:.4g} vs reported {reported:.4g}")
 
-    bound = 2.0 * model.packet.tau_bar / model.packet.tau
+    bound = _coefficient_bound(model.packet)
     # one reduction over the padded table: its padding entries are zero
     coeff_ok = bool(np.all(np.linalg.norm(model.section_table.coefficients, axis=3)
                            <= bound + 1e-9))
@@ -660,9 +660,9 @@ class BudgetEstimate:
         return f"searched {searched} of ~2^{self.log2_count:.1f} admissible packets"
 
 
-def budget_estimate(config: TestConfig, n: int, c_budget: float = 1.0) -> BudgetEstimate:
-    """Exponential packet-count estimate exp(C (V / tau^d) n ln(1/tau))."""
+def budget_estimate(config: TestConfig, n: int) -> BudgetEstimate:
+    """Exponential packet-count estimate exp((V / tau^d) n ln(1/tau))."""
     if n < 1:
         raise InvalidParameterError("ambient dimension must be at least 1")
-    exponent = c_budget * (config.V / config.tau ** config.d) * n * math.log(1.0 / config.tau)
+    exponent = (config.V / config.tau ** config.d) * n * math.log(1.0 / config.tau)
     return BudgetEstimate(log2_count=exponent / math.log(2.0))

@@ -55,6 +55,7 @@ DUPLICATE_SITE_TOL = 1e-12
 # constants absorb without effect
 FEASIBILITY_REL = 2e-6
 FEASIBILITY_ABS = 1e-12
+SKETCH_RADIUS = 0.02   # a fit site (in units of tau_bar) this close to a kept one joins its sketch
 
 
 def jet_size(d: int) -> int:
@@ -1001,14 +1002,12 @@ def _shepard_blend(offs, coefficients, radius, valid=None) -> tuple[np.ndarray, 
 
 def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
                       cylinder_index: int, eps_bar: float = 0.5,
-                      M: float | None = None, budget: int | None = None,
-                      sketch_radius: float = 0.02) -> LocalSection:
+                      budget: int | None = None) -> LocalSection:
     """Fit the graph section of one cylinder from the mesh points inside it;
     a batch of one of _fit_cylinders."""
     if not (0 <= cylinder_index < packet.size):
         raise InvalidParameterError(f"no cylinder {cylinder_index} in the packet")
-    return _fit_cylinders(packet, mesh, [cylinder_index], eps_bar, M, budget,
-                          sketch_radius).section(0)
+    return _fit_cylinders(packet, mesh, [cylinder_index], eps_bar, budget).section(0)
 
 
 # (cylinder, mesh point) squared distances _inside_points' candidate pass holds at once
@@ -1044,17 +1043,24 @@ def _inside_points(packet: CylinderPacket, mesh: PutativeMesh, cylinders: np.nda
     return count, found
 
 
+def _coefficient_bound(packet: CylinderPacket) -> float:
+    """The bound M = 2 tau_bar / tau on the norm of every jet block of a
+    packet's sections."""
+    return 2.0 * packet.tau_bar / packet.tau
+
+
 def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_bar: float,
-                   M: float | None, budget: int | None, sketch_radius: float) -> SectionTable:
+                   budget: int | None) -> SectionTable:
     """Fit the graph sections of the given cylinders, in order, into the
     rows of one SectionTable.
 
     Mesh base points inside a full cylinder give sites (tangential local
     coordinates over tau_bar) and per-component targets (normal coordinates
-    over tau_bar). A cylinder without mesh points yields an empty section.
-    The default coefficient bound is M = 2 tau_bar / tau.
+    over tau_bar), sketched at SKETCH_RADIUS. A cylinder without mesh
+    points yields an empty section. The coefficient bound is
+    _coefficient_bound(packet).
 
-    The parameters are checked first (InvalidParameterError). Then the
+    eps_bar is checked first (InvalidParameterError). Then the
     sketches of every cylinder run as one stacked pass, and from them each
     component's objective lower bound (_objective_bounds). When a bound
     exceeds eps_bar (by more than 1e-9 relative, which covers rounding),
@@ -1069,15 +1075,10 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
     sketches' representatives, with Shepard radii just below their
     smallest separation (0 for one site).
     """
-    d, tb, codim, q = packet.d, packet.tau_bar, packet.n - packet.d, jet_size(packet.d)
-    if M is None:
-        M = 2.0 * tb / packet.tau
+    d, codim, q = packet.d, packet.n - packet.d, jet_size(packet.d)
+    M = _coefficient_bound(packet)
     if not (eps_bar > 0):
         raise InvalidParameterError("eps_bar must be positive")
-    if not (sketch_radius >= 0):
-        raise InvalidParameterError("sketch radius must be nonnegative")
-    if not (M > 0):
-        raise InvalidParameterError("coefficient bound M must be positive")
     cylinders = np.array(cylinders, dtype=np.int64)   # a copy: the table freezes it
     count, points = _inside_points(packet, mesh, cylinders)
     filled = np.flatnonzero(count)
@@ -1086,7 +1087,7 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
     setup: dict = {}   # filled cylinder position -> its problems [(data, constraints)] or error
     if filled.size:
         points = points[filled]
-        sketches = _sketches(points[:, :, :d], points[:, :, d:], count[filled], sketch_radius)
+        sketches = _sketches(points[:, :, :d], points[:, :, d:], count[filled], SKETCH_RADIUS)
         reps, targets, mult, _, m[filled] = sketches   # m: each sketch's representatives
         S = int(m.max())   # the padded width of the largest sketch, as the bounds sum over it
         bound = _objective_bounds(targets[:, :S], mult[:, :S] / mult.sum(axis=1)[:, None], M)
@@ -1234,15 +1235,13 @@ class SectionModel:
 
 
 def fit_sections(packet: CylinderPacket, mesh: PutativeMesh,
-                 eps_bar: float = 0.5, M: float | None = None, budget: int | None = None,
-                 sketch_radius: float = 0.02) -> SectionModel:
+                 eps_bar: float = 0.5, budget: int | None = None) -> SectionModel:
     """Fit every cylinder's local section (see _fit_cylinders) and assemble
-    the model. Raises InvalidParameterError for eps_bar <= 0, M <= 0 or a
-    negative sketch_radius; then InfeasibleSectionError when some cylinder's
-    objective lower bound exceeds eps_bar, reported before any earlier
-    cylinder's setup error or solver stop; else the first failing
-    cylinder's own error."""
-    table = _fit_cylinders(packet, mesh, range(packet.size), eps_bar, M, budget, sketch_radius)
+    the model. Raises InvalidParameterError for eps_bar <= 0; then
+    InfeasibleSectionError when some cylinder's objective lower bound
+    exceeds eps_bar, reported before any earlier cylinder's setup error or
+    solver stop; else the first failing cylinder's own error."""
+    table = _fit_cylinders(packet, mesh, range(packet.size), eps_bar, budget)
     return SectionModel(packet=packet, mesh=mesh, section_table=table, eps_bar=eps_bar)
 
 

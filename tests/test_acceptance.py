@@ -20,7 +20,6 @@ from test_asdf_bundle import (
 )
 
 from manifold_test.asdf_bundle import (
-    Cylinder,
     CylinderPacket,
     extract_putative_manifold,
     ideal_packet,
@@ -351,10 +350,8 @@ def test_criterion_10_partition_weights_and_patching_identity(circle_fixture):
     assert covered == 50
 
     tb = 0.05
-    lone = CylinderPacket(
-        [Cylinder(rotation=np.eye(2), center=np.zeros(2), scale=tb,
-                  tangent_dim=1)],
-        tau=0.5, c12=1.0, C_align=10.0)
+    lone = CylinderPacket(np.zeros((1, 2)), np.eye(2)[None], tb, 1, tau=0.5, c12=1.0,
+                          C_align=10.0)
     xs = np.linspace(-0.8 * tb, 0.8 * tb, 15)
     pts = np.stack([xs, 0.05 * xs ** 2 / tb], axis=1)
     lone_model = fit_sections(lone, extract_putative_manifold(lone, pts))

@@ -13,7 +13,6 @@ import manifold_test.pipeline as pipeline
 from manifold_test.asdf_bundle import (
     BASE_POINT_ERRORS,
     BundleChart,
-    Cylinder,
     CylinderPacket,
     PacketValidation,
     PutativeMesh,
@@ -88,9 +87,8 @@ def circle_mesh(circle_packet):
 
 def flat_packet(tb: float = 0.1, centers=(-0.2, -0.1, 0.0, 0.1, 0.2)):
     """Cylinders along the x-axis of R^2; the manifold is the line y = 0."""
-    cyls = [Cylinder(rotation=np.eye(2), center=np.array([c, 0.0]),
-                     scale=tb, tangent_dim=1) for c in centers]
-    return CylinderPacket(cyls, tau=0.5, c12=1.0, C_align=10.0)
+    return CylinderPacket([[c, 0.0] for c in centers], [np.eye(2)] * len(centers), tb, 1,
+                          tau=0.5, c12=1.0, C_align=10.0)
 
 
 def torus_patch_packet():
@@ -99,7 +97,7 @@ def torus_patch_packet():
     tb = cbar12 * tau
     thetas = np.linspace(-0.09, 0.09, 7)
     phis = np.linspace(-0.35, 0.35, 7)
-    cyls = []
+    centers, frames = [], []
     for th in thetas:
         for ph in phis:
             center = np.array([(R + r * math.cos(ph)) * math.cos(th),
@@ -113,9 +111,9 @@ def torus_patch_packet():
             frame = np.stack([b1, b2, nrm], axis=1)
             if np.linalg.det(frame) < 0:
                 frame[:, 2] = -frame[:, 2]
-            cyls.append(Cylinder(rotation=frame, center=center, scale=tb,
-                                 tangent_dim=2))
-    return CylinderPacket(cyls, tau=tau, c12=1.0, C_align=10.0)
+            centers.append(center)
+            frames.append(frame)
+    return CylinderPacket(centers, frames, tb, 2, tau=tau, c12=1.0, C_align=10.0)
 
 
 def interior_probes(packet, count: int, seed: int, normal_scale: float = 0.3):
@@ -135,7 +133,7 @@ def interior_probes(packet, count: int, seed: int, normal_scale: float = 0.3):
         u = rng.uniform(-0.5, 0.5, packet.n)
         u[:d] *= tb
         u[d:] *= normal_scale * tb
-        z = packet.cylinders[j].to_ambient(u)
+        z = packet.rotations[j] @ u + packet.centers[j]
         idx, w = packet.members(z, factor=2.0)
         if idx.size == 0:
             continue
@@ -230,44 +228,17 @@ def test_bump_profile_matches_the_masked_version(radii):
 
 # ---- cylinders and packets ----
 
-def test_cylinder_local_ambient_inverse():
-    rng = np.random.default_rng(0)
-    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    cyl = Cylinder(rotation=q, center=np.array([0.1, -0.2, 0.3]),
-                   scale=0.05, tangent_dim=1)
-    z = np.array([0.12, -0.18, 0.31])
-    np.testing.assert_allclose(cyl.to_ambient(cyl.to_local(z)), z, atol=1e-14)
-
-
-def test_cylinder_contains():
-    cyl = Cylinder(rotation=np.eye(2), center=np.zeros(2), scale=0.1,
-                   tangent_dim=1)
-    assert cyl.contains(np.array([0.05, 0.05]))
-    assert not cyl.contains(np.array([0.15, 0.0]))
-    assert cyl.contains(np.array([0.15, 0.0]), factor=2.0)
-
-
 def test_cylinder_validation():
-    with pytest.raises(InvalidParameterError):
-        Cylinder(rotation=np.array([[1.0, 0.1], [0.0, 1.0]]),
-                 center=np.zeros(2), scale=0.1, tangent_dim=1)
-    reflect = np.diag([1.0, -1.0])
-    with pytest.raises(InvalidParameterError):
-        Cylinder(rotation=reflect, center=np.zeros(2), scale=0.1, tangent_dim=1)
-    with pytest.raises(InvalidParameterError):
-        Cylinder(rotation=np.eye(2), center=np.zeros(2), scale=0.0, tangent_dim=1)
-    with pytest.raises(InvalidParameterError):
-        Cylinder(rotation=np.eye(2), center=np.zeros(2), scale=0.1, tangent_dim=2)
-
-
-def test_packet_requires_shared_scale():
-    a = Cylinder(rotation=np.eye(2), center=np.zeros(2), scale=0.1, tangent_dim=1)
-    b = Cylinder(rotation=np.eye(2), center=np.array([0.1, 0.0]), scale=0.2,
-                 tangent_dim=1)
-    with pytest.raises(InvalidParameterError):
-        CylinderPacket([a, b], tau=0.5, c12=1.0, C_align=10.0)
+    """A one-cylinder packet raises each check's exact text."""
+    for rotation, scale, d, text in (
+            (np.array([[1.0, 0.1], [0.0, 1.0]]), 0.1, 1, "rotation is not orthogonal to 1e-10"),
+            (np.diag([1.0, -1.0]), 0.1, 1, "rotation must be proper (det +1)"),
+            (np.eye(2), 0.0, 1, "cylinder scale must be positive"),
+            (np.eye(2), 0.1, 2, "tangent dimension 2 invalid for ambient 2")):
+        with pytest.raises(InvalidParameterError) as exc:
+            CylinderPacket(np.zeros((1, 2)), rotation[None], scale, d, tau=0.5, c12=1.0,
+                           C_align=10.0)
+        assert str(exc.value) == text
 
 
 def test_packet_members_matches_contains():
@@ -275,13 +246,19 @@ def test_packet_members_matches_contains():
     rng = np.random.default_rng(8)
     for _ in range(50):
         z = rng.uniform(-0.4, 0.4, 2)
-        idx, w = packet.members(z, factor=2.0)
-        direct = {j for j, c in enumerate(packet.cylinders)
-                  if c.contains(z, factor=2.0)}
-        assert set(idx.tolist()) == direct
-        for j, local in zip(idx, w):
-            np.testing.assert_allclose(local, packet.cylinders[j].to_local(z),
-                                       atol=1e-15)
+        for factor in (1.0, 2.0):
+            idx, w = packet.members(z, factor=factor)
+            # cylinder j holds z when both parts of its local coordinates are
+            # within factor * tau_bar, up to the 1e-12 membership slack
+            lim = factor * packet.tau_bar + 1e-12
+            local = [packet.rotations[j].T @ (z - packet.centers[j]) for j in range(packet.size)]
+            direct = {j for j, u in enumerate(local)
+                      if np.linalg.norm(u[:1]) <= lim and np.linalg.norm(u[1:]) <= lim}
+            assert set(idx.tolist()) == direct
+            for j, u in zip(idx, w):
+                np.testing.assert_allclose(u, local[j], atol=1e-15)
+                np.testing.assert_allclose(packet.rotations[j] @ u + packet.centers[j], z,
+                                           atol=1e-15)
 
 
 def test_packet_json_round_trip():
@@ -617,8 +594,8 @@ def test_mesh_rejects_overtolerance_chart():
     packet = flat_packet()
     chart = solve_base_point(packet, np.array([0.0, 0.05]))
     object.__setattr__(chart, "residual", 1e-3)
-    with pytest.raises(InvalidParameterError):
-        PutativeMesh(charts=(chart,), tolerance=1e-10, packet=packet)
+    with pytest.raises(InvalidParameterError, match="chart residual 0.001 exceeds tolerance"):
+        mesh_of_charts([chart], 1e-10, packet)
 
 
 # ---- the batched field kernel and Newton against the per-point references ----
@@ -756,7 +733,7 @@ def corner_probes(packet, seed):
         w = rng.standard_normal(n)
         w[:d] *= 0.97 * 2.0 * packet.tau_bar / np.linalg.norm(w[:d])
         w[d:] *= 0.97 * 2.0 * packet.tau_bar / np.linalg.norm(w[d:])
-        probes.append(packet.cylinders[k].to_ambient(w))
+        probes.append(packet.rotations[k] @ w + packet.centers[k])
     return np.stack(probes)
 
 
@@ -928,11 +905,19 @@ def test_a_stacked_extraction_equals_each_lone_extraction(searched_packets, reve
         assert len(stacked.charts) == sum(m.size for m in stacked if isinstance(m, PutativeMesh))
 
 
+def mesh_of_charts(charts, tolerance, packet, **kwargs):
+    """The PutativeMesh of chart objects: each field stacked chart by chart."""
+    fields = ("base_point", "projector_hi", "fiber_basis", "owning_cylinder", "residual",
+              "eigenvalues")
+    return PutativeMesh(tuple(np.array([getattr(c, f) for c in charts]) for f in fields),
+                        tolerance, packet, **kwargs)
+
+
 def chart_object_mesh(packet, seeds, newton_tol=1e-10, dedup_fraction=0.01):
     """Reference: the mesh built from chart objects. One lone solve of the
     distinct seed rows (in order of first appearance), each seed's chart or
     failure text, the greedy scan over the lexsorted charts' base points,
-    then PutativeMesh(charts=...)."""
+    then mesh_of_charts."""
     first: dict = {}
     slot = [first.setdefault(seed.tobytes(), len(first)) for seed in seeds]
     rows = np.array([seeds[slot.index(k)] for k in range(len(first))])
@@ -945,9 +930,8 @@ def chart_object_mesh(packet, seeds, newton_tol=1e-10, dedup_fraction=0.01):
                               f"first: {failures[0][1]})")
     kept = reference_lexsort_dedup(np.stack([c.base_point for c in charts]),
                                    packet.tau_bar * dedup_fraction)
-    return PutativeMesh(charts=[charts[i] for i in kept], tolerance=newton_tol, packet=packet,
-                        failures=failures,
-                        newton={"seeds": len(seeds), "solved": len(rows), **outs.counts})
+    return mesh_of_charts([charts[i] for i in kept], newton_tol, packet, failures=failures,
+                          newton={"seeds": len(seeds), "solved": len(rows), **outs.counts})
 
 
 def assert_same_mesh(got, want):
@@ -1108,7 +1092,8 @@ def test_stacked_halvings_match_the_halving_loop(ladder_cases, monkeypatch):
     for name, packet, rows, steps in ladder_cases:
         if name.endswith("fenced"):
             monkeypatch.setattr(asdf_bundle, "_asdf_terms", fenced_kernel(kernel))
-        got = solve_base_point(packet, rows, max_steps=steps)
+        monkeypatch.setattr(asdf_bundle, "NEWTON_STEPS", steps)
+        got = solve_base_point(packet, rows)
         want, counts = reference_newton(packet, rows, max_steps=steps)
         monkeypatch.undo()
         assert got.counts == counts, name
@@ -1190,8 +1175,10 @@ def test_bundle_coordinates_context_type(circle_packet, circle_mesh):
     packet, _, _ = circle_packet
     with pytest.raises(InvalidParameterError):
         bundle_coordinates(packet, "mesh", np.array([1.0, 0.0]))
+    # a chart's own base point, over the one-row mesh of that chart
     chart = circle_mesh.charts[0]
-    dec = bundle_coordinates(packet, chart, chart.base_point)
+    dec = bundle_coordinates(packet, mesh_of_charts([chart], circle_mesh.tolerance, packet),
+                             chart.base_point)
     assert float(np.linalg.norm(dec.v)) <= 1e-10
 
 
@@ -1211,9 +1198,8 @@ def misaligned_packet():
     theta = math.pi / 3.0
     rot = np.array([[math.cos(theta), -math.sin(theta)],
                     [math.sin(theta), math.cos(theta)]])
-    a = Cylinder(rotation=np.eye(2), center=np.zeros(2), scale=tb, tangent_dim=1)
-    b = Cylinder(rotation=rot, center=np.array([tb, 0.0]), scale=tb, tangent_dim=1)
-    return CylinderPacket([a, b], tau=0.5, c12=1.0, C_align=10.0)
+    return CylinderPacket([[0.0, 0.0], [tb, 0.0]], [np.eye(2), rot], tb, 1, tau=0.5, c12=1.0,
+                          C_align=10.0)
 
 
 def test_validate_packet_flags_misalignment():
@@ -1322,22 +1308,34 @@ def random_packet():
     """Random 2-planes in R^5: three normal directions, so the normal offset
     is a dot product of length 3."""
     rng = np.random.default_rng(11)
-    cyls = []
+    centers, rotations = [], []
     for _ in range(40):
         q, r = np.linalg.qr(rng.normal(size=(5, 5)))
         q *= np.sign(np.diag(r))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        cyls.append(Cylinder(rotation=q, center=rng.uniform(-0.2, 0.2, 5),
-                             scale=0.05, tangent_dim=2))
-    return CylinderPacket(cyls, tau=0.5, c12=1.0, C_align=10.0)
+        rotations.append(q)
+        centers.append(rng.uniform(-0.2, 0.2, 5))
+    return CylinderPacket(centers, rotations, 0.05, 2, tau=0.5, c12=1.0, C_align=10.0)
+
+
+def validate_as(packet, spacing_fraction=None, angle_limit=None):
+    """validate_packet with COVERAGE_SPACING and ANGLE_LIMIT set to the
+    reference's spacing_fraction and angle_limit, where given."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in (("COVERAGE_SPACING", spacing_fraction),
+                            ("ANGLE_LIMIT", angle_limit)):
+            if value is not None:
+                mp.setattr(asdf_bundle, name, value)
+        return validate_packet(packet)
 
 
 @pytest.fixture(scope="module")
 def kernel_cases(circle_packet):
-    """(name, packet, validate_packet keyword arguments)."""
+    """(name, packet, validate_as keyword arguments)."""
     packet = circle_packet[0]
-    single = CylinderPacket([packet.cylinders[0]], tau=0.5, c12=1.0, C_align=10.0)
+    single = CylinderPacket(packet.centers[:1], packet.rotations[:1], packet.tau_bar, packet.d,
+                            tau=0.5, c12=1.0, C_align=10.0)
     return [
         ("circle-ideal", packet, {}),
         ("circle-perturbed", _perturb_packet(packet, np.random.default_rng(1)), {}),
@@ -1365,7 +1363,7 @@ def test_pair_kernel_matches_the_per_pair_stats(kernel_cases):
 def test_validate_packet_matches_the_per_pair_loop(kernel_cases):
     seen = {}
     for name, packet, kwargs in kernel_cases:
-        got = validate_packet(packet, **kwargs)
+        got = validate_as(packet, **kwargs)
         want = reference_validate_packet(packet, **kwargs)
         assert got == want, name
         assert got.failures == want.failures, name   # element for element
@@ -1385,7 +1383,7 @@ def test_validate_packet_matches_the_per_pair_loop(kernel_cases):
 
 def test_validate_packet_formats_its_failure_texts_when_read(kernel_cases):
     (packet, kwargs), = [(p, k) for name, p, k in kernel_cases if name == "disc"]
-    got = validate_packet(packet, **kwargs)
+    got = validate_as(packet, **kwargs)
     # the count needs no text; the texts are formatted at the first read
     assert len(got.failures) == sum(got.failure_counts.values()) > 900
     assert "texts" not in vars(got.failures)
@@ -1426,7 +1424,7 @@ def test_ideal_packet_respects_cylinder_cap():
     assert packet.centers.tobytes() == cloud.points[net].tobytes()
 
 
-# ---- packets built from stacked arrays against the per-cylinder build ----
+# ---- packets built from stacked arrays ----
 
 def proper_rotations(n, count, seed):
     rng = np.random.default_rng(seed)
@@ -1441,8 +1439,10 @@ def proper_rotations(n, count, seed):
 
 
 def cylinder_error(rotation, center, scale, tangent_dim):
+    """The text a packet of this cylinder alone raises, or None."""
     try:
-        Cylinder(rotation=rotation, center=center, scale=scale, tangent_dim=tangent_dim)
+        CylinderPacket(center[None], rotation[None], scale, tangent_dim, tau=0.5, c12=1.0,
+                       C_align=10.0)
     except InvalidParameterError as exc:
         return str(exc)
     return None
@@ -1463,7 +1463,7 @@ def test_a_packet_from_arrays_rejects_its_first_bad_cylinder_as_cylinder_does():
     texts = []
     for rot, cen, scale, dim in cases:
         with pytest.raises(InvalidParameterError) as exc:
-            CylinderPacket.from_arrays(cen, rot, scale, dim, tau=0.5, c12=1.0, C_align=10.0)
+            CylinderPacket(cen, rot, scale, dim, tau=0.5, c12=1.0, C_align=10.0)
         errors = [cylinder_error(r, c, scale, dim) for r, c in zip(rot, cen)]
         assert str(exc.value) == next(e for e in errors if e is not None)
         texts.append(str(exc.value))
@@ -1474,42 +1474,39 @@ def test_a_packet_from_arrays_rejects_its_first_bad_cylinder_as_cylinder_does():
 
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (7, 3)])
 def test_a_packet_from_arrays_equals_the_packet_of_its_cylinders(n, d):
+    """The packet stores its cylinders' arrays bit for bit, as read-only
+    copies, with each center's squared norm."""
     rotations, centers = proper_rotations(n, 12, seed=n)
-    cyls = [Cylinder(rotation=r, center=c, scale=0.05, tangent_dim=d)
-            for r, c in zip(rotations, centers)]
-    want = CylinderPacket(cyls, tau=0.5, c12=2.0, C_align=12.0)
-    got = CylinderPacket.from_arrays(centers, rotations, 0.05, d, tau=0.5, c12=2.0,
-                                     C_align=12.0)
-    for name in ("centers", "rotations", "center_sq"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        assert not getattr(got, name).flags.writeable
-    assert centers.flags.writeable   # the caller's arrays are copied, not frozen
-    assert ((got.tau, got.tau_bar, got.c12, got.C_align, got.d, got.n)
-            == (want.tau, want.tau_bar, want.c12, want.C_align, want.d, want.n))
-    assert len(got.cylinders) == len(cyls)
-    for a, b in zip(got.cylinders, cyls):
-        assert a.rotation.tobytes() == b.rotation.tobytes()
-        assert a.center.tobytes() == b.center.tobytes()
-        assert (a.scale, a.tangent_dim) == (b.scale, b.tangent_dim)
+    got = CylinderPacket(list(centers), list(rotations), 0.05, d, tau=0.5, c12=2.0,
+                         C_align=12.0)
+    center_sq = np.array([sum(float(x) * float(x) for x in c) for c in centers])
+    for name, want in (("centers", centers), ("rotations", rotations), ("center_sq", center_sq)):
+        stored = getattr(got, name)
+        assert stored.dtype == want.dtype and stored.shape == want.shape, name
+        assert stored.tobytes() == want.tobytes(), name
+        assert not stored.flags.writeable and stored.flags.c_contiguous, name
+    stacked = CylinderPacket(centers, rotations, 0.05, d, tau=0.5, c12=2.0, C_align=12.0)
+    assert centers.flags.writeable and rotations.flags.writeable   # copied, not frozen
+    assert stacked.centers is not centers and stacked.rotations is not rotations
+    assert (got.tau, got.tau_bar, got.c12, got.C_align, got.d, got.n, got.size) == (
+        0.5, 0.05, 2.0, 12.0, d, n, 12)
     with pytest.raises(InvalidParameterError, match="too far outside the unit ball"):
-        CylinderPacket.from_arrays(centers * 10.0, rotations, 0.05, d, tau=0.5, c12=2.0,
-                                   C_align=12.0)
+        CylinderPacket(centers * 10.0, rotations, 0.05, d, tau=0.5, c12=2.0, C_align=12.0)
     with pytest.raises(EmptyInputError):
-        CylinderPacket.from_arrays(centers[:0], rotations[:0], 0.05, d, tau=0.5, c12=2.0,
-                                   C_align=12.0)
+        CylinderPacket(centers[:0], rotations[:0], 0.05, d, tau=0.5, c12=2.0, C_align=12.0)
 
 
 def reference_ideal_packet(cloud, tangents, tau, cbar12):
-    """ideal_packet one cylinder at a time: a greedy net, a frame and a
-    checked Cylinder per net point, constants from the per-pair loop."""
+    """ideal_packet one cylinder at a time: a greedy net, then a frame and
+    a center per net point, constants from the per-pair loop."""
     tb = cbar12 * tau
-    cyls = [Cylinder(rotation=reference_frame(tangents[idx].basis),
-                     center=cloud.points[idx].copy(), scale=tb,
-                     tangent_dim=tangents[idx].dim)
-            for idx in greedy_net(cloud, tb / 2.0)]
-    packet = CylinderPacket(cyls, tau=tau, c12=1.0, C_align=10.0)
+    net = greedy_net(cloud, tb / 2.0)
+    rotations = [reference_frame(tangents[idx].basis) for idx in net]
+    centers = [cloud.points[idx].copy() for idx in net]
+    d = tangents[net[0]].dim
+    packet = CylinderPacket(centers, rotations, tb, d, tau=tau, c12=1.0, C_align=10.0)
     c12, C_align = reference_constants(packet)
-    return CylinderPacket(cyls, tau=tau, c12=c12, C_align=C_align)
+    return CylinderPacket(centers, rotations, tb, d, tau=tau, c12=c12, C_align=C_align)
 
 
 def assert_same_packet(got, want):
@@ -1546,7 +1543,7 @@ def test_the_coverage_pass_does_not_depend_on_its_chunks(kernel_cases, monkeypat
         monkeypatch.setattr(asdf_bundle, "_COVERAGE_CHUNK", chunk)
         for name, packet, kwargs in kernel_cases:
             if name != "sphere":   # slow against the reference; "random" has d = 2
-                assert validate_packet(packet, **kwargs) == reference_validate_packet(
+                assert validate_as(packet, **kwargs) == reference_validate_packet(
                     packet, **kwargs), (chunk, name)
 
 
@@ -1570,7 +1567,7 @@ def test_a_coverage_chunk_holds_at_most_its_bound(kernel_cases, monkeypatch):
 
             monkeypatch.setattr(asdf_bundle, "_COVERAGE_CHUNK", chunk)
             monkeypatch.setattr(np, "matmul", spy)
-            validate_packet(packet, **kwargs)
+            validate_as(packet, **kwargs)
             monkeypatch.setattr(np, "matmul", matmul)
             # the cells' representatives against chunks of cylinders, then
             # cells (rows padded to stride^d) against their cylinder's offsets
@@ -1606,7 +1603,7 @@ def test_the_coverage_pass_at_its_edges(kernel_cases, monkeypatch, setting):
         axis = np.arange(-3.0 * tb, 3.0 * tb + 0.035 * tb, 0.07 * tb)
         assert axis.size % asdf_bundle._COVERAGE_STRIDE == 2
     for name, packet, kwargs in cases:
-        got = validate_packet(packet, **kwargs)
+        got = validate_as(packet, **kwargs)
         want = reference_validate_packet(packet, **kwargs)
         assert got == want, (setting, name)
         assert got.failures == want.failures, (setting, name)
@@ -1667,6 +1664,10 @@ def test_mesh_save_load_round_trip(circle_packet, circle_mesh, tmp_path):
                                atol=1e-15)
     for a, b in zip(back.charts, circle_mesh.charts):
         np.testing.assert_allclose(a.projector_hi, b.projector_hi, atol=1e-8)
+    # the six field arrays, re-derived at the stored base points, bit for bit
+    for a, b in zip(back._fields, circle_mesh._fields, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert back.tolerance == circle_mesh.tolerance and back.packet is packet
 
 
 def test_load_mesh_rejects_projector_mismatch(circle_packet, circle_mesh, tmp_path):
@@ -1681,6 +1682,18 @@ def test_load_mesh_rejects_projector_mismatch(circle_packet, circle_mesh, tmp_pa
     with open(sidecar, "w") as fh:
         json.dump(payload, fh)
     with pytest.raises(InvalidParameterError):
+        load_mesh(packet, csv_path, sidecar)
+
+
+def test_load_mesh_raises_the_error_of_a_failed_row(circle_packet, circle_mesh, tmp_path):
+    packet, _, _ = circle_packet
+    csv_path = str(tmp_path / "mesh.csv")
+    sidecar = str(tmp_path / "mesh.json")
+    save_mesh(circle_mesh, csv_path, sidecar)
+    points = np.loadtxt(csv_path, delimiter=",", ndmin=2)
+    points[3] = [3.0, 3.0]   # outside every cylinder
+    np.savetxt(csv_path, points, delimiter=",", fmt="%.17g")
+    with pytest.raises(OutOfDomainError, match="point lies outside every squared cylinder"):
         load_mesh(packet, csv_path, sidecar)
 
 

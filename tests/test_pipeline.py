@@ -13,7 +13,7 @@ import manifold_test.asdf_bundle as asdf_bundle
 import manifold_test.core_geometry as core_geometry
 import manifold_test.pipeline as pipeline
 import manifold_test.whitney_sections as whitney_sections
-from manifold_test.asdf_bundle import Cylinder, CylinderPacket, RowOutcomes
+from manifold_test.asdf_bundle import CylinderPacket, RowOutcomes
 from manifold_test.complexity_bounds import BoundParams, sample_complexity
 from manifold_test.core_geometry import PointCloud, federer_reach, greedy_net
 from manifold_test.errors import (
@@ -222,7 +222,7 @@ def reference_perturb_packet(packet, rng):
     center_scale = min(0.1 * packet.C_align * tb * tb / packet.tau, 0.25 * tb)
     rot_scale = 0.3 * packet.c12 * tb
     centers, rotations = [], []
-    for cyl in packet.cylinders:
+    for j in range(packet.size):
         shift = rng.normal(size=packet.n)
         nrm = float(np.linalg.norm(shift))
         if nrm > 0:
@@ -231,22 +231,22 @@ def reference_perturb_packet(packet, rng):
         s = a - a.T
         s *= rot_scale / float(np.linalg.norm(s, 2))
         eye = np.eye(packet.n)
-        rotations.append(np.linalg.solve(eye - 0.5 * s, eye + 0.5 * s) @ cyl.rotation)
-        centers.append(cyl.center + shift)
+        rotations.append(np.linalg.solve(eye - 0.5 * s, eye + 0.5 * s) @ packet.rotations[j])
+        centers.append(packet.centers[j] + shift)
     return np.stack(centers), np.stack(rotations)
 
 
 def random_frames_packet(n, d, size, seed):
     rng = np.random.default_rng(seed)
-    cyls = []
+    centers, rotations = [], []
     for _ in range(size):
         q, r = np.linalg.qr(rng.normal(size=(n, n)))
         q *= np.sign(np.diag(r))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        cyls.append(Cylinder(rotation=q, center=rng.uniform(-0.3, 0.3, n), scale=0.05,
-                             tangent_dim=d))
-    return CylinderPacket(cyls, tau=0.5, c12=3.0, C_align=20.0)
+        rotations.append(q)
+        centers.append(rng.uniform(-0.3, 0.3, n))
+    return CylinderPacket(centers, rotations, 0.05, d, tau=0.5, c12=3.0, C_align=20.0)
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (7, 2)])
@@ -364,10 +364,8 @@ def test_net_tangents_match_the_per_point_ladder_on_the_samples():
 
 
 def test_run_test_builds_no_cylinder_and_one_net_for_its_packets(monkeypatch):
-    built, nets, packet_nets = [], [], []
-    post_init, ideal = Cylinder.__post_init__, pipeline._ideal_packet
-    monkeypatch.setattr(Cylinder, "__post_init__",
-                        lambda self: built.append(self) or post_init(self))
+    nets, packet_nets = [], []
+    ideal = pipeline._ideal_packet
     monkeypatch.setattr(pipeline, "greedy_net",
                         lambda *a: nets.append(greedy_net(*a)) or nets[-1])
     monkeypatch.setattr(pipeline, "_ideal_packet",
@@ -376,7 +374,7 @@ def test_run_test_builds_no_cylinder_and_one_net_for_its_packets(monkeypatch):
     config = TestConfig(d=1, V=7.0, tau=0.3, eps=1e-4, delta=0.1, packet_budget=3, seed=0,
                         max_cylinders=40)
     verdict = run_test(cloud, config)
-    assert len(verdict.candidates) == 3 and built == []
+    assert len(verdict.candidates) == 3
     # the net of the original cloud and the net of the reduced one, capped for the packet
     assert len(nets) == 2 and len(nets[1]) > 40 and packet_nets == [nets[1][:40]]
 
@@ -740,10 +738,9 @@ def test_dense_sample_keeps_its_points_under_a_rigid_motion(angle):
                                        packet_budget=1, seed=0)).model
     q = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
     packet = model.packet
-    moved = CylinderPacket(
-        [Cylinder(rotation=q @ c.rotation, center=q @ c.center, scale=c.scale,
-                  tangent_dim=c.tangent_dim) for c in packet.cylinders],
-        tau=packet.tau, c12=packet.c12, C_align=packet.C_align)
+    moved = CylinderPacket([q @ c for c in packet.centers], q @ packet.rotations,
+                           packet.tau_bar, packet.d, tau=packet.tau, c12=packet.c12,
+                           C_align=packet.C_align)
     reach = []
     samples = []
     for m in (model, replace(model, packet=moved)):
@@ -771,8 +768,8 @@ def test_budget_estimate_literal():
     # (V / tau^d) * n * ln(1/tau) / ln 2 = 14 * 2 * ln 2 / ln 2
     assert est.log2_count == pytest.approx(28.0, abs=1e-12)
     assert est.describe(3) == "searched 3 of ~2^28.0 admissible packets"
-    scaled = budget_estimate(CIRCLE_CONFIG, 4, c_budget=0.5)
-    assert scaled.log2_count == pytest.approx(28.0, abs=1e-12)
+    # linear in the ambient dimension
+    assert budget_estimate(CIRCLE_CONFIG, 4).log2_count == pytest.approx(56.0, abs=1e-12)
 
 
 def test_budget_estimate_validation():

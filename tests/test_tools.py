@@ -31,6 +31,8 @@ def test_count_options_ends_with_its_total():
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1].split()
     assert last[0] == "total" and int(last[1]) > 0
+    # a ratchet: a new option changes this bound in view of its reviewer
+    assert int(last[1]) <= 48
 
 
 def test_traffic_coverage_lists_the_functions_no_input_ran():

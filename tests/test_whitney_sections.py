@@ -9,7 +9,6 @@ import pytest
 
 from manifold_test.asdf_bundle import (
     BASE_POINT_ERRORS,
-    Cylinder,
     CylinderPacket,
     FiberDecomposition,
     bump_profile,
@@ -732,9 +731,8 @@ def sphere_model():
 
 def single_cylinder_model():
     tb = 0.05
-    cyl = Cylinder(rotation=np.eye(2), center=np.zeros(2), scale=tb,
-                   tangent_dim=1)
-    packet = CylinderPacket([cyl], tau=0.5, c12=1.0, C_align=10.0)
+    packet = CylinderPacket(np.zeros((1, 2)), np.eye(2)[None], tb, 1, tau=0.5, c12=1.0,
+                            C_align=10.0)
     xs = np.linspace(-0.8 * tb, 0.8 * tb, 15)
     pts = np.stack([xs, 0.05 * xs ** 2 / tb], axis=1)
     mesh = extract_putative_manifold(packet, pts)
@@ -744,10 +742,8 @@ def single_cylinder_model():
 
 def test_fit_local_section_empty_when_unpopulated():
     tb = 0.05
-    a = Cylinder(rotation=np.eye(2), center=np.zeros(2), scale=tb, tangent_dim=1)
-    b = Cylinder(rotation=np.eye(2), center=np.array([0.9, 0.0]), scale=tb,
-                 tangent_dim=1)
-    packet = CylinderPacket([a, b], tau=0.5, c12=1.0, C_align=10.0)
+    packet = CylinderPacket([[0.0, 0.0], [0.9, 0.0]], [np.eye(2)] * 2, tb, 1, tau=0.5, c12=1.0,
+                            C_align=10.0)
     xs = np.linspace(-0.03, 0.03, 9)
     mesh = extract_putative_manifold(packet, np.stack([xs, np.zeros(9)], axis=1))
     section = fit_local_section(packet, mesh, 1)
@@ -834,12 +830,13 @@ def forward_difference_fiber_intersection(packet, section, j, tangent_rows, base
     """The forward-difference Newton that _fiber_intersection replaced."""
     tb = packet.tau_bar
     d = packet.d
+    rotation, center = packet.rotations[j], packet.centers[j]
 
     def graph_point(u_amb):
         vals = section.evaluate(u_amb / tb)[0] * tb
-        return packet.cylinders[j].to_ambient(np.concatenate([u_amb, vals]))
+        return rotation @ np.concatenate([u_amb, vals]) + center
 
-    u = packet.cylinders[j].to_local(base)[:d].copy()
+    u = (rotation.T @ (base - center))[:d].copy()
     h = 1e-6 * tb
     tol = 1e-12 * max(tb, 1.0) + 1e-15
     for _ in range(max_iters):
@@ -955,8 +952,9 @@ def _per_point_decomposition(packet, z, chart, v):
     vnorm = math.sqrt(v @ v)
     if vnorm > vmax + 1e-12:
         raise DecompositionFailedError(f"fiber offset {vnorm:.4g} exceeds {vmax:.4g}")
-    owner = packet.cylinders[chart.owning_cylinder]
-    return FiberDecomposition(x=owner.to_local(chart.base_point)[:packet.d], v=v,
+    k = chart.owning_cylinder
+    return FiberDecomposition(x=(packet.rotations[k].T @ (chart.base_point - packet.centers[k])
+                                 )[:packet.d], v=v,
                               base_point=chart.base_point.copy(), chart=chart)
 
 
@@ -1032,17 +1030,17 @@ def reference_partition_weights(packet, x, sections):
 def reference_fiber_intersection(packet, section, j, tangent_rows, base, max_iters=30):
     """The per-pair Newton that the stacked _fiber_intersection replaced."""
     tb, d = packet.tau_bar, packet.d
-    cyl = packet.cylinders[j]
-    u = cyl.to_local(base)[:d].copy()
+    rotation, center = packet.rotations[j], packet.centers[j]
+    u = (rotation.T @ (base - center))[:d].copy()
     tol = 1e-12 * max(tb, 1.0) + 1e-15
     for _ in range(max_iters):
         vals, jac = section.evaluate(u / tb)
-        point = cyl.to_ambient(np.concatenate([u, vals * tb]))
+        point = rotation @ np.concatenate([u, vals * tb]) + center
         g0 = tangent_rows @ (point - base)
         if math.sqrt(g0 @ g0) <= tol:
             return point
         try:
-            step = np.linalg.solve(tangent_rows @ cyl.rotation
+            step = np.linalg.solve(tangent_rows @ rotation
                                    @ np.vstack([np.eye(d), jac]), -g0)
         except np.linalg.LinAlgError:
             return None
@@ -1187,7 +1185,7 @@ def disc_model():
     return disc, packet, mesh, fit_sections(packet, mesh, eps_bar=50.0), corner_seed
 
 
-def test_an_asymmetric_hessian_fails_only_its_own_row_of_the_loss_pass(disc_model):
+def test_an_asymmetric_hessian_fails_only_its_own_row_of_the_loss_pass(disc_model, monkeypatch):
     # near a cylinder corner of the perturbed disc packet the field's Hessian
     # is not symmetric to 1e-9; the row that meets it fails alone, and the
     # loss pass charges it as an out-of-tube point
@@ -1210,7 +1208,10 @@ def test_an_asymmetric_hessian_fails_only_its_own_row_of_the_loss_pass(disc_mode
     chart = mesh.chart(int(np.argmin(np.linalg.norm(mesh.base_points - corner_seed, axis=1))))
     line = (chart.base_point + 0.005 * chart.fiber_basis[0]
             + np.linspace(-0.02, 0.02, 4001)[:, None] * chart.tangent_basis[0])
-    first = bundle_coordinates(packet, mesh, line, max_iters=1)
+    with monkeypatch.context() as mp:   # the first round alone
+        mp.setattr(asdf_bundle, "ALTERNATIONS", 1)
+        first = bundle_coordinates(packet, mesh, line)
+    assert first.counts["rounds"] == 1
     point = next(z for z, out in zip(line, first) if str(out).endswith(text))
     found = mfin_distance(model, np.vstack([rows, point]))
     assert type(found[-1]) is OutOfTubeError
@@ -1273,9 +1274,8 @@ def empty_section_model():
     """Two cylinders; only the first holds mesh points, so the second's
     section is empty."""
     tb = 0.05
-    cyls = [Cylinder(rotation=np.eye(2), center=np.array([c, 0.0]), scale=tb,
-                     tangent_dim=1) for c in (0.0, 0.9)]
-    packet = CylinderPacket(cyls, tau=0.5, c12=1.0, C_align=10.0)
+    packet = CylinderPacket([[0.0, 0.0], [0.9, 0.0]], [np.eye(2)] * 2, tb, 1, tau=0.5, c12=1.0,
+                            C_align=10.0)
     xs = np.linspace(-0.03, 0.03, 9)
     mesh = extract_putative_manifold(packet, np.stack([xs, np.zeros(9)], axis=1))
     return fit_sections(packet, mesh)
@@ -1562,8 +1562,8 @@ def reference_fit(packet, mesh, eps_bar, budget):
     tb, d = packet.tau_bar, packet.d
     M = 2.0 * tb / packet.tau
     sketched = []
-    for index, cyl in enumerate(packet.cylinders):
-        local = (mesh.base_points - cyl.center) @ cyl.rotation
+    for index, (center, rotation) in enumerate(zip(packet.centers, packet.rotations)):
+        local = (mesh.base_points - center) @ rotation
         inside = ((np.linalg.norm(local[:, :d], axis=1) <= tb + 1e-12)
                   & (np.linalg.norm(local[:, d:], axis=1) <= tb + 1e-12))
         if np.any(inside):
@@ -1803,8 +1803,8 @@ def test_fit_sections_writes_the_table_that_sections_view(pipeline_packets, monk
         if isinstance(arr, np.ndarray):
             assert not arr.flags.writeable, name
     cylinders = np.arange(3)
-    assert not ws._fit_cylinders(packet, mesh, cylinders, eps_bar, None, budget,
-                                 0.02).index.flags.writeable
+    assert not ws._fit_cylinders(packet, mesh, cylinders, eps_bar,
+                                 budget).index.flags.writeable
     assert cylinders.flags.writeable   # the table froze its own copy
     short = ws.SectionTable(**{k: v[:-1] for k, v in vars(table).items()})
     with pytest.raises(InvalidParameterError, match="one section per cylinder"):
@@ -1848,10 +1848,8 @@ def test_inside_points_on_the_cylinder_boundary():
     tb, angle = 0.05, 0.3
     rotation = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
     center = np.array([0.1, -0.2])
-    packet = CylinderPacket([Cylinder(rotation=np.eye(2), center=np.zeros(2), scale=tb,
-                                      tangent_dim=1),
-                             Cylinder(rotation=rotation, center=center, scale=tb,
-                                      tangent_dim=1)], tau=0.5, c12=1.0, C_align=10.0)
+    packet = CylinderPacket([np.zeros(2), center], [np.eye(2), rotation], tb, 1, tau=0.5,
+                            c12=1.0, C_align=10.0)
     # local points on the edges and corners of the cylinder, and just past them
     edge = np.array([tb, tb + 1e-12, tb + 3e-12, tb * (1.0 + 1e-15)])
     local = np.concatenate([np.stack([edge, np.zeros(4)], axis=1),
@@ -1959,10 +1957,8 @@ def test_a_cylinder_that_cannot_certify_ends_the_front(pipeline_packets, monkeyp
     assert later and all(s.fit_values[0] <= eps_bar for s in later)
 
 
-@pytest.mark.parametrize("bad", [dict(eps_bar=0.0), dict(eps_bar=-0.5),
-                                 dict(sketch_radius=-0.01), dict(M=0.0), dict(M=-1.0)],
-                         ids=["eps_bar-zero", "eps_bar-negative", "sketch_radius-negative",
-                              "M-zero", "M-negative"])
+@pytest.mark.parametrize("bad", [dict(eps_bar=0.0), dict(eps_bar=-0.5)],
+                         ids=["eps_bar-zero", "eps_bar-negative"])
 def test_parameter_errors_come_before_any_bound(pipeline_packets, bad, monkeypatch):
     # on the disc a bound fails at the valid parameters, and with a
     # nonpositive eps_bar every bound would
