@@ -148,8 +148,7 @@ class CylinderPacket:
         self.d = d
         self.n = centers.shape[1]
         self.centers, self.rotations = centers, rotations
-        self.center_sq = np.sum(self.centers * self.centers, axis=1)
-        for arr in (self.centers, self.rotations, self.center_sq):
+        for arr in (self.centers, self.rotations):
             arr.flags.writeable = False
 
     @property
@@ -180,40 +179,72 @@ class _RowView(Sequence):
 
 def _member_pairs(packet: CylinderPacket | _PacketStack, points: np.ndarray, factor: float = 2.0):
     """(point row, cylinder, local coordinates) of each pair whose dilated
-    cylinder holds the point, by row, then cylinder. A member is within lim
-    tangentially and normally, so within 2 lim^2 squared of its center: a
-    dense (points, cylinders) prefilter. For a _PacketStack a row's pairs run
-    over its own packet's cylinders only, numbered as in the stack, and the
-    prefilter runs per packet over that packet's rows."""
+    cylinder holds the point, by row, then cylinder, from the candidates of
+    _near_pairs: a member is within lim = factor tau_bar + MEMBERSHIP_SLACK
+    tangentially and normally, so within sqrt(2) lim of its center. For a
+    _PacketStack a row's pairs run over its own packet's cylinders only,
+    numbered as in the stack."""
     lim = factor * packet.tau_bar + MEMBERSHIP_SLACK
-    bound = 2.0 * lim * lim * (1.0 + 1e-6) + 1e-12
     stacked = isinstance(packet, _PacketStack)
-    pairs = []
-    for g, (part, first) in enumerate(zip(packet.packets, packet.first) if stacked
-                                      else [(packet, 0)]):
-        rows = np.flatnonzero(packet.group == g) if stacked else np.arange(points.shape[0])
-        pi, ki = _close_pairs(points[rows], part.centers, part.center_sq, bound)
-        pairs.append((rows[pi], ki + first))
-    pi, ki = (np.concatenate(a) for a in zip(*pairs))
-    if stacked:   # each packet's pairs are by row, then cylinder: merge them by row
-        order = np.argsort(pi, kind="stable")
-        pi, ki = pi[order], ki[order]
-    w = np.einsum("kji,kj->ki", packet.rotations[ki], points[pi] - packet.centers[ki])
-    tan, nor = w[:, :packet.d], w[:, packet.d:]
-    inside = np.nonzero((np.sqrt((tan * tan).sum(1)) <= lim)
-                        & (np.sqrt((nor * nor).sum(1)) <= lim))[0]
-    return pi[inside], ki[inside], w[inside]
+    pi, ki = _near_pairs(packet.packets if stacked else (packet,), points, 2.0 * lim * lim,
+                         packet.group if stacked else None)
+    w = np.einsum("kji,kj->ki", packet.rotations.take(ki, axis=0),
+                  points.take(pi, axis=0) - packet.centers.take(ki, axis=0))
+    sq = w * w   # sqrt is monotone: the larger part's root is the larger root
+    inside = np.sqrt(np.maximum(sq[:, :packet.d].sum(1), sq[:, packet.d:].sum(1))) <= lim
+    return pi.compress(inside), ki.compress(inside), w.compress(inside, axis=0)
 
 
-def _close_pairs(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray, bound: float):
-    """(i, j) of the rows a[i] and b[j] whose squared distance, taken from
-    one Gram-based (A, B) array, is at most bound (the caller's slack covers
-    its rounding), by i, then j. b_sq holds each row of b's squared norm."""
-    sq = a @ b.T   # one (A, B) array, updated in place
-    sq *= -2.0
-    sq += (a * a).sum(1)[:, None]
-    sq += b_sq
-    return np.divmod(np.flatnonzero(sq <= bound), b.shape[0])
+def _near_pairs(packets: tuple, points: np.ndarray, reach_sq: float, group=None):
+    """Candidate (row, cylinder) pairs, by row, then cylinder, numbered
+    through the packets: every pair within the reach, sqrt(reach_sq) with a
+    slack for rounding, on each gridded axis (_cell_lists), a row of packet
+    group[row] (one packet if None) against that packet's cylinders only.
+    Every pair of the caller's exact test lies within the reach; the
+    caller tests the candidates."""
+    side = math.sqrt(reach_sq * (1.0 + 1e-6) + 1e-12)
+    k, span, low, high, strides, keys, first, size, cylinders = _cell_lists(packets, side)
+    cell = np.fmin(np.fmax(np.floor(points[:, :k] / side), low), high)   # NaN goes low
+    key = (cell - low).astype(np.int64) @ strides + (0 if group is None else group * span)
+    at = keys.searchsorted(key)   # in range: the last key is past every query's
+    count = np.where(keys[at] == key, size[at], 0)
+    pi = np.arange(points.shape[0]).repeat(count)
+    skip = (count.cumsum() - count - first[at]).repeat(count)
+    return pi, cylinders.take(np.arange(pi.size) - skip)
+
+
+@functools.lru_cache(maxsize=8)
+def _cell_lists(packets: tuple, side: float):
+    """Cell lists of the packets' cylinders (Bentley, Stanat and Williams),
+    built on first use (no packet keeps one): cells of the given side on the
+    first k <= 3 coordinates, k as large as keeps every key in int64. Each
+    cylinder is listed in the 3^k cells around its own, so a point within
+    side of its center on every gridded axis reads it in its own cell. A
+    key numbers the packet, then the cell; keys are sorted, then one past
+    them all, and cylinders[first[i]:first[i] + size[i]] are key i's, in
+    ascending order. Query cells clamp to [low, high], past the listed ones."""
+    centers = np.concatenate([q.centers for q in packets])
+    group = np.repeat(np.arange(len(packets)), [q.size for q in packets])
+    cell = np.floor(centers / side)
+    low, high = cell.min(axis=0) - 2.0, cell.max(axis=0) + 2.0
+    extent = (high - low + 1.0).astype(np.int64).tolist()
+    k = min(centers.shape[1], 3)
+    while len(packets) * math.prod(extent[:k]) >= 2 ** 63:
+        k -= 1
+    strides = np.array([math.prod(extent[a + 1:k]) for a in range(k)], dtype=np.int64)
+    span = math.prod(extent[:k])
+    around = (np.indices((3,) * k).reshape(k, -1).T - 1) @ strides
+    own = (cell[:, :k] - low[:k]).astype(np.int64) @ strides + group * span
+    keys = (own[:, None] + around).ravel()   # by cylinder, then neighbour cell
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    size = np.diff(np.r_[first, keys.size])
+    tables = (low[:k], high[:k], strides, np.r_[keys[first], np.iinfo(np.int64).max],
+              np.r_[first, 0], np.r_[size, 0], order // around.size)
+    for a in tables:
+        a.flags.writeable = False   # every caller of the cache shares them
+    return (k, span, *tables)
 
 
 class _PacketStack:
@@ -275,17 +306,15 @@ def packet_from_json(text: str) -> CylinderPacket:
 def _packet_pairs(packet: CylinderPacket):
     """Neighbour pairs (i, j), by i then j: each cyl^2 sits inside a ball of
     radius 2 sqrt(2) tau_bar, so centers within 4 sqrt(2) tau_bar (candidates
-    from one Gram-based squared-distance array with slack, then the exact
-    distance). Returns (i, j, opnorm, normal, tangential): ||Id - U|| =
+    from the cell lists with slack, _near_pairs, then the exact distance).
+    Returns (i, j, opnorm, normal, tangential): ||Id - U|| =
     2 sin(theta / 2) at the largest principal angle theta between the
     tangent spans, and the normal norm and tangential part of
     R_i^T (c_j - c_i)."""
     d, c, rot = packet.d, packet.centers, packet.rotations
     lim = 4.0 * math.sqrt(2.0) * packet.tau_bar
-    sq = packet.center_sq[:, None] + packet.center_sq - 2.0 * (c @ c.T)
-    np.fill_diagonal(sq, np.inf)
-    i, j = np.nonzero(sq <= lim * lim * (1.0 + 1e-6) + 1e-12)
-    keep = np.linalg.norm(c[j] - c[i], axis=1) <= lim
+    i, j = _near_pairs((packet,), c, lim * lim)
+    keep = (i != j) & (np.linalg.norm(c[j] - c[i], axis=1) <= lim)
     i, j = i[keep], j[keep]
     rot_t = rot[i].transpose(0, 2, 1)
     block = (rot_t @ rot[j])[:, :d, :d]
@@ -568,13 +597,15 @@ def _asdf_terms(packet: CylinderPacket | _PacketStack, points: np.ndarray, order
     status[rows] = np.where(b_val > 0.0, 0, 2)
     b_val = np.where(b_val > 0.0, b_val, 1.0)   # the rows of status 2 are discarded
     value[rows] = np.add.reduceat(phi * theta, starts) / b_val
-    owner[rows] = ki[np.lexsort((-theta, pi))[starts]]   # stable: the first of equals
+    # each row's first pair at its largest theta: the first of equals
+    top = np.flatnonzero(theta == np.repeat(np.maximum.reduceat(theta, starts), count[rows]))
+    owner[rows] = ki.take(top.take(top.searchsorted(starts)))
     if isinstance(packet, _PacketStack):   # numbered within the row's own packet
         owner[rows] -= packet.first[packet.group[rows]]
     if order < 2:
         return value, grad, hess, owner, status
 
-    rot = packet.rotations[ki]
+    rot = packet.rotations.take(ki, axis=0)
     t_frame, n_frame = rot[:, :, :d], rot[:, :, d:]
     # ambient unit tangential directions; h' vanishes wherever tan_norm does
     safe_norm = np.where(tan_norm > 0.0, tan_norm, 1.0)
@@ -826,14 +857,14 @@ def _newton(packets, z0, newton_tol) -> _Solved:
     for _ in range(NEWTON_STEPS):
         if not active.size:
             break
-        h = hess[active]
+        h = hess.take(active, axis=0)
         skew = _asymmetric(h)
         if skew.any():   # such a row ends alone
             for r in active[skew]:
                 outcomes[r] = InvalidParameterError("hessian is not symmetric to 1e-9")
-            active, h = active[~skew], h[~skew]
+            active, h = active.compress(~skew), h.compress(~skew, axis=0)
         evals, fiber, gap = _top_eigenspaces(h, codim)
-        resid = np.matmul(fiber, grad[active][:, :, None])
+        resid = np.matmul(fiber, grad.take(active, axis=0)[:, :, None])
         rnorm = np.sqrt((resid * resid).sum((1, 2)))
         narrow = gap < GAP_TOL
         for i in np.nonzero(narrow)[0]:
@@ -841,9 +872,11 @@ def _newton(packets, z0, newton_tol) -> _Solved:
                 f"spectral gap {gap[i]:.6g} below tolerance {GAP_TOL:.6g}")
         ok = ~narrow & (rnorm <= newton_tol)
         at = active[ok]
-        done[at], fibers[at], residual[at], spectra[at] = True, fiber[ok], rnorm[ok], evals[ok]
+        done[at], fibers[at] = True, fiber.compress(ok, axis=0)
+        residual[at], spectra[at] = rnorm.compress(ok), evals.compress(ok, axis=0)
         going = ~narrow & (rnorm > newton_tol)
-        active, h, fiber, resid, rnorm = (a[going] for a in (active, h, fiber, resid, rnorm))
+        active, h, fiber, resid, rnorm = (a.compress(going, axis=0)
+                                          for a in (active, h, fiber, resid, rnorm))
         if not active.size:
             break
         hf = np.matmul(np.matmul(fiber, h), fiber.transpose(0, 2, 1))
@@ -851,7 +884,8 @@ def _newton(packets, z0, newton_tol) -> _Solved:
         if singular.any():
             for r in active[singular]:
                 outcomes[r] = NoConvergenceError("singular fiber Hessian in the Newton step")
-            active, fiber, rnorm, delta = (a[~singular] for a in (active, fiber, rnorm, delta))
+            active, fiber, rnorm, delta = (a.compress(~singular, axis=0)
+                                           for a in (active, fiber, rnorm, delta))
         step = np.matmul(fiber.transpose(0, 2, 1), delta[:, :, None])[:, :, 0]
         steps[active] += 1
         pending, exits = _damped_steps(packet, active, z, grad, hess, owner, step, fiber,
@@ -933,18 +967,19 @@ def _damped_steps(packet, active, z, grad, hess, owner, step, fiber, rnorm, eval
         for lo in range(0, left.size, per_call):
             part = left[lo:lo + per_call]
             rows = active[part]
-            cand = (z[rows][:, None, :] + lam[:, None] * step[part][:, None, :]
-                    ).reshape(-1, z.shape[1])
+            cand = (z.take(rows, axis=0)[:, None, :]
+                    + lam[:, None] * step.take(part, axis=0)[:, None, :]).reshape(-1, z.shape[1])
             trials = packet.take(np.repeat(rows, lam.size)) if stacked else packet
             _, g2, h2, o2, s2 = _asdf_terms(trials, cand, order=2)
-            r2 = np.matmul(np.repeat(fiber[part], lam.size, axis=0), g2[:, :, None])
+            r2 = np.matmul(np.repeat(fiber.take(part, axis=0), lam.size, axis=0), g2[:, :, None])
             lower = ((s2 == 0) & (np.sqrt((r2 * r2).sum((1, 2)))
                                   < np.repeat(rnorm[part], lam.size))).reshape(part.size, -1)
             first = np.argmax(lower, axis=1)
             hit = lower[np.arange(part.size), first]
             pick = np.flatnonzero(hit) * lam.size + first[hit]
-            won = rows[hit]
-            z[won], grad[won], hess[won], owner[won] = cand[pick], g2[pick], h2[pick], o2[pick]
+            won = rows.compress(hit)
+            z[won], grad[won], hess[won], owner[won] = (a.take(pick, axis=0)
+                                                        for a in (cand, g2, h2, o2))
             evaluations[rows] += np.where(hit, first + 1, lam.size)
             exits[part] += np.where(hit, 0, (s2 != 0).reshape(part.size, -1).sum(axis=1))
             served[lo:lo + part.size] = hit
@@ -961,6 +996,7 @@ class PutativeMesh:
     them in the argument order of BundleChart._checked_stack, a row per
     chart: base points (k, n), projectors (k, n, n), fiber bases
     (k, codim, n), owning cylinders (k,), residuals (k,) and spectra (k, n).
+    The constructor checks the projectors as one stack (_check_projectors).
     `chart(i)` and `charts` rebuild BundleChart objects from the arrays.
     """
 
@@ -974,6 +1010,7 @@ class PutativeMesh:
         if over.any():
             raise InvalidParameterError(
                 f"chart residual {fields[4][over.argmax()]:.3g} exceeds tolerance")
+        _check_projectors(fields[1], packet.n - packet.d)
         self.tolerance = tolerance
         self.packet = packet
         self.failures = tuple(failures)
@@ -1024,7 +1061,7 @@ def extract_putative_manifold(packet: CylinderPacket | Sequence[CylinderPacket],
     packet; the call then returns a MeshOutcomes tuple of their lone
     results. Both forms solve in one multi-packet solve_base_point call and
     build each mesh from its arrays (_Solved), with no chart object: the
-    converged rows' projectors are checked as one stack.
+    mesh checks its kept rows' projectors as one stack.
     """
     lone = isinstance(packet, CylinderPacket)
     packets, seeds = ((packet,), (seeds,)) if lone else (tuple(packet), tuple(seeds))
@@ -1045,7 +1082,6 @@ def extract_putative_manifold(packet: CylinderPacket | Sequence[CylinderPacket],
                          for s, j in enumerate(slot.tolist()) if errors[j] is not None)
         if done.any():
             fields = solved.fields(np.flatnonzero(done) + lo)
-            _check_projectors(fields[1], p.n - p.d)
             at = (np.cumsum(done) - 1)[slot[done[slot]]]   # each converged seed's field row
             keep = at[lexsort_dedup(fields[0][at], p.tau_bar * DEDUP_FRACTION)]
             meshes.append(PutativeMesh(
@@ -1271,20 +1307,13 @@ def check_asdf_conditions(packet: CylinderPacket, sample: PointCloud,
 # ---- mesh serialization ----
 
 def save_mesh(mesh: PutativeMesh, csv_path: str, sidecar_path: str) -> None:
-    """Base points as CSV plus a JSON sidecar with projectors and metadata."""
+    """Base points as CSV plus a JSON sidecar with projectors and metadata,
+    written from the mesh's arrays."""
     np.savetxt(csv_path, mesh.base_points, delimiter=",", fmt="%.17g")
-    payload = {
-        "tolerance": mesh.tolerance,
-        "charts": [
-            {
-                "base": c.base_point.tolist(),
-                "projector": c.projector_hi.ravel().tolist(),
-                "owning_cylinder": c.owning_cylinder,
-                "residual": c.residual,
-            }
-            for c in mesh.charts
-        ],
-    }
+    rows = zip(mesh.base_points.tolist(), mesh.projectors.reshape(mesh.size, -1).tolist(),
+               mesh._fields[3].tolist(), mesh._fields[4].tolist())
+    payload = {"tolerance": mesh.tolerance, "charts": [
+        {"base": b, "projector": p, "owning_cylinder": o, "residual": r} for b, p, o, r in rows]}
     with open(sidecar_path, "w") as fh:
         json.dump(payload, fh, sort_keys=True)
 
@@ -1295,7 +1324,7 @@ def load_mesh(packet: CylinderPacket, csv_path: str, sidecar_path: str) -> Putat
     Every chart is re-derived at the stored base point, as extraction
     derives it (the multi-packet solve_base_point's arrays): a row that
     fails raises a fresh error of its type and text. Each projector is
-    checked, then cross-checked against the stored one to 1e-8.
+    checked (by the mesh), then cross-checked against the stored one to 1e-8.
     """
     pts = np.loadtxt(csv_path, delimiter=",", ndmin=2)
     with open(sidecar_path) as fh:
@@ -1307,7 +1336,6 @@ def load_mesh(packet: CylinderPacket, csv_path: str, sidecar_path: str) -> Putat
             raise type(error)(*error.args)
     mesh = PutativeMesh(solved.fields(np.arange(pts.shape[0])), float(payload["tolerance"]),
                         packet)
-    _check_projectors(mesh.projectors, packet.n - packet.d)
     for projector, stored in zip(mesh.projectors, payload["charts"]):
         saved = np.asarray(stored["projector"], dtype=np.float64).reshape(packet.n, packet.n)
         if float(np.max(np.abs(projector - saved))) > 1e-8:

@@ -28,8 +28,8 @@ from .asdf_bundle import (
     RowOutcomes,
     _RowView,
     _alternate,
-    _close_pairs,
     _member_pairs,
+    _near_pairs,
     _solve_rows,
     bump_profile,
     bundle_coordinates,   # kept bound here: bench/tracer.py wraps it
@@ -1010,29 +1010,22 @@ def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
     return _fit_cylinders(packet, mesh, [cylinder_index], eps_bar, budget).section(0)
 
 
-# (cylinder, mesh point) squared distances _inside_points' candidate pass holds at once
-_LOCAL_CHUNK = 1 << 16
-
-
 def _inside_points(packet: CylinderPacket, mesh: PutativeMesh, cylinders: np.ndarray):
-    """The mesh base points inside each of the given full cylinders: their
-    counts (C,) and their local coordinates over tau_bar in mesh order,
-    (C, P, n) zero-padded past each count. A point inside lies within
-    sqrt(2) (tau_bar + 1e-12) of the center: the candidate pairs come from
-    one squared-distance pass with slack (_close_pairs, a chunk of
-    cylinders at a time), and each candidate's local coordinates are its
-    (1, n) @ (n, n) product, for n <= 3 bit-equal to a (mesh, n) @ (n, n)
-    product over every mesh point."""
+    """The mesh base points inside each of the given distinct full
+    cylinders: their counts (C,) and their local coordinates over tau_bar
+    in mesh order, (C, P, n) zero-padded past each count. The candidates
+    are _member_pairs' at factor 1 (_near_pairs), kept for the given
+    cylinders and stably sorted by position; each one's local coordinates
+    are its (1, n) @ (n, n) product, for n <= 3 bit-equal to a
+    (mesh, n) @ (n, n) product over every mesh point."""
     tb, d = packet.tau_bar, packet.d
     lim, points = tb + 1e-12, mesh.base_points
-    points_sq, pairs = np.sum(points * points, axis=1), []
-    step = max(1, _LOCAL_CHUNK // mesh.size)
-    for lo in range(0, cylinders.size, step):
-        c, p = _close_pairs(packet.centers[cylinders[lo:lo + step]], points, points_sq,
-                            2.0 * lim * lim * (1.0 + 1e-6) + 1e-12)
-        pairs.append((c + lo, p))
-    ci, pi = (np.concatenate(a) for a in zip(*pairs))
-    k = cylinders[ci]
+    pi, k = _near_pairs((packet,), points, 2.0 * lim * lim)
+    at = np.full(packet.size, cylinders.size)   # a cylinder not asked for sorts last
+    at[cylinders] = np.arange(cylinders.size)
+    pos = at[k]
+    order = np.argsort(pos, kind="stable")[:np.count_nonzero(pos < cylinders.size)]
+    ci, pi, k = pos[order], pi[order], k[order]
     local = np.matmul((points[pi] - packet.centers[k])[:, None, :], packet.rotations[k])[:, 0, :]
     inside = ((np.linalg.norm(local[:, :d], axis=1) <= lim)
               & (np.linalg.norm(local[:, d:], axis=1) <= lim))

@@ -2,6 +2,7 @@
 import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -985,6 +986,119 @@ def test_member_pairs_of_a_mixed_stack_are_each_packets_lone_pairs(searched_pack
             assert got[mine].tobytes() == want.tobytes()
 
 
+# ---- the cell-list candidate pass against the dense pass ----
+
+def dense_member_pairs(packet, points, factor):
+    """Reference: every (row, cylinder) pair, by row, then cylinder (for a
+    stack, the cylinders of the row's own packet), then the exact member test."""
+    size = packet.centers.shape[0]
+    pi, ki = np.divmod(np.arange(points.shape[0] * size), size)
+    if isinstance(packet, asdf_bundle._PacketStack):
+        own = packet.group[pi] == np.searchsorted(packet.first, ki, side="right") - 1
+        pi, ki = pi[own], ki[own]
+    w = np.einsum("kji,kj->ki", packet.rotations[ki], points[pi] - packet.centers[ki])
+    lim = factor * packet.tau_bar + 1e-12
+    tan, nor = w[:, :packet.d], w[:, packet.d:]
+    inside = (np.sqrt((tan * tan).sum(1)) <= lim) & (np.sqrt((nor * nor).sum(1)) <= lim)
+    return pi[inside], ki[inside], w[inside]
+
+
+def cell_side(tau_bar, factor):
+    lim = factor * tau_bar + 1e-12
+    return math.sqrt(2.0 * lim * lim * (1.0 + 1e-6) + 1e-12)
+
+
+def probe_packet(rng, n, d, tau_bar, count, snap=None, radius=0.6):
+    """count random cylinders in the ball of the given radius of R^n,
+    centers on the grid of spacing snap when given."""
+    centers = rng.normal(size=(count, n))
+    centers *= radius * rng.uniform(size=(count, 1)) ** (1.0 / n) / np.linalg.norm(
+        centers, axis=1)[:, None]
+    if snap:
+        centers = np.round(centers / snap) * snap
+    rotations = proper_rotations(n, count, seed=int(rng.integers(1 << 30)))[0]
+    return CylinderPacket(centers, rotations, tau_bar, d, tau=0.5, c12=1.0, C_align=10.0)
+
+
+def member_probes(rng, packet, per_cylinder):
+    """Points in and around each cylinder's factor-2 dilation (tangential
+    and normal parts each of norm up to 2.5 tau_bar), copies of them
+    snapped onto the cell edges of both factors, and far points."""
+    tb, n, d = packet.tau_bar, packet.n, packet.d
+    local = rng.normal(size=(packet.size, per_cylinder, n))
+    for part in (slice(0, d), slice(d, n)):
+        local[..., part] *= rng.uniform(0.0, 2.5 * tb, size=local.shape[:2] + (1,)) \
+            / np.linalg.norm(local[..., part], axis=2, keepdims=True)
+    near = (np.matmul(local, packet.rotations.transpose(0, 2, 1))
+            + packet.centers[:, None, :]).reshape(-1, n)
+    snapped = [np.round(near / s) * s for s in (cell_side(tb, 1.0), cell_side(tb, 2.0))]
+    far = np.array([[50.0] * n, [-1e8] + [0.0] * (n - 1), [0.0] * (n - 1) + [7.0],
+                    [np.nan] + [0.0] * (n - 1)])
+    return np.concatenate([near, *snapped, far])
+
+
+def assert_same_member_pairs(packet, points):
+    for factor in (1.0, 2.0):
+        got = asdf_bundle._member_pairs(packet, points, factor)
+        want = dense_member_pairs(packet, points, factor)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), factor
+        assert got[2].dtype == want[2].dtype and got[2].tobytes() == want[2].tobytes(), factor
+        assert want[0].size > packet.centers.shape[0] // 4, factor   # the probes meet members
+
+
+@pytest.mark.filterwarnings("error")   # a far or NaN point's cell is clamped before its cast
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (5, 2)])
+def test_member_pairs_equal_the_dense_pass(n, d):
+    rng = np.random.default_rng(n)
+    tb = 0.04
+    # a lone packet, its centers on the factor-2 cell edges
+    packet = probe_packet(rng, n, d, tb, 60, snap=cell_side(tb, 2.0))
+    assert_same_member_pairs(packet, member_probes(rng, packet, 6))
+    # an interleaved stack of three packets: a row meets its own packet's cylinders only
+    packets = [packet, probe_packet(rng, n, d, tb, 40), probe_packet(rng, n, d, tb, 50)]
+    points = [member_probes(rng, p, 4) for p in packets]
+    group = np.repeat(np.arange(3), [len(p) for p in points])
+    order = rng.permutation(group.size)
+    stack = asdf_bundle._PacketStack(packets, group[order])
+    assert_same_member_pairs(stack, np.concatenate(points)[order])
+    # the cells of n <= 3 gridded coordinates
+    assert asdf_bundle._cell_lists(tuple(packets), cell_side(tb, 2.0))[0] == min(n, 3)
+
+
+def test_member_pairs_at_a_tiny_scale_keep_their_keys_in_int64():
+    # sides of about 1e-6 over centers spread across the unit ball: three
+    # gridded coordinates of two packets would need keys past 2^63
+    rng = np.random.default_rng(4)
+    tb = 1e-9
+    packets = [probe_packet(rng, 3, 1, tb, 300, radius=1.0),
+               probe_packet(rng, 3, 1, tb, 200, radius=1.0)]
+    spread = np.ptp(np.concatenate([p.centers for p in packets]), axis=0)
+    assert 2 * np.prod(spread / cell_side(tb, 2.0)) > 2.0 ** 63
+    points = [member_probes(rng, p, 3) for p in packets]
+    group = np.repeat(np.arange(2), [len(p) for p in points])
+    stack = asdf_bundle._PacketStack(packets, group)
+    assert_same_member_pairs(stack, np.concatenate(points))
+    assert asdf_bundle._cell_lists(tuple(packets), cell_side(tb, 2.0))[0] < 3
+    for packet, mine in zip(packets, points):
+        assert_same_member_pairs(packet, mine)
+
+
+def test_member_pairs_hold_no_dense_array():
+    # 4,096 points against 3,000 cylinders: the dense (points, cylinders)
+    # array alone would take 98 MB
+    rng = np.random.default_rng(9)
+    packet = probe_packet(rng, 2, 1, 0.01, 3000)
+    points = rng.uniform(-0.7, 0.7, size=(4096, 2))
+    asdf_bundle._cell_lists.cache_clear()   # the index is built inside the measurement
+    tracemalloc.start()
+    try:
+        pi, _, _ = asdf_bundle._member_pairs(packet, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pi.size > 1000 and peak < 8 * 2 ** 20
+
+
 # ---- the stacked halving ladder against the halving loop ----
 
 def reference_newton(packet, z0, newton_tol=1e-10, max_steps=60):
@@ -1475,12 +1589,11 @@ def test_a_packet_from_arrays_rejects_its_first_bad_cylinder_as_cylinder_does():
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (7, 3)])
 def test_a_packet_from_arrays_equals_the_packet_of_its_cylinders(n, d):
     """The packet stores its cylinders' arrays bit for bit, as read-only
-    copies, with each center's squared norm."""
+    copies."""
     rotations, centers = proper_rotations(n, 12, seed=n)
     got = CylinderPacket(list(centers), list(rotations), 0.05, d, tau=0.5, c12=2.0,
                          C_align=12.0)
-    center_sq = np.array([sum(float(x) * float(x) for x in c) for c in centers])
-    for name, want in (("centers", centers), ("rotations", rotations), ("center_sq", center_sq)):
+    for name, want in (("centers", centers), ("rotations", rotations)):
         stored = getattr(got, name)
         assert stored.dtype == want.dtype and stored.shape == want.shape, name
         assert stored.tobytes() == want.tobytes(), name
@@ -1510,7 +1623,7 @@ def reference_ideal_packet(cloud, tangents, tau, cbar12):
 
 
 def assert_same_packet(got, want):
-    for name in ("centers", "rotations", "center_sq"):
+    for name in ("centers", "rotations"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert ((got.tau, got.tau_bar, got.c12, got.C_align, got.d, got.n)
             == (want.tau, want.tau_bar, want.c12, want.C_align, want.d, want.n))
@@ -1670,6 +1783,17 @@ def test_mesh_save_load_round_trip(circle_packet, circle_mesh, tmp_path):
     assert back.tolerance == circle_mesh.tolerance and back.packet is packet
 
 
+def test_save_mesh_writes_the_sidecar_of_the_mesh_charts(circle_mesh, tmp_path):
+    save_mesh(circle_mesh, str(tmp_path / "mesh.csv"), str(tmp_path / "mesh.json"))
+    payload = {"tolerance": circle_mesh.tolerance, "charts": [
+        {"base": c.base_point.tolist(), "projector": c.projector_hi.ravel().tolist(),
+         "owning_cylinder": c.owning_cylinder, "residual": c.residual}
+        for c in circle_mesh.charts]}
+    with open(tmp_path / "charts.json", "w") as fh:
+        json.dump(payload, fh, sort_keys=True)
+    assert (tmp_path / "mesh.json").read_bytes() == (tmp_path / "charts.json").read_bytes()
+
+
 def test_load_mesh_rejects_projector_mismatch(circle_packet, circle_mesh, tmp_path):
     packet, _, _ = circle_packet
     csv_path = str(tmp_path / "mesh.csv")
@@ -1706,6 +1830,25 @@ def test_a_chart_built_from_outside_checks_its_projector():
                             (np.diag([0.0, 2.0]), "idempotent"), (np.eye(2), "trace")):
         with pytest.raises(InvalidParameterError, match=text):
             BundleChart(**{**fields, "projector_hi": projector})
+
+
+def test_a_mesh_checks_its_projectors_at_construction(monkeypatch):
+    packet = flat_packet()
+    mesh = extract_putative_manifold(packet, np.array([[0.0, 0.05]]))
+    for projector, text in ((np.array([[0.0, 1.0], [0.0, 1.0]]), "projector is not symmetric"),
+                            (np.diag([0.0, 2.0]), "projector is not idempotent"),
+                            (np.eye(2), "projector trace does not match the codimension")):
+        fields = (mesh.base_points, projector[None], *mesh._fields[2:])
+        with pytest.raises(InvalidParameterError, match=text):
+            PutativeMesh(fields, mesh.tolerance, packet)
+    # an extraction checks each mesh's kept rows once
+    shapes = []
+    check = asdf_bundle._check_projectors
+    monkeypatch.setattr(asdf_bundle, "_check_projectors",
+                        lambda p, codim: shapes.append(p.shape) or check(p, codim))
+    meshes = extract_putative_manifold([packet, packet], [np.array([[0.0, 0.05]] * 2),
+                                                          np.array([[0.1, 0.0], [-0.1, 0.02]])])
+    assert shapes == [(1, 2, 2), (2, 2, 2)] and [m.size for m in meshes] == [1, 2]
 
 
 def test_a_stacked_solve_checks_its_projectors_once(circle_packet, circle_mesh, monkeypatch):

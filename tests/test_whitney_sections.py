@@ -1833,11 +1833,9 @@ def assert_same_inside_points(packet, mesh, cylinders):
     return got[0]
 
 
-@pytest.mark.parametrize("chunk", [1 << 16, 1])
 @pytest.mark.parametrize("name", ["circle-ideal", "circle-perturbed", "disc", "sphere"])
-def test_inside_points_equal_the_dense_pass(pipeline_packets, name, chunk, monkeypatch):
-    # the sphere is sphere-d2's sample (n = 3); one distance pass a cylinder with chunk 1
-    monkeypatch.setattr(ws, "_LOCAL_CHUNK", chunk)
+def test_inside_points_equal_the_dense_pass(pipeline_packets, name):
+    # the sphere is sphere-d2's sample (n = 3)
     packet, mesh, _, _ = pipeline_packets[name]
     every = np.arange(packet.size)
     assert assert_same_inside_points(packet, mesh, every).sum() > packet.size
