@@ -1833,13 +1833,20 @@ def assert_same_inside_points(packet, mesh, cylinders):
     return got[0]
 
 
+@pytest.mark.parametrize("chunk", [1 << 16, 1])
 @pytest.mark.parametrize("name", ["circle-ideal", "circle-perturbed", "disc", "sphere"])
-def test_inside_points_equal_the_dense_pass(pipeline_packets, name):
-    # the sphere is sphere-d2's sample (n = 3)
+def test_inside_points_equal_the_dense_pass(pipeline_packets, name, chunk):
+    # the sphere is sphere-d2's sample (n = 3); the cylinders asked for in
+    # calls of chunk cylinders each, with chunk 1 one call a cylinder
     packet, mesh, _, _ = pipeline_packets[name]
+
+    def by_chunk(cylinders):
+        return np.concatenate([assert_same_inside_points(packet, mesh, cylinders[i:i + chunk])
+                               for i in range(0, cylinders.size, chunk)])
+
     every = np.arange(packet.size)
-    assert assert_same_inside_points(packet, mesh, every).sum() > packet.size
-    assert_same_inside_points(packet, mesh, every[::-3])
+    assert by_chunk(every).sum() > packet.size
+    by_chunk(every[::-3])
 
 
 def test_inside_points_on_the_cylinder_boundary():
