@@ -323,7 +323,6 @@ class PacketCandidate:
     section_paths: dict[str, int] = field(default_factory=dict)   # section fits by solver path
     # seeds, distinct rows solved, field rows evaluated, slowest row's steps, capped rows
     mesh_newton: dict[str, int] = field(default_factory=dict)
-    projection_stops: dict[str, int] = field(default_factory=dict)   # projections by stop
     loss_newton: dict[str, int] = field(default_factory=dict)   # points, rounds, rows, field rows
 
 
@@ -481,7 +480,6 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
             loss, tube, loss_newton = _packet_loss(model, reduced)
             table = model.section_table
             paths = Counter(p for labels in table.solver_paths for p in labels)
-            stops = Counter(p for labels in table.projection_stops for p in labels)
             candidates.append(PacketCandidate(
                 index=index, kind=kind, loss=loss, reason=None,
                 packet_failures=packet_failures, mesh_size=mesh.size,
@@ -489,7 +487,7 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 out_of_tube=sum(tube.values()), out_of_tube_causes=tube,
                 seed_failures=seed_failures,
                 section_paths=dict(sorted(paths.items())), mesh_newton=mesh_newton,
-                projection_stops=dict(sorted(stops.items())), loss_newton=loss_newton))
+                loss_newton=loss_newton))
             if best is None or (loss, index) < best:
                 best = (loss, index)
                 best_model = model
@@ -522,7 +520,6 @@ def run_test(cloud: PointCloud, config: TestConfig) -> TestVerdict:
                 "seed_failures": c.seed_failures,
                 "section_paths": c.section_paths,
                 "mesh_newton": c.mesh_newton,
-                "projection_stops": c.projection_stops,
                 "loss_newton": c.loss_newton,
             }
             for c in candidates

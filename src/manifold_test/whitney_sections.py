@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +50,9 @@ from .errors import (
 
 C_W = 3.0   # the Whitney constant of the pair constraints
 DUPLICATE_SITE_TOL = 1e-12
-# squared-form slack: overshooting a slab by ~1e-6 of its half-width counts
-# as feasible, which iterative projections reach quickly and the Whitney
-# constants absorb without effect
+# squared-form slack: overshooting a ball or slab by ~1e-6 of its radius or
+# half-width counts as feasible, which the Whitney constants absorb without
+# effect; _objective_bounds allows for it
 FEASIBILITY_REL = 2e-6
 FEASIBILITY_ABS = 1e-12
 SKETCH_RADIUS = 0.02   # a fit site (in units of tau_bar) this close to a kept one joins its sketch
@@ -265,23 +265,6 @@ class ConstraintSet:
         return tuple(f"{'value' if kind == 0 else f'grad[{kind - 1}]'} {s}->{t}"
                      for (s, t), kind in zip(self.pair_sites.tolist(),
                                              self.pair_kinds.tolist()))
-
-    @functools.cached_property
-    def pair_groups(self) -> tuple:
-        """Row indices of each batch, in the cyclic projection order.
-
-        Each row joins the first batch that touches neither of its sites,
-        scanning rows in order, so rows in one batch touch pairwise-disjoint
-        jet blocks and a Dykstra sweep may project a whole batch at once
-        while keeping a fixed cyclic constraint order.
-        """
-        group = np.zeros(self.pair_betas.shape[0], dtype=np.int64)
-        used = np.zeros((group.size, self.m), dtype=bool)
-        for row, (s, t) in enumerate(self.pair_sites.tolist()):
-            g = int(np.argmin(used[:, s] | used[:, t]))
-            group[row] = g
-            used[g, [s, t]] = True
-        return tuple(np.flatnonzero(group == g) for g in range(int(group.max(initial=-1)) + 1))
 
     def violations(self, y: np.ndarray) -> np.ndarray:
         """Per-constraint |A y|^2 - beta, site constraints first."""
@@ -586,59 +569,6 @@ def _warm_starts(stack: _SectionStack) -> np.ndarray:
     return y.reshape(B, S * q)
 
 
-# ---- projection (Dykstra) ----
-
-def _project_constraints(constraints: ConstraintSet, y0: np.ndarray,
-                         sweeps: int = 400, move_tol: float = 1e-13,
-                         good_enough: Callable[[np.ndarray], bool] | None = None
-                         ) -> tuple[np.ndarray, str]:
-    """Dykstra's cyclic projections of one iterate onto the admissible set.
-
-    A cycle visits the site balls (all at once), then the pair batches in
-    their fixed order, each batch with one matrix product. After each cycle
-    the loop stops if its iterate is feasible and either the cycle moved it
-    less than move_tol or the caller's target good_enough(y) holds. Returns
-    the iterate and why the loop stopped: "move_tol" (converged to the
-    projection), "target" (feasible and good enough for the caller, but not
-    the projection), or "cap" (the sweep cap came first; the iterate may be
-    infeasible).
-    """
-    m, q, bound = constraints.m, constraints.q, constraints.M
-    rows = constraints.pair_rows
-    sq = np.sum(rows * rows, axis=1)
-    roots = np.sqrt(constraints.pair_betas)
-    absmax = np.max(np.abs(rows), axis=1, initial=0.0)
-    batches = [(g, rows[g], rows[g].T) for g in constraints.pair_groups]
-    y = y0.copy()
-    site_corr = np.zeros((m, q))
-    corr = np.zeros(roots.size)
-    for _ in range(sweeps):
-        blocks = y.reshape(m, q) + site_corr
-        norms = np.linalg.norm(blocks, axis=1)
-        scale = np.ones(m)
-        over = norms > bound
-        scale[over] = bound / norms[over]
-        new_blocks = blocks * scale[:, None]
-        site_corr = blocks - new_blocks
-        moved = float(np.max(np.abs(new_blocks - y.reshape(m, q))))
-        y = new_blocks.reshape(-1)
-        for g, rows_g, rows_t in batches:
-            # project w = y + corr*alpha onto the slab |alpha . w| <= root;
-            # t minus t clipped to the slab is t - copysign(root, t) outside it, 0 inside
-            t = rows_g @ y + corr[g] * sq[g]
-            shift = (t - np.minimum(np.maximum(t, -roots[g]), roots[g])) / sq[g]
-            delta = corr[g] - shift
-            # a batch's rows touch disjoint entries, so each entry is one product
-            y += rows_t @ delta
-            moved = max(moved, float(np.max(np.abs(delta) * absmax[g])))
-            corr[g] = shift
-        settled = moved < move_tol
-        if ((settled or (good_enough is not None and good_enough(y)))
-                and constraints.is_feasible(y)):
-            return y, "move_tol" if settled else "target"
-    return y, "cap"
-
-
 # ---- analytic-center cutting-plane solver ----
 
 def _barrier_value(y, box, cut_g, cut_c):
@@ -715,9 +645,7 @@ class SectionFitResult:
     certified means y is feasible with value <= eps_bar. solver names the
     path that produced y: "warm-start" (the local least-squares jets),
     "retracted" (the warm start scaled back into the admissible set, see
-    _SectionStack.retract) or "cutting-plane". projection_stops holds the
-    stop reason of each Dykstra projection the cutting plane made (see
-    _project_constraints), in call order.
+    _SectionStack.retract) or "cutting-plane".
     """
 
     y: np.ndarray
@@ -725,7 +653,6 @@ class SectionFitResult:
     iterations: int
     certified: bool
     solver: str
-    projection_stops: tuple[str, ...] = ()
 
 
 # the padded layouts of a front grow with its problems' pair rows times
@@ -811,12 +738,8 @@ def minimize_section(data: SketchedData, constraints: ConstraintSet,
         start = _front([data], [constraints], eps_bar)[0]
     if start.certified:
         return start
-
-    def meets_target(y):
-        return section_objective(data, constraints, y) <= eps_bar
-
     feasible = start.y if constraints.is_feasible(start.y) else None
-    return _solve_cutting_plane(data, constraints, eps_bar, budget, feasible, meets_target)
+    return _solve_cutting_plane(data, constraints, eps_bar, budget, feasible)
 
 
 # why a cutting-plane search that did not certify stopped: BudgetExceededError.stop
@@ -826,7 +749,7 @@ _STOPS = {"budget": "its cut budget ran out",
           "optimum": "the unconstrained optimum lies above the target"}
 
 
-def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start, meets_target):
+def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start):
     """Analytic-center cutting planes from y = 0, at most `budget` cuts.
 
     Returns the first feasible iterate with objective <= eps_bar. Otherwise
@@ -849,9 +772,7 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start, mee
 
     stall = 0          # feasible evaluations without progress on best
     patience = 40
-    harvest_every = 20
     done = 0
-    stops: list[str] = []
     stop = "budget"
 
     def offer(candidate) -> bool:
@@ -869,8 +790,7 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start, mee
 
     def result(certified: bool) -> SectionFitResult:
         return SectionFitResult(y=best_y, value=best_val, iterations=done,
-                                certified=certified, solver="cutting-plane",
-                                projection_stops=tuple(stops))
+                                certified=certified, solver="cutting-plane")
 
     for it in range(budget):
         done = it + 1
@@ -888,13 +808,6 @@ def _solve_cutting_plane(data, constraints, eps_bar, budget, feasible_start, mee
         else:
             normal = cut.normal
             offset = cut.offset
-            if done % harvest_every == 0:
-                # feasibility cuts can dominate for a long stretch; project
-                # the current center so best-so-far still makes progress
-                proj, why = _project_constraints(constraints, y, good_enough=meets_target)
-                stops.append(why)
-                if constraints.is_feasible(proj) and offer(proj):
-                    return result(certified=True)
         if stall > patience:
             stop = "stall"
             break
@@ -943,7 +856,6 @@ class LocalSection:
     shepard_radius: float
     is_empty: bool
     solver_paths: tuple[str, ...]   # SectionFitResult.solver per normal component
-    projection_stops: tuple[str, ...]   # every component's projection stops, in order
 
     @property
     def codim(self) -> int:
@@ -1102,7 +1014,7 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
     fronts = iter(_front([p[0] for p in problems], [p[1] for p in problems], eps_bar))
     coefficients = np.zeros((cylinders.size, codim, S, q))
     fit_values = np.full((cylinders.size, codim), np.nan)
-    paths, stops = [()] * cylinders.size, [()] * cylinders.size
+    paths = [()] * cylinders.size
     for j in filled.tolist():
         if isinstance(setup[j], Exception):
             raise setup[j]
@@ -1111,13 +1023,11 @@ def _fit_cylinders(packet: CylinderPacket, mesh: PutativeMesh, cylinders, eps_ba
         coefficients[j, :, :m[j]] = np.stack([f.y.reshape(m[j], q) for f in fits])
         fit_values[j] = [f.value for f in fits]
         paths[j] = tuple(f.solver for f in fits)
-        stops[j] = tuple(stop for f in fits for stop in f.projection_stops)
     shared: dict = {}   # one object per distinct tuple of labels
     return SectionTable(
         sites=sites, coefficients=coefficients, valid=np.arange(S) < m[:, None],
         radius=radius, empty=count == 0, index=cylinders, fit_values=fit_values,
-        solver_paths=tuple(shared.setdefault(p, p) for p in paths),
-        projection_stops=tuple(shared.setdefault(p, p) for p in stops))
+        solver_paths=tuple(shared.setdefault(p, p) for p in paths))
 
 
 # ---- partition of unity and the global section ----
@@ -1171,8 +1081,8 @@ class SectionTable:
     """The sections of a model in one padded layout, for stacked evaluation:
     sites (K, S, d), coefficients (K, codim, S, q), valid (K, S) marking
     real sites, and per cylinder its Shepard radius, empty flag, section
-    index, fit values (K, codim), solver paths and projection stops. The
-    arrays are frozen on construction."""
+    index, fit values (K, codim) and solver paths. The arrays are frozen on
+    construction."""
 
     sites: np.ndarray
     coefficients: np.ndarray
@@ -1182,7 +1092,6 @@ class SectionTable:
     index: np.ndarray
     fit_values: np.ndarray
     solver_paths: tuple
-    projection_stops: tuple
 
     def __post_init__(self):
         for arr in vars(self).values():
@@ -1192,7 +1101,7 @@ class SectionTable:
     def section(self, j: int) -> LocalSection:
         """The LocalSection stored at position j."""
         labels = dict(cylinder_index=int(self.index[j]), is_empty=bool(self.empty[j]),
-                      solver_paths=self.solver_paths[j], projection_stops=self.projection_stops[j])
+                      solver_paths=self.solver_paths[j])
         if self.empty[j]:
             return LocalSection(sites=np.zeros((0, self.sites.shape[2])),
                                 coefficients=np.zeros((0, 0, self.coefficients.shape[3])),

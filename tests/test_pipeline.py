@@ -2,7 +2,6 @@
 import gc
 import json
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +11,6 @@ from test_core_geometry import reference_tangent
 import manifold_test.asdf_bundle as asdf_bundle
 import manifold_test.core_geometry as core_geometry
 import manifold_test.pipeline as pipeline
-import manifold_test.whitney_sections as whitney_sections
 from manifold_test.asdf_bundle import CylinderPacket, RowOutcomes
 from manifold_test.complexity_bounds import BoundParams, sample_complexity
 from manifold_test.core_geometry import PointCloud, federer_reach, greedy_net
@@ -414,7 +412,7 @@ def test_circle_certificate_contents(circle_verdict):
     for key in ("index", "kind", "loss", "reason", "packet_conditions_ok",
                 "packet_failures", "mesh_size", "empty_sections", "out_of_tube",
                 "out_of_tube_causes", "seed_failures", "section_paths", "mesh_newton",
-                "projection_stops", "loss_newton"):
+                "loss_newton"):
         assert key in entry
     assert entry["packet_conditions_ok"] is True
     assert entry["packet_failures"] == {"angle": 0, "rotation": 0, "offset": 0, "coverage": 0}
@@ -560,34 +558,29 @@ def test_certificate_counts_section_fits_by_solver_path(circle_verdict, ball_ver
     assert [c["section_paths"] for c in failed.certificate["candidates"]] == [{}, {}]
 
 
-def test_certificate_counts_projection_stops_by_reason(circle_verdict, ball_verdict,
-                                                       monkeypatch):
+def test_a_noisy_circle_reaches_the_cutting_plane_at_the_default_target():
+    # no benchmark input reaches the cutting plane; this one does, at the default eps_bar
+    cloud, _ = generate_synthetic("sphere", n=2, size=150, seed=2, noise=0.04, radius=1.0,
+                                  even=True)
+    config = TestConfig(d=1, V=7.0, tau=0.3, eps=0.0016, delta=0.1, packet_budget=3, seed=0)
+    first, second = (run_test(cloud, config).certificate for _ in range(2))
+    assert first == second and first["case"] == "one"
+    candidates = first["candidates"]
+    assert any("cutting-plane" in c["section_paths"] for c in candidates)
+    assert not any((c["reason"] or "").startswith("BudgetExceededError") for c in candidates)
+
+
+def test_perturbed_fits_reach_the_cutting_plane_and_certify(circle_verdict):
     cloud, verdict = circle_verdict
-    seen = []
-    project = whitney_sections._project_constraints
-
-    def spy(*args, **kwargs):
-        out = project(*args, **kwargs)
-        seen.append(out[1])
-        return out
-
-    # the cutting plane's harvest is the only projection a fit makes
-    monkeypatch.setattr(whitney_sections, "_project_constraints", spy)
     config = replace(CIRCLE_CONFIG, packet_budget=2)
-    # every section certifies in the closed-form front, so nothing projects
-    ideal, perturbed = run_test(cloud, config).certificate["candidates"]
+    ideal, _ = run_test(cloud, config).certificate["candidates"]
     assert ideal == verdict.certificate["candidates"][0]
-    assert ideal["projection_stops"] == perturbed["projection_stops"] == {}
-    assert not seen
     # at a tighter target some perturbed fits go on to the cutting plane,
-    # and the certificate counts its projections
+    # and every fit still certifies
     ideal, perturbed = run_test(cloud, replace(config, eps_bar=1e-5)).certificate["candidates"]
-    assert ideal["projection_stops"] == {} and "cutting-plane" in perturbed["section_paths"]
-    stops = perturbed["projection_stops"]
-    assert list(stops) == sorted(stops) and set(stops) <= {"cap", "move_tol", "target"}
-    assert stops == dict(Counter(seen)) and sum(stops.values()) == len(seen) > 0
-    _, failed = ball_verdict
-    assert [c["projection_stops"] for c in failed.certificate["candidates"]] == [{}, {}]
+    assert "cutting-plane" not in ideal["section_paths"]
+    assert "cutting-plane" in perturbed["section_paths"]
+    assert ideal["reason"] is None and perturbed["reason"] is None
 
 
 def test_certificate_counts_the_loss_pass_newton_work(circle_verdict, ball_verdict,
@@ -671,8 +664,8 @@ def test_a_candidate_that_fails_before_extraction_has_no_counts(circle_verdict,
     monkeypatch.setattr(pipeline, "_validate_packet", failing_validation)
     (entry,) = run_test(cloud, CIRCLE_CONFIG).certificate["candidates"]
     assert entry["reason"] == "InvalidParameterError: packet rejected"
-    for key in ("seed_failures", "section_paths", "mesh_newton", "projection_stops",
-                "loss_newton", "out_of_tube_causes"):
+    for key in ("seed_failures", "section_paths", "mesh_newton", "loss_newton",
+                "out_of_tube_causes"):
         assert entry[key] == {}
     assert entry["packet_failures"] is None and entry["packet_conditions_ok"] is None
 

@@ -1,5 +1,4 @@
 """The jet layout, sketching, the convex section solver, and partition-of-unity patching."""
-import inspect
 import math
 from collections import Counter
 from types import SimpleNamespace
@@ -245,20 +244,6 @@ def test_duplicate_sites_raise():
         build_constraints(np.array([[0.2], [0.2]]), M=1.0)
 
 
-def test_pair_groups_partition_all_rows():
-    sites = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
-    cons = build_constraints(sites, M=1.0)
-    seen = np.concatenate([g for g in cons.pair_groups])
-    assert sorted(seen.tolist()) == list(range(cons.pair_rows.shape[0]))
-    q = cons.q
-    for g in cons.pair_groups:
-        touched: set[int] = set()
-        for row_idx in g:
-            sites_hit = set(np.nonzero(cons.pair_rows[row_idx])[0] // q)
-            assert not (sites_hit & touched)
-            touched |= sites_hit
-
-
 def test_violations_hand_value():
     cons = build_constraints(np.array([[0.0], [0.5]]), M=1.0)
     y = np.zeros(6)
@@ -376,75 +361,12 @@ def test_budget_exceeded_carries_best_cutting_plane():
     assert best.value < 0.08
 
 
-# ---- the Dykstra projection and its stops ----
-
-def test_projection_reports_why_it_stopped():
-    data, cons = line_fixture(sigma=0.01, seed=1)
-    # the constraints depend only on the sites, which the noise leaves alone
-    feasible = warm_start(*line_fixture())
-    y, stop = ws._project_constraints(cons, feasible)
-    assert stop == "move_tol"
-    np.testing.assert_array_equal(y, feasible)
-    y0 = warm_start(data, cons)
-    assert not cons.is_feasible(y0)
-    _, stop = ws._project_constraints(cons, y0, sweeps=1)
-    assert stop == "cap"
-
-
-def test_warm_start_projection_stops_at_the_callers_target():
-    data, cons = line_fixture(sigma=0.01, seed=1)
-    y0 = warm_start(data, cons)
-    assert not cons.is_feasible(y0)
-    # without a target the projection runs to its sweep cap here
-    _, stop = ws._project_constraints(cons, y0)
-    assert stop == "cap"
-    y_target, stop = ws._project_constraints(
-        cons, y0, good_enough=lambda y: section_objective(data, cons, y) <= 0.01)
-    assert stop == "target"
-    assert cons.is_feasible(y_target)
-    assert section_objective(data, cons, y_target) <= 0.01
-    # a fit needs no projection here: the retraction already certifies
-    res = minimize_section(data, cons, eps_bar=0.01)
-    assert (res.solver, res.projection_stops) == ("retracted", ())
-    assert cons.is_feasible(res.y)
-    assert res.value <= 0.01
-    assert res.value == section_objective(data, cons, res.y)
-
-
-def test_a_fit_reports_the_stop_of_every_projection(monkeypatch):
-    seen = []
-    project = ws._project_constraints
-
-    def spy(*args, **kwargs):
-        out = project(*args, **kwargs)
-        seen.append(out[1])
-        return out
-
-    # the cutting plane's harvest is the only projection a fit makes
-    monkeypatch.setattr(ws, "_project_constraints", spy)
-    assert minimize_section(*line_fixture(), eps_bar=1e-3).projection_stops == ()
-    assert not seen
-    # the first harvests reach the Dykstra cap, later ones converge
+def test_the_noisy_line_pins_its_cutting_plane_outcome():
+    # pinned when the cutting plane lost its periodic Dykstra projection,
+    # whose 7 calls here certified nothing: its own centers give this outcome
     res = minimize_section(*line_fixture(sigma=0.2), eps_bar=0.02)
-    assert res.solver == "cutting-plane" and res.certified
-    assert res.projection_stops[0] == "cap" and "move_tol" in res.projection_stops
-    assert res.projection_stops == tuple(seen)
-
-
-def test_unreachable_target_leaves_the_projection_unchanged():
-    data, cons = line_fixture(sigma=0.01, seed=1)
-    y0 = warm_start(data, cons)
-    calls = []
-
-    def never(y):
-        calls.append(section_objective(data, cons, y))
-        return calls[-1] <= 1e-12
-
-    y_plain, stop_plain = ws._project_constraints(cons, y0)
-    y_target, stop_target = ws._project_constraints(cons, y0, good_enough=never)
-    assert len(calls) == 400
-    assert stop_plain == stop_target == "cap"
-    np.testing.assert_array_equal(y_target, y_plain)
+    assert (res.solver, res.certified, res.iterations) == ("cutting-plane", True, 149)
+    assert res.value == pytest.approx(0.01992824662271367, rel=1e-12)
 
 
 def old_pair_rows(sites, M, c_w, pair_radius):
@@ -678,21 +600,17 @@ def test_the_front_fits_each_problem_as_it_does_alone(d, monkeypatch):
     for entries in (1, 64, ws._FRONT_ENTRIES):
         monkeypatch.setattr(ws, "_FRONT_ENTRIES", entries)
         for got, want in zip(ws._front(data, cons, 0.1), alone):
-            assert (got.solver, got.certified, got.projection_stops) == (
-                want.solver, want.certified, ())
+            assert (got.solver, got.certified) == (want.solver, want.certified)
             np.testing.assert_allclose(got.y, want.y, rtol=0.0, atol=1e-12)
 
 
 def test_a_fit_whose_projection_caps_certifies_in_the_retraction(monkeypatch):
-    # a lone projection of this warm start runs to the Dykstra cap with no
-    # feasible iterate (see test_the_front_reports_the_honest_cap_and_falls_through)
+    # the retraction certifies this warm start, so the cutting plane never runs
     calls = []
-    monkeypatch.setattr(ws, "_project_constraints", lambda *a, **k: calls.append("projection"))
     monkeypatch.setattr(ws, "_solve_cutting_plane", lambda *a, **k: calls.append("cutting"))
     data, cons = line_fixture(sigma=0.02, seed=0)
     res = minimize_section(data, cons, eps_bar=0.01)
-    assert (res.solver, res.certified, res.iterations, res.projection_stops) == (
-        "retracted", True, 0, ())
+    assert (res.solver, res.certified, res.iterations) == ("retracted", True, 0)
     assert cons.is_feasible(res.y) and res.value <= 0.01
     assert calls == []
 
@@ -1452,62 +1370,6 @@ def reference_sketch(sites, values, radius):
     return rep_sites, targets, mult, owner
 
 
-def reference_row_groups(ends):
-    """The greedy batch loop: each row joins the first batch that touches
-    neither of its sites."""
-    groups, used_sites = [], []
-    for idx, (s, t) in enumerate(ends):
-        for g, used in zip(groups, used_sites):
-            if s not in used and t not in used:
-                g.append(idx)
-                used.update((s, t))
-                break
-        else:
-            groups.append([idx])
-            used_sites.append({s, t})
-    return groups
-
-
-def reference_project(cons, y0, sweeps=400, move_tol=1e-13, good_enough=None):
-    """The per-problem Dykstra loop over the dense rows."""
-    m, q = cons.m, cons.q
-    y = y0.copy()
-    site_corr = np.zeros((m, q))
-    groups = reference_row_groups(cons.pair_sites.tolist())
-    assert [g.tolist() for g in cons.pair_groups] == groups
-    pair_corr = np.zeros(cons.pair_rows.shape[0])
-    pair_sq = np.sum(cons.pair_rows * cons.pair_rows, axis=1)
-    roots = np.sqrt(cons.pair_betas)
-    for _ in range(sweeps):
-        blocks = y.reshape(m, q) + site_corr
-        norms = np.linalg.norm(blocks, axis=1)
-        scale = np.ones(m)
-        over = norms > cons.M
-        scale[over] = cons.M / norms[over]
-        new_blocks = blocks * scale[:, None]
-        site_corr = blocks - new_blocks
-        moved = float(np.max(np.abs(new_blocks - y.reshape(m, q))))
-        y = new_blocks.reshape(-1)
-        for g in groups:
-            rows = cons.pair_rows[g]
-            t = rows @ y + pair_corr[g] * pair_sq[g]
-            shift = np.where(np.abs(t) <= roots[g], 0.0,
-                             (t - np.copysign(roots[g], t)) / pair_sq[g])
-            delta = pair_corr[g] - shift
-            y = y + rows.T @ delta
-            moved = max(moved, float(np.max(np.abs(delta) * np.max(np.abs(rows), axis=1))))
-            pair_corr[g] = shift
-        if moved < move_tol:
-            stop = "move_tol"
-        elif good_enough is not None and good_enough(y):
-            stop = "target"
-        else:
-            continue
-        if cons.is_feasible(y):
-            return y, stop
-    return y, "cap"
-
-
 def reference_retract(data, cons, y0):
     """lambda y0 at the objective's minimum over [0, lambda*], lambda* the
     largest scale that keeps every site ball and slab, one by one, shrunk
@@ -1539,12 +1401,8 @@ def reference_minimize(data, cons, eps_bar, budget):
         if cons.is_feasible(y) and val <= eps_bar:
             return ws.SectionFitResult(y=y, value=val, iterations=0, certified=True,
                                        solver=solver)
-
-    def meets_target(y):
-        return section_objective(data, cons, y) <= eps_bar
-
     start = y if cons.is_feasible(y) else None
-    return ws._solve_cutting_plane(data, cons, eps_bar, budget, start, meets_target)
+    return ws._solve_cutting_plane(data, cons, eps_bar, budget, start)
 
 
 def reference_bound(targets, mult, M):
@@ -1573,18 +1431,15 @@ def reference_fit(packet, mesh, eps_bar, budget):
             over = [c for c, b in enumerate(bounds) if b > eps_bar * (1.0 + 1e-9)]
             if over:
                 return fits, InfeasibleSectionError(index, over[0], bounds[over[0]], eps_bar)
-    with pytest.MonkeyPatch.context() as mp:
-        # the cutting plane's own projections run the reference loop too
-        mp.setattr(ws, "_project_constraints", reference_project)
-        for sites, targets, mult, owner in sketched:
-            try:
-                cons = build_constraints(sites, M)
-                for c in range(targets.shape[1]):
-                    data = ws.SketchedData(sites=sites, targets=targets[:, c],
-                                           multiplicities=mult, owners=owner)
-                    fits.append(reference_minimize(data, cons, eps_bar, budget))
-            except ManifoldTestError as exc:
-                return fits, exc
+    for sites, targets, mult, owner in sketched:
+        try:
+            cons = build_constraints(sites, M)
+            for c in range(targets.shape[1]):
+                data = ws.SketchedData(sites=sites, targets=targets[:, c],
+                                       multiplicities=mult, owners=owner)
+                fits.append(reference_minimize(data, cons, eps_bar, budget))
+        except ManifoldTestError as exc:
+            return fits, exc
     return fits, None
 
 
@@ -1647,8 +1502,8 @@ def test_stacked_fit_matches_the_per_cylinder_reference(pipeline_packets, name):
     assert len(fits) == len(want)
     assert (len(want) == 0) == (name == "disc")
     for got, ref in zip(fits, want):
-        assert (got.solver, got.projection_stops, got.iterations, got.certified) == (
-            ref.solver, ref.projection_stops, ref.iterations, ref.certified)
+        assert (got.solver, got.iterations, got.certified) == (
+            ref.solver, ref.iterations, ref.certified)
         np.testing.assert_allclose(got.value, ref.value, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got.y, ref.y, rtol=0.0,
                                    atol=1e-12 * float(np.max(np.abs(ref.y))))
@@ -1675,7 +1530,6 @@ def test_a_cylinder_fits_alone_as_in_its_packet(pipeline_packets):
         alone = fit_local_section(packet, mesh, j, eps_bar, budget=budget)
         assert alone.is_empty == inside.is_empty
         assert alone.solver_paths == inside.solver_paths
-        assert alone.projection_stops == inside.projection_stops
         if not inside.is_empty:
             np.testing.assert_allclose(alone.coefficients, inside.coefficients, rtol=0.0,
                                        atol=1e-12 * float(np.max(np.abs(inside.coefficients))))
@@ -1696,27 +1550,14 @@ def test_a_front_stacked_in_runs_fits_as_one_pass(pipeline_packets, monkeypatch)
     split = fit_sections(packet, mesh, eps_bar, budget=budget).section_table
     assert len(runs) > 10 and sum(runs) == int(np.count_nonzero(~whole.empty))
     assert split.solver_paths == whole.solver_paths
-    assert split.projection_stops == whole.projection_stops
     np.testing.assert_allclose(split.coefficients, whole.coefficients, rtol=0.0,
                                atol=1e-12 * float(np.max(np.abs(whole.coefficients))))
 
 
 def test_a_short_projection_ignores_a_long_tail_in_its_batch():
-    # a 25-site problem whose projection meets its target in a few dozen
-    # sweeps, and a 29-site one that runs to the 400-sweep cap
+    # a 25-site problem and a 29-site one, stacked in one batch: the front
+    # retracts each problem as it does alone, and certifies both
     problems = [line_fixture(sigma=0.01, seed=1), line_fixture(sigma=0.02, m=29, seed=0)]
-    sweeps = []
-
-    def project(data, cons):
-        def target(y):
-            sweeps[-1] += 1
-            return section_objective(data, cons, y) <= 0.01
-        sweeps.append(0)
-        return ws._project_constraints(cons, warm_start(data, cons), good_enough=target)[1]
-
-    assert [project(*p) for p in problems] == ["target", "cap"]
-    assert 1 < sweeps[0] < 400 and sweeps[1] == 400
-    # the front retracts each problem as it does alone, and certifies both
     fronts = ws._front([p[0] for p in problems], [p[1] for p in problems], 0.01)
     for (data, cons), front in zip(problems, fronts):
         alone = ws._front([data], [cons], 0.01)[0]
@@ -1790,7 +1631,6 @@ def test_fit_sections_writes_the_table_that_sections_view(pipeline_packets, monk
         assert section.cylinder_index == table.index[j] == j
         assert section.is_empty == table.empty[j] == (m == 0)
         assert section.solver_paths == table.solver_paths[j]
-        assert section.projection_stops == table.projection_stops[j]
         if section.is_empty:
             assert section.fit_values == () and section.shepard_radius == table.radius[j] == 0.0
             continue
@@ -1982,21 +1822,12 @@ def test_parameter_errors_come_before_any_bound(pipeline_packets, bad, monkeypat
 
 
 def test_the_front_reports_the_honest_cap_and_falls_through():
-    # a lone projection of this warm start meets the target on every sweep
-    # but passes the feasibility slack on none before the cap, and says so
-    data, cons = line_fixture(sigma=0.02, seed=0)
-    y, stop = ws._project_constraints(
-        cons, warm_start(data, cons),
-        good_enough=lambda y: section_objective(data, cons, y) <= 0.01)
-    assert stop == "cap" and not cons.is_feasible(y)
     # a front that cannot certify hands its feasible retraction on, and the
     # fit goes on from it in the cutting plane
     data, cons = line_fixture(sigma=0.2)
     front = ws._front([data], [cons], 0.02)[0]
-    assert (front.solver, front.certified, front.projection_stops) == ("retracted", False, ())
+    assert (front.solver, front.certified) == ("retracted", False)
     assert cons.is_feasible(front.y) and front.value > 0.02
     res = minimize_section(data, cons, eps_bar=0.02, start=front)
     assert res.solver == "cutting-plane" and res.certified and res.value < front.value
     assert ws.FEASIBILITY_REL == 2e-6
-    defaults = inspect.signature(ws._project_constraints).parameters
-    assert defaults["sweeps"].default == 400 and defaults["move_tol"].default == 1e-13
