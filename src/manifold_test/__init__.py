@@ -70,8 +70,6 @@ from .asdf_bundle import (
     FiberDecomposition,
     PacketValidation,
     PutativeMesh,
-    asdf_eval,
-    asdf_grad_hess,
     bump_profile,
     bundle_coordinates,
     check_asdf_conditions,
@@ -80,7 +78,6 @@ from .asdf_bundle import (
     load_mesh,
     packet_from_json,
     packet_to_json,
-    pi_hi,
     save_mesh,
     solve_base_point,
     validate_packet,
@@ -91,7 +88,6 @@ from .whitney_sections import (
     SectionModel,
     SketchedData,
     build_constraints,
-    fit_local_section,
     fit_sections,
     global_section,
     mfin_distance,

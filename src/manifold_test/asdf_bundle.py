@@ -49,8 +49,6 @@ BUMP_INNER = 0.25   # theta == 1 inside this radius
 BUMP_OUTER = 1.0    # theta == 0 from this radius on
 
 # The construction's constants, by the paper's symbols where it has them
-CBAR2 = 0.5     # cbar2: accepted top-eigenvalue interval [CBAR2, CBAR3], lower edge
-CBAR3 = 4.0     # Cbar3: its upper edge
 GAP_TOL = 0.25  # least spectral gap of a fiber projector
 CBAR10 = 4.0    # cbar10: a fiber offset is at most CBAR10 * tau_bar / 2
 C1_FLOOR = 0.1          # empirical lower ellipticity threshold
@@ -154,12 +152,6 @@ class CylinderPacket:
     @property
     def size(self) -> int:
         return self.centers.shape[0]
-
-    def members(self, z: np.ndarray, factor: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
-        """Indices of the cylinders containing z at the given dilation factor,
-        and the local coordinates of z in each of them, shape (members, n)."""
-        _, idx, w = _member_pairs(self, np.asarray(z, dtype=np.float64)[None, :], factor)
-        return idx, w
 
 
 class _RowView(Sequence):
@@ -350,30 +342,44 @@ def _nearest_sq(grid2, grid_sq, off, off_sq) -> np.ndarray:
     return d2.min(axis=2)
 
 
-def _coverage_worst(grid: np.ndarray, steps: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each cylinder's largest squared distance from a grid point to its
-    nearest offset, equal to the dense pass's: see validate_packet. steps
-    holds each grid point's integer position on the lattice, offsets the
-    (cylinders, width, d) offsets padded with zero rows."""
-    m, width, d = offsets.shape
-    grid2, grid_sq = 2.0 * grid, np.sum(grid * grid, axis=1)
-    off_sq = np.sum(offsets * offsets, axis=2)
+@functools.lru_cache(maxsize=8)
+def _coverage_cells(tau_bar: float, d: int, spacing: float):
+    """Condition 4's grid over B_d(0, 3 tau_bar), of step spacing * tau_bar,
+    cut into cells, built once per (tau_bar, d, spacing) and shared read-only
+    (no packet keeps it): twice the grid, each point's squared norm, and per
+    cell its representative (the member nearest the middle of its extent),
+    its rows padded to _COVERAGE_STRIDE^d with it, its radius and its size."""
+    h = tau_bar * spacing
+    axis = np.arange(-3.0 * tau_bar, 3.0 * tau_bar + h / 2.0, h)
+    grid = _ball_grid(axis, d, 3.0 * tau_bar)
+    steps = np.rint((grid - axis[0]) / h).astype(np.int64)   # lattice positions
     # cells: blocks of _COVERAGE_STRIDE steps a side, by block, then grid row
     block = steps // _COVERAGE_STRIDE
     cid = np.ravel_multi_index(tuple(block.T), tuple(block.max(axis=0) + 1))
     order = np.argsort(cid, kind="stable")
     _, first, size = np.unique(cid[order], return_index=True, return_counts=True)
     cell = np.repeat(np.arange(first.size), size)
-    # each cell's representative: its member nearest the middle of its extent
     at = steps[order]
     mid2 = np.minimum.reduceat(at, first) + np.maximum.reduceat(at, first)
     key = np.sum((2 * at - mid2[cell]) ** 2, axis=1)
     rep = order[np.lexsort((key, cell))[first]]
-    # each cell's rows, padded to _COVERAGE_STRIDE^d with its representative,
-    # and its radius: the farthest member from the representative
     rows = np.repeat(rep[:, None], _COVERAGE_STRIDE ** d, axis=1)
     rows[cell, np.arange(order.size) - first[cell]] = order
     radius = np.sqrt(np.sum((grid[rows] - grid[rep][:, None, :]) ** 2, axis=2)).max(axis=1)
+    tables = (2.0 * grid, np.sum(grid * grid, axis=1), rep, rows, radius, size)
+    for a in tables:
+        a.flags.writeable = False   # every caller of the cache shares them
+    return tables
+
+
+def _coverage_worst(cells: tuple, offsets: np.ndarray) -> np.ndarray:
+    """Each cylinder's largest squared distance from a grid point to its
+    nearest offset, equal to the dense pass's: see validate_packet. cells
+    holds _coverage_cells' grid and cells, offsets the (cylinders, width, d)
+    offsets padded with zero rows."""
+    m, width, d = offsets.shape
+    grid2, grid_sq, rep, rows, radius, size = cells
+    off_sq = np.sum(offsets * offsets, axis=2)
     # the representatives, against every cylinder
     near = np.empty((m, rep.size))
     rep2, rep_sq = grid2[rep], grid_sq[rep]
@@ -443,7 +449,8 @@ def validate_packet(packet: CylinderPacket) -> PacketValidation:
     exact one; the slack is twice that (the representative and the member)
     at the largest |g| and |o|, doubled for the bound's own rounding. Each
     point measured takes the dense pass's arithmetic, so each cylinder's
-    worst gap is the dense pass's, bit for bit.
+    worst gap is the dense pass's, bit for bit. The grid and its cells are
+    built once per tau_bar and d (_coverage_cells).
     """
     return _validate_packet(packet, _packet_pairs(packet))
 
@@ -453,10 +460,6 @@ def _validate_packet(packet: CylinderPacket, pairs: tuple) -> PacketValidation:
     tb, d = packet.tau_bar, packet.d
     bound2 = packet.c12 * tb
     bound3 = packet.C_align * tb * tb / packet.tau
-    h = tb * COVERAGE_SPACING
-    axis = np.arange(-3.0 * tb, 3.0 * tb + h / 2.0, h)
-    grid = _ball_grid(axis, d, 3.0 * tb)
-
     i, j, opnorm, normal, tangential = pairs
     theta = 2.0 * np.array([math.asin(x) for x in np.minimum(opnorm / 2.0, 1.0).tolist()])
     bad1, bad2, bad3 = theta > ANGLE_LIMIT, opnorm > bound2, normal > bound3
@@ -467,7 +470,7 @@ def _validate_packet(packet: CylinderPacket, pairs: tuple) -> PacketValidation:
     width = int(np.diff(cut).max(initial=0)) + 1
     offsets = np.zeros((packet.size, width, d))
     offsets[i, np.arange(i.size) - cut[i] + 1] = tangential
-    worst = _coverage_worst(grid, np.rint((grid - axis[0]) / h).astype(np.int64), offsets)
+    worst = _coverage_worst(_coverage_cells(tb, d, COVERAGE_SPACING), offsets)
     gaps = np.sqrt(np.maximum(worst, 0.0))
     uncovered = gaps > tb + 1e-12
 
@@ -632,40 +635,7 @@ def _asdf_terms(packet: CylinderPacket | _PacketStack, points: np.ndarray, order
     return value, grad, hess, owner, status
 
 
-def _one_point(packet: CylinderPacket, z, order: int):
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (packet.n,):
-        raise InvalidParameterError(
-            f"point of shape {z.shape} does not match ambient dim {packet.n}")
-    value, grad, hess, _, status = _asdf_terms(packet, z[None, :], order)
-    if status[0]:
-        raise _field_error(status[0])
-    return float(value[0]), grad, hess
-
-
-def asdf_eval(packet: CylinderPacket, z) -> float:
-    """Value of the packet's approximate squared-distance field at z."""
-    return _one_point(packet, z, order=0)[0]
-
-
-def asdf_grad_hess(packet: CylinderPacket, z) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian of the field, all analytic."""
-    value, grad, hess = _one_point(packet, z, order=2)
-    return value, grad[0], hess[0]
-
-
 # ---- fiber projector and base-point extraction ----
-
-@dataclass(frozen=True)
-class PiHiResult:
-    """Projector onto the top eigenspace of a Hessian, with diagnostics."""
-
-    projector: np.ndarray       # (n, n) symmetric idempotent
-    fiber_basis: np.ndarray     # (codim, n) orthonormal rows, top eigenvalue first
-    eigenvalues: np.ndarray     # all eigenvalues, ascending
-    gap: float                  # eigenvalue gap between low and top blocks
-    interval_ok: bool           # all top eigenvalues inside [CBAR2, CBAR3]
-
 
 def _top_eigenspaces(hess: np.ndarray, codim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stacked spectra of (m, n, n) Hessians: ascending eigenvalues (m, n),
@@ -687,30 +657,6 @@ def _asymmetric(hess: np.ndarray) -> np.ndarray:
     if dev.max(initial=0.0) <= PROJECTOR_TOL:
         return np.zeros(hess.shape[0], dtype=bool)
     return dev.max(axis=1) > PROJECTOR_TOL
-
-
-def pi_hi(hessian, codim: int) -> PiHiResult:
-    """Projector onto the span of the top `codim` Hessian eigenvectors.
-
-    The spectrum is sorted ascending; the gap between positions n-codim-1
-    and n-codim must be at least GAP_TOL, otherwise InsufficientGapError.
-    """
-    h = np.asarray(hessian, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise InvalidParameterError("hessian must be square")
-    n = h.shape[0]
-    if not (1 <= codim <= n):
-        raise InvalidParameterError(f"codim {codim} invalid for dimension {n}")
-    if _asymmetric(h[None])[0]:
-        raise InvalidParameterError("hessian is not symmetric to 1e-9")
-    evals, top, gap = _top_eigenspaces(h[None], codim)
-    evals, top, gap = evals[0], top[0], float(gap[0])
-    if gap < GAP_TOL:
-        raise InsufficientGapError(f"spectral gap {gap:.6g} below tolerance {GAP_TOL:.6g}")
-    top_vals = evals[n - codim:]
-    interval_ok = bool(np.all(top_vals >= CBAR2) and np.all(top_vals <= CBAR3))
-    return PiHiResult(projector=top.T @ top, fiber_basis=top,
-                      eigenvalues=evals, gap=gap, interval_ok=interval_ok)
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,7 +57,8 @@ class TestConfig:
 
     d, V, tau describe the manifold class; eps and delta the loss tolerance
     and failure probability; C scales the decision threshold. cbar12 sets
-    the cylinder scale tau_bar = cbar12 * tau.
+    the cylinder scale tau_bar = cbar12 * tau. A field outside its range
+    (README lists them) raises InvalidParameterError.
     """
 
     d: int
@@ -89,6 +90,10 @@ class TestConfig:
             raise InvalidParameterError("packet budget must be at least 1")
         if not (self.eps_bar > 0):
             raise InvalidParameterError("eps_bar must be positive")
+        for name, low in (("extra_dim", 0), ("max_cylinders", 1), ("solver_budget", 1)):
+            value = getattr(self, name)   # None: no cap set
+            if value is not None and value < low:
+                raise InvalidParameterError(f"{name} must be at least {low}")
 
     @property
     def tau_bar(self) -> float:
@@ -608,6 +613,8 @@ def verify_output(verdict: TestVerdict, cloud: PointCloud) -> VerificationReport
     Checks: the dense sample of the patched manifold has Federer reach at
     least C_REC * tau; the loss recomputes to within 10 percent (or eps) of
     the reported value; every jet block respects its coefficient bound.
+    The loss recheck reruns the verdict's own loss pass on verdict.reduction,
+    so it is not independent of the decision, and cloud is not read yet.
     """
     if verdict.model is None:
         raise InvalidParameterError("the verdict carries no manifold model")

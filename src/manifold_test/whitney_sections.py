@@ -843,10 +843,11 @@ class LocalSection:
 
     Sites and values are tangential/normal local coordinates divided by
     tau_bar. coefficients[c, i] is the jet block (see _monomials) of normal
-    component c at site i. Evaluation blends the per-site Taylor polynomials
-    with a compactly supported Shepard weight whose radius is just below the
-    smallest site separation, so the jet values are reproduced exactly at
-    the sites; away from all supports the nearest site's polynomial is used.
+    component c at site i. Evaluation (_shepard_blend, over the table's
+    rows) blends the per-site Taylor polynomials with a compactly supported
+    Shepard weight whose radius is just below the smallest site separation,
+    so the jet values are reproduced exactly at the sites; away from all
+    supports the nearest site's polynomial is used.
     """
 
     cylinder_index: int
@@ -860,21 +861,6 @@ class LocalSection:
     @property
     def codim(self) -> int:
         return self.coefficients.shape[0]
-
-    def evaluate(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """Section values (codim,) and Jacobian (codim, d) at rescaled
-        tangential coordinates u of shape (d,); for a stack u of shape (P, d),
-        values (P, codim) and Jacobians (P, codim, d). See _shepard_blend."""
-        if self.is_empty:
-            raise UncoveredPointError(
-                f"cylinder {self.cylinder_index} has an empty section")
-        u = np.asarray(u, dtype=np.float64)
-        stack = u.reshape(-1, self.sites.shape[1])
-        values, jac = _shepard_blend(
-            stack[:, None, :] - self.sites,
-            np.broadcast_to(self.coefficients, (stack.shape[0],) + self.coefficients.shape),
-            np.full(stack.shape[0], self.shepard_radius))
-        return (values[0], jac[0]) if u.ndim == 1 else (values, jac)
 
 
 def _shepard_blend(offs, coefficients, radius, valid=None) -> tuple[np.ndarray, np.ndarray]:
@@ -910,16 +896,6 @@ def _shepard_blend(offs, coefficients, radius, valid=None) -> tuple[np.ndarray, 
         site = np.argmin(dist[near], axis=1)
         values[near], jac[near] = polys[near, :, site, 0], polys[near, :, site, 1:]
     return values, jac
-
-
-def fit_local_section(packet: CylinderPacket, mesh: PutativeMesh,
-                      cylinder_index: int, eps_bar: float = 0.5,
-                      budget: int | None = None) -> LocalSection:
-    """Fit the graph section of one cylinder from the mesh points inside it;
-    a batch of one of _fit_cylinders."""
-    if not (0 <= cylinder_index < packet.size):
-        raise InvalidParameterError(f"no cylinder {cylinder_index} in the packet")
-    return _fit_cylinders(packet, mesh, [cylinder_index], eps_bar, budget).section(0)
 
 
 def _inside_points(packet: CylinderPacket, mesh: PutativeMesh, cylinders: np.ndarray):

@@ -13,12 +13,11 @@ import manifold_test.asdf_bundle as asdf_bundle
 import manifold_test.pipeline as pipeline
 from manifold_test.asdf_bundle import (
     BASE_POINT_ERRORS,
+    GAP_TOL,
     BundleChart,
     CylinderPacket,
     PacketValidation,
     PutativeMesh,
-    asdf_eval,
-    asdf_grad_hess,
     bump_profile,
     bundle_coordinates,
     check_asdf_conditions,
@@ -27,7 +26,6 @@ from manifold_test.asdf_bundle import (
     load_mesh,
     packet_from_json,
     packet_to_json,
-    pi_hi,
     save_mesh,
     solve_base_point,
     validate_packet,
@@ -135,7 +133,7 @@ def interior_probes(packet, count: int, seed: int, normal_scale: float = 0.3):
         u[:d] *= tb
         u[d:] *= normal_scale * tb
         z = packet.rotations[j] @ u + packet.centers[j]
-        idx, w = packet.members(z, factor=2.0)
+        _, idx, w = asdf_bundle._member_pairs(packet, z[None, :], factor=2.0)
         if idx.size == 0:
             continue
         tan = np.linalg.norm(w[:, :d], axis=1)
@@ -145,19 +143,18 @@ def interior_probes(packet, count: int, seed: int, normal_scale: float = 0.3):
 
 
 def fd_errors(packet, z):
-    """Relative sup-norm error of analytic derivatives vs central differences."""
+    """Relative sup-norm error of analytic derivatives vs central differences:
+    z and its 2n neighbours at +-FD_STEP along each axis in one field-kernel
+    call, every row of which must lie in the field's domain."""
     n = z.shape[0]
-    _, grad, hess = asdf_grad_hess(packet, z)
-    fd_g = np.zeros(n)
-    fd_h = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = FD_STEP
-        fd_g[i] = (asdf_eval(packet, z + e) - asdf_eval(packet, z - e)) / (2 * FD_STEP)
-        gp = asdf_grad_hess(packet, z + e)[1]
-        gm = asdf_grad_hess(packet, z - e)[1]
-        fd_h[i] = (gp - gm) / (2 * FD_STEP)
+    steps = FD_STEP * np.eye(n)
+    value, grad, hess, _, status = asdf_bundle._asdf_terms(
+        packet, np.vstack([z, z + steps, z - steps]), order=2)
+    assert not status.any()
+    fd_g = (value[1:n + 1] - value[n + 1:]) / (2 * FD_STEP)
+    fd_h = (grad[1:n + 1] - grad[n + 1:]) / (2 * FD_STEP)
     fd_h = 0.5 * (fd_h + fd_h.T)
+    grad, hess = grad[0], hess[0]
     ge = float(np.max(np.abs(grad - fd_g))) / max(float(np.max(np.abs(grad))), 1.0)
     he = float(np.max(np.abs(hess - fd_h))) / max(float(np.max(np.abs(hess))), 1.0)
     return ge, he
@@ -244,11 +241,12 @@ def test_cylinder_validation():
 
 def test_packet_members_matches_contains():
     packet = flat_packet()
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        z = rng.uniform(-0.4, 0.4, 2)
-        for factor in (1.0, 2.0):
-            idx, w = packet.members(z, factor=factor)
+    zs = np.random.default_rng(8).uniform(-0.4, 0.4, (50, 2))
+    for factor in (1.0, 2.0):
+        pi, ki, wi = asdf_bundle._member_pairs(packet, zs, factor=factor)
+        assert np.all(np.diff(pi) >= 0)   # by row
+        for row, z in enumerate(zs):
+            idx, w = ki[pi == row], wi[pi == row]
             # cylinder j holds z when both parts of its local coordinates are
             # within factor * tau_bar, up to the 1e-12 membership slack
             lim = factor * packet.tau_bar + 1e-12
@@ -287,25 +285,33 @@ def test_packet_from_json_rejects_a_center_of_the_wrong_length():
 
 def test_flat_field_is_exact():
     packet = flat_packet(tb=0.5, centers=(0.0,))
-    z = np.array([0.05, 0.2])
-    val, grad, hess = asdf_grad_hess(packet, z)
-    assert val == pytest.approx(0.04, abs=1e-15)
-    np.testing.assert_allclose(grad, [0.0, 0.4], atol=1e-15)
-    np.testing.assert_allclose(hess, [[0.0, 0.0], [0.0, 2.0]], atol=1e-15)
-    assert asdf_eval(packet, z) == pytest.approx(0.04, abs=1e-15)
+    z = np.array([[0.05, 0.2]])
+    val, grad, hess, _, status = asdf_bundle._asdf_terms(packet, z, order=2)
+    assert status[0] == 0
+    assert val[0] == pytest.approx(0.04, abs=1e-15)
+    np.testing.assert_allclose(grad[0], [0.0, 0.4], atol=1e-15)
+    np.testing.assert_allclose(hess[0], [[0.0, 0.0], [0.0, 2.0]], atol=1e-15)
+    assert asdf_bundle._asdf_terms(packet, z, order=0)[0][0] == pytest.approx(0.04, abs=1e-15)
+
+
+def field_status(packet, z) -> int:
+    """The field kernel's status of the one row z, at both orders."""
+    statuses = {int(asdf_bundle._asdf_terms(packet, z[None, :], order)[4][0])
+                for order in (0, 2)}
+    assert len(statuses) == 1
+    return statuses.pop()
 
 
 def test_field_raises_outside_every_cylinder():
-    packet = flat_packet()
-    with pytest.raises(OutOfDomainError):
-        asdf_eval(packet, np.array([0.9, 0.9]))
+    status = field_status(flat_packet(), np.array([0.9, 0.9]))
+    assert status == 1 and type(asdf_bundle._field_error(status)) is OutOfDomainError
 
 
 def test_field_degenerate_when_all_bumps_vanish():
     packet = flat_packet(tb=0.5, centers=(0.0,))
     # exactly on the squared-cylinder rim: still a member, but zero weight
-    with pytest.raises(DegenerateCoverError):
-        asdf_eval(packet, np.array([1.0, 0.0]))
+    status = field_status(packet, np.array([1.0, 0.0]))
+    assert status == 2 and type(asdf_bundle._field_error(status)) is DegenerateCoverError
 
 
 @pytest.mark.parametrize("builder,seed", [
@@ -339,7 +345,7 @@ def member_loop_field(packet, z):
     a_val = b_val = 0.0
     a_grad, b_grad = np.zeros(n), np.zeros(n)
     a_hess, b_hess = np.zeros((n, n)), np.zeros((n, n))
-    for k in packet.members(z, factor=2.0)[0]:
+    for k in asdf_bundle._member_pairs(packet, z[None, :], factor=2.0)[1]:
         rot = packet.rotations[k]
         w = rot.T @ (z - packet.centers[k])
         tan, nor = w[:d], w[d:]
@@ -383,43 +389,32 @@ def kernel_probes(circle_packet):
 def test_field_kernel_matches_member_loop(kernel_probes):
     for packet, z in kernel_probes:
         ref = member_loop_field(packet, z)
-        for got, want in zip(asdf_grad_hess(packet, z), ref):
+        value, grad, hess, _, status = asdf_bundle._asdf_terms(packet, z[None, :], order=2)
+        assert status[0] == 0
+        for got, want in zip((value[0], grad[0], hess[0]), ref):
             scale = float(np.max(np.abs(want)))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_field_value_is_the_same_for_both_orders(kernel_probes):
     for packet, z in kernel_probes:
-        assert asdf_eval(packet, z) == asdf_grad_hess(packet, z)[0]
+        values = [asdf_bundle._asdf_terms(packet, z[None, :], order)[0][0] for order in (0, 2)]
+        assert values[0] == values[1]
 
 
 # ---- fiber projectors ----
 
 def test_pi_hi_exact_diagonal():
-    res = pi_hi(np.diag([0.2, 2.0, 2.2]), codim=2)
-    np.testing.assert_allclose(res.projector, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
-    assert res.gap == pytest.approx(1.8)
-    assert res.interval_ok
-    np.testing.assert_allclose(np.sort(res.eigenvalues), [0.2, 2.0, 2.2])
+    evals, top, gap = asdf_bundle._top_eigenspaces(np.diag([0.2, 2.0, 2.2])[None], codim=2)
+    np.testing.assert_allclose(top[0].T @ top[0], np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+    assert gap[0] == pytest.approx(1.8)
+    np.testing.assert_allclose(evals[0], [0.2, 2.0, 2.2])
 
 
 def test_pi_hi_insufficient_gap():
-    with pytest.raises(InsufficientGapError):
-        pi_hi(np.diag([1.0, 1.1, 1.2]), codim=1)
-
-
-def test_pi_hi_validation():
-    with pytest.raises(InvalidParameterError):
-        pi_hi(np.zeros((2, 3)), codim=1)
-    with pytest.raises(InvalidParameterError):
-        pi_hi(np.array([[0.0, 1.0], [0.0, 0.0]]), codim=1)
-    with pytest.raises(InvalidParameterError):
-        pi_hi(np.eye(2), codim=3)
-
-
-def test_pi_hi_flags_eigenvalues_outside_interval():
-    res = pi_hi(np.diag([0.0, 9.0]), codim=1)
-    assert not res.interval_ok
+    # the Newton loop ends a row whose gap is below GAP_TOL with InsufficientGapError
+    gap = asdf_bundle._top_eigenspaces(np.diag([1.0, 1.1, 1.2])[None], codim=1)[2]
+    assert gap[0] < GAP_TOL
 
 
 # ---- base points and meshes ----
@@ -547,21 +542,22 @@ def test_failed_one_point_calls_leave_no_reference_cycle(circle_packet, circle_m
 
 def owner_at(packet, z):
     """The member cylinder with the largest bump weight at z."""
-    idx, w = packet.members(z, factor=2.0)
+    _, idx, w = asdf_bundle._member_pairs(packet, z[None, :], factor=2.0)
     radii = np.linalg.norm(w[:, :packet.d], axis=1) / (2.0 * packet.tau_bar)
     return int(idx[int(np.argmax(bump_profile(radii)[0]))])
 
 
 def chart_from_scratch(packet, z):
     """Reference: every piece of a chart derived again at its base point."""
-    codim = packet.n - packet.d
-    _, grad, hess = asdf_grad_hess(packet, z)
-    res = pi_hi(hess, codim)
-    residual = float(np.linalg.norm(res.fiber_basis @ grad))
+    _, grad, hess, _, status = asdf_bundle._asdf_terms(packet, z[None, :], order=2)
+    assert status[0] == 0 and not asdf_bundle._asymmetric(hess)[0]
+    evals, fiber, gap = asdf_bundle._top_eigenspaces(hess, packet.n - packet.d)
+    assert gap[0] >= GAP_TOL
+    fiber = fiber[0]
     return BundleChart(
-        base_point=z.copy(), projector_hi=res.projector, fiber_basis=res.fiber_basis,
-        owning_cylinder=owner_at(packet, z), residual=residual,
-        eigenvalues=tuple(float(v) for v in res.eigenvalues))
+        base_point=z.copy(), projector_hi=fiber.T @ fiber, fiber_basis=fiber,
+        owning_cylinder=owner_at(packet, z), residual=float(np.linalg.norm(fiber @ grad[0])),
+        eigenvalues=tuple(float(v) for v in evals[0]))
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["ideal", "perturbed"])
@@ -605,7 +601,7 @@ def reference_asdf_terms(packet, z, order, counter=None):
     """Reference: the per-point field kernel, every member cylinder at once."""
     if counter is not None:
         counter[0] += 1
-    idx, w = packet.members(z, factor=2.0)
+    _, idx, w = asdf_bundle._member_pairs(packet, z[None, :], factor=2.0)
     if idx.size == 0:
         raise OutOfDomainError("point lies outside every squared cylinder")
     d = packet.d
@@ -649,15 +645,18 @@ def reference_solve(packet, z0, newton_tol=1e-10, max_steps=60, counter=None):
     codim = packet.n - packet.d
     _, grad, hess, owner = reference_asdf_terms(packet, z, 2, counter)
     for _ in range(max_steps):
-        res = pi_hi(hess, codim)
-        fiber = res.fiber_basis
+        if asdf_bundle._asymmetric(hess[None])[0]:
+            raise InvalidParameterError("hessian is not symmetric to 1e-9")
+        evals, fiber, gap = (a[0] for a in asdf_bundle._top_eigenspaces(hess[None], codim))
+        if gap < GAP_TOL:
+            raise InsufficientGapError(f"spectral gap {gap:.6g} below tolerance {GAP_TOL:.6g}")
         resid = fiber @ grad
         rnorm = math.sqrt(resid @ resid)
         if rnorm <= newton_tol:
             return BundleChart(
-                base_point=z.copy(), projector_hi=res.projector,
-                fiber_basis=res.fiber_basis, owning_cylinder=owner, residual=rnorm,
-                eigenvalues=tuple(res.eigenvalues.tolist()))
+                base_point=z.copy(), projector_hi=fiber.T @ fiber,
+                fiber_basis=fiber, owning_cylinder=owner, residual=rnorm,
+                eigenvalues=tuple(evals.tolist()))
         hf = fiber @ hess @ fiber.T
         try:
             delta = np.linalg.solve(hf, -resid)
@@ -1724,6 +1723,23 @@ def test_the_coverage_pass_at_its_edges(kernel_cases, monkeypatch, setting):
         tb = packet.tau_bar
         far = float(np.arange(-3.0 * tb, 3.0 * tb + tb / 40.0, tb / 20.0)[-1])
         assert got.worst_coverage_gap == far and abs(far - 3.0 * tb) < 1e-15
+
+
+def test_the_coverage_cells_are_built_once_per_scale(kernel_cases):
+    packets = [packet for name, packet, _ in kernel_cases
+               if name in ("circle-ideal", "circle-perturbed", "single")]
+    assert len({(p.tau_bar, p.d) for p in packets}) == 1
+    asdf_bundle._coverage_cells.cache_clear()
+    found = [validate_packet(p) for p in packets]
+    info = asdf_bundle._coverage_cells.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    cells = asdf_bundle._coverage_cells(packets[0].tau_bar, packets[0].d,
+                                        asdf_bundle.COVERAGE_SPACING)
+    assert not any(a.flags.writeable for a in cells)
+    # cells built afresh for each packet give the same validations
+    for p, want in zip(packets, found):
+        asdf_bundle._coverage_cells.cache_clear()
+        assert validate_packet(p) == want
 
 
 def test_the_ideal_packet_validates_on_the_pairs_it_measured(monkeypatch):

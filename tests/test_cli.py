@@ -186,6 +186,22 @@ def test_run_invalid_tau_is_an_error(circle_csv, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--max-cylinders", "-3"), ("--max-cylinders", "0"),
+                                        ("--solver-budget", "0"), ("--extra-dim", "-1")])
+def test_run_out_of_range_cap_is_an_error(circle_csv, capsys, flag, value):
+    code = entrypoint(["run", "--input", str(circle_csv), *CIRCLE_ARGS, flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+
+
+def test_config_file_out_of_range_cap_is_an_error(circle_csv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim=1\nvolume=7.0\ntau=0.5\neps=1e-4\ndelta=0.1\nmax_cylinders=-3\n")
+    assert entrypoint(["run", "--input", str(circle_csv), "--config", str(cfg)]) == 2
+    assert "max_cylinders must be at least 1" in capsys.readouterr().err
+
+
 def test_run_degenerate_sample_is_an_error(tmp_path, capsys):
     path = tmp_path / "duplicates.csv"
     np.savetxt(path, np.tile([[0.3, -0.2]], (50, 1)), delimiter=",")

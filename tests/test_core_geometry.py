@@ -586,7 +586,7 @@ def test_sign_fix_rows_matches_the_row_loop():
     cases = [rng.standard_normal((6, 4)), rng.standard_normal((1, 7)), np.zeros((3, 5)),
              -np.zeros((2, 3)), small, np.vstack([small, rng.standard_normal((2, 3))]),
              np.zeros((0, 3)),
-             # the reversed, transposed eigenvector view that pi_hi passes
+             # the reversed, transposed eigenvector view that _top_eigenspaces takes
              np.linalg.eigh(np.cov(rng.standard_normal((3, 9))))[1][:, ::-1][:, :2].T]
     for rows in cases:
         want = sign_fix_loop(rows)

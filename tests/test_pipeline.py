@@ -1,8 +1,11 @@
 """End-to-end decision pipeline: data generation, reduction, search, verdicts."""
 import gc
+import importlib.util
 import json
 import math
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from test_core_geometry import reference_tangent
 import manifold_test.asdf_bundle as asdf_bundle
 import manifold_test.core_geometry as core_geometry
 import manifold_test.pipeline as pipeline
+import manifold_test.whitney_sections as ws
 from manifold_test.asdf_bundle import CylinderPacket, RowOutcomes
 from manifold_test.complexity_bounds import BoundParams, sample_complexity
 from manifold_test.core_geometry import PointCloud, federer_reach, greedy_net
@@ -80,6 +84,15 @@ def test_config_derived_quantities():
     dict(cbar12=1.0),
     dict(packet_budget=0),
     dict(eps_bar=0.0),
+    # run, max_cylinders=-3 would slice the net to net[:-3] and drop net
+    # points without a word, max_cylinders=0 would fail every candidate with
+    # EmptyInputError, and a nonpositive solver_budget would end every
+    # cutting-plane fit after 0 cuts
+    dict(max_cylinders=0),
+    dict(max_cylinders=-3),
+    dict(solver_budget=0),
+    dict(solver_budget=-1),
+    dict(extra_dim=-1),
 ])
 def test_config_validation(bad):
     kwargs = dict(d=1, V=7.0, tau=0.5, eps=1e-4, delta=0.1)
@@ -651,6 +664,58 @@ def test_the_loss_pass_converges_in_few_alternation_rounds():
     assert verdict.case == "one" and ideal["out_of_tube"] == perturbed["out_of_tube"] == 0
     assert ideal["loss_newton"]["rounds"] <= 4
     assert perturbed["loss_newton"]["rounds"] <= 10
+
+
+def bench_inputs(name: str, seed: int):
+    """The input clouds and config of a run of the named bench workload
+    (bench/workloads.py, read here and not changed)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads   # the dataclass module looks itself up
+    try:
+        spec.loader.exec_module(workloads)
+        _, clouds, config = workloads.setup(workloads.WORKLOADS[name], seed)
+    finally:
+        del sys.modules[spec.name]
+    return clouds, config
+
+
+@pytest.mark.parametrize("workload", ["circle-search", "sphere-d2"])
+def test_the_loss_pass_re_solve_returns_the_alternation_s_base_points(workload, monkeypatch):
+    # mfin_distance solves the base point of each row again in
+    # _global_section, starting from the alternation's own base point; on
+    # these inputs that re-solve returns the alternation's base points and
+    # fibers bit for bit, which is what dropping it needs
+    passes = []
+    alternate, global_pass = ws._alternate, ws._global_section
+
+    def spy_alternate(*args, **kwargs):
+        passes.append([alternate(*args, **kwargs)])
+        return passes[-1][0]
+
+    def spy_global(model, x):
+        passes[-1].append(global_pass(model, x))
+        return passes[-1][-1]
+
+    monkeypatch.setattr(ws, "_alternate", spy_alternate)
+    monkeypatch.setattr(ws, "_global_section", spy_global)
+    clouds, config = bench_inputs(workload, 1)
+    for cloud in clouds:
+        verdict = run_test(cloud, config)
+        if verdict.case == "one":
+            verify_output(verdict, cloud)
+    resolved = 0
+    for alternation, *again in passes:
+        errors, fields = alternation[:2]
+        rows = [i for i, e in enumerate(errors) if e is None]
+        assert len(again) == (1 if rows else 0)
+        for *_, solved in again:
+            assert solved.done.all()
+            assert solved.z.tobytes() == fields[0][rows].tobytes()
+            assert solved.fibers.tobytes() == fields[2][rows].tobytes()
+            resolved += len(rows)
+    assert len(passes) >= len(clouds) and resolved > 0
 
 
 def test_a_candidate_that_fails_before_extraction_has_no_counts(circle_verdict,

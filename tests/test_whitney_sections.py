@@ -43,7 +43,6 @@ from manifold_test.whitney_sections import (
     GlobalSectionValue,
     SectionModel,
     build_constraints,
-    fit_local_section,
     fit_sections,
     global_section,
     jet_size,
@@ -664,17 +663,29 @@ def test_fit_local_section_empty_when_unpopulated():
                             C_align=10.0)
     xs = np.linspace(-0.03, 0.03, 9)
     mesh = extract_putative_manifold(packet, np.stack([xs, np.zeros(9)], axis=1))
-    section = fit_local_section(packet, mesh, 1)
-    assert section.is_empty
-    with pytest.raises(UncoveredPointError):
-        section.evaluate(np.zeros(1))
-    populated = fit_local_section(packet, mesh, 0)
+    section = ws._fit_cylinders(packet, mesh, [1], 0.5, None).section(0)
+    assert section.is_empty and section.cylinder_index == 1
+    # a point held by the empty section's cylinder alone has no section to blend
+    empty = fit_sections(packet, mesh).section_table.empty
+    status = ws._partition(packet, np.array([[0.9, 0.0]]), empty)[3]
+    assert status[0] == 1 and type(ws._uncovered(status[0])) is UncoveredPointError
+    populated = ws._fit_cylinders(packet, mesh, [0], 0.5, None).section(0)
     assert not populated.is_empty
     assert populated.codim == 1
 
 
+def blend(table, ks, u):
+    """Values (P, codim) and Jacobians (P, codim, d) of the table's section
+    ks[i] at the rescaled tangential coordinates u[i]: one stacked Shepard
+    blend over the padded rows, as the fiber solve and the dense sample
+    take it."""
+    ks = np.asarray(ks)
+    return ws._shepard_blend(u[:, None, :] - table.sites[ks], table.coefficients[ks],
+                             table.radius[ks], table.valid[ks])
+
+
 def jet_loop_evaluate(section, u):
-    """The per-jet loop that LocalSection.evaluate replaced."""
+    """The per-jet loop that the Shepard blend replaced."""
     offs = u[None, :] - section.sites
     dist = np.linalg.norm(offs, axis=1)
     total = 0.0
@@ -691,59 +702,62 @@ def jet_loop_evaluate(section, u):
 
 
 def probe_points(model):
-    """Eight uniform points of [-1, 1]^d per section, each with whether it
-    lies in a Shepard support (blended) or not (nearest-site fallback)."""
+    """Eight uniform points of [-1, 1]^d per section: their sections ks,
+    the points u, and whether each lies in a Shepard support (blended) or
+    not (nearest-site fallback)."""
     rng = np.random.default_rng(8)
-    for section in model.sections:
-        for u in rng.uniform(-1.0, 1.0, (8, section.sites.shape[1])):
-            near = np.linalg.norm(u - section.sites, axis=1).min()
-            yield section, u, bool(near < section.shepard_radius)
+    ks, us, in_support = [], [], []
+    for j, section in enumerate(model.sections):
+        u = rng.uniform(-1.0, 1.0, (8, section.sites.shape[1]))
+        near = np.linalg.norm(u[:, None, :] - section.sites, axis=2).min(axis=1)
+        ks += [j] * 8
+        us.append(u)
+        in_support.append(near < section.shepard_radius)
+    return np.array(ks), np.concatenate(us), np.concatenate(in_support)
 
 
 @pytest.mark.parametrize("model_fixture", ["circle_model", "sphere_model"])
 def test_evaluate_matches_the_jet_loop(model_fixture, request):
     _, _, model = request.getfixturevalue(model_fixture)
-    for section in model.sections:
+    table = model.section_table
+    for j, section in enumerate(model.sections):
         m, d = section.sites.shape
         assert section.coefficients.shape == (1, m, jet_size(d))
-        for i in range(m):
-            np.testing.assert_array_equal(section.evaluate(section.sites[i])[0],
-                                          section.coefficients[:, i, 0])
-    blended = nearest = 0
-    for section, u, in_support in probe_points(model):
+        np.testing.assert_array_equal(blend(table, np.full(m, j), section.sites)[0],
+                                      section.coefficients[:, :, 0].T)
+    ks, us, in_support = probe_points(model)
+    for j, u, got in zip(ks, us, blend(table, ks, us)[0]):
+        section = model.sections[j]
         scale = float(np.max(np.abs(section.coefficients)))
-        expected = jet_loop_evaluate(section, u)
-        np.testing.assert_allclose(section.evaluate(u)[0], expected,
+        np.testing.assert_allclose(got, jet_loop_evaluate(section, u),
                                    rtol=1e-12, atol=1e-12 * scale)
-        blended += in_support
-        nearest += not in_support
-    assert blended > 100
+    assert in_support.sum() > 100
     if model_fixture == "sphere_model":
         # the circle's sites are dense; only the sphere's reach the fallback
-        assert nearest > 100
+        assert (~in_support).sum() > 100
 
 
 @pytest.mark.parametrize("model_fixture", ["circle_model", "sphere_model"])
 def test_evaluate_jacobian_matches_central_differences(model_fixture, request):
     _, _, model = request.getfixturevalue(model_fixture)
     step = 1e-6
-    blended = nearest = 0
-    for section, u, in_support in probe_points(model):
-        values, jac = section.evaluate(u)
-        assert jac.shape == (section.codim, u.size)
-        central = np.stack([(section.evaluate(u + step * e)[0]
-                             - section.evaluate(u - step * e)[0]) / (2.0 * step)
-                            for e in np.eye(u.size)], axis=1)
-        np.testing.assert_allclose(jac, central, rtol=1e-7, atol=1e-9)
-        blended += in_support
-        nearest += not in_support
-    assert blended > 100
+    table = model.section_table
+    ks, us, in_support = probe_points(model)
+    (P, d), codim = us.shape, table.coefficients.shape[1]
+    _, jac = blend(table, ks, us)
+    assert jac.shape == (P, codim, d)
+    # row (p, k) of each side: probe p moved by one step along axis k
+    moved = [blend(table, np.repeat(ks, d), (us[:, None, :] + sign * step * np.eye(d))
+                   .reshape(P * d, d))[0].reshape(P, d, codim) for sign in (1.0, -1.0)]
+    central = ((moved[0] - moved[1]) / (2.0 * step)).transpose(0, 2, 1)
+    np.testing.assert_allclose(jac, central, rtol=1e-7, atol=1e-9)
+    assert in_support.sum() > 100
     if model_fixture == "sphere_model":
         # the circle's sites are dense; only the sphere's reach the fallback
-        assert nearest > 100
+        assert (~in_support).sum() > 100
 
 
-def forward_difference_fiber_intersection(packet, section, j, tangent_rows, base,
+def forward_difference_fiber_intersection(packet, table, j, tangent_rows, base,
                                           max_iters=30):
     """The forward-difference Newton that _fiber_intersection replaced."""
     tb = packet.tau_bar
@@ -751,7 +765,7 @@ def forward_difference_fiber_intersection(packet, section, j, tangent_rows, base
     rotation, center = packet.rotations[j], packet.centers[j]
 
     def graph_point(u_amb):
-        vals = section.evaluate(u_amb / tb)[0] * tb
+        vals = blend(table, [j], (u_amb / tb)[None, :])[0][0] * tb
         return rotation @ np.concatenate([u_amb, vals]) + center
 
     u = (rotation.T @ (base - center))[:d].copy()
@@ -783,7 +797,7 @@ def test_fiber_intersection_matches_the_forward_difference_newton(circle_model):
         np.stack([chart.base_point for chart, _ in pairs]))
     solved = 0
     for (chart, j), point, ok in zip(pairs, points, hit):
-        expected = forward_difference_fiber_intersection(packet, model.sections[j], j,
+        expected = forward_difference_fiber_intersection(packet, model.section_table, j,
                                                          chart.tangent_basis,
                                                          chart.base_point)
         if expected is None:
@@ -934,7 +948,7 @@ def reference_plain_alternation(packet, mesh, z, tol=1e-11, max_iters=60):
 
 def reference_partition_weights(packet, x, sections):
     """The per-point partition weights that _partition replaced."""
-    idx, w = packet.members(x, factor=1.0)
+    _, idx, w = asdf_bundle._member_pairs(packet, x[None, :], factor=1.0)
     keep = np.array([not sections[j].is_empty for j in idx], dtype=bool)
     idx, w = idx[keep], w[keep]
     if idx.size == 0:
@@ -945,14 +959,14 @@ def reference_partition_weights(packet, x, sections):
     return idx, wts / float(wts.sum())
 
 
-def reference_fiber_intersection(packet, section, j, tangent_rows, base, max_iters=30):
+def reference_fiber_intersection(packet, table, j, tangent_rows, base, max_iters=30):
     """The per-pair Newton that the stacked _fiber_intersection replaced."""
     tb, d = packet.tau_bar, packet.d
     rotation, center = packet.rotations[j], packet.centers[j]
     u = (rotation.T @ (base - center))[:d].copy()
     tol = 1e-12 * max(tb, 1.0) + 1e-15
     for _ in range(max_iters):
-        vals, jac = section.evaluate(u / tb)
+        vals, jac = (a[0] for a in blend(table, [j], (u / tb)[None, :]))
         point = rotation @ np.concatenate([u, vals * tb]) + center
         g0 = tangent_rows @ (point - base)
         if math.sqrt(g0 @ g0) <= tol:
@@ -972,7 +986,7 @@ def reference_global_section(model, x):
     """The per-point global_section body."""
     chart = solve_base_point(model.packet, x, model.mesh.tolerance)
     idx, wts = reference_partition_weights(model.packet, x, model.sections)
-    found = [(pos, reference_fiber_intersection(model.packet, model.sections[j], int(j),
+    found = [(pos, reference_fiber_intersection(model.packet, model.section_table, int(j),
                                                 chart.tangent_basis, chart.base_point))
              for pos, j in enumerate(idx)]
     kept = [pos for pos, p in found if p is not None]
@@ -1270,7 +1284,10 @@ def reference_dense_sample(model, per_axis=5, extent=0.8, merge_fraction=0.25):
         if section.is_empty:
             continue
         rotation = packet.rotations[j]
-        vals, jac = section.evaluate(grid)
+        vals, jac = ws._shepard_blend(   # the section's own sites, unpadded
+            grid[:, None, :] - section.sites,
+            np.broadcast_to(section.coefficients, (len(grid),) + section.coefficients.shape),
+            np.full(len(grid), section.shepard_radius))
         local = np.concatenate([tb * grid, tb * vals], axis=1)
         points.append(np.matmul(rotation, local[:, :, None])[:, :, 0] + packet.centers[j])
         frames.append(np.linalg.qr(np.matmul(rotation, np.concatenate([eye, jac], axis=1)))[0])
@@ -1343,15 +1360,15 @@ def test_permuting_a_stack_permutes_its_outcomes_bit_for_bit(circle_model, mixed
 
 def test_stacked_evaluate_matches_single_points(sphere_model):
     _, _, model = sphere_model
-    rng = np.random.default_rng(9)
-    for section in model.sections[:20]:
-        u = rng.uniform(-1.0, 1.0, (6, section.sites.shape[1]))
-        values, jac = section.evaluate(u)
-        assert values.shape == (6, section.codim) and jac.shape == (6, section.codim, 2)
-        for i in range(6):
-            one = section.evaluate(u[i])
-            np.testing.assert_array_equal(values[i], one[0])
-            np.testing.assert_array_equal(jac[i], one[1])
+    table = model.section_table
+    ks = np.repeat(np.arange(20), 6)   # six points on each of the first 20 sections
+    u = np.random.default_rng(9).uniform(-1.0, 1.0, (ks.size, 2))
+    values, jac = blend(table, ks, u)
+    assert values.shape == (ks.size, 1) and jac.shape == (ks.size, 1, 2)
+    for i in range(ks.size):
+        one = blend(table, ks[i:i + 1], u[i:i + 1])
+        np.testing.assert_array_equal(values[i], one[0][0])
+        np.testing.assert_array_equal(jac[i], one[1][0])
 
 
 # ---- the stacked fit against the per-cylinder reference ----
@@ -1527,7 +1544,7 @@ def test_a_cylinder_fits_alone_as_in_its_packet(pipeline_packets):
     model = fit_sections(packet, mesh, eps_bar, budget=budget)
     assert any("retracted" in s.solver_paths for s in model.sections)
     for j, inside in enumerate(model.sections):
-        alone = fit_local_section(packet, mesh, j, eps_bar, budget=budget)
+        alone = ws._fit_cylinders(packet, mesh, [j], eps_bar, budget).section(0)
         assert alone.is_empty == inside.is_empty
         assert alone.solver_paths == inside.solver_paths
         if not inside.is_empty:
@@ -1796,7 +1813,7 @@ def test_a_cylinder_that_cannot_certify_ends_the_front(pipeline_packets, monkeyp
     later = []
     for j in filled[before + 1:before + 8]:
         try:
-            later.append(fit_local_section(packet, mesh, j, eps_bar, budget=budget))
+            later.append(ws._fit_cylinders(packet, mesh, [j], eps_bar, budget).section(0))
         except (BudgetExceededError, InfeasibleSectionError):
             pass
     assert later and all(s.fit_values[0] <= eps_bar for s in later)
